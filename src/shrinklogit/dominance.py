@@ -26,7 +26,9 @@ C3.1     RAULE beats AULE in scalar MSE (always)     mse(AULE) - mse(RAULE)
 =======  ==========================================  =====================
 
 where L is the shrinkage operator, A the restricted dispersion kernel,
-and b1 = (L - I) beta the shared shrinkage bias.
+and b1 = (L - I) beta the shared shrinkage bias. The matrix checks take
+b1 and LAL from the RAULE risk report (its bias and covariance), and
+T3.7 builds L with the same smoother function as the risk module.
 
 The scalar conditions of T3.4/T3.6 compare
 (lam_1 + d)(lam_1 + 2 - d) / (1 - d)^2 against
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTermsError
-from .estimators import EstimatorSpec, ld_factors
+from .estimators import EstimatorSpec, smoother_matrix
 from .linalg import in_range, is_psd, lambda_max_ratio, moore_penrose, symmetrize
 from .risk import RiskScenario, risk, spectral_risk_terms
 
@@ -95,17 +97,6 @@ class DominanceVerdict:
         return record
 
 
-def _shrinkage_parts(scenario: RiskScenario, d: float):
-    """Shared pieces: L on C's eigenbasis, the bias b1, and L A L."""
-    scenario._require_restriction("this dominance check")
-    dec = scenario.decomp
-    factors = ld_factors(dec.values, d)
-    L = symmetrize((dec.basis * factors) @ dec.basis.T)
-    b1 = L @ scenario.beta_true - scenario.beta_true
-    lal = symmetrize(L @ scenario.A @ L)
-    return L, b1, lal
-
-
 def _quadratic_condition(b1, difference, tol):
     """Lemma-style test: b1 in range(D) and b1' D^+ b1 <= 1."""
     b_in_range = in_range(b1, difference, tol)
@@ -124,10 +115,11 @@ def check_t33(scenario: RiskScenario, d: float) -> DominanceVerdict:
     being nonnegative definite. Delta1 is always checked directly too.
     """
     tol = scenario.tol
-    _, b1, lal = _shrinkage_parts(scenario, d)
+    raule = risk(scenario, EstimatorSpec("raule", d))
+    b1, lal = raule.bias, raule.cov
     aca = symmetrize(scenario.A @ scenario.C @ scenario.A)
     ratio = lambda_max_ratio(lal, aca, tol)
-    range_ok = all(in_range(lal[:, j], aca, tol) for j in range(scenario.m))
+    range_ok = in_range(lal, aca, tol)
     applicable = bool(ratio <= 1.0 + tol.psd_slack and range_ok)
     difference = symmetrize(aca - lal)
     holds, b_in_range, qform = _quadratic_condition(b1, difference, tol)
@@ -217,7 +209,8 @@ def check_t35(scenario: RiskScenario, d: float) -> DominanceVerdict:
     Delta3 = C^-1 - LAL - b1 b1' being nonnegative definite.
     """
     tol = scenario.tol
-    _, b1, lal = _shrinkage_parts(scenario, d)
+    raule = risk(scenario, EstimatorSpec("raule", d))
+    b1, lal = raule.bias, raule.cov
     dec = scenario.decomp
     half = dec.basis * np.sqrt(np.maximum(dec.values, 0.0))
     core = half.T @ lal @ half
@@ -258,7 +251,8 @@ def check_t37(scenario: RiskScenario, d: float) -> DominanceVerdict:
     false (beyond the slack) signals a numerical integrity failure, not
     a counterexample.
     """
-    L, _, _ = _shrinkage_parts(scenario, d)
+    scenario._require_restriction("this dominance check")
+    L = smoother_matrix(scenario.decomp, EstimatorSpec("raule", d))
     delta = symmetrize(L @ (scenario.c_inv - scenario.A) @ L)
     psd = is_psd(delta, scenario.tol)
     return DominanceVerdict(

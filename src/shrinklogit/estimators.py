@@ -1,35 +1,42 @@
-"""The estimator family: MLE, restricted MLE, and Liu-type shrinkage.
+"""The estimator family: a base (MLE or RMLE) times a smoother.
 
-Six estimators are supported, all closed forms in the fitted information
-matrix C and the MLE coefficients:
+Each of the six estimators is a base vector times a smoother that is
+diagonal on the eigenbasis C = V diag(lam) V' of the information matrix:
 
-* ``mle``    maximum likelihood
-* ``rmle``   restricted MLE under H beta = h
-* ``le``     Liu estimator          (C+I)^-1 (C+dI) beta_mle
-* ``rle``    restricted Liu         (C+I)^-1 (C+dI) beta_rmle
-* ``aule``   almost unbiased Liu    L_d beta_mle
-* ``raule``  restricted almost unbiased Liu   L_d beta_rmle
+=========  =====  ============================  ==========================
+kind       base   smoother                      eigenvalues of the smoother
+=========  =====  ============================  ==========================
+``mle``    MLE    I                             1
+``rmle``   RMLE   I                             1
+``le``     MLE    F_d = (C+I)^-1 (C+dI)         (lam + d) / (lam + 1)
+``rle``    RMLE   F_d                           (lam + d) / (lam + 1)
+``aule``   MLE    L_d = I - (1-d)^2 (C+I)^-2    1 - (1-d)^2 / (lam + 1)^2
+``raule``  RMLE   L_d                           1 - (1-d)^2 / (lam + 1)^2
+=========  =====  ============================  ==========================
 
-with the shrinkage operator L_d = I - (1-d)^2 (C+I)^-2. The biasing
-parameter d lives in [0, 1]; both endpoints are admitted because d = 1
-collapses each shrunken estimator onto its unshrunken counterpart, which
-is the natural closure of the family and a useful consistency check.
+RMLE is the MLE projected onto H beta = h in the C metric
+(:func:`restricted_mle`). The biasing parameter d lives in [0, 1]; both
+endpoints are admitted because d = 1 turns every smoother into the
+identity, collapsing each shrunken estimator onto its base.
+
+:func:`smoother_factors` alone forms smoother eigenvalues, as a (D, m)
+array over a d grid; risk and dominance use it too. The kernel
+:func:`shrinkage_estimates` scores kinds x d grid from one fit with one
+decomposition of C, one definiteness test, at most one restricted
+projection, and each estimate V (factors * V' base).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    DimensionMismatchError,
-    MissingRestrictionError,
-    SingularInformationError,
-    SingularRestrictionGramError,
-)
+from .errors import DimensionMismatchError, MissingRestrictionError, SingularRestrictionGramError
 from .linalg import DEFAULT_TOLERANCE, SpectralDecomp, Tolerance, sym_eigen, symmetrize
+from .linalg import require_positive_definite
 from .logit import FittedLogit, LinearRestriction
 
 __all__ = [
@@ -38,8 +45,12 @@ __all__ = [
     "RESTRICTED_KINDS",
     "EstimatorSpec",
     "Estimate",
+    "ld_factors",
+    "smoother_factors",
+    "smoother_matrix",
     "ld_matrix",
     "liu_matrix",
+    "shrinkage_estimates",
     "estimate",
     "residual",
 ]
@@ -76,10 +87,6 @@ class EstimatorSpec:
         elif self.d is not None:
             raise ValueError(f"estimator {kind!r} takes no biasing parameter")
 
-    @property
-    def requires_restriction(self) -> bool:
-        return self.kind in RESTRICTED_KINDS
-
     def label(self) -> str:
         if self.d is None:
             return self.kind.upper()
@@ -94,43 +101,56 @@ class Estimate:
     beta: NDArray
 
 
-def _spectral_map(decomp: SpectralDecomp, factors: NDArray) -> NDArray:
-    return symmetrize((decomp.basis * factors) @ decomp.basis.T)
-
-
-def ld_factors(eigenvalues: NDArray, d: float) -> NDArray:
+def ld_factors(eigenvalues: NDArray, d) -> NDArray:
     """Eigenvalues of L_d given the eigenvalues of C: 1 - (1-d)^2/(lam+1)^2."""
     return 1.0 - (1.0 - d) ** 2 / (eigenvalues + 1.0) ** 2
 
 
-def ld_matrix(C, d: float) -> NDArray:
-    """Shrinkage operator I - (1-d)^2 (C+I)^-2, built on C's eigenbasis.
+def smoother_factors(kind: str, eigenvalues, d_grid) -> NDArray:
+    """Eigenvalues of ``kind``'s smoother for each d in ``d_grid``: shape (D, m)."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    d = np.asarray(d_grid, dtype=float).reshape(-1, 1)
+    if kind in ("le", "rle"):
+        return (lam + d) / (lam + 1.0)
+    if kind in ("aule", "raule"):
+        return ld_factors(lam, d)
+    return np.ones((d.shape[0], lam.size))
+
+
+def smoother_matrix(decomp: SpectralDecomp, spec: EstimatorSpec) -> NDArray:
+    """The smoother of ``spec`` as a matrix, built on C's eigenbasis.
 
     The spectral route avoids squaring an explicit inverse, which matters
-    when C is badly conditioned. For positive semidefinite C the operator
-    is positive definite for every d in [0, 1].
+    when C is badly conditioned.
     """
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"d must be in [0, 1], got {d}")
-    dec = sym_eigen(C)
-    return _spectral_map(dec, ld_factors(dec.values, d))
+    factors = smoother_factors(spec.kind, decomp.values, spec.d)[0]
+    return symmetrize((decomp.basis * factors) @ decomp.basis.T)
+
+
+def ld_matrix(C, d: float) -> NDArray:
+    """Shrinkage operator I - (1-d)^2 (C+I)^-2; positive definite for PSD C."""
+    return smoother_matrix(sym_eigen(C), EstimatorSpec("aule", d))
 
 
 def liu_matrix(C, d: float) -> NDArray:
     """Liu smoother (C+I)^-1 (C+dI), built on C's eigenbasis."""
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"d must be in [0, 1], got {d}")
-    dec = sym_eigen(C)
-    return _spectral_map(dec, (dec.values + d) / (dec.values + 1.0))
+    return smoother_matrix(sym_eigen(C), EstimatorSpec("le", d))
 
 
-def _check_pd(C, tol: Tolerance):
-    evals = np.linalg.eigvalsh(C)
-    if evals[-1] <= 0.0 or evals[0] <= tol.rank_cut * evals[-1]:
-        raise SingularInformationError(
-            f"C is not positive definite at rank_cut={tol.rank_cut:g} "
-            f"(eigenvalue range [{evals[0]:.3e}, {evals[-1]:.3e}])"
+def _check_width(restriction: LinearRestriction, m: int):
+    if restriction.width != m:
+        raise DimensionMismatchError(
+            f"restriction width {restriction.width} does not match coefficient count {m}"
         )
+
+
+def _project(C: NDArray, beta_mle: NDArray, restriction: LinearRestriction, tol: Tolerance) -> NDArray:
+    """beta - C^-1 H' (H C^-1 H')^-1 (H beta - h) for positive definite C."""
+    ci_ht = np.linalg.solve(C, restriction.H.T)
+    gram = symmetrize(restriction.H @ ci_ht)
+    require_positive_definite(np.linalg.eigvalsh(gram), tol, "H C^-1 H'", SingularRestrictionGramError)
+    slack = restriction.H @ beta_mle - restriction.h
+    return beta_mle - ci_ht @ np.linalg.solve(gram, slack)
 
 
 def restricted_mle(C, beta_mle, restriction: LinearRestriction, tol: Tolerance = DEFAULT_TOLERANCE) -> NDArray:
@@ -140,21 +160,55 @@ def restricted_mle(C, beta_mle, restriction: LinearRestriction, tol: Tolerance =
     the weighted least squares objective subject to H beta = h.
     """
     C = np.asarray(C, dtype=float)
-    beta_mle = np.asarray(beta_mle, dtype=float)
-    if restriction.width != C.shape[0]:
-        raise DimensionMismatchError(
-            f"restriction width {restriction.width} does not match coefficient count {C.shape[0]}"
-        )
-    _check_pd(C, tol)
-    ci_ht = np.linalg.solve(C, restriction.H.T)
-    gram = symmetrize(restriction.H @ ci_ht)
-    gevals = np.linalg.eigvalsh(gram)
-    if gevals[-1] <= 0.0 or gevals[0] <= tol.rank_cut * gevals[-1]:
-        raise SingularRestrictionGramError(
-            "H C^-1 H' is rank deficient; restrictions are redundant at this fit"
-        )
-    slack = restriction.H @ beta_mle - restriction.h
-    return beta_mle - ci_ht @ np.linalg.solve(gram, slack)
+    _check_width(restriction, C.shape[0])
+    require_positive_definite(np.linalg.eigvalsh(C), tol, "C")
+    return _project(C, np.asarray(beta_mle, dtype=float), restriction, tol)
+
+
+def shrinkage_estimates(
+    fit: FittedLogit,
+    kinds: Sequence[str],
+    d_grid: Sequence[float],
+    restriction: LinearRestriction | None = None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
+) -> NDArray:
+    """Every kind in ``kinds`` at every d in ``d_grid``: shape (K, D, m).
+
+    The unshrunken kinds repeat their base along the d axis. Raises
+    ValueError for an unknown kind or a d outside [0, 1]; otherwise the
+    first kind that fails decides the error, checked in the order
+    MissingRestrictionError, DimensionMismatchError (restricted kinds),
+    SingularInformationError, SingularRestrictionGramError.
+    """
+    d = np.asarray(d_grid, dtype=float).reshape(-1)
+    if not np.all((0.0 <= d) & (d <= 1.0)):
+        raise ValueError(f"d must be in [0, 1], got {d.tolist()}")
+    C = fit.C
+    decomp = None
+    rmle = None
+    out = np.empty((len(kinds), d.size, C.shape[0]))
+    for i, kind in enumerate(kinds):
+        if kind not in KINDS:
+            raise ValueError(f"unknown estimator kind {kind!r}, expected one of {KINDS}")
+        restricted = kind in RESTRICTED_KINDS
+        if restricted:
+            if restriction is None:
+                raise MissingRestrictionError(
+                    f"estimator {kind!r} needs a linear restriction (H, h)"
+                )
+            _check_width(restriction, C.shape[0])
+        if decomp is None:
+            decomp = sym_eigen(C)
+            require_positive_definite(decomp.values, tol, "C")
+        if restricted and rmle is None:
+            rmle = _project(C, fit.beta_mle, restriction, tol)
+        base = rmle if restricted else fit.beta_mle
+        if kind in SHRINKAGE_KINDS:
+            coords = decomp.basis.T @ base
+            out[i] = (smoother_factors(kind, decomp.values, d) * coords) @ decomp.basis.T
+        else:
+            out[i] = base
+    return out
 
 
 def estimate(
@@ -163,43 +217,10 @@ def estimate(
     restriction: LinearRestriction | None = None,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> Estimate:
-    """Evaluate one estimator on a fitted model.
-
-    Restricted kinds require ``restriction``; there is no silent fallback
-    to the unrestricted analogue.
-
-    Raises
-    ------
-    MissingRestrictionError
-        If a restricted kind is requested without a restriction.
-    SingularInformationError
-        If C is not positive definite at ``tol.rank_cut``.
-    SingularRestrictionGramError
-        If H C^-1 H' is rank deficient.
-    """
-    if spec.requires_restriction and restriction is None:
-        raise MissingRestrictionError(
-            f"estimator {spec.kind!r} needs a linear restriction (H, h)"
-        )
-    C = fit.C
-    base = fit.beta_mle
-    if spec.kind == "mle":
-        _check_pd(C, tol)
-        return Estimate(spec, base.copy())
-    if spec.kind == "rmle":
-        return Estimate(spec, restricted_mle(C, base, restriction, tol))
-    if spec.kind == "le":
-        _check_pd(C, tol)
-        return Estimate(spec, liu_matrix(C, spec.d) @ base)
-    if spec.kind == "rle":
-        target = restricted_mle(C, base, restriction, tol)
-        return Estimate(spec, liu_matrix(C, spec.d) @ target)
-    if spec.kind == "aule":
-        _check_pd(C, tol)
-        return Estimate(spec, ld_matrix(C, spec.d) @ base)
-    # raule
-    target = restricted_mle(C, base, restriction, tol)
-    return Estimate(spec, ld_matrix(C, spec.d) @ target)
+    """Evaluate one estimator: one cell of :func:`shrinkage_estimates`, same errors."""
+    d = 1.0 if spec.d is None else spec.d  # the unshrunken kinds ignore d
+    beta = shrinkage_estimates(fit, [spec.kind], [d], restriction, tol)[0, 0]
+    return Estimate(spec, beta)
 
 
 def residual(restriction: LinearRestriction, est: Estimate) -> NDArray:

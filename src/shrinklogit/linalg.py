@@ -3,7 +3,7 @@
 Everything downstream (estimator formulas, risk matrices, dominance
 predicates) reduces to a handful of operations on real symmetric
 matrices: spectral decomposition, Moore-Penrose inversion, positive
-semidefiniteness tests, range membership, and a generalized Rayleigh
+(semi)definiteness tests, range membership, and a generalized Rayleigh
 ratio. They live here so tolerance handling is defined in one place.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InvalidMatrixError, NotPSDError
+from .errors import InvalidMatrixError, NotPSDError, SingularInformationError
 
 __all__ = [
     "Tolerance",
@@ -25,6 +25,7 @@ __all__ = [
     "sym_eigen",
     "moore_penrose",
     "is_psd",
+    "require_positive_definite",
     "in_range",
     "lambda_max_ratio",
 ]
@@ -140,21 +141,35 @@ def is_psd(matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> PsdResult:
     return PsdResult(wmin >= -tol.psd_slack, wmin)
 
 
-def in_range(vector, matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Test whether ``vector`` lies in the column space of ``matrix``.
+def require_positive_definite(
+    eigenvalues, tol: Tolerance = DEFAULT_TOLERANCE, what: str = "C", error=SingularInformationError
+) -> None:
+    """Raise ``error`` about matrix ``what`` unless its eigenvalues (in any
+    order) have a positive maximum and a minimum above ``rank_cut`` times it."""
+    low, high = float(np.min(eigenvalues)), float(np.max(eigenvalues))
+    if high <= 0.0 or low <= tol.rank_cut * high:
+        raise error(
+            f"{what} is not positive definite at rank_cut={tol.rank_cut:g} "
+            f"(eigenvalue range [{low:.3e}, {high:.3e}])"
+        )
 
-    Uses the projector M M^+: membership means the residual
-    (I - M M^+) v has norm at most ``rank_cut`` times the norm of v.
-    The zero vector is in every range.
+
+def in_range(vector, matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    """Test whether ``vector``, or every column of a 2-D array, lies in the
+    column space of ``matrix``.
+
+    Uses the projector M M^+, formed once: column v is in the range when
+    the residual (I - M M^+) v has norm at most ``rank_cut`` times the
+    norm of v. The zero vector is in every range.
     """
     v = np.asarray(vector, dtype=float)
     m = symmetrize(matrix)
-    if v.shape != (m.shape[0],):
+    if v.ndim not in (1, 2) or v.shape[0] != m.shape[0]:
         raise InvalidMatrixError(
-            f"vector of length {v.shape} does not match matrix dim {m.shape[0]}"
+            f"vectors of shape {v.shape} do not match matrix dim {m.shape[0]}"
         )
     residual = v - m @ (moore_penrose(m, tol) @ v)
-    return float(np.linalg.norm(residual)) <= tol.rank_cut * float(np.linalg.norm(v))
+    return bool(np.all(np.linalg.norm(residual, axis=0) <= tol.rank_cut * np.linalg.norm(v, axis=0)))
 
 
 def lambda_max_ratio(numerator, denominator, tol: Tolerance = DEFAULT_TOLERANCE) -> float:

@@ -14,8 +14,8 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import expit, logit as logit_link
 
-from .errors import NotConvergedError, SingularInformationError
-from .linalg import DEFAULT_TOLERANCE, Tolerance, symmetrize
+from .errors import NotConvergedError
+from .linalg import DEFAULT_TOLERANCE, Tolerance, require_positive_definite, symmetrize
 
 __all__ = [
     "Dataset",
@@ -163,15 +163,6 @@ def working_quantities(data: Dataset, beta, opts: FitOptions = FitOptions()):
     return w, z, c
 
 
-def _check_information(c, tol: Tolerance):
-    evals = np.linalg.eigvalsh(c)
-    if evals[-1] <= 0.0 or evals[0] <= tol.rank_cut * evals[-1]:
-        raise SingularInformationError(
-            "information matrix X'WX is rank deficient "
-            f"(eigenvalue range [{evals[0]:.3e}, {evals[-1]:.3e}])"
-        )
-
-
 def irls_fit(
     data: Dataset,
     opts: FitOptions = FitOptions(),
@@ -198,7 +189,7 @@ def irls_fit(
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
         w, z, c = working_quantities(data, beta, opts)
-        _check_information(c, tol)
+        require_positive_definite(np.linalg.eigvalsh(c), tol, "information matrix X'WX")
         beta_next = np.linalg.solve(c, data.X.T @ (w * z))
         step = float(np.max(np.abs(beta_next - beta)))
         beta = beta_next

@@ -19,7 +19,8 @@ raule        L A L                    (L - I) b
 
 with b = beta_true, L the shrinkage operator of :func:`ld_matrix`,
 F the Liu smoother, and A = C^-1 - C^-1 H'(H C^-1 H')^-1 H C^-1 the
-restricted dispersion kernel.
+restricted dispersion kernel. The smoothers come from the estimators'
+:func:`smoother_matrix`, on the scenario's cached eigenbasis of C.
 
 The restricted shrinkage rows use the bias form that assumes the
 restriction holds at the truth. When it does not, the report carries
@@ -36,13 +37,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    MissingRestrictionError,
-    SingularInformationError,
-    SingularRestrictionGramError,
-)
-from .estimators import SHRINKAGE_KINDS, EstimatorSpec, ld_factors
+from .errors import MissingRestrictionError, SingularRestrictionGramError
+from .estimators import RESTRICTED_KINDS, SHRINKAGE_KINDS, EstimatorSpec, smoother_matrix
 from .linalg import DEFAULT_TOLERANCE, SpectralDecomp, Tolerance, sym_eigen, symmetrize
+from .linalg import require_positive_definite
 from .logit import LinearRestriction
 
 __all__ = [
@@ -82,16 +80,10 @@ def a_matrix(C, restriction: LinearRestriction, tol: Tolerance = DEFAULT_TOLERAN
         If H C^-1 H' is rank deficient (redundant restriction rows).
     """
     C = symmetrize(C)
-    evals = np.linalg.eigvalsh(C)
-    if evals[-1] <= 0.0 or evals[0] <= tol.rank_cut * evals[-1]:
-        raise SingularInformationError(
-            f"C is not positive definite (eigenvalue range [{evals[0]:.3e}, {evals[-1]:.3e}])"
-        )
+    require_positive_definite(np.linalg.eigvalsh(C), tol, "C")
     H = restriction.H
     gram = symmetrize(H @ np.linalg.solve(C, H.T))
-    gevals = np.linalg.eigvalsh(gram)
-    if gevals[-1] <= 0.0 or gevals[0] <= tol.rank_cut * gevals[-1]:
-        raise SingularRestrictionGramError("H C^-1 H' is rank deficient")
+    require_positive_definite(np.linalg.eigvalsh(gram), tol, "H C^-1 H'", SingularRestrictionGramError)
     _, _, vt = np.linalg.svd(H)
     null_basis = vt[restriction.q :].T
     if null_basis.shape[1] == 0:
@@ -124,15 +116,12 @@ class RiskScenario:
             raise ValueError(
                 f"beta_true has shape {beta.shape}, expected ({C.shape[0]},)"
             )
-        evals = np.linalg.eigvalsh(C)
-        if evals[-1] <= 0.0 or evals[0] <= self.tol.rank_cut * evals[-1]:
-            raise SingularInformationError(
-                f"C is not positive definite (eigenvalue range [{evals[0]:.3e}, {evals[-1]:.3e}])"
-            )
+        decomp = sym_eigen(C)
+        require_positive_definite(decomp.values, self.tol, "C")
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "beta_true", beta)
         object.__setattr__(self, "_c_inv", symmetrize(np.linalg.inv(C)))
-        object.__setattr__(self, "_decomp", sym_eigen(C))
+        object.__setattr__(self, "_decomp", decomp)
         if self.restriction is not None:
             if self.restriction.width != C.shape[0]:
                 raise ValueError(
@@ -191,15 +180,6 @@ class RiskReport:
     restriction_violated: bool = False
 
 
-def _smoother(scenario: RiskScenario, spec: EstimatorSpec) -> NDArray:
-    dec = scenario.decomp
-    if spec.kind in ("aule", "raule"):
-        factors = ld_factors(dec.values, spec.d)
-    else:  # le, rle
-        factors = (dec.values + spec.d) / (dec.values + 1.0)
-    return symmetrize((dec.basis * factors) @ dec.basis.T)
-
-
 def _assemble(spec, cov, bias, violated) -> RiskReport:
     cov = symmetrize(cov)
     mmse = symmetrize(cov + np.outer(bias, bias))
@@ -223,23 +203,20 @@ def risk(scenario: RiskScenario, spec: EstimatorSpec) -> RiskReport:
         If ``spec`` is a restricted kind and the scenario has no restriction.
     """
     beta = scenario.beta_true
-    if spec.kind == "mle":
-        return _assemble(spec, scenario.c_inv, np.zeros(scenario.m), False)
-    if spec.kind == "rmle":
-        scenario._require_restriction("the restricted MLE")
+    restricted = spec.kind in RESTRICTED_KINDS
+    violated = False
+    if restricted:
+        scenario._require_restriction(f"estimator {spec.kind!r}")
         violated = scenario.restriction_violated()
-        cov = scenario.A @ scenario.C @ scenario.A
-        return _assemble(spec, cov, scenario.rmle_bias(), violated)
-    smoother = _smoother(scenario, spec)
-    bias = smoother @ beta - beta
-    if spec.kind in ("le", "aule"):
-        cov = smoother @ scenario.c_inv @ smoother
-        return _assemble(spec, cov, bias, False)
-    # rle, raule
-    scenario._require_restriction(f"estimator {spec.kind!r}")
-    violated = scenario.restriction_violated()
-    cov = smoother @ scenario.A @ smoother
-    return _assemble(spec, cov, bias, violated)
+    if spec.d is None:  # identity smoother: the base itself
+        if restricted:
+            cov = scenario.A @ scenario.C @ scenario.A
+            return _assemble(spec, cov, scenario.rmle_bias(), violated)
+        return _assemble(spec, scenario.c_inv, np.zeros(scenario.m), False)
+    smoother = smoother_matrix(scenario.decomp, spec)
+    dispersion = scenario.A if restricted else scenario.c_inv
+    cov = smoother @ dispersion @ smoother
+    return _assemble(spec, cov, smoother @ beta - beta, violated)
 
 
 class SpectralRiskTerms(NamedTuple):

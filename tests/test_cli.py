@@ -126,6 +126,15 @@ class TestEstimate:
         assert code == 1
         assert "hint" in err
 
+    def test_missing_d_names_d_not_the_restriction(self, capsys):
+        code, _, err = run(
+            capsys,
+            ["estimate", BUNDLED, "--no-intercept", "--estimator", "le"],
+        )
+        assert code == 1
+        assert "--d" in err
+        assert "--H" not in err
+
     def test_unknown_estimator(self, capsys):
         code, _, err = run(
             capsys,
