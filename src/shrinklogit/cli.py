@@ -66,28 +66,20 @@ class OutputTable:
     rows: list[list]
 
     @staticmethod
-    def _csv_cell(value) -> str:
+    def _cell(value, real) -> str:
         if isinstance(value, bool):
             return "true" if value else "false"
         if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    @staticmethod
-    def _text_cell(value) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return f"{value:.6g}"
+            return real(value)
         return str(value)
 
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
-        lines.extend(",".join(self._csv_cell(v) for v in row) for row in self.rows)
+        lines.extend(",".join(self._cell(v, repr) for v in row) for row in self.rows)
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        cells = [[self._text_cell(v) for v in row] for row in self.rows]
+        cells = [[self._cell(v, "{:.6g}".format) for v in row] for row in self.rows]
         widths = [
             max(len(name), *(len(row[i]) for row in cells)) if cells else len(name)
             for i, name in enumerate(self.columns)
@@ -153,26 +145,21 @@ def _response_column(text: str):
         return text
 
 
-def _load_dataset(args):
-    return load_csv(
+def _load_and_fit(args):
+    """Read the CSV and fit it, downgrading non-convergence to a warning;
+    returns (data, fit, exit_code)."""
+    data = load_csv(
         args.csv,
         header=not args.no_header,
         response_column=_response_column(args.response),
         intercept=not args.no_intercept,
     )
-
-
-def _fit_options(args) -> FitOptions:
-    return FitOptions(max_iter=args.max_iter, tol=args.tol, prob_clip=args.prob_clip)
-
-
-def _fit_with_warning(data, opts):
-    """Fit, downgrading non-convergence to a warning; returns (fit, exit_code)."""
+    opts = FitOptions(max_iter=args.max_iter, tol=args.tol, prob_clip=args.prob_clip)
     try:
-        return irls_fit(data, opts), EXIT_OK
+        return data, irls_fit(data, opts), EXIT_OK
     except NotConvergedError as err:
         print(f"warning: {err}", file=sys.stderr)
-        return err.fit, EXIT_NUMERICAL
+        return data, err.fit, EXIT_NUMERICAL
 
 
 def _coef_names(m: int, has_intercept: bool) -> list[str]:
@@ -182,8 +169,7 @@ def _coef_names(m: int, has_intercept: bool) -> list[str]:
 
 
 def cmd_fit(args) -> int:
-    data = _load_dataset(args)
-    fit, code = _fit_with_warning(data, _fit_options(args))
+    data, fit, code = _load_and_fit(args)
     report = diagnostics(data)
     names = _coef_names(data.m, data.has_intercept)
     rows = [[name, float(b)] for name, b in zip(names, fit.beta_mle)]
@@ -211,8 +197,7 @@ def cmd_estimate(args) -> int:
         raise ShrinkLogitError(
             f"estimators {needs_d} need --d (comma separated values in [0, 1])"
         )
-    data = _load_dataset(args)
-    fit, code = _fit_with_warning(data, _fit_options(args))
+    data, fit, code = _load_and_fit(args)
     restriction = _restriction_from_args(args)
     # The unshrunken kinds ignore d, so any grid serves when none is given.
     betas = shrinkage_estimates(fit, kinds, d_values or [1.0], restriction)
@@ -236,8 +221,7 @@ def _scenario_from_args(args):
         return scenario, meta_d, code
     if not args.csv:
         raise ShrinkLogitError("either a CSV path or --scenario-file is required")
-    data = _load_dataset(args)
-    fit, code = _fit_with_warning(data, _fit_options(args))
+    data, fit, code = _load_and_fit(args)
     restriction = _restriction_from_args(args)
     scenario = RiskScenario(C=fit.C, beta_true=fit.beta_mle, restriction=restriction)
     return scenario, None, code
@@ -378,10 +362,18 @@ def _config_meta(config: SimulationConfig) -> dict:
     }
 
 
+#: simulate flags that --table-suite would ignore: it fixes its own grid,
+#: stock restrictions, projected truth and fresh designs.
+_TABLE_SUITE_FIXED = ("--n", "--p", "--rho", "--H", "--h", "--restriction-file", "--no-project-beta", "--fixed-design")
+
+
 def cmd_simulate(args) -> int:
     d_grid = tuple(_parse_floats(args.d_grid)) if args.d_grid else TABLE_SUITE_D_GRID
     kinds = tuple(_parse_kinds(args.kinds)) if args.kinds else TABLE_SUITE_KINDS
     if args.table_suite:
+        given = [flag for flag in _TABLE_SUITE_FIXED if getattr(args, flag[2:].replace("-", "_")) is not None]
+        if given:
+            raise ShrinkLogitError(f"--table-suite does not take {', '.join(given)}")
         results = table_suite(
             base_seed=args.seed,
             reps=args.reps,
@@ -527,9 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--d-grid", help="comma separated d values; default the stock grid")
     p_sim.add_argument("--kinds", help="comma separated estimator kinds; default mle,aule,rmle,raule")
     p_sim.add_argument("--workers", type=int, default=1, help="process pool size")
-    p_sim.add_argument("--no-project-beta", action="store_true",
+    # store_true flags default to None so --table-suite can tell them given.
+    p_sim.add_argument("--no-project-beta", action="store_true", default=None,
                        help="draw the truth without projecting it into the restriction set")
-    p_sim.add_argument("--fixed-design", action="store_true",
+    p_sim.add_argument("--fixed-design", action="store_true", default=None,
                        help="hold one design fixed across replications")
     p_sim.add_argument("--table-suite", action="store_true",
                        help="run the full n x p x rho grid with stock restrictions")

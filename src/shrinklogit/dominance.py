@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import DegenerateTermsError
 from .estimators import EstimatorSpec, smoother_matrix
-from .linalg import in_range, is_psd, lambda_max_ratio, moore_penrose, symmetrize
+from .linalg import in_range, in_range_with_pinv, is_psd, lambda_max_ratio, moore_penrose, symmetrize
 from .risk import RiskScenario, risk, spectral_risk_terms
 
 __all__ = [
@@ -97,12 +97,33 @@ class DominanceVerdict:
         return record
 
 
-def _quadratic_condition(b1, difference, tol):
-    """Lemma-style test: b1 in range(D) and b1' D^+ b1 <= 1."""
-    b_in_range = in_range(b1, difference, tol)
-    qform = float(b1 @ moore_penrose(difference, tol) @ b1)
-    holds = b_in_range and qform <= 1.0 + tol.psd_slack
-    return holds, b_in_range, qform
+def _matrix_verdict(theorem, scenario, d, dispersion, raule, applicable, side) -> DominanceVerdict:
+    """T3.3/T3.5 lemma test for D = dispersion - LAL, b1 and LAL from the RAULE
+    report: b1 in range(D) and b1' D^+ b1 <= 1 with D^+ formed once, and the
+    direct PSD test of D - b1 b1'. ``side`` holds the applicability witnesses."""
+    tol = scenario.tol
+    b1 = raule.bias
+    difference = symmetrize(dispersion - raule.cov)
+    pinv = moore_penrose(difference, tol)
+    b_in_range = in_range_with_pinv(b1, difference, pinv, tol)
+    qform = float(b1 @ pinv @ b1)
+    psd = is_psd(symmetrize(difference - np.outer(b1, b1)), tol)
+    return DominanceVerdict(
+        theorem=theorem,
+        applicable=applicable,
+        condition_holds=b_in_range and qform <= 1.0 + tol.psd_slack,
+        delta_psd=psd.ok,
+        lhs=qform,
+        rhs=1.0,
+        witnesses={
+            "d": float(d),
+            **side,
+            "bias_in_range": float(b_in_range),
+            "quadratic_form": qform,
+            "bias_norm": float(np.linalg.norm(b1)),
+            "delta_min_eigenvalue": psd.min_eigenvalue,
+        },
+    )
 
 
 def check_t33(scenario: RiskScenario, d: float) -> DominanceVerdict:
@@ -116,32 +137,12 @@ def check_t33(scenario: RiskScenario, d: float) -> DominanceVerdict:
     """
     tol = scenario.tol
     raule = risk(scenario, EstimatorSpec("raule", d))
-    b1, lal = raule.bias, raule.cov
     aca = symmetrize(scenario.A @ scenario.C @ scenario.A)
-    ratio = lambda_max_ratio(lal, aca, tol)
-    range_ok = in_range(lal, aca, tol)
+    ratio = lambda_max_ratio(raule.cov, aca, tol)
+    range_ok = in_range(raule.cov, aca, tol)
     applicable = bool(ratio <= 1.0 + tol.psd_slack and range_ok)
-    difference = symmetrize(aca - lal)
-    holds, b_in_range, qform = _quadratic_condition(b1, difference, tol)
-    delta = symmetrize(difference - np.outer(b1, b1))
-    psd = is_psd(delta, tol)
-    return DominanceVerdict(
-        theorem="T3.3",
-        applicable=applicable,
-        condition_holds=holds,
-        delta_psd=psd.ok,
-        lhs=qform,
-        rhs=1.0,
-        witnesses={
-            "d": float(d),
-            "lambda_max_ratio": ratio,
-            "range_inclusion": float(range_ok),
-            "bias_in_range": float(b_in_range),
-            "quadratic_form": qform,
-            "bias_norm": float(np.linalg.norm(b1)),
-            "delta_min_eigenvalue": psd.min_eigenvalue,
-        },
-    )
+    side = {"lambda_max_ratio": ratio, "range_inclusion": float(range_ok)}
+    return _matrix_verdict("T3.3", scenario, d, aca, raule, applicable, side)
 
 
 def _scalar_condition(scenario: RiskScenario, d: float):
@@ -208,34 +209,14 @@ def check_t35(scenario: RiskScenario, d: float) -> DominanceVerdict:
     criterion b1'(C^-1 - LAL)^+ b1 <= 1 is equivalent to
     Delta3 = C^-1 - LAL - b1 b1' being nonnegative definite.
     """
-    tol = scenario.tol
     raule = risk(scenario, EstimatorSpec("raule", d))
-    b1, lal = raule.bias, raule.cov
     dec = scenario.decomp
     half = dec.basis * np.sqrt(np.maximum(dec.values, 0.0))
-    core = half.T @ lal @ half
+    core = half.T @ raule.cov @ half
     lam = float(max(np.linalg.eigvalsh(0.5 * (core + core.T))[-1], 0.0))
-    applicable = bool(lam <= 1.0 + tol.psd_slack)
-    difference = symmetrize(scenario.c_inv - lal)
-    holds, b_in_range, qform = _quadratic_condition(b1, difference, tol)
-    delta = symmetrize(difference - np.outer(b1, b1))
-    psd = is_psd(delta, tol)
-    return DominanceVerdict(
-        theorem="T3.5",
-        applicable=applicable,
-        condition_holds=holds,
-        delta_psd=psd.ok,
-        lhs=qform,
-        rhs=1.0,
-        witnesses={
-            "d": float(d),
-            "lambda_max_product": lam,
-            "bias_in_range": float(b_in_range),
-            "quadratic_form": qform,
-            "bias_norm": float(np.linalg.norm(b1)),
-            "delta_min_eigenvalue": psd.min_eigenvalue,
-        },
-    )
+    applicable = bool(lam <= 1.0 + scenario.tol.psd_slack)
+    side = {"lambda_max_product": lam}
+    return _matrix_verdict("T3.5", scenario, d, scenario.c_inv, raule, applicable, side)
 
 
 def check_t36(scenario: RiskScenario, d: float) -> DominanceVerdict:

@@ -15,7 +15,8 @@ kind       base   smoother                      eigenvalues of the smoother
 =========  =====  ============================  ==========================
 
 RMLE is the MLE projected onto H beta = h in the C metric
-(:func:`restricted_mle`). The biasing parameter d lives in [0, 1]; both
+(:func:`restricted_mle`, the package's one projection). The biasing
+parameter d lives in [0, 1]; both
 endpoints are admitted because d = 1 turns every smoother into the
 identity, collapsing each shrunken estimator onto its base.
 
@@ -144,25 +145,34 @@ def _check_width(restriction: LinearRestriction, m: int):
         )
 
 
-def _project(C: NDArray, beta_mle: NDArray, restriction: LinearRestriction, tol: Tolerance) -> NDArray:
-    """beta - C^-1 H' (H C^-1 H')^-1 (H beta - h) for positive definite C."""
-    ci_ht = np.linalg.solve(C, restriction.H.T)
-    gram = symmetrize(restriction.H @ ci_ht)
+def _require_gram(C: NDArray, restriction: LinearRestriction, tol: Tolerance) -> None:
+    """Raise SingularRestrictionGramError unless H C^-1 H' is positive definite."""
+    H = restriction.H
+    gram = symmetrize(H @ np.linalg.solve(C, H.T))
     require_positive_definite(np.linalg.eigvalsh(gram), tol, "H C^-1 H'", SingularRestrictionGramError)
-    slack = restriction.H @ beta_mle - restriction.h
-    return beta_mle - ci_ht @ np.linalg.solve(gram, slack)
+
+
+def _restrict(C: NDArray, beta: NDArray, restriction: LinearRestriction, tol: Tolerance) -> NDArray:
+    """beta_0 + N (N'CN)^-1 N'C (beta - beta_0) for positive definite C, with
+    N and beta_0 = H^+ h from the restriction: H beta_R = h to rounding."""
+    _require_gram(C, restriction, tol)
+    N, beta0 = restriction.null_basis, restriction.particular
+    cn = C @ N
+    return beta0 + N @ np.linalg.solve(symmetrize(N.T @ cn), cn.T @ (beta - beta0))
 
 
 def restricted_mle(C, beta_mle, restriction: LinearRestriction, tol: Tolerance = DEFAULT_TOLERANCE) -> NDArray:
     """Project the MLE onto the restriction set in the C metric.
 
     Returns beta - C^-1 H' (H C^-1 H')^-1 (H beta - h), the minimizer of
-    the weighted least squares objective subject to H beta = h.
+    the weighted least squares objective subject to H beta = h, computed
+    on the restriction's null space so that H beta_R = h holds to rounding
+    at any conditioning of C, where the subtraction form loses digits.
     """
     C = np.asarray(C, dtype=float)
     _check_width(restriction, C.shape[0])
     require_positive_definite(np.linalg.eigvalsh(C), tol, "C")
-    return _project(C, np.asarray(beta_mle, dtype=float), restriction, tol)
+    return _restrict(C, np.asarray(beta_mle, dtype=float), restriction, tol)
 
 
 def shrinkage_estimates(
@@ -201,7 +211,7 @@ def shrinkage_estimates(
             decomp = sym_eigen(C)
             require_positive_definite(decomp.values, tol, "C")
         if restricted and rmle is None:
-            rmle = _project(C, fit.beta_mle, restriction, tol)
+            rmle = _restrict(C, fit.beta_mle, restriction, tol)
         base = rmle if restricted else fit.beta_mle
         if kind in SHRINKAGE_KINDS:
             coords = decomp.basis.T @ base

@@ -27,6 +27,7 @@ __all__ = [
     "is_psd",
     "require_positive_definite",
     "in_range",
+    "in_range_with_pinv",
     "lambda_max_ratio",
 ]
 
@@ -158,9 +159,7 @@ def in_range(vector, matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Test whether ``vector``, or every column of a 2-D array, lies in the
     column space of ``matrix``.
 
-    Uses the projector M M^+, formed once: column v is in the range when
-    the residual (I - M M^+) v has norm at most ``rank_cut`` times the
-    norm of v. The zero vector is in every range.
+    Forms M^+ once; the criterion is :func:`in_range_with_pinv`.
     """
     v = np.asarray(vector, dtype=float)
     m = symmetrize(matrix)
@@ -168,8 +167,15 @@ def in_range(vector, matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         raise InvalidMatrixError(
             f"vectors of shape {v.shape} do not match matrix dim {m.shape[0]}"
         )
-    residual = v - m @ (moore_penrose(m, tol) @ v)
-    return bool(np.all(np.linalg.norm(residual, axis=0) <= tol.rank_cut * np.linalg.norm(v, axis=0)))
+    return in_range_with_pinv(v, m, moore_penrose(m, tol), tol)
+
+
+def in_range_with_pinv(vector, matrix, pinv, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    """:func:`in_range` for a symmetric ``matrix`` M with ``pinv`` = M^+ at
+    hand: column v is in the range when (I - M M^+) v has norm at most
+    ``rank_cut`` times that of v, so the zero vector is in every range."""
+    residual = vector - matrix @ (pinv @ vector)
+    return bool(np.all(np.linalg.norm(residual, axis=0) <= tol.rank_cut * np.linalg.norm(vector, axis=0)))
 
 
 def lambda_max_ratio(numerator, denominator, tol: Tolerance = DEFAULT_TOLERANCE) -> float:

@@ -8,7 +8,7 @@ C = X'WX evaluated at the final iterate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -116,11 +116,16 @@ class LinearRestriction:
     """Linear equality constraints H beta = h.
 
     H must have full row rank (q rows, q <= number of coefficients);
-    rank is checked through the singular values at ``rank_cut``.
+    rank is checked through the singular values at ``rank_cut``. That SVD
+    also gives what every restricted quantity is built from: ``null_basis``,
+    an orthonormal basis of null(H) (m - q columns), and ``particular``,
+    the minimum-norm solution H^+ h of H beta = h.
     """
 
     H: NDArray
     h: NDArray
+    null_basis: NDArray = field(init=False, repr=False, compare=False)
+    particular: NDArray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = np.atleast_2d(np.asarray(self.H, dtype=float))
@@ -132,11 +137,13 @@ class LinearRestriction:
             raise ValueError(f"h has shape {h.shape}, expected ({q},)")
         if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h))):
             raise ValueError("restriction has non-finite entries")
-        s = np.linalg.svd(H, compute_uv=False)
+        u, s, vt = np.linalg.svd(H)
         if s[-1] <= DEFAULT_TOLERANCE.rank_cut * s[0]:
             raise ValueError("H is rank deficient: restriction rows must be independent")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "null_basis", vt[q:].T)
+        object.__setattr__(self, "particular", vt[:q].T @ ((u.T @ h) / s))
 
     @property
     def q(self) -> int:

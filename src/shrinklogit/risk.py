@@ -10,7 +10,7 @@ trace of the matrix MSE) all have closed forms:
 kind         covariance               bias
 ===========  =======================  =============================
 mle          C^-1                     0
-rmle         A C A                    -C^-1 H'(H C^-1 H')^-1 (H b - h)
+rmle         A C A                    R(b) - b
 le           F C^-1 F                 (F - I) b
 rle          F A F                    (F - I) b
 aule         L C^-1 L                 (L - I) b
@@ -21,6 +21,8 @@ with b = beta_true, L the shrinkage operator of :func:`ld_matrix`,
 F the Liu smoother, and A = C^-1 - C^-1 H'(H C^-1 H')^-1 H C^-1 the
 restricted dispersion kernel. The smoothers come from the estimators'
 :func:`smoother_matrix`, on the scenario's cached eigenbasis of C.
+R is :func:`restricted_mle`: the RMLE bias projects the truth by the
+estimate's own null-space route, and A uses the same null basis of H.
 
 The restricted shrinkage rows use the bias form that assumes the
 restriction holds at the truth. When it does not, the report carries
@@ -37,8 +39,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import MissingRestrictionError, SingularRestrictionGramError
+from .errors import MissingRestrictionError
 from .estimators import RESTRICTED_KINDS, SHRINKAGE_KINDS, EstimatorSpec, smoother_matrix
+from .estimators import _require_gram, _restrict
 from .linalg import DEFAULT_TOLERANCE, SpectralDecomp, Tolerance, sym_eigen, symmetrize
 from .linalg import require_positive_definite
 from .logit import LinearRestriction
@@ -66,7 +69,7 @@ def a_matrix(C, restriction: LinearRestriction, tol: Tolerance = DEFAULT_TOLERAN
     pinned by the restriction.
 
     Computed through the equivalent null-space form N (N'CN)^-1 N', with
-    N an orthonormal basis of null(H). The subtraction form loses the
+    N the restriction's ``null_basis``. The subtraction form loses the
     rank structure to cancellation once C's condition number approaches
     1/rank_cut; the null-space form annihilates range(H') exactly, so
     the q zero eigenvalues stay at machine precision regardless of
@@ -81,13 +84,13 @@ def a_matrix(C, restriction: LinearRestriction, tol: Tolerance = DEFAULT_TOLERAN
     """
     C = symmetrize(C)
     require_positive_definite(np.linalg.eigvalsh(C), tol, "C")
-    H = restriction.H
-    gram = symmetrize(H @ np.linalg.solve(C, H.T))
-    require_positive_definite(np.linalg.eigvalsh(gram), tol, "H C^-1 H'", SingularRestrictionGramError)
-    _, _, vt = np.linalg.svd(H)
-    null_basis = vt[restriction.q :].T
-    if null_basis.shape[1] == 0:
-        return np.zeros_like(C)
+    _require_gram(C, restriction, tol)
+    return _dispersion(C, restriction)
+
+
+def _dispersion(C: NDArray, restriction: LinearRestriction) -> NDArray:
+    """:func:`a_matrix` without its checks on C and H C^-1 H'."""
+    null_basis = restriction.null_basis
     core = symmetrize(null_basis.T @ C @ null_basis)
     return symmetrize(null_basis @ np.linalg.solve(core, null_basis.T))
 
@@ -98,9 +101,9 @@ class RiskScenario:
 
     Bundles the information matrix C (positive definite), the true
     coefficient vector, and optionally a linear restriction. The kernel
-    A, the inverse of C, and the spectral decomposition of C are computed
-    eagerly and cached, so scenarios are cheap to reuse across many
-    estimators and biasing parameters, and immutable afterwards.
+    A, the RMLE bias, the inverse of C, and the spectral decomposition of
+    C are computed eagerly and cached, so scenarios are cheap to reuse
+    across many estimators and biasing parameters, and immutable afterwards.
     """
 
     C: NDArray
@@ -127,7 +130,9 @@ class RiskScenario:
                 raise ValueError(
                     f"restriction width {self.restriction.width} does not match dim {C.shape[0]}"
                 )
-            object.__setattr__(self, "A", a_matrix(C, self.restriction, self.tol))
+            # _restrict is restricted_mle after its C check, and tests H C^-1 H'.
+            object.__setattr__(self, "_rmle_bias", _restrict(C, beta, self.restriction, self.tol) - beta)
+            object.__setattr__(self, "A", _dispersion(C, self.restriction))
 
     @property
     def m(self) -> int:
@@ -154,12 +159,9 @@ class RiskScenario:
         return self.restriction
 
     def rmle_bias(self) -> NDArray:
-        """Exact RMLE bias -C^-1 H'(H C^-1 H')^-1 (H beta_true - h)."""
-        restriction = self._require_restriction("the restricted MLE")
-        ci_ht = self._c_inv @ restriction.H.T
-        gram = symmetrize(restriction.H @ ci_ht)
-        gap = restriction.H @ self.beta_true - restriction.h
-        return -ci_ht @ np.linalg.solve(gram, gap)
+        """Exact RMLE bias -C^-1 H'(H C^-1 H')^-1 (H beta_true - h), as R(b) - b."""
+        self._require_restriction("the restricted MLE")
+        return self._rmle_bias.copy()
 
 
 @dataclass(frozen=True)

@@ -117,9 +117,9 @@ def gen_beta(
     """Unit-length true coefficient vector, optionally restriction-compatible.
 
     Draws a standard normal vector; when ``project_beta`` is set it is
-    projected onto the null space of H through I - H^+ H before being
-    normalized, so both beta'beta = 1 and H beta = 0 hold. Near-zero
-    projections are redrawn, up to ten times.
+    projected onto the null space of H through N N', N the restriction's
+    ``null_basis``, before being normalized, so both beta'beta = 1 and
+    H beta = 0 hold. Near-zero projections are redrawn, up to ten times.
 
     Raises
     ------
@@ -128,11 +128,11 @@ def gen_beta(
     """
     if restriction.width != p:
         raise ValueError(f"restriction width {restriction.width} does not match p={p}")
-    h_pinv = np.linalg.pinv(restriction.H)
+    null_basis = restriction.null_basis
     for _ in range(10):
         v = rng.standard_normal(p)
         if project_beta:
-            v = v - h_pinv @ (restriction.H @ v)
+            v = null_basis @ (null_basis.T @ v)
         norm = float(np.linalg.norm(v))
         if norm >= 1e-8:
             return v / norm

@@ -300,3 +300,23 @@ class TestSimulate:
         assert code == 0
         assert "# n=50 p=4" in out
         assert "rho=0.9" in out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--n", "50"),
+            ("--p", "4"),
+            ("--rho", "0"),
+            ("--H", "1,0,-2,1"),
+            ("--h", "0"),
+            ("--restriction-file", "scenario.txt"),
+            ("--no-project-beta", None),
+            ("--fixed-design", None),
+        ],
+    )
+    def test_table_suite_rejects_flags_it_would_ignore(self, capsys, flag, value):
+        extra = [flag] if value is None else [flag, value]
+        code, out, err = run(capsys, ["simulate", "--table-suite", "--seed", "1", "--reps", "2"] + extra)
+        assert code == 1
+        assert out == ""
+        assert flag in err
