@@ -145,6 +145,10 @@ def _response_column(text: str):
         return text
 
 
+def _fit_options(args) -> FitOptions:
+    return FitOptions(max_iter=args.max_iter, tol=args.tol, prob_clip=args.prob_clip)
+
+
 def _load_and_fit(args):
     """Read the CSV and fit it, downgrading non-convergence to a warning;
     returns (data, fit, exit_code)."""
@@ -154,9 +158,8 @@ def _load_and_fit(args):
         response_column=_response_column(args.response),
         intercept=not args.no_intercept,
     )
-    opts = FitOptions(max_iter=args.max_iter, tol=args.tol, prob_clip=args.prob_clip)
     try:
-        return data, irls_fit(data, opts), EXIT_OK
+        return data, irls_fit(data, _fit_options(args)), EXIT_OK
     except NotConvergedError as err:
         print(f"warning: {err}", file=sys.stderr)
         return data, err.fit, EXIT_NUMERICAL
@@ -370,6 +373,7 @@ _TABLE_SUITE_FIXED = ("--n", "--p", "--rho", "--H", "--h", "--restriction-file",
 def cmd_simulate(args) -> int:
     d_grid = tuple(_parse_floats(args.d_grid)) if args.d_grid else TABLE_SUITE_D_GRID
     kinds = tuple(_parse_kinds(args.kinds)) if args.kinds else TABLE_SUITE_KINDS
+    fit_options = _fit_options(args)
     if args.table_suite:
         given = [flag for flag in _TABLE_SUITE_FIXED if getattr(args, flag[2:].replace("-", "_")) is not None]
         if given:
@@ -380,6 +384,7 @@ def cmd_simulate(args) -> int:
             d_grid=d_grid,
             estimator_kinds=kinds,
             workers=args.workers,
+            fit_options=fit_options,
         )
         meta = {
             "mode": "table-suite",
@@ -387,6 +392,9 @@ def cmd_simulate(args) -> int:
             "reps": args.reps,
             "d_grid": list(d_grid),
             "estimator_kinds": list(kinds),
+            "max_iter": fit_options.max_iter,
+            "tol": fit_options.tol,
+            "prob_clip": fit_options.prob_clip,
         }
     else:
         if args.n is None or args.p is None or args.rho is None:
@@ -405,9 +413,14 @@ def cmd_simulate(args) -> int:
             project_beta=not args.no_project_beta,
             estimator_kinds=kinds,
             regenerate_design=not args.fixed_design,
+            fit_options=fit_options,
         )
         results = [run_simulation(config, workers=args.workers)]
         meta = {"mode": "single", **_config_meta(config)}
+    meta["skipped_by_reason"] = {
+        reason: sum(result.skipped_by_reason[reason] for result in results)
+        for reason in results[0].skipped_by_reason
+    }
     rows = [row for result in results for row in _simulation_rows(result)]
     if args.format == "csv":
         text = OutputTable(columns=_SIM_COLUMNS, rows=rows).to_csv()
@@ -435,9 +448,16 @@ def _add_dataset_args(parser, positional_required=True):
         action="store_true",
         help="do not prepend a constant-1 column to the predictors",
     )
-    parser.add_argument("--max-iter", type=int, default=50)
-    parser.add_argument("--tol", type=float, default=1e-8)
-    parser.add_argument("--prob-clip", type=float, default=1e-6)
+    _add_fit_args(parser)
+
+
+def _add_fit_args(parser):
+    defaults = FitOptions()
+    parser.add_argument("--max-iter", type=int, default=defaults.max_iter, help="IRLS iteration cap")
+    parser.add_argument("--tol", type=float, default=defaults.tol,
+                        help="IRLS stops when no coefficient moves more than this")
+    parser.add_argument("--prob-clip", type=float, default=defaults.prob_clip,
+                        help="fitted probabilities are clamped into [clip, 1 - clip]")
 
 
 def _add_restriction_args(parser):
@@ -526,6 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hold one design fixed across replications")
     p_sim.add_argument("--table-suite", action="store_true",
                        help="run the full n x p x rho grid with stock restrictions")
+    _add_fit_args(p_sim)
     _add_restriction_args(p_sim)
     p_sim.add_argument("--meta-out", help="write the replay metadata JSON here")
     _add_output_args(p_sim)

@@ -37,7 +37,7 @@ from numpy.typing import NDArray
 
 from .errors import DimensionMismatchError, MissingRestrictionError, SingularRestrictionGramError
 from .linalg import DEFAULT_TOLERANCE, SpectralDecomp, Tolerance, sym_eigen, symmetrize
-from .linalg import require_positive_definite
+from .linalg import definiteness_error, positive_definite, require_positive_definite
 from .logit import FittedLogit, LinearRestriction
 
 __all__ = [
@@ -108,14 +108,15 @@ def ld_factors(eigenvalues: NDArray, d) -> NDArray:
 
 
 def smoother_factors(kind: str, eigenvalues, d_grid) -> NDArray:
-    """Eigenvalues of ``kind``'s smoother for each d in ``d_grid``: shape (D, m)."""
-    lam = np.asarray(eigenvalues, dtype=float)
+    """Eigenvalues of ``kind``'s smoother for each d in ``d_grid``: shape
+    (D, m), or (..., D, m) for a stack of eigenvalue rows (..., m)."""
+    lam = np.asarray(eigenvalues, dtype=float)[..., None, :]
     d = np.asarray(d_grid, dtype=float).reshape(-1, 1)
     if kind in ("le", "rle"):
         return (lam + d) / (lam + 1.0)
     if kind in ("aule", "raule"):
         return ld_factors(lam, d)
-    return np.ones((d.shape[0], lam.size))
+    return np.ones(lam.shape[:-2] + (d.shape[0], lam.shape[-1]))
 
 
 def smoother_matrix(decomp: SpectralDecomp, spec: EstimatorSpec) -> NDArray:
@@ -145,20 +146,25 @@ def _check_width(restriction: LinearRestriction, m: int):
         )
 
 
+def _gram_eigenvalues(C: NDArray, restriction: LinearRestriction) -> NDArray:
+    """Eigenvalues of H C^-1 H' for C, or for each matrix of a stack."""
+    H = restriction.H
+    return np.linalg.eigvalsh(symmetrize(H @ np.linalg.solve(C, H.T)))
+
+
 def _require_gram(C: NDArray, restriction: LinearRestriction, tol: Tolerance) -> None:
     """Raise SingularRestrictionGramError unless H C^-1 H' is positive definite."""
-    H = restriction.H
-    gram = symmetrize(H @ np.linalg.solve(C, H.T))
-    require_positive_definite(np.linalg.eigvalsh(gram), tol, "H C^-1 H'", SingularRestrictionGramError)
+    require_positive_definite(_gram_eigenvalues(C, restriction), tol, "H C^-1 H'", SingularRestrictionGramError)
 
 
-def _restrict(C: NDArray, beta: NDArray, restriction: LinearRestriction, tol: Tolerance) -> NDArray:
+def _project(C: NDArray, beta: NDArray, restriction: LinearRestriction) -> NDArray:
     """beta_0 + N (N'CN)^-1 N'C (beta - beta_0) for positive definite C, with
-    N and beta_0 = H^+ h from the restriction: H beta_R = h to rounding."""
-    _require_gram(C, restriction, tol)
+    N and beta_0 = H^+ h from the restriction: H beta_R = h to rounding.
+    Row by row for a stack, C (R, m, m) and beta (R, m)."""
     N, beta0 = restriction.null_basis, restriction.particular
     cn = C @ N
-    return beta0 + N @ np.linalg.solve(symmetrize(N.T @ cn), cn.T @ (beta - beta0))
+    rhs = cn.swapaxes(-1, -2) @ (beta - beta0)[..., None]
+    return beta0 + (N @ np.linalg.solve(symmetrize(N.T @ cn), rhs))[..., 0]
 
 
 def restricted_mle(C, beta_mle, restriction: LinearRestriction, tol: Tolerance = DEFAULT_TOLERANCE) -> NDArray:
@@ -172,7 +178,8 @@ def restricted_mle(C, beta_mle, restriction: LinearRestriction, tol: Tolerance =
     C = np.asarray(C, dtype=float)
     _check_width(restriction, C.shape[0])
     require_positive_definite(np.linalg.eigvalsh(C), tol, "C")
-    return _restrict(C, np.asarray(beta_mle, dtype=float), restriction, tol)
+    _require_gram(C, restriction, tol)
+    return _project(C, np.asarray(beta_mle, dtype=float), restriction)
 
 
 def shrinkage_estimates(
@@ -184,41 +191,76 @@ def shrinkage_estimates(
 ) -> NDArray:
     """Every kind in ``kinds`` at every d in ``d_grid``: shape (K, D, m).
 
-    The unshrunken kinds repeat their base along the d axis. Raises
-    ValueError for an unknown kind or a d outside [0, 1]; otherwise the
-    first kind that fails decides the error, checked in the order
-    MissingRestrictionError, DimensionMismatchError (restricted kinds),
-    SingularInformationError, SingularRestrictionGramError.
+    ``fit`` may also be a stack of R fits, as :func:`irls_stack` returns
+    them (``beta_mle`` (R, m), ``C`` (R, m, m)); the result is then
+    (R, K, D, m), and each row is bit for bit what its fit gives alone.
+    The stack is scored at once: one batched decomposition of C, one
+    definiteness test per row, at most one restricted projection per row.
+    The unshrunken kinds repeat their base along the d axis.
+
+    Raises ValueError for a d outside [0, 1]. Otherwise the kinds are
+    checked in order, and the first that fails decides the error: for
+    each kind, ValueError if it is unknown, then for restricted kinds
+    MissingRestrictionError and DimensionMismatchError; C is tested for
+    SingularInformationError at the first kind that passes these, and
+    H C^-1 H' for SingularRestrictionGramError at the first restricted
+    one. A stack raises the error of its first row that fails.
     """
     d = np.asarray(d_grid, dtype=float).reshape(-1)
     if not np.all((0.0 <= d) & (d <= 1.0)):
         raise ValueError(f"d must be in [0, 1], got {d.tolist()}")
-    C = fit.C
-    decomp = None
-    rmle = None
-    out = np.empty((len(kinds), d.size, C.shape[0]))
-    for i, kind in enumerate(kinds):
-        if kind not in KINDS:
-            raise ValueError(f"unknown estimator kind {kind!r}, expected one of {KINDS}")
+    C = np.asarray(fit.C, dtype=float)
+    beta = np.asarray(fit.beta_mle, dtype=float)
+    single = beta.ndim == 1
+    if single:
+        C, beta = C[None], beta[None]
+    rows, m = beta.shape
+    # Walk the kinds as for one fit. The first error that does not depend
+    # on the fit (``static``) ends the walk; before it, C is tested at the
+    # first kind and H C^-1 H' at the first restricted kind.
+    static = None
+    test_c = test_gram = False
+    for kind in kinds:
         restricted = kind in RESTRICTED_KINDS
-        if restricted:
-            if restriction is None:
-                raise MissingRestrictionError(
-                    f"estimator {kind!r} needs a linear restriction (H, h)"
-                )
-            _check_width(restriction, C.shape[0])
-        if decomp is None:
-            decomp = sym_eigen(C)
-            require_positive_definite(decomp.values, tol, "C")
-        if restricted and rmle is None:
-            rmle = _restrict(C, fit.beta_mle, restriction, tol)
-        base = rmle if restricted else fit.beta_mle
+        if kind not in KINDS:
+            static = ValueError(f"unknown estimator kind {kind!r}, expected one of {KINDS}")
+        elif restricted and restriction is None:
+            static = MissingRestrictionError(f"estimator {kind!r} needs a linear restriction (H, h)")
+        elif restricted and restriction.width != m:
+            static = DimensionMismatchError(
+                f"restriction width {restriction.width} does not match coefficient count {m}"
+            )
+        if static is not None:
+            break
+        test_c = True
+        test_gram = test_gram or restricted
+    c_ok = gram_ok = np.ones(rows, dtype=bool)
+    if test_c:
+        decomp = sym_eigen(C)
+        c_ok = positive_definite(decomp.values, tol)
+    if test_gram:
+        gram = np.zeros((rows, restriction.q))
+        gram[c_ok] = _gram_eigenvalues(C if c_ok.all() else C[c_ok], restriction)
+        gram_ok = positive_definite(gram, tol)
+    failed = ~(c_ok & gram_ok)
+    if static is not None or failed.any():
+        row = 0 if static is not None else int(np.argmax(failed))
+        if rows and not c_ok[row]:
+            raise definiteness_error(decomp.values[row], tol, "C")
+        if rows and not gram_ok[row]:
+            raise definiteness_error(gram[row], tol, "H C^-1 H'", SingularRestrictionGramError)
+        raise static
+    rmle = _project(C, beta, restriction) if test_gram else None
+    out = np.empty((rows, len(kinds), d.size, m))
+    for i, kind in enumerate(kinds):
+        base = rmle if kind in RESTRICTED_KINDS else beta
         if kind in SHRINKAGE_KINDS:
-            coords = decomp.basis.T @ base
-            out[i] = (smoother_factors(kind, decomp.values, d) * coords) @ decomp.basis.T
+            basis_t = decomp.basis.swapaxes(-1, -2)
+            coords = (basis_t @ base[..., None])[..., None, :, 0]
+            out[:, i] = (smoother_factors(kind, decomp.values, d) * coords) @ basis_t
         else:
-            out[i] = base
-    return out
+            out[:, i] = base[:, None]
+    return out[0] if single else out
 
 
 def estimate(

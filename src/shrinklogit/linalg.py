@@ -25,6 +25,8 @@ __all__ = [
     "sym_eigen",
     "moore_penrose",
     "is_psd",
+    "positive_definite",
+    "definiteness_error",
     "require_positive_definite",
     "in_range",
     "in_range_with_pinv",
@@ -63,7 +65,8 @@ def symmetrize(matrix) -> NDArray:
     """Return the symmetric part (M + M') / 2 as a float64 array.
 
     Floating point products such as X'WX drift slightly from exact
-    symmetry, so constructors symmetrize instead of rejecting.
+    symmetry, so constructors symmetrize instead of rejecting. A stack
+    of square matrices (..., k, k) is symmetrized matrix by matrix.
 
     Raises
     ------
@@ -71,11 +74,11 @@ def symmetrize(matrix) -> NDArray:
         If the input is not square or has non-finite entries.
     """
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidMatrixError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidMatrixError("matrix has non-finite entries")
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -96,11 +99,14 @@ def sym_eigen(matrix) -> SpectralDecomp:
     """Spectral decomposition of a (nearly) symmetric matrix.
 
     The input is symmetrized first; eigenvalues come back sorted in
-    descending order with the eigenvector columns permuted to match.
+    descending order with the eigenvector columns permuted to match. A
+    stack (..., k, k) gives values (..., k) and bases (..., k, k). Both
+    are contiguous copies: products with a reversed view would not go
+    through BLAS, and their last bits would differ from the unstacked ones.
     """
     m = symmetrize(matrix)
     values, basis = np.linalg.eigh(m)
-    return SpectralDecomp(values[::-1].copy(), basis[:, ::-1].copy())
+    return SpectralDecomp(values[..., ::-1].copy(), basis[..., ::-1].copy())
 
 
 def moore_penrose(matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> NDArray:
@@ -142,17 +148,32 @@ def is_psd(matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> PsdResult:
     return PsdResult(wmin >= -tol.psd_slack, wmin)
 
 
+def positive_definite(eigenvalues, tol: Tolerance = DEFAULT_TOLERANCE):
+    """Whether eigenvalues (last axis, in any order) have a positive maximum
+    and a minimum above ``rank_cut`` times it: one bool per row of a stack."""
+    low, high = np.min(eigenvalues, axis=-1), np.max(eigenvalues, axis=-1)
+    return ~((high <= 0.0) | (low <= tol.rank_cut * high))
+
+
+def definiteness_error(
+    eigenvalues, tol: Tolerance = DEFAULT_TOLERANCE, what: str = "C", error=SingularInformationError
+) -> Exception:
+    """The ``error`` that matrix ``what``, with these eigenvalues, is not
+    positive definite; its message gives the eigenvalue range."""
+    low, high = float(np.min(eigenvalues)), float(np.max(eigenvalues))
+    return error(
+        f"{what} is not positive definite at rank_cut={tol.rank_cut:g} "
+        f"(eigenvalue range [{low:.3e}, {high:.3e}])"
+    )
+
+
 def require_positive_definite(
     eigenvalues, tol: Tolerance = DEFAULT_TOLERANCE, what: str = "C", error=SingularInformationError
 ) -> None:
-    """Raise ``error`` about matrix ``what`` unless its eigenvalues (in any
-    order) have a positive maximum and a minimum above ``rank_cut`` times it."""
-    low, high = float(np.min(eigenvalues)), float(np.max(eigenvalues))
-    if high <= 0.0 or low <= tol.rank_cut * high:
-        raise error(
-            f"{what} is not positive definite at rank_cut={tol.rank_cut:g} "
-            f"(eigenvalue range [{low:.3e}, {high:.3e}])"
-        )
+    """Raise :func:`definiteness_error` unless :func:`positive_definite`
+    holds for one matrix's eigenvalues."""
+    if not positive_definite(eigenvalues, tol):
+        raise definiteness_error(eigenvalues, tol, what, error)
 
 
 def in_range(vector, matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:

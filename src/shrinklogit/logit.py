@@ -4,6 +4,9 @@ The fit produces, besides the maximum likelihood coefficients, the
 working quantities every downstream estimator consumes: the Bernoulli
 variance weights W, the working response Z, and the information matrix
 C = X'WX evaluated at the final iterate.
+
+There is one Newton loop, :func:`irls_stack`, which fits a stack of R
+datasets of the same shape at once; :func:`irls_fit` is its one-row case.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from numpy.typing import NDArray
 from scipy.special import expit, logit as logit_link
 
 from .errors import NotConvergedError
-from .linalg import DEFAULT_TOLERANCE, Tolerance, require_positive_definite, symmetrize
+from .linalg import DEFAULT_TOLERANCE, Tolerance, definiteness_error, positive_definite, symmetrize
 
 __all__ = [
     "Dataset",
@@ -23,6 +26,7 @@ __all__ = [
     "FittedLogit",
     "LinearRestriction",
     "working_quantities",
+    "irls_stack",
     "irls_fit",
 ]
 
@@ -100,6 +104,9 @@ class FittedLogit:
     ``W`` and ``Z`` are evaluated at ``beta_mle``, and ``C`` is the
     symmetrized information matrix X'WX at the same point, so the fixed
     point beta = C^-1 X'WZ holds to within the convergence tolerance.
+    From :func:`irls_stack` every field carries a leading row axis:
+    ``beta_mle`` (R, m), ``W`` and ``Z`` (R, n), ``C`` (R, m, m) and the
+    last three (R,).
     """
 
     beta_mle: NDArray
@@ -161,13 +168,77 @@ def working_quantities(data: Dataset, beta, opts: FitOptions = FitOptions()):
     The working response is logit(pi) + (y - pi) / (pi (1 - pi)).
     Returns the triple (W, Z, C) with C symmetrized.
     """
-    beta = np.asarray(beta, dtype=float)
-    eta = data.X @ beta
+    return _working(data.X, data.y, np.asarray(beta, dtype=float), opts)
+
+
+def _working(X, y, beta, opts: FitOptions):
+    """:func:`working_quantities` for arrays, also stacked: X (..., n, m),
+    y (..., n) and beta (..., m) give W and Z (..., n) and C (..., m, m)."""
+    eta = (X @ beta[..., None])[..., 0]
     pi = np.clip(expit(eta), opts.prob_clip, 1.0 - opts.prob_clip)
     w = pi * (1.0 - pi)
-    z = logit_link(pi) + (data.y - pi) / w
-    c = symmetrize(data.X.T @ (w[:, None] * data.X))
+    z = logit_link(pi) + (y - pi) / w
+    c = symmetrize(X.swapaxes(-1, -2) @ (w[..., None] * X))
     return w, z, c
+
+
+def irls_stack(X, y, opts: FitOptions = FitOptions(), tol: Tolerance = DEFAULT_TOLERANCE):
+    """Fit the logistic MLE of each row of a stack: X (R, n, m), y (R, n).
+
+    One Newton loop serves every row. Each iteration forms the working
+    quantities of the rows still active, tests each row's X'WX with
+    :func:`positive_definite` on a batched ``eigvalsh``, and takes all
+    their steps with one batched ``solve``. A row whose X'WX fails the
+    test leaves at that iteration; a row whose max-norm step falls to
+    ``opts.tol`` is frozen; a row still active after ``opts.max_iter``
+    has not converged. Rows never mix, so each gets, bit for bit, what
+    it gets fitted alone. X is indexed (copied) only once rows leave.
+
+    Returns ``(fit, errors)``. ``fit`` is a :class:`FittedLogit` with a
+    leading row axis, evaluated at each row's last iterate. ``errors``
+    holds per row None (converged), the SingularInformationError of the
+    failed test, or a NotConvergedError without its partial fit.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rows, _, m = X.shape
+    beta = np.zeros((rows, m))
+    step = np.full(rows, np.inf)
+    iterations = np.zeros(rows, dtype=int)
+    errors: list = [None] * rows
+    active = np.arange(rows)
+    Xa, ya = X, y
+    for iteration in range(1, opts.max_iter + 1):
+        iterations[active] = iteration
+        w, z, c = _working(Xa, ya, beta[active], opts)
+        eigenvalues = np.linalg.eigvalsh(c)
+        definite = positive_definite(eigenvalues, tol)
+        if not definite.all():
+            for i in np.flatnonzero(~definite):
+                errors[active[i]] = definiteness_error(eigenvalues[i], tol, "information matrix X'WX")
+            active, Xa, ya, w, z, c = (a[definite] for a in (active, Xa, ya, w, z, c))
+            if active.size == 0:
+                break
+        rhs = Xa.swapaxes(-1, -2) @ (w * z)[..., None]
+        beta_next = np.linalg.solve(c, rhs)[..., 0]
+        step[active] = np.max(np.abs(beta_next - beta[active]), axis=-1)
+        beta[active] = beta_next
+        done = step[active] <= opts.tol
+        if done.any():
+            active, Xa, ya = active[~done], Xa[~done], ya[~done]
+            if active.size == 0:
+                break
+    for row in active:
+        errors[row] = NotConvergedError(
+            f"IRLS did not converge in {opts.max_iter} iterations "
+            f"(last step {step[row]:.3e})"
+        )
+    w, z, c = _working(X, y, beta, opts)
+    converged = np.array([error is None for error in errors], dtype=bool)
+    fit = FittedLogit(
+        beta_mle=beta, W=w, Z=z, C=c, iterations=iterations, converged=converged, final_step=step
+    )
+    return fit, errors
 
 
 def irls_fit(
@@ -180,7 +251,8 @@ def irls_fit(
     Starts from beta = 0 (all probabilities one half) and repeats the
     weighted least squares step beta <- (X'WX)^-1 X'WZ until the max-norm
     change falls below ``opts.tol``. Deterministic: the same data and
-    options give a bit-identical result.
+    options give a bit-identical result. This is the one-row case of
+    :func:`irls_stack`.
 
     Raises
     ------
@@ -190,33 +262,18 @@ def irls_fit(
         If ``opts.max_iter`` is reached; the exception carries the
         partial fit in its ``fit`` attribute.
     """
-    beta = np.zeros(data.m)
-    step = np.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, opts.max_iter + 1):
-        w, z, c = working_quantities(data, beta, opts)
-        require_positive_definite(np.linalg.eigvalsh(c), tol, "information matrix X'WX")
-        beta_next = np.linalg.solve(c, data.X.T @ (w * z))
-        step = float(np.max(np.abs(beta_next - beta)))
-        beta = beta_next
-        if step <= opts.tol:
-            converged = True
-            break
-    w, z, c = working_quantities(data, beta, opts)
+    stack, (error,) = irls_stack(data.X[None], data.y[None], opts, tol)
     fit = FittedLogit(
-        beta_mle=beta,
-        W=w,
-        Z=z,
-        C=c,
-        iterations=iterations,
-        converged=converged,
-        final_step=step,
+        beta_mle=stack.beta_mle[0],
+        W=stack.W[0],
+        Z=stack.Z[0],
+        C=stack.C[0],
+        iterations=int(stack.iterations[0]),
+        converged=bool(stack.converged[0]),
+        final_step=float(stack.final_step[0]),
     )
-    if not converged:
-        raise NotConvergedError(
-            f"IRLS did not converge in {opts.max_iter} iterations "
-            f"(last step {step:.3e})",
-            fit=fit,
-        )
+    if isinstance(error, NotConvergedError):
+        error.fit = fit
+    if error is not None:
+        raise error
     return fit

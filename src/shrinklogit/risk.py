@@ -41,7 +41,7 @@ from numpy.typing import NDArray
 
 from .errors import MissingRestrictionError
 from .estimators import RESTRICTED_KINDS, SHRINKAGE_KINDS, EstimatorSpec, smoother_matrix
-from .estimators import _require_gram, _restrict
+from .estimators import _project, _require_gram
 from .linalg import DEFAULT_TOLERANCE, SpectralDecomp, Tolerance, sym_eigen, symmetrize
 from .linalg import require_positive_definite
 from .logit import LinearRestriction
@@ -130,8 +130,9 @@ class RiskScenario:
                 raise ValueError(
                     f"restriction width {self.restriction.width} does not match dim {C.shape[0]}"
                 )
-            # _restrict is restricted_mle after its C check, and tests H C^-1 H'.
-            object.__setattr__(self, "_rmle_bias", _restrict(C, beta, self.restriction, self.tol) - beta)
+            # restricted_mle after its C check: the same test and projection.
+            _require_gram(C, self.restriction, self.tol)
+            object.__setattr__(self, "_rmle_bias", _project(C, beta, self.restriction) - beta)
             object.__setattr__(self, "A", _dispersion(C, self.restriction))
 
     @property

@@ -20,14 +20,19 @@ Randomness is organized in keyed substreams of a single 64-bit seed:
 * ``[seed, 1]``      the design draw when the design is held fixed,
 * ``[seed, 2 + r]``  replication r (design, then response, in that order).
 
-Replications therefore commute: results are bit-identical whether they
-run sequentially or on a process pool, and independent of worker count.
+Replications run in blocks of at most :data:`BLOCK_SIZE`: each one draws
+its data from its own substream, then the block is fitted by one batched
+Newton loop (:func:`~shrinklogit.logit.irls_stack`) and scored by one
+call of the shrinkage kernel. Every numerical step treats the rows of a
+block independently, so results are bit-identical whatever the blocks,
+whether they run sequentially or on a process pool, and independent of
+worker count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -40,9 +45,10 @@ from .errors import (
     NotConvergedError,
     SingularInformationError,
 )
-# ``estimate`` stays bound here: perfbench's traced run rebinds it by name.
+# ``estimate`` and ``irls_fit`` stay bound here: perfbench's traced run
+# rebinds them by name.
 from .estimators import KINDS, estimate, shrinkage_estimates  # noqa: F401
-from .logit import Dataset, FitOptions, LinearRestriction, irls_fit
+from .logit import FitOptions, FittedLogit, LinearRestriction, irls_fit, irls_stack  # noqa: F401
 
 __all__ = [
     "SimulationConfig",
@@ -54,6 +60,7 @@ __all__ = [
     "gen_response",
     "run_simulation",
     "table_suite",
+    "BLOCK_SIZE",
     "TABLE_SUITE_D_GRID",
     "TABLE_SUITE_KINDS",
 ]
@@ -64,9 +71,16 @@ TABLE_SUITE_D_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 #: Estimator rows of the default table suite, in display order.
 TABLE_SUITE_KINDS = ("mle", "aule", "rmle", "raule")
 
+#: Most replications fitted and scored together. Results do not depend on
+#: it; on the paper grid 64 to 256 ran fastest.
+BLOCK_SIZE = 128
+
 _BETA_STREAM = 0
 _FIXED_DESIGN_STREAM = 1
 _REPLICATION_STREAM_BASE = 2
+
+#: Why a replication is skipped, by the error its fit ends with.
+_SKIP_REASONS = {NotConvergedError: "not_converged", SingularInformationError: "singular_information"}
 
 
 def default_restriction(p: int) -> LinearRestriction:
@@ -214,7 +228,8 @@ class SimulationResult:
     Cells cover the full (kind, d) grid; kinds without a biasing
     parameter repeat the same value across d so tables stay rectangular.
     ``skipped`` counts replications dropped for non-convergence or a
-    singular information matrix.
+    singular information matrix; ``skipped_by_reason`` splits that count
+    under the keys ``not_converged`` and ``singular_information``.
     """
 
     config: SimulationConfig
@@ -222,6 +237,7 @@ class SimulationResult:
     cells: tuple[SimulationCell, ...]
     completed: int
     skipped: int
+    skipped_by_reason: dict[str, int]
 
     def cell(self, kind: str, d: float) -> SimulationCell:
         kind = kind.lower()
@@ -234,30 +250,45 @@ class SimulationResult:
         return self.cell(kind, d).mse
 
 
-def _replicate(config: SimulationConfig, beta: NDArray, fixed_x, rep_index: int):
-    """Squared errors for one replication, or None if the fit was skipped."""
+def _draw(config: SimulationConfig, beta: NDArray, fixed_x, rep_index: int):
+    """Design and response of replication ``rep_index``, from its substream."""
     rng = np.random.default_rng([config.seed, _REPLICATION_STREAM_BASE + rep_index])
     if config.regenerate_design:
         X = gen_design(config.n, config.p, np.sqrt(config.rho), rng)
     else:
         X = fixed_x
-    y = gen_response(X, beta, rng)
-    try:
-        fit = irls_fit(Dataset(X, y), config.fit_options)
-    except (NotConvergedError, SingularInformationError):
-        return None
+    return X, gen_response(X, beta, rng)
+
+
+def _run_block(config: SimulationConfig, beta: NDArray, fixed_x, reps: range):
+    """Fit and score replications ``reps`` as one stack.
+
+    Returns the squared errors of the fitted replications, shape
+    (kept, K, D) in replication order, and per replication its skip
+    reason, or None if it was fitted.
+    """
+    draws = [_draw(config, beta, fixed_x, r) for r in reps]
+    if config.regenerate_design:
+        X = np.stack([x for x, _ in draws])
+    else:
+        X = np.broadcast_to(fixed_x, (len(draws),) + fixed_x.shape)
+    fit, errors = irls_stack(X, np.stack([y for _, y in draws]), config.fit_options)
+    if not fit.converged.all():
+        fit = FittedLogit(*(getattr(fit, f.name)[fit.converged] for f in fields(fit)))
     estimates = shrinkage_estimates(fit, config.estimator_kinds, config.d_grid, config.restriction)
     diff = estimates - beta
-    return np.sum(diff * diff, axis=-1)
+    return np.sum(diff * diff, axis=-1), [None if e is None else _SKIP_REASONS[type(e)] for e in errors]
 
 
 def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationResult:
     """Run all replications of a configuration and aggregate the MSE.
 
-    ``workers`` > 1 distributes replications over a process pool; the
+    Replications run in consecutive blocks of at most :data:`BLOCK_SIZE`.
+    ``workers`` > 1 distributes the blocks over a process pool; the
     result is bit-identical to the sequential run because every
-    replication draws from its own keyed substream and aggregation
-    happens in replication order.
+    replication draws from its own keyed substream, rows of a block are
+    fitted and scored independently, and aggregation happens in
+    replication order.
 
     Raises
     ------
@@ -278,21 +309,22 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationResu
             np.sqrt(config.rho),
             np.random.default_rng([config.seed, _FIXED_DESIGN_STREAM]),
         )
-    task = partial(_replicate, config, beta, fixed_x)
+    size = min(BLOCK_SIZE, -(-config.reps // max(workers, 1)))
+    blocks = [range(start, min(start + size, config.reps)) for start in range(0, config.reps, size)]
+    task = partial(_run_block, config, beta, fixed_x)
     if workers <= 1:
-        outcomes = [task(r) for r in range(config.reps)]
+        outcomes = [task(block) for block in blocks]
     else:
-        chunk = max(1, config.reps // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(task, range(config.reps), chunksize=chunk))
-    kept = [e for e in outcomes if e is not None]
-    if not kept:
+            outcomes = list(pool.map(task, blocks))
+    stacked = np.concatenate([errors for errors, _ in outcomes])
+    reasons = [reason for _, block in outcomes for reason in block]
+    completed = stacked.shape[0]
+    if completed == 0:
         raise AllReplicationsFailedError(
             f"all {config.reps} replications failed to fit (n={config.n}, "
             f"p={config.p}, rho={config.rho})"
         )
-    stacked = np.stack(kept)
-    completed = stacked.shape[0]
     mse = stacked.mean(axis=0)
     if completed > 1:
         se = stacked.std(axis=0, ddof=1) / np.sqrt(completed)
@@ -309,6 +341,7 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationResu
         cells=cells,
         completed=completed,
         skipped=config.reps - completed,
+        skipped_by_reason={reason: reasons.count(reason) for reason in _SKIP_REASONS.values()},
     )
 
 

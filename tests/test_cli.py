@@ -320,3 +320,51 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert flag in err
+
+    SMALL = ["simulate", "--n", "80", "--p", "4", "--rho", "0.9", "--reps", "40", "--seed", "1234",
+             "--d-grid", "0.5", "--format", "csv"]
+
+    @pytest.mark.parametrize("flag, value", [("--max-iter", "5"), ("--tol", "0.01"), ("--prob-clip", "0.2")])
+    def test_fit_flags_change_the_run(self, capsys, flag, value):
+        _, default, _ = run(capsys, self.SMALL)
+        code, out, _ = run(capsys, self.SMALL + [flag, value])
+        assert code == 0
+        assert out != default
+
+    def test_skips_by_reason_in_meta(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert main(self.SMALL + ["--max-iter", "5", "--output", str(out)]) == 0
+        capsys.readouterr()
+        import json
+
+        _, rows = parse_csv(out.read_text())
+        meta = json.loads((tmp_path / "run.csv.meta.json").read_text())
+        assert meta["max_iter"] == 5
+        skipped = int(rows[0][8])
+        assert skipped > 0
+        assert meta["skipped_by_reason"] == {"not_converged": skipped, "singular_information": 0}
+
+    @pytest.mark.parametrize("suite", [[], ["--table-suite"]])
+    def test_max_iter_one_skips_every_replication(self, capsys, suite):
+        base = ["simulate", "--seed", "3", "--reps", "3", "--max-iter", "1"]
+        single = [] if suite else ["--n", "50", "--p", "4", "--rho", "0.9"]
+        code, out, err = run(capsys, base + suite + single)
+        assert code == 1
+        assert out == ""
+        assert "all 3 replications failed to fit" in err
+
+    @pytest.mark.parametrize("suite", [[], ["--table-suite"]])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-iter", "0", "max_iter must be at least 1"),
+            ("--tol", "0", "tol must be positive"),
+            ("--prob-clip", "0.5", "prob_clip must be in (0, 0.5)"),
+        ],
+    )
+    def test_invalid_fit_flags_exit_one(self, capsys, suite, flag, value, message):
+        single = [] if suite else ["--n", "50", "--p", "4", "--rho", "0.9"]
+        code, out, err = run(capsys, ["simulate", "--seed", "3", "--reps", "3", flag, value] + suite + single)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"

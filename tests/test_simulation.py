@@ -139,6 +139,14 @@ class TestRunSimulation:
         assert result.skipped > 0
         assert result.completed > 0
 
+    def test_skips_are_counted_by_reason(self):
+        config = small_config(reps=40, fit_options=FitOptions(max_iter=5))
+        sequential = run_simulation(config)
+        parallel = run_simulation(config, workers=3)
+        assert sequential.skipped_by_reason == {"not_converged": sequential.skipped, "singular_information": 0}
+        assert sum(sequential.skipped_by_reason.values()) == sequential.skipped > 0
+        assert parallel.skipped_by_reason == sequential.skipped_by_reason
+
     def test_all_replications_failed(self):
         config = small_config(reps=5, fit_options=FitOptions(max_iter=1))
         with pytest.raises(AllReplicationsFailedError):
