@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConstantColumnError, CsvParseError, NonBinaryResponseError
-from .linalg import DEFAULT_TOLERANCE, Tolerance, symmetrize
+from .linalg import RANK_CUT, symmetrize
 from .logit import Dataset
 
 __all__ = [
@@ -132,8 +132,8 @@ def load_csv(
     return Dataset(X=x, y=y, has_intercept=intercept)
 
 
-def save_csv(data: Dataset, path, header: bool = True):
-    """Write a dataset as CSV with the response first.
+def save_csv(data: Dataset, path):
+    """Write a dataset as CSV with a header row and the response first.
 
     The intercept column, if present, is omitted so that reading the
     file back with the same ``intercept`` flag reproduces the dataset.
@@ -142,8 +142,7 @@ def save_csv(data: Dataset, path, header: bool = True):
     x = data.X[:, 1:] if data.has_intercept else data.X
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        if header:
-            writer.writerow(["y"] + [f"x{j + 1}" for j in range(x.shape[1])])
+        writer.writerow(["y"] + [f"x{j + 1}" for j in range(x.shape[1])])
         for yi, row in zip(data.y, x):
             writer.writerow([repr(int(yi))] + [repr(float(v)) for v in row])
 
@@ -153,10 +152,10 @@ class DiagnosticsReport:
     """Collinearity diagnostics for the predictor columns.
 
     ``correlation`` is the Pearson correlation matrix of the
-    (non-intercept) predictors. ``kappa`` is the condition number
-    sqrt(lambda_max / lambda_min) of the matrix whose ``eigenvalues``
-    are reported (descending); perfect collinearity is reported as the
-    +inf sentinel rather than an error.
+    (non-intercept) predictors. ``kappa`` is its condition number
+    sqrt(lambda_max / lambda_min), from the ``eigenvalues`` reported
+    (descending); perfect collinearity is reported as the +inf sentinel
+    rather than an error.
     """
 
     correlation: NDArray
@@ -164,16 +163,11 @@ class DiagnosticsReport:
     eigenvalues: NDArray
 
 
-def diagnostics(
-    data: Dataset,
-    use_correlation: bool = True,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> DiagnosticsReport:
+def diagnostics(data: Dataset) -> DiagnosticsReport:
     """Pairwise correlations and the collinearity condition number.
 
-    By default ``kappa`` comes from the correlation matrix, which makes
-    it invariant to rescaling any predictor; setting ``use_correlation``
-    to False computes it from the raw cross-product matrix X'X instead.
+    ``kappa`` comes from the correlation matrix, which makes it invariant
+    to rescaling any predictor.
 
     Raises
     ------
@@ -191,9 +185,8 @@ def diagnostics(
             raise ConstantColumnError(f"predictor column {j + 1} is constant")
     correlation = symmetrize(np.corrcoef(cols, rowvar=False))
     np.fill_diagonal(correlation, 1.0)
-    basis = correlation if use_correlation else symmetrize(cols.T @ cols)
-    evals = np.linalg.eigvalsh(basis)[::-1].copy()
-    if evals[-1] <= tol.rank_cut * evals[0]:
+    evals = np.linalg.eigvalsh(correlation)[::-1].copy()
+    if evals[-1] <= RANK_CUT * evals[0]:
         kappa = np.inf
     else:
         kappa = float(np.sqrt(evals[0] / evals[-1]))

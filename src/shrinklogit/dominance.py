@@ -49,7 +49,8 @@ import numpy as np
 
 from .errors import DegenerateTermsError
 from .estimators import EstimatorSpec, smoother_matrix
-from .linalg import in_range, in_range_with_pinv, is_psd, lambda_max_ratio, moore_penrose, symmetrize
+from .linalg import PSD_SLACK, RANK_CUT, in_range, in_range_with_pinv, is_psd, lambda_max_ratio, moore_penrose
+from .linalg import symmetrize
 from .risk import RiskScenario, risk, spectral_risk_terms
 
 __all__ = [
@@ -101,17 +102,16 @@ def _matrix_verdict(theorem, scenario, d, dispersion, raule, applicable, side) -
     """T3.3/T3.5 lemma test for D = dispersion - LAL, b1 and LAL from the RAULE
     report: b1 in range(D) and b1' D^+ b1 <= 1 with D^+ formed once, and the
     direct PSD test of D - b1 b1'. ``side`` holds the applicability witnesses."""
-    tol = scenario.tol
     b1 = raule.bias
     difference = symmetrize(dispersion - raule.cov)
-    pinv = moore_penrose(difference, tol)
-    b_in_range = in_range_with_pinv(b1, difference, pinv, tol)
+    pinv = moore_penrose(difference)
+    b_in_range = in_range_with_pinv(b1, difference, pinv)
     qform = float(b1 @ pinv @ b1)
-    psd = is_psd(symmetrize(difference - np.outer(b1, b1)), tol)
+    psd = is_psd(symmetrize(difference - np.outer(b1, b1)))
     return DominanceVerdict(
         theorem=theorem,
         applicable=applicable,
-        condition_holds=b_in_range and qform <= 1.0 + tol.psd_slack,
+        condition_holds=b_in_range and qform <= 1.0 + PSD_SLACK,
         delta_psd=psd.ok,
         lhs=qform,
         rhs=1.0,
@@ -135,19 +135,17 @@ def check_t33(scenario: RiskScenario, d: float) -> DominanceVerdict:
     equivalent to the matrix MSE difference Delta1 = ACA - LAL - b1 b1'
     being nonnegative definite. Delta1 is always checked directly too.
     """
-    tol = scenario.tol
     raule = risk(scenario, EstimatorSpec("raule", d))
     aca = symmetrize(scenario.A @ scenario.C @ scenario.A)
-    ratio = lambda_max_ratio(raule.cov, aca, tol)
-    range_ok = in_range(raule.cov, aca, tol)
-    applicable = bool(ratio <= 1.0 + tol.psd_slack and range_ok)
+    ratio = lambda_max_ratio(raule.cov, aca)
+    range_ok = in_range(raule.cov, aca)
+    applicable = bool(ratio <= 1.0 + PSD_SLACK and range_ok)
     side = {"lambda_max_ratio": ratio, "range_inclusion": float(range_ok)}
     return _matrix_verdict("T3.3", scenario, d, aca, raule, applicable, side)
 
 
 def _scalar_condition(scenario: RiskScenario, d: float):
     """Shared lhs/rhs of the scalar (trace MSE) conditions."""
-    tol = scenario.tol
     terms = spectral_risk_terms(scenario)
     lam1 = float(terms.eigenvalues[0])
     if d == 1.0:
@@ -155,7 +153,7 @@ def _scalar_condition(scenario: RiskScenario, d: float):
     else:
         lhs = (lam1 + d) * (lam1 + 2.0 - d) / (1.0 - d) ** 2
     a_max = float(np.max(terms.a_diag))
-    positive = terms.a_diag > tol.rank_cut * max(a_max, 0.0)
+    positive = terms.a_diag > RANK_CUT * max(a_max, 0.0)
     if a_max <= 0.0 or not np.any(positive):
         raise DegenerateTermsError(
             "all diagonal weights of T'AT vanish; the scalar bound is undefined"
@@ -175,7 +173,7 @@ def _scalar_verdict(scenario, d, theorem, baseline_kind) -> DominanceVerdict:
         theorem=theorem,
         applicable=True,
         condition_holds=bool(lhs < rhs),
-        delta_psd=bool(delta >= -scenario.tol.psd_slack),
+        delta_psd=bool(delta >= -PSD_SLACK),
         lhs=float(lhs),
         rhs=float(rhs),
         witnesses={
@@ -214,7 +212,7 @@ def check_t35(scenario: RiskScenario, d: float) -> DominanceVerdict:
     half = dec.basis * np.sqrt(np.maximum(dec.values, 0.0))
     core = half.T @ raule.cov @ half
     lam = float(max(np.linalg.eigvalsh(0.5 * (core + core.T))[-1], 0.0))
-    applicable = bool(lam <= 1.0 + scenario.tol.psd_slack)
+    applicable = bool(lam <= 1.0 + PSD_SLACK)
     side = {"lambda_max_product": lam}
     return _matrix_verdict("T3.5", scenario, d, scenario.c_inv, raule, applicable, side)
 
@@ -235,7 +233,7 @@ def check_t37(scenario: RiskScenario, d: float) -> DominanceVerdict:
     scenario._require_restriction("this dominance check")
     L = smoother_matrix(scenario.decomp, EstimatorSpec("raule", d))
     delta = symmetrize(L @ (scenario.c_inv - scenario.A) @ L)
-    psd = is_psd(delta, scenario.tol)
+    psd = is_psd(delta)
     return DominanceVerdict(
         theorem="T3.7",
         applicable=True,
@@ -255,7 +253,7 @@ def check_c31(scenario: RiskScenario, d: float) -> DominanceVerdict:
         theorem="C3.1",
         applicable=True,
         condition_holds=True,
-        delta_psd=bool(delta >= -scenario.tol.psd_slack),
+        delta_psd=bool(delta >= -PSD_SLACK),
         witnesses={"d": float(d), "delta_mse": float(delta)},
     )
 

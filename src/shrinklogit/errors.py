@@ -18,7 +18,7 @@ class NotPSDError(ShrinkLogitError):
 
 
 class SingularInformationError(ShrinkLogitError):
-    """The information matrix X'WX is rank deficient at the working tolerance."""
+    """The information matrix X'WX is rank deficient at ``linalg.RANK_CUT``."""
 
 
 class NotConvergedError(ShrinkLogitError):

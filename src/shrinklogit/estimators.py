@@ -36,7 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionMismatchError, MissingRestrictionError, SingularRestrictionGramError
-from .linalg import DEFAULT_TOLERANCE, SpectralDecomp, Tolerance, sym_eigen, symmetrize
+from .linalg import SpectralDecomp, sym_eigen, symmetrize
 from .linalg import definiteness_error, positive_definite, require_positive_definite
 from .logit import FittedLogit, LinearRestriction
 
@@ -152,9 +152,9 @@ def _gram_eigenvalues(C: NDArray, restriction: LinearRestriction) -> NDArray:
     return np.linalg.eigvalsh(symmetrize(H @ np.linalg.solve(C, H.T)))
 
 
-def _require_gram(C: NDArray, restriction: LinearRestriction, tol: Tolerance) -> None:
+def _require_gram(C: NDArray, restriction: LinearRestriction) -> None:
     """Raise SingularRestrictionGramError unless H C^-1 H' is positive definite."""
-    require_positive_definite(_gram_eigenvalues(C, restriction), tol, "H C^-1 H'", SingularRestrictionGramError)
+    require_positive_definite(_gram_eigenvalues(C, restriction), "H C^-1 H'", SingularRestrictionGramError)
 
 
 def _project(C: NDArray, beta: NDArray, restriction: LinearRestriction) -> NDArray:
@@ -167,7 +167,7 @@ def _project(C: NDArray, beta: NDArray, restriction: LinearRestriction) -> NDArr
     return beta0 + (N @ np.linalg.solve(symmetrize(N.T @ cn), rhs))[..., 0]
 
 
-def restricted_mle(C, beta_mle, restriction: LinearRestriction, tol: Tolerance = DEFAULT_TOLERANCE) -> NDArray:
+def restricted_mle(C, beta_mle, restriction: LinearRestriction) -> NDArray:
     """Project the MLE onto the restriction set in the C metric.
 
     Returns beta - C^-1 H' (H C^-1 H')^-1 (H beta - h), the minimizer of
@@ -177,8 +177,8 @@ def restricted_mle(C, beta_mle, restriction: LinearRestriction, tol: Tolerance =
     """
     C = np.asarray(C, dtype=float)
     _check_width(restriction, C.shape[0])
-    require_positive_definite(np.linalg.eigvalsh(C), tol, "C")
-    _require_gram(C, restriction, tol)
+    require_positive_definite(np.linalg.eigvalsh(C), "C")
+    _require_gram(C, restriction)
     return _project(C, np.asarray(beta_mle, dtype=float), restriction)
 
 
@@ -187,7 +187,6 @@ def shrinkage_estimates(
     kinds: Sequence[str],
     d_grid: Sequence[float],
     restriction: LinearRestriction | None = None,
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> NDArray:
     """Every kind in ``kinds`` at every d in ``d_grid``: shape (K, D, m).
 
@@ -237,18 +236,18 @@ def shrinkage_estimates(
     c_ok = gram_ok = np.ones(rows, dtype=bool)
     if test_c:
         decomp = sym_eigen(C)
-        c_ok = positive_definite(decomp.values, tol)
+        c_ok = positive_definite(decomp.values)
     if test_gram:
         gram = np.zeros((rows, restriction.q))
         gram[c_ok] = _gram_eigenvalues(C if c_ok.all() else C[c_ok], restriction)
-        gram_ok = positive_definite(gram, tol)
+        gram_ok = positive_definite(gram)
     failed = ~(c_ok & gram_ok)
     if static is not None or failed.any():
         row = 0 if static is not None else int(np.argmax(failed))
         if rows and not c_ok[row]:
-            raise definiteness_error(decomp.values[row], tol, "C")
+            raise definiteness_error(decomp.values[row], "C")
         if rows and not gram_ok[row]:
-            raise definiteness_error(gram[row], tol, "H C^-1 H'", SingularRestrictionGramError)
+            raise definiteness_error(gram[row], "H C^-1 H'", SingularRestrictionGramError)
         raise static
     rmle = _project(C, beta, restriction) if test_gram else None
     out = np.empty((rows, len(kinds), d.size, m))
@@ -267,11 +266,10 @@ def estimate(
     fit: FittedLogit,
     spec: EstimatorSpec,
     restriction: LinearRestriction | None = None,
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> Estimate:
     """Evaluate one estimator: one cell of :func:`shrinkage_estimates`, same errors."""
     d = 1.0 if spec.d is None else spec.d  # the unshrunken kinds ignore d
-    beta = shrinkage_estimates(fit, [spec.kind], [d], restriction, tol)[0, 0]
+    beta = shrinkage_estimates(fit, [spec.kind], [d], restriction)[0, 0]
     return Estimate(spec, beta)
 
 

@@ -4,7 +4,8 @@ Everything downstream (estimator formulas, risk matrices, dominance
 predicates) reduces to a handful of operations on real symmetric
 matrices: spectral decomposition, Moore-Penrose inversion, positive
 (semi)definiteness tests, range membership, and a generalized Rayleigh
-ratio. They live here so tolerance handling is defined in one place.
+ratio. They live here so that their two thresholds, :data:`RANK_CUT`
+and :data:`PSD_SLACK`, are defined in one place.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from numpy.typing import NDArray
 from .errors import InvalidMatrixError, NotPSDError, SingularInformationError
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOLERANCE",
+    "RANK_CUT",
+    "PSD_SLACK",
     "SpectralDecomp",
     "PsdResult",
     "symmetrize",
@@ -34,31 +35,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical thresholds shared by rank and definiteness tests.
+# The two thresholds of every rank and definiteness test in the package.
+# They suit double precision with matrices up to dimension a few dozen
+# and condition numbers up to about 1e7, the regime produced by
+# near-unit pairwise correlations in the design.
 
-    ``rank_cut`` is relative: eigenvalues whose magnitude falls below
-    ``rank_cut`` times the largest magnitude are treated as exact zeros.
-    ``psd_slack`` is absolute: a matrix counts as positive semidefinite
-    when its smallest eigenvalue is at least ``-psd_slack``.
-
-    The defaults suit double precision with matrices up to dimension a
-    few dozen and condition numbers up to about 1e7, the regime produced
-    by near-unit pairwise correlations in the design.
-    """
-
-    rank_cut: float = 1e-10
-    psd_slack: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 < self.rank_cut < 1e-3:
-            raise ValueError(f"rank_cut must be in (0, 1e-3), got {self.rank_cut}")
-        if self.psd_slack <= 0.0:
-            raise ValueError(f"psd_slack must be positive, got {self.psd_slack}")
-
-
-DEFAULT_TOLERANCE = Tolerance()
+#: Relative: eigenvalues whose magnitude falls below RANK_CUT times the
+#: largest magnitude are treated as exact zeros.
+RANK_CUT = 1e-10
+#: Absolute: a matrix counts as positive semidefinite when its smallest
+#: eigenvalue is at least -PSD_SLACK.
+PSD_SLACK = 1e-8
 
 
 def symmetrize(matrix) -> NDArray:
@@ -109,10 +96,10 @@ def sym_eigen(matrix) -> SpectralDecomp:
     return SpectralDecomp(values[..., ::-1].copy(), basis[..., ::-1].copy())
 
 
-def moore_penrose(matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> NDArray:
+def moore_penrose(matrix) -> NDArray:
     """Moore-Penrose inverse of a symmetric matrix via its spectrum.
 
-    Eigenvalues with magnitude at most ``rank_cut`` times the largest
+    Eigenvalues with magnitude at most ``RANK_CUT`` times the largest
     magnitude are dropped; the remaining ones are inverted in place on
     the eigenbasis. The zero matrix maps to the zero matrix.
     """
@@ -120,7 +107,7 @@ def moore_penrose(matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> NDArray:
     scale = float(np.max(np.abs(dec.values))) if dec.values.size else 0.0
     if scale == 0.0:
         return np.zeros((dec.basis.shape[0], dec.basis.shape[0]))
-    keep = np.abs(dec.values) > tol.rank_cut * scale
+    keep = np.abs(dec.values) > RANK_CUT * scale
     inv = np.zeros_like(dec.values)
     inv[keep] = 1.0 / dec.values[keep]
     return symmetrize((dec.basis * inv) @ dec.basis.T)
@@ -137,46 +124,42 @@ class PsdResult:
         return self.ok
 
 
-def is_psd(matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> PsdResult:
+def is_psd(matrix) -> PsdResult:
     """Test nonnegative definiteness, reporting the smallest eigenvalue.
 
-    True iff the minimum eigenvalue is at least ``-psd_slack``. The
+    True iff the minimum eigenvalue is at least ``-PSD_SLACK``. The
     witness is reported either way.
     """
     w = np.linalg.eigvalsh(symmetrize(matrix))
     wmin = float(w[0])
-    return PsdResult(wmin >= -tol.psd_slack, wmin)
+    return PsdResult(wmin >= -PSD_SLACK, wmin)
 
 
-def positive_definite(eigenvalues, tol: Tolerance = DEFAULT_TOLERANCE):
+def positive_definite(eigenvalues):
     """Whether eigenvalues (last axis, in any order) have a positive maximum
-    and a minimum above ``rank_cut`` times it: one bool per row of a stack."""
+    and a minimum above ``RANK_CUT`` times it: one bool per row of a stack."""
     low, high = np.min(eigenvalues, axis=-1), np.max(eigenvalues, axis=-1)
-    return ~((high <= 0.0) | (low <= tol.rank_cut * high))
+    return ~((high <= 0.0) | (low <= RANK_CUT * high))
 
 
-def definiteness_error(
-    eigenvalues, tol: Tolerance = DEFAULT_TOLERANCE, what: str = "C", error=SingularInformationError
-) -> Exception:
+def definiteness_error(eigenvalues, what: str = "C", error=SingularInformationError) -> Exception:
     """The ``error`` that matrix ``what``, with these eigenvalues, is not
     positive definite; its message gives the eigenvalue range."""
     low, high = float(np.min(eigenvalues)), float(np.max(eigenvalues))
     return error(
-        f"{what} is not positive definite at rank_cut={tol.rank_cut:g} "
+        f"{what} is not positive definite at rank_cut={RANK_CUT:g} "
         f"(eigenvalue range [{low:.3e}, {high:.3e}])"
     )
 
 
-def require_positive_definite(
-    eigenvalues, tol: Tolerance = DEFAULT_TOLERANCE, what: str = "C", error=SingularInformationError
-) -> None:
+def require_positive_definite(eigenvalues, what: str = "C", error=SingularInformationError) -> None:
     """Raise :func:`definiteness_error` unless :func:`positive_definite`
     holds for one matrix's eigenvalues."""
-    if not positive_definite(eigenvalues, tol):
-        raise definiteness_error(eigenvalues, tol, what, error)
+    if not positive_definite(eigenvalues):
+        raise definiteness_error(eigenvalues, what, error)
 
 
-def in_range(vector, matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+def in_range(vector, matrix) -> bool:
     """Test whether ``vector``, or every column of a 2-D array, lies in the
     column space of ``matrix``.
 
@@ -188,18 +171,18 @@ def in_range(vector, matrix, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         raise InvalidMatrixError(
             f"vectors of shape {v.shape} do not match matrix dim {m.shape[0]}"
         )
-    return in_range_with_pinv(v, m, moore_penrose(m, tol), tol)
+    return in_range_with_pinv(v, m, moore_penrose(m))
 
 
-def in_range_with_pinv(vector, matrix, pinv, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+def in_range_with_pinv(vector, matrix, pinv) -> bool:
     """:func:`in_range` for a symmetric ``matrix`` M with ``pinv`` = M^+ at
     hand: column v is in the range when (I - M M^+) v has norm at most
-    ``rank_cut`` times that of v, so the zero vector is in every range."""
+    ``RANK_CUT`` times that of v, so the zero vector is in every range."""
     residual = vector - matrix @ (pinv @ vector)
-    return bool(np.all(np.linalg.norm(residual, axis=0) <= tol.rank_cut * np.linalg.norm(vector, axis=0)))
+    return bool(np.all(np.linalg.norm(residual, axis=0) <= RANK_CUT * np.linalg.norm(vector, axis=0)))
 
 
-def lambda_max_ratio(numerator, denominator, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def lambda_max_ratio(numerator, denominator) -> float:
     """Largest eigenvalue of N M^+ for positive semidefinite N and M.
 
     When range(N) is contained in range(M) this value does not depend on
@@ -217,7 +200,7 @@ def lambda_max_ratio(numerator, denominator, tol: Tolerance = DEFAULT_TOLERANCE)
     n = symmetrize(numerator)
     m = symmetrize(denominator)
     for name, mat in (("numerator", n), ("denominator", m)):
-        check = is_psd(mat, tol)
+        check = is_psd(mat)
         if not check.ok:
             raise NotPSDError(
                 f"{name} is not positive semidefinite "
@@ -227,7 +210,7 @@ def lambda_max_ratio(numerator, denominator, tol: Tolerance = DEFAULT_TOLERANCE)
     scale = float(np.max(np.abs(dec.values))) if dec.values.size else 0.0
     if scale == 0.0:
         return 0.0
-    keep = dec.values > tol.rank_cut * scale
+    keep = dec.values > RANK_CUT * scale
     if not np.any(keep):
         return 0.0
     s = dec.basis[:, keep] * (dec.values[keep] ** -0.5)

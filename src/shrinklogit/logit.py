@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 from scipy.special import expit, logit as logit_link
 
 from .errors import NotConvergedError
-from .linalg import DEFAULT_TOLERANCE, Tolerance, definiteness_error, positive_definite, symmetrize
+from .linalg import RANK_CUT, definiteness_error, positive_definite, symmetrize
 
 __all__ = [
     "Dataset",
@@ -123,7 +123,7 @@ class LinearRestriction:
     """Linear equality constraints H beta = h.
 
     H must have full row rank (q rows, q <= number of coefficients);
-    rank is checked through the singular values at ``rank_cut``. That SVD
+    rank is checked through the singular values at ``RANK_CUT``. That SVD
     also gives what every restricted quantity is built from: ``null_basis``,
     an orthonormal basis of null(H) (m - q columns), and ``particular``,
     the minimum-norm solution H^+ h of H beta = h.
@@ -145,7 +145,7 @@ class LinearRestriction:
         if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h))):
             raise ValueError("restriction has non-finite entries")
         u, s, vt = np.linalg.svd(H)
-        if s[-1] <= DEFAULT_TOLERANCE.rank_cut * s[0]:
+        if s[-1] <= RANK_CUT * s[0]:
             raise ValueError("H is rank deficient: restriction rows must be independent")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "h", h)
@@ -182,7 +182,7 @@ def _working(X, y, beta, opts: FitOptions):
     return w, z, c
 
 
-def irls_stack(X, y, opts: FitOptions = FitOptions(), tol: Tolerance = DEFAULT_TOLERANCE):
+def irls_stack(X, y, opts: FitOptions = FitOptions()):
     """Fit the logistic MLE of each row of a stack: X (R, n, m), y (R, n).
 
     One Newton loop serves every row. Each iteration forms the working
@@ -212,10 +212,10 @@ def irls_stack(X, y, opts: FitOptions = FitOptions(), tol: Tolerance = DEFAULT_T
         iterations[active] = iteration
         w, z, c = _working(Xa, ya, beta[active], opts)
         eigenvalues = np.linalg.eigvalsh(c)
-        definite = positive_definite(eigenvalues, tol)
+        definite = positive_definite(eigenvalues)
         if not definite.all():
             for i in np.flatnonzero(~definite):
-                errors[active[i]] = definiteness_error(eigenvalues[i], tol, "information matrix X'WX")
+                errors[active[i]] = definiteness_error(eigenvalues[i], "information matrix X'WX")
             active, Xa, ya, w, z, c = (a[definite] for a in (active, Xa, ya, w, z, c))
             if active.size == 0:
                 break
@@ -241,11 +241,7 @@ def irls_stack(X, y, opts: FitOptions = FitOptions(), tol: Tolerance = DEFAULT_T
     return fit, errors
 
 
-def irls_fit(
-    data: Dataset,
-    opts: FitOptions = FitOptions(),
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> FittedLogit:
+def irls_fit(data: Dataset, opts: FitOptions = FitOptions()) -> FittedLogit:
     """Fit the logistic MLE by iteratively reweighted least squares.
 
     Starts from beta = 0 (all probabilities one half) and repeats the
@@ -257,12 +253,12 @@ def irls_fit(
     Raises
     ------
     SingularInformationError
-        If X'WX is rank deficient at ``tol.rank_cut`` in any iteration.
+        If X'WX is rank deficient at ``RANK_CUT`` in any iteration.
     NotConvergedError
         If ``opts.max_iter`` is reached; the exception carries the
         partial fit in its ``fit`` attribute.
     """
-    stack, (error,) = irls_stack(data.X[None], data.y[None], opts, tol)
+    stack, (error,) = irls_stack(data.X[None], data.y[None], opts)
     fit = FittedLogit(
         beta_mle=stack.beta_mle[0],
         W=stack.W[0],

@@ -41,8 +41,8 @@ from numpy.typing import NDArray
 
 from .errors import MissingRestrictionError
 from .estimators import RESTRICTED_KINDS, SHRINKAGE_KINDS, EstimatorSpec, smoother_matrix
-from .estimators import _project, _require_gram
-from .linalg import DEFAULT_TOLERANCE, SpectralDecomp, Tolerance, sym_eigen, symmetrize
+from .estimators import _check_width, _project, _require_gram
+from .linalg import SpectralDecomp, sym_eigen, symmetrize
 from .linalg import require_positive_definite
 from .logit import LinearRestriction
 
@@ -61,7 +61,7 @@ __all__ = [
 RESTRICTION_VIOLATION_TOL = 1e-8
 
 
-def a_matrix(C, restriction: LinearRestriction, tol: Tolerance = DEFAULT_TOLERANCE) -> NDArray:
+def a_matrix(C, restriction: LinearRestriction) -> NDArray:
     """Restricted dispersion kernel A = C^-1 - C^-1 H'(H C^-1 H')^-1 H C^-1.
 
     A is nonnegative definite with rank m - q: it is the covariance of
@@ -71,20 +71,23 @@ def a_matrix(C, restriction: LinearRestriction, tol: Tolerance = DEFAULT_TOLERAN
     Computed through the equivalent null-space form N (N'CN)^-1 N', with
     N the restriction's ``null_basis``. The subtraction form loses the
     rank structure to cancellation once C's condition number approaches
-    1/rank_cut; the null-space form annihilates range(H') exactly, so
+    1/RANK_CUT; the null-space form annihilates range(H') exactly, so
     the q zero eigenvalues stay at machine precision regardless of
     conditioning.
 
     Raises
     ------
+    DimensionMismatchError
+        If the restriction's width is not C's dimension.
     SingularInformationError
-        If C is not positive definite at ``tol.rank_cut``.
+        If C is not positive definite at ``RANK_CUT``.
     SingularRestrictionGramError
         If H C^-1 H' is rank deficient (redundant restriction rows).
     """
     C = symmetrize(C)
-    require_positive_definite(np.linalg.eigvalsh(C), tol, "C")
-    _require_gram(C, restriction, tol)
+    _check_width(restriction, C.shape[0])
+    require_positive_definite(np.linalg.eigvalsh(C), "C")
+    _require_gram(C, restriction)
     return _dispersion(C, restriction)
 
 
@@ -109,7 +112,6 @@ class RiskScenario:
     C: NDArray
     beta_true: NDArray
     restriction: LinearRestriction | None = None
-    tol: Tolerance = DEFAULT_TOLERANCE
     A: NDArray | None = field(init=False, default=None)
 
     def __post_init__(self):
@@ -120,7 +122,7 @@ class RiskScenario:
                 f"beta_true has shape {beta.shape}, expected ({C.shape[0]},)"
             )
         decomp = sym_eigen(C)
-        require_positive_definite(decomp.values, self.tol, "C")
+        require_positive_definite(decomp.values, "C")
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "beta_true", beta)
         object.__setattr__(self, "_c_inv", symmetrize(np.linalg.inv(C)))
@@ -131,7 +133,7 @@ class RiskScenario:
                     f"restriction width {self.restriction.width} does not match dim {C.shape[0]}"
                 )
             # restricted_mle after its C check: the same test and projection.
-            _require_gram(C, self.restriction, self.tol)
+            _require_gram(C, self.restriction)
             object.__setattr__(self, "_rmle_bias", _project(C, beta, self.restriction) - beta)
             object.__setattr__(self, "A", _dispersion(C, self.restriction))
 

@@ -292,9 +292,13 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationResu
 
     Raises
     ------
+    ValueError
+        If ``workers`` is below 1.
     AllReplicationsFailedError
         If every replication was skipped.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     beta = gen_beta(
         config.p,
         config.restriction,
@@ -309,10 +313,10 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationResu
             np.sqrt(config.rho),
             np.random.default_rng([config.seed, _FIXED_DESIGN_STREAM]),
         )
-    size = min(BLOCK_SIZE, -(-config.reps // max(workers, 1)))
+    size = min(BLOCK_SIZE, -(-config.reps // workers))
     blocks = [range(start, min(start + size, config.reps)) for start in range(0, config.reps, size)]
     task = partial(_run_block, config, beta, fixed_x)
-    if workers <= 1:
+    if workers == 1:
         outcomes = [task(block) for block in blocks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

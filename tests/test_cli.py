@@ -62,6 +62,12 @@ class TestFit:
         assert code == 1
         assert "error" in err
 
+    def test_output_to_a_directory_exits_one(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["fit", str(write_dataset(tmp_path)), "--output", str(tmp_path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+
     def test_parse_error_reports_row(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("y,x\n1,0.5\n0,oops\n", encoding="utf-8")
@@ -276,6 +282,21 @@ class TestSimulate:
         assert meta["seed"] == 7
         assert meta["n"] == 50
         assert meta["H"] == [[1.0, 0.0, -2.0, 1.0], [1.0, -1.0, 1.0, -1.0]]
+
+    def test_meta_out_to_a_directory_exits_one(self, tmp_path, capsys):
+        code, _, err = run(capsys, ["simulate", "--n", "50", "--p", "4", "--rho", "0.9", "--reps", "2",
+                                    "--seed", "7", "--d-grid", "0.5", "--meta-out", str(tmp_path)])
+        assert code == 1
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("suite", [[], ["--table-suite"]])
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_one_exit_one(self, capsys, suite, workers):
+        single = [] if suite else ["--n", "50", "--p", "4", "--rho", "0.9"]
+        code, out, err = run(capsys, ["simulate", "--seed", "3", "--reps", "3", "--workers", workers] + suite + single)
+        assert code == 1
+        assert out == ""
+        assert err == "error: workers must be at least 1\n"
 
     def test_single_run_rows(self, capsys):
         code, out, _ = run(

@@ -6,7 +6,6 @@ import pytest
 from shrinklogit import (
     InvalidMatrixError,
     NotPSDError,
-    Tolerance,
     in_range,
     is_psd,
     lambda_max_ratio,
@@ -14,6 +13,7 @@ from shrinklogit import (
     sym_eigen,
     symmetrize,
 )
+from shrinklogit.linalg import PSD_SLACK, RANK_CUT
 from helpers import random_symmetric
 
 
@@ -50,16 +50,10 @@ class TestSymmetrize:
             symmetrize(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
-class TestTolerance:
-    def test_defaults(self):
-        tol = Tolerance()
-        assert tol.rank_cut == 1e-10
-        assert tol.psd_slack == 1e-8
-
-    @pytest.mark.parametrize("kwargs", [{"rank_cut": 0.0}, {"rank_cut": 1e-2}, {"psd_slack": 0.0}])
-    def test_rejects_bad_thresholds(self, kwargs):
-        with pytest.raises(ValueError):
-            Tolerance(**kwargs)
+class TestThresholds:
+    def test_values(self):
+        assert RANK_CUT == 1e-10
+        assert PSD_SLACK == 1e-8
 
 
 class TestSymEigen:

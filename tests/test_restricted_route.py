@@ -27,7 +27,7 @@ from shrinklogit import (
     restricted_mle,
     risk,
 )
-from shrinklogit.linalg import DEFAULT_TOLERANCE, require_positive_definite, symmetrize
+from shrinklogit.linalg import require_positive_definite, symmetrize
 from helpers import random_orthogonal
 
 #: ||H beta_R - h|| allowed per unit of ||H|| ||beta_R|| + ||h||: a few
@@ -46,12 +46,12 @@ REFERENCE_TOL = 1e-13
 
 def subtraction_form(C, beta, restriction):
     """beta - C^-1 H'(H C^-1 H')^-1 (H beta - h), with the same checks."""
-    require_positive_definite(np.linalg.eigvalsh(C), DEFAULT_TOLERANCE, "C")
+    require_positive_definite(np.linalg.eigvalsh(C), "C")
     H = restriction.H
     ci_ht = np.linalg.solve(C, H.T)
     gram = symmetrize(H @ ci_ht)
     require_positive_definite(
-        np.linalg.eigvalsh(gram), DEFAULT_TOLERANCE, "H C^-1 H'", SingularRestrictionGramError
+        np.linalg.eigvalsh(gram), "H C^-1 H'", SingularRestrictionGramError
     )
     return beta - ci_ht @ np.linalg.solve(gram, H @ beta - restriction.h)
 

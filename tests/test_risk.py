@@ -6,6 +6,7 @@ import pytest
 from shrinklogit import (
     EstimatorSpec,
     LinearRestriction,
+    DimensionMismatchError,
     MissingRestrictionError,
     RiskScenario,
     SingularInformationError,
@@ -44,6 +45,10 @@ class TestAMatrix:
             evals = np.abs(np.linalg.eigvalsh(A))
             rank = int(np.sum(evals > 1e-10 * evals.max()))
             assert rank == m - q
+
+    def test_rejects_restriction_of_the_wrong_width(self):
+        with pytest.raises(DimensionMismatchError, match="restriction width 2 does not match coefficient count 3"):
+            a_matrix(np.eye(3), LinearRestriction(np.array([[1.0, 0.0]]), np.zeros(1)))
 
     def test_rejects_indefinite_c(self):
         with pytest.raises(SingularInformationError):

@@ -34,7 +34,7 @@ from shrinklogit import (
     run_simulation,
     shrinkage_estimates,
 )
-from shrinklogit.linalg import DEFAULT_TOLERANCE, require_positive_definite
+from shrinklogit.linalg import require_positive_definite
 from helpers import random_orthogonal
 
 #: Agreement required between kernel and loop, relative to the norm of the
@@ -56,7 +56,7 @@ def reference_loop(fit, kinds, d_grid, restriction):
                     raise MissingRestrictionError(kind)
                 base = restricted_mle(fit.C, fit.beta_mle, restriction)
             else:
-                require_positive_definite(np.linalg.eigvalsh(fit.C), DEFAULT_TOLERANCE)
+                require_positive_definite(np.linalg.eigvalsh(fit.C))
                 base = fit.beta_mle
             smoother = _SMOOTHER.get(kind)
             out[i, j] = base if smoother is None else smoother(fit.C, d) @ base

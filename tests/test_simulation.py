@@ -147,6 +147,11 @@ class TestRunSimulation:
         assert sum(sequential.skipped_by_reason.values()) == sequential.skipped > 0
         assert parallel.skipped_by_reason == sequential.skipped_by_reason
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_simulation(small_config(reps=2), workers=workers)
+
     def test_all_replications_failed(self):
         config = small_config(reps=5, fit_options=FitOptions(max_iter=1))
         with pytest.raises(AllReplicationsFailedError):
