@@ -145,8 +145,15 @@ def _response_column(text: str):
         return text
 
 
+def _given(args, flags) -> list[str]:
+    """The flags among ``flags`` given on the command line (each defaults to None)."""
+    return [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+
+
 def _fit_options(args) -> FitOptions:
-    return FitOptions(max_iter=args.max_iter, tol=args.tol, prob_clip=args.prob_clip)
+    """FitOptions from the fit flags given; the rest keep their defaults."""
+    values = {name: getattr(args, name) for name in ("max_iter", "tol", "prob_clip")}
+    return FitOptions(**{name: value for name, value in values.items() if value is not None})
 
 
 def _load_and_fit(args):
@@ -155,7 +162,7 @@ def _load_and_fit(args):
     data = load_csv(
         args.csv,
         header=not args.no_header,
-        response_column=_response_column(args.response),
+        response_column=0 if args.response is None else _response_column(args.response),
         intercept=not args.no_intercept,
     )
     try:
@@ -230,7 +237,17 @@ def _scenario_from_args(args):
     return scenario, None, code
 
 
+#: risk flags that --scenario-file would ignore: the file gives C, beta
+#: and (H, h) in place of reading, fitting and restricting a CSV.
+_SCENARIO_FILE_REPLACES = ("--no-header", "--response", "--no-intercept", "--max-iter", "--tol",
+                           "--prob-clip", "--H", "--h", "--restriction-file")
+
+
 def cmd_risk(args) -> int:
+    if args.scenario_file:
+        given = ([f"the CSV {args.csv}"] if args.csv else []) + _given(args, _SCENARIO_FILE_REPLACES)
+        if given:
+            raise ShrinkLogitError(f"--scenario-file does not take {', '.join(given)}")
     scenario, _, code = _scenario_from_args(args)
     kinds = _parse_kinds(args.estimators)
     grid = _parse_floats(args.d_grid)
@@ -375,7 +392,7 @@ def cmd_simulate(args) -> int:
     kinds = tuple(_parse_kinds(args.kinds)) if args.kinds else TABLE_SUITE_KINDS
     fit_options = _fit_options(args)
     if args.table_suite:
-        given = [flag for flag in _TABLE_SUITE_FIXED if getattr(args, flag[2:].replace("-", "_")) is not None]
+        given = _given(args, _TABLE_SUITE_FIXED)
         if given:
             raise ShrinkLogitError(f"--table-suite does not take {', '.join(given)}")
         results = table_suite(
@@ -434,30 +451,30 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# Dataset and fit flags default to None, store_true ones too, so that a
+# command can tell them given (see _given); _load_and_fit and
+# _fit_options supply the defaults.
 def _add_dataset_args(parser, positional_required=True):
     nargs = None if positional_required else "?"
     parser.add_argument("csv", nargs=nargs, help="dataset CSV (response plus predictors)")
-    parser.add_argument("--no-header", action="store_true", help="file has no header row")
+    parser.add_argument("--no-header", action="store_true", default=None, help="file has no header row")
     parser.add_argument(
         "--response",
-        default="0",
         help="response column index or (with a header) name; default first column",
     )
     parser.add_argument(
         "--no-intercept",
         action="store_true",
+        default=None,
         help="do not prepend a constant-1 column to the predictors",
     )
     _add_fit_args(parser)
 
 
 def _add_fit_args(parser):
-    defaults = FitOptions()
-    parser.add_argument("--max-iter", type=int, default=defaults.max_iter, help="IRLS iteration cap")
-    parser.add_argument("--tol", type=float, default=defaults.tol,
-                        help="IRLS stops when no coefficient moves more than this")
-    parser.add_argument("--prob-clip", type=float, default=defaults.prob_clip,
-                        help="fitted probabilities are clamped into [clip, 1 - clip]")
+    parser.add_argument("--max-iter", type=int, help="IRLS iteration cap")
+    parser.add_argument("--tol", type=float, help="IRLS stops when no coefficient moves more than this")
+    parser.add_argument("--prob-clip", type=float, help="fitted probabilities are clamped into [clip, 1 - clip]")
 
 
 def _add_restriction_args(parser):

@@ -37,12 +37,10 @@ class MissingRestrictionError(ShrinkLogitError):
     """A restricted estimator or comparison was requested without H, h."""
 
 
-class SingularRestrictionGramError(ShrinkLogitError):
-    """The restriction Gram matrix H C^-1 H' is rank deficient."""
-
-
-class DimensionMismatchError(ShrinkLogitError):
-    """Vector and matrix dimensions do not line up."""
+class DimensionMismatchError(ShrinkLogitError, ValueError):
+    """Vector and matrix dimensions do not line up, such as a restriction
+    whose width is not the coefficient count. Also a ValueError, so
+    ``except ValueError`` catches it too."""
 
 
 class DegenerateTermsError(ShrinkLogitError):

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DimensionMismatchError, MissingRestrictionError, SingularRestrictionGramError
+from .errors import DimensionMismatchError, MissingRestrictionError
 from .linalg import SpectralDecomp, sym_eigen, symmetrize
 from .linalg import definiteness_error, positive_definite, require_positive_definite
 from .logit import FittedLogit, LinearRestriction
@@ -140,26 +140,18 @@ def liu_matrix(C, d: float) -> NDArray:
 
 
 def _check_width(restriction: LinearRestriction, m: int):
+    """The package's one width check: DimensionMismatchError unless H has ``m`` columns."""
     if restriction.width != m:
         raise DimensionMismatchError(
             f"restriction width {restriction.width} does not match coefficient count {m}"
         )
 
 
-def _gram_eigenvalues(C: NDArray, restriction: LinearRestriction) -> NDArray:
-    """Eigenvalues of H C^-1 H' for C, or for each matrix of a stack."""
-    H = restriction.H
-    return np.linalg.eigvalsh(symmetrize(H @ np.linalg.solve(C, H.T)))
-
-
-def _require_gram(C: NDArray, restriction: LinearRestriction) -> None:
-    """Raise SingularRestrictionGramError unless H C^-1 H' is positive definite."""
-    require_positive_definite(_gram_eigenvalues(C, restriction), "H C^-1 H'", SingularRestrictionGramError)
-
-
 def _project(C: NDArray, beta: NDArray, restriction: LinearRestriction) -> NDArray:
     """beta_0 + N (N'CN)^-1 N'C (beta - beta_0) for positive definite C, with
     N and beta_0 = H^+ h from the restriction: H beta_R = h to rounding.
+    N'CN is positive definite whenever C is (N has orthonormal columns), so
+    this needs no test beyond C's and the rank test of LinearRestriction.
     Row by row for a stack, C (R, m, m) and beta (R, m)."""
     N, beta0 = restriction.null_basis, restriction.particular
     cn = C @ N
@@ -174,11 +166,19 @@ def restricted_mle(C, beta_mle, restriction: LinearRestriction) -> NDArray:
     the weighted least squares objective subject to H beta = h, computed
     on the restriction's null space so that H beta_R = h holds to rounding
     at any conditioning of C, where the subtraction form loses digits.
+    It exists for every positive definite C and every H that
+    LinearRestriction accepts, however close H C^-1 H' is to singular.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If the restriction's width is not C's dimension.
+    SingularInformationError
+        If C is not positive definite at ``RANK_CUT``.
     """
     C = np.asarray(C, dtype=float)
     _check_width(restriction, C.shape[0])
     require_positive_definite(np.linalg.eigvalsh(C), "C")
-    _require_gram(C, restriction)
     return _project(C, np.asarray(beta_mle, dtype=float), restriction)
 
 
@@ -201,9 +201,8 @@ def shrinkage_estimates(
     checked in order, and the first that fails decides the error: for
     each kind, ValueError if it is unknown, then for restricted kinds
     MissingRestrictionError and DimensionMismatchError; C is tested for
-    SingularInformationError at the first kind that passes these, and
-    H C^-1 H' for SingularRestrictionGramError at the first restricted
-    one. A stack raises the error of its first row that fails.
+    SingularInformationError at the first kind that passes these. A
+    stack raises the error of its first row that fails.
     """
     d = np.asarray(d_grid, dtype=float).reshape(-1)
     if not np.all((0.0 <= d) & (d <= 1.0)):
@@ -215,41 +214,35 @@ def shrinkage_estimates(
         C, beta = C[None], beta[None]
     rows, m = beta.shape
     # Walk the kinds as for one fit. The first error that does not depend
-    # on the fit (``static``) ends the walk; before it, C is tested at the
-    # first kind and H C^-1 H' at the first restricted kind.
+    # on the fit (``static``) ends the walk; C is tested if a kind passed
+    # before it.
     static = None
-    test_c = test_gram = False
+    test_c = project = False
     for kind in kinds:
         restricted = kind in RESTRICTED_KINDS
         if kind not in KINDS:
             static = ValueError(f"unknown estimator kind {kind!r}, expected one of {KINDS}")
         elif restricted and restriction is None:
             static = MissingRestrictionError(f"estimator {kind!r} needs a linear restriction (H, h)")
-        elif restricted and restriction.width != m:
-            static = DimensionMismatchError(
-                f"restriction width {restriction.width} does not match coefficient count {m}"
-            )
+        elif restricted:
+            try:
+                _check_width(restriction, m)
+            except DimensionMismatchError as err:
+                static = err
         if static is not None:
             break
         test_c = True
-        test_gram = test_gram or restricted
-    c_ok = gram_ok = np.ones(rows, dtype=bool)
+        project = project or restricted
+    c_ok = np.ones(rows, dtype=bool)
     if test_c:
         decomp = sym_eigen(C)
         c_ok = positive_definite(decomp.values)
-    if test_gram:
-        gram = np.zeros((rows, restriction.q))
-        gram[c_ok] = _gram_eigenvalues(C if c_ok.all() else C[c_ok], restriction)
-        gram_ok = positive_definite(gram)
-    failed = ~(c_ok & gram_ok)
-    if static is not None or failed.any():
-        row = 0 if static is not None else int(np.argmax(failed))
+    if static is not None or not c_ok.all():
+        row = 0 if static is not None else int(np.argmin(c_ok))
         if rows and not c_ok[row]:
             raise definiteness_error(decomp.values[row], "C")
-        if rows and not gram_ok[row]:
-            raise definiteness_error(gram[row], "H C^-1 H'", SingularRestrictionGramError)
         raise static
-    rmle = _project(C, beta, restriction) if test_gram else None
+    rmle = _project(C, beta, restriction) if project else None
     out = np.empty((rows, len(kinds), d.size, m))
     for i, kind in enumerate(kinds):
         base = rmle if kind in RESTRICTED_KINDS else beta
@@ -276,8 +269,5 @@ def estimate(
 def residual(restriction: LinearRestriction, est: Estimate) -> NDArray:
     """Restriction residual H beta - h for an estimate."""
     beta = np.asarray(est.beta, dtype=float)
-    if restriction.width != beta.shape[0]:
-        raise DimensionMismatchError(
-            f"restriction width {restriction.width} does not match estimate length {beta.shape[0]}"
-        )
+    _check_width(restriction, beta.shape[0])
     return restriction.H @ beta - restriction.h

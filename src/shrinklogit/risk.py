@@ -41,7 +41,7 @@ from numpy.typing import NDArray
 
 from .errors import MissingRestrictionError
 from .estimators import RESTRICTED_KINDS, SHRINKAGE_KINDS, EstimatorSpec, smoother_matrix
-from .estimators import _check_width, _project, _require_gram
+from .estimators import _check_width, _project
 from .linalg import SpectralDecomp, sym_eigen, symmetrize
 from .linalg import require_positive_definite
 from .logit import LinearRestriction
@@ -73,7 +73,9 @@ def a_matrix(C, restriction: LinearRestriction) -> NDArray:
     rank structure to cancellation once C's condition number approaches
     1/RANK_CUT; the null-space form annihilates range(H') exactly, so
     the q zero eigenvalues stay at machine precision regardless of
-    conditioning.
+    conditioning. N'CN is positive definite whenever C is, so A exists
+    for every H that LinearRestriction accepts, even where H C^-1 H' is
+    numerically singular and the subtraction form cannot be evaluated.
 
     Raises
     ------
@@ -81,18 +83,16 @@ def a_matrix(C, restriction: LinearRestriction) -> NDArray:
         If the restriction's width is not C's dimension.
     SingularInformationError
         If C is not positive definite at ``RANK_CUT``.
-    SingularRestrictionGramError
-        If H C^-1 H' is rank deficient (redundant restriction rows).
     """
     C = symmetrize(C)
     _check_width(restriction, C.shape[0])
     require_positive_definite(np.linalg.eigvalsh(C), "C")
-    _require_gram(C, restriction)
     return _dispersion(C, restriction)
 
 
 def _dispersion(C: NDArray, restriction: LinearRestriction) -> NDArray:
-    """:func:`a_matrix` without its checks on C and H C^-1 H'."""
+    """:func:`a_matrix` without its checks: C must be positive definite
+    and the restriction as wide as C."""
     null_basis = restriction.null_basis
     core = symmetrize(null_basis.T @ C @ null_basis)
     return symmetrize(null_basis @ np.linalg.solve(core, null_basis.T))
@@ -128,12 +128,8 @@ class RiskScenario:
         object.__setattr__(self, "_c_inv", symmetrize(np.linalg.inv(C)))
         object.__setattr__(self, "_decomp", decomp)
         if self.restriction is not None:
-            if self.restriction.width != C.shape[0]:
-                raise ValueError(
-                    f"restriction width {self.restriction.width} does not match dim {C.shape[0]}"
-                )
-            # restricted_mle after its C check: the same test and projection.
-            _require_gram(C, self.restriction)
+            # The width check and projection of restricted_mle.
+            _check_width(self.restriction, C.shape[0])
             object.__setattr__(self, "_rmle_bias", _project(C, beta, self.restriction) - beta)
             object.__setattr__(self, "A", _dispersion(C, self.restriction))
 

@@ -47,7 +47,7 @@ from .errors import (
 )
 # ``estimate`` and ``irls_fit`` stay bound here: perfbench's traced run
 # rebinds them by name.
-from .estimators import KINDS, estimate, shrinkage_estimates  # noqa: F401
+from .estimators import KINDS, _check_width, estimate, shrinkage_estimates  # noqa: F401
 from .logit import FitOptions, FittedLogit, LinearRestriction, irls_fit, irls_stack  # noqa: F401
 
 __all__ = [
@@ -137,11 +137,12 @@ def gen_beta(
 
     Raises
     ------
+    DimensionMismatchError
+        If the restriction's width is not ``p``.
     DegenerateProjectionError
         If ten consecutive projected draws have norm below 1e-8.
     """
-    if restriction.width != p:
-        raise ValueError(f"restriction width {restriction.width} does not match p={p}")
+    _check_width(restriction, p)
     null_basis = restriction.null_basis
     for _ in range(10):
         v = rng.standard_normal(p)
@@ -194,10 +195,7 @@ class SimulationConfig:
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")
         if self.p < 2:
             raise ValueError("p must be at least 2")
-        if self.restriction.width != self.p:
-            raise ValueError(
-                f"restriction width {self.restriction.width} does not match p={self.p}"
-            )
+        _check_width(self.restriction, self.p)
         d_grid = tuple(float(d) for d in self.d_grid)
         if not d_grid:
             raise ValueError("d_grid must be nonempty")

@@ -91,7 +91,8 @@ def problems(draw):
     q = draw(st.integers(1, p - 1))
     H = rng.standard_normal((q, p))
     if q > 1 and draw(st.booleans()):
-        # nearly dependent rows: H C^-1 H' can fail its test in the kernel
+        # nearly dependent rows: H C^-1 H' numerically singular, which the
+        # null-space projection handles
         H[-1] = H[0] + 10.0 ** -draw(st.integers(4, 7)) * rng.standard_normal(p)
     restriction = LinearRestriction(H, rng.standard_normal(q))
     config = SimulationConfig(
@@ -156,12 +157,12 @@ class TestStackedKernelErrors:
     """A stack of fits raises the error its first failing row raises alone."""
 
     # H C^-1 H' for this H is singular at rank_cut once C's second
-    # eigenvalue is large; C itself stays well inside the test.
+    # eigenvalue is large, yet the row projects: C passes its test.
     H = LinearRestriction(np.array([[1.0, 0.0, 0.0], [1.0, 1e-3, 0.0]]), np.zeros(2))
     ROWS = {
         "fine": np.eye(3),
         "also fine": np.array([[2.0, 0.5, 0.1], [0.5, 3.0, -0.2], [0.1, -0.2, 1.5]]),
-        "gram": np.diag([1.0, 1e6, 1.0]),
+        "stiff": np.diag([1.0, 1e6, 1.0]),
         "singular": np.diag([1.0, 1e-12, 1.0]),
     }
 
@@ -176,7 +177,7 @@ class TestStackedKernelErrors:
         return outcome(shrinkage_estimates, one, kinds, [0.5], restriction)
 
     @pytest.mark.parametrize("kinds, restriction", [(["raule"], H), (["mle", "rle"], H), (["mle", "rmle"], None)])
-    @pytest.mark.parametrize("names", list(itertools.permutations(["fine", "gram", "singular"])))
+    @pytest.mark.parametrize("names", list(itertools.permutations(["fine", "stiff", "singular"])))
     def test_first_failing_row_decides(self, names, kinds, restriction):
         alone = [self.alone(name, kinds, restriction) for name in names]
         expected = next((error for error in alone if isinstance(error, type)), None)

@@ -214,6 +214,32 @@ class TestRisk:
         code, _, err = run(capsys, ["risk", "--d-grid", "0.5"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [BUNDLED],
+            ["--no-header"],
+            ["--response", "0"],
+            ["--no-intercept"],
+            ["--max-iter", "1"],
+            ["--tol", "0.1"],
+            ["--prob-clip", "0.2"],
+            ["--H", "1,0,0"],
+            ["--h", "0"],
+            ["--restriction-file", "scenario.txt"],
+            [BUNDLED, "--H", "1,0", "--max-iter", "1"],
+        ],
+    )
+    def test_scenario_file_rejects_the_input_it_replaces(self, capsys, tmp_path, extra):
+        path = tmp_path / "scenario.txt"
+        save_scenario(path, random_scenario(np.random.default_rng(13), 3, 1))
+        code, out, err = run(capsys, ["risk"] + extra + ["--scenario-file", str(path), "--d-grid", "0.5"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --scenario-file does not take ")
+        for named in (arg for arg in extra if arg == BUNDLED or arg.startswith("--")):
+            assert named in err
+
 
 class TestDominance:
     def test_reports_all_six_checks(self, capsys, tmp_path):

@@ -24,7 +24,6 @@ from shrinklogit import (
     ShrinkLogitError,
     SimulationConfig,
     SingularInformationError,
-    SingularRestrictionGramError,
     default_restriction,
     estimate,
     EstimatorSpec,
@@ -145,8 +144,6 @@ class TestKernelAgainstLoop:
         [
             (["mle", "raule"], None, MissingRestrictionError),
             (["rmle"], LinearRestriction(np.ones((1, 4)), np.zeros(1)), DimensionMismatchError),
-            (["aule", "rle"], LinearRestriction(np.array([[1.0, 0.0, 0.0], [1.0, 1e-9, 0.0]]), np.zeros(2)),
-             SingularRestrictionGramError),
         ],
     )
     def test_each_error_type_is_reachable(self, kinds, restriction, error):
