@@ -272,17 +272,12 @@ def _plot_data(sweep, kinds, grid) -> str:
     by_kind = {kind: [] for kind in kinds}
     for row in sweep:
         by_kind[row.kind].append((row.d, row.mse))
-    header = []
-    for kind in kinds:
-        header.extend([f"{kind}_d", f"{kind}_mse"])
-    lines = [",".join(header)]
-    for i in range(len(grid)):
-        cells = []
-        for kind in kinds:
-            d, mse = by_kind[kind][i]
-            cells.extend([repr(float(d)), repr(float(mse))])
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    columns = [name for kind in kinds for name in (f"{kind}_d", f"{kind}_mse")]
+    rows = [
+        [float(v) for kind in kinds for v in by_kind[kind][i]]
+        for i in range(len(grid))
+    ]
+    return OutputTable(columns, rows).to_csv()
 
 
 def cmd_dominance(args) -> int:
@@ -577,16 +572,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
     except MissingRestrictionError as err:
         print(f"error: {err}\nhint: pass --H/--h (or --restriction-file)", file=sys.stderr)
         return EXIT_ERROR
-    except ShrinkLogitError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as err:
+    except (OSError, ShrinkLogitError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -27,14 +27,19 @@ C3.1     RAULE beats AULE in scalar MSE (always)     mse(AULE) - mse(RAULE)
 
 where L is the shrinkage operator, A the restricted dispersion kernel,
 and b1 = (L - I) beta the shared shrinkage bias. The matrix checks take
-b1 and LAL from the RAULE risk report (its bias and covariance), and
-T3.7 builds L with the same smoother function as the risk module.
+b1 and LAL from the RAULE risk report (its bias and covariance), T3.3
+takes ACA from the RMLE report's covariance, and T3.7 builds L with the
+same smoother function as the risk module.
 
 The scalar conditions of T3.4/T3.6 compare
 (lam_1 + d)(lam_1 + 2 - d) / (1 - d)^2 against
 max_i alpha_i^2 / min_i a_ii. The minimum is taken over the strictly
 positive diagonal weights only: A has rank m - q, so q of the a_ii
-vanish and the literal minimum would make the bound vacuous. Even so
+vanish and the literal minimum would make the bound vacuous. Under a
+full restriction (q = m) A = 0 and no weight is positive: the minimum
+over none is inf, so the right side is 0 and ``condition_holds`` is
+false, as it should be, since the RMLE then has no variance for the
+shrinkage to remove. Even so
 the condition is not a sound sufficiency certificate for every scenario
 (scaling the true coefficients up can satisfy it while the MSE
 difference goes negative); the verdict reports both sides faithfully
@@ -47,10 +52,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateTermsError
 from .estimators import EstimatorSpec, smoother_matrix
 from .linalg import PSD_SLACK, RANK_CUT, in_range, in_range_with_pinv, is_psd, lambda_max_ratio, moore_penrose
-from .linalg import symmetrize
 from .risk import RiskScenario, risk, spectral_risk_terms
 
 __all__ = [
@@ -103,11 +106,11 @@ def _matrix_verdict(theorem, scenario, d, dispersion, raule, applicable, side) -
     report: b1 in range(D) and b1' D^+ b1 <= 1 with D^+ formed once, and the
     direct PSD test of D - b1 b1'. ``side`` holds the applicability witnesses."""
     b1 = raule.bias
-    difference = symmetrize(dispersion - raule.cov)
+    difference = dispersion - raule.cov
     pinv = moore_penrose(difference)
     b_in_range = in_range_with_pinv(b1, difference, pinv)
     qform = float(b1 @ pinv @ b1)
-    psd = is_psd(symmetrize(difference - np.outer(b1, b1)))
+    psd = is_psd(difference - np.outer(b1, b1))
     return DominanceVerdict(
         theorem=theorem,
         applicable=applicable,
@@ -136,7 +139,7 @@ def check_t33(scenario: RiskScenario, d: float) -> DominanceVerdict:
     being nonnegative definite. Delta1 is always checked directly too.
     """
     raule = risk(scenario, EstimatorSpec("raule", d))
-    aca = symmetrize(scenario.A @ scenario.C @ scenario.A)
+    aca = risk(scenario, EstimatorSpec("rmle")).cov
     ratio = lambda_max_ratio(raule.cov, aca)
     range_ok = in_range(raule.cov, aca)
     applicable = bool(ratio <= 1.0 + PSD_SLACK and range_ok)
@@ -145,7 +148,8 @@ def check_t33(scenario: RiskScenario, d: float) -> DominanceVerdict:
 
 
 def _scalar_condition(scenario: RiskScenario, d: float):
-    """Shared lhs/rhs of the scalar (trace MSE) conditions."""
+    """Shared lhs/rhs of the scalar (trace MSE) conditions; the minimum
+    over the strictly positive a_ii is inf when there are none."""
     terms = spectral_risk_terms(scenario)
     lam1 = float(terms.eigenvalues[0])
     if d == 1.0:
@@ -154,11 +158,7 @@ def _scalar_condition(scenario: RiskScenario, d: float):
         lhs = (lam1 + d) * (lam1 + 2.0 - d) / (1.0 - d) ** 2
     a_max = float(np.max(terms.a_diag))
     positive = terms.a_diag > RANK_CUT * max(a_max, 0.0)
-    if a_max <= 0.0 or not np.any(positive):
-        raise DegenerateTermsError(
-            "all diagonal weights of T'AT vanish; the scalar bound is undefined"
-        )
-    min_positive_a = float(np.min(terms.a_diag[positive]))
+    min_positive_a = float(np.min(terms.a_diag[positive], initial=np.inf))
     max_alpha_sq = float(np.max(terms.alpha**2))
     rhs = max_alpha_sq / min_positive_a
     return lam1, lhs, rhs, min_positive_a, max_alpha_sq
@@ -190,11 +190,8 @@ def check_t34(scenario: RiskScenario, d: float) -> DominanceVerdict:
     """RAULE vs RMLE in scalar MSE: reported bound plus the direct difference.
 
     ``delta_psd`` here is the scalar check mse(RMLE) - mse(RAULE) >= -slack.
-
-    Raises
-    ------
-    DegenerateTermsError
-        If every diagonal weight of T'AT is zero (full restriction).
+    Under a full restriction (q = m) A = 0, so no a_ii is positive: the
+    bound's right side is 0 and ``condition_holds`` is false.
     """
     return _scalar_verdict(scenario, d, "T3.4", "rmle")
 
@@ -232,8 +229,7 @@ def check_t37(scenario: RiskScenario, d: float) -> DominanceVerdict:
     """
     scenario._require_restriction("this dominance check")
     L = smoother_matrix(scenario.decomp, EstimatorSpec("raule", d))
-    delta = symmetrize(L @ (scenario.c_inv - scenario.A) @ L)
-    psd = is_psd(delta)
+    psd = is_psd(L @ (scenario.c_inv - scenario.A) @ L)
     return DominanceVerdict(
         theorem="T3.7",
         applicable=True,

@@ -43,10 +43,6 @@ class DimensionMismatchError(ShrinkLogitError, ValueError):
     ``except ValueError`` catches it too."""
 
 
-class DegenerateTermsError(ShrinkLogitError):
-    """All diagonal risk weights vanish, so the scalar comparison bound is undefined."""
-
-
 class DegenerateProjectionError(ShrinkLogitError):
     """Projecting a coefficient draw onto the restriction null space kept failing."""
 

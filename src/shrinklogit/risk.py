@@ -23,6 +23,8 @@ restricted dispersion kernel. The smoothers come from the estimators'
 :func:`smoother_matrix`, on the scenario's cached eigenbasis of C.
 R is :func:`restricted_mle`: the RMLE bias projects the truth by the
 estimate's own null-space route, and A uses the same null basis of H.
+A :class:`RiskReport` stores only the covariance and the bias; its
+matrix and scalar MSE are formed from them when read.
 
 The restricted shrinkage rows use the bias form that assumes the
 restriction holds at the truth. When it does not, the report carries
@@ -127,11 +129,15 @@ class RiskScenario:
         object.__setattr__(self, "beta_true", beta)
         object.__setattr__(self, "_c_inv", symmetrize(np.linalg.inv(C)))
         object.__setattr__(self, "_decomp", decomp)
+        violated = False
         if self.restriction is not None:
             # The width check and projection of restricted_mle.
             _check_width(self.restriction, C.shape[0])
             object.__setattr__(self, "_rmle_bias", _project(C, beta, self.restriction) - beta)
             object.__setattr__(self, "A", _dispersion(C, self.restriction))
+            gap = self.restriction.H @ beta - self.restriction.h
+            violated = float(np.max(np.abs(gap))) > RESTRICTION_VIOLATION_TOL
+        object.__setattr__(self, "_violated", violated)
 
     @property
     def m(self) -> int:
@@ -147,10 +153,7 @@ class RiskScenario:
 
     def restriction_violated(self) -> bool:
         """Whether the truth fails H beta = h beyond the violation tolerance."""
-        if self.restriction is None:
-            return False
-        gap = self.restriction.H @ self.beta_true - self.restriction.h
-        return float(np.max(np.abs(gap))) > RESTRICTION_VIOLATION_TOL
+        return self._violated
 
     def _require_restriction(self, what: str) -> LinearRestriction:
         if self.restriction is None:
@@ -167,32 +170,25 @@ class RiskScenario:
 class RiskReport:
     """Risk of one estimator at one scenario.
 
-    By construction ``mmse`` equals ``cov`` plus the bias outer product
-    and ``mse`` equals the trace of ``mmse``. ``restriction_violated``
-    flags reports of restricted kinds whose bias formula assumed a
-    restriction that the scenario's truth does not satisfy.
+    Only the covariance and bias are stored; ``mmse`` (the covariance
+    plus the bias outer product) and ``mse`` (its trace) are formed from
+    them when read. ``restriction_violated`` flags reports of restricted
+    kinds whose bias formula assumed a restriction that the scenario's
+    truth does not satisfy.
     """
 
     spec: EstimatorSpec
     cov: NDArray
     bias: NDArray
-    mmse: NDArray
-    mse: float
     restriction_violated: bool = False
 
+    @property
+    def mmse(self) -> NDArray:
+        return self.cov + np.outer(self.bias, self.bias)
 
-def _assemble(spec, cov, bias, violated) -> RiskReport:
-    cov = symmetrize(cov)
-    mmse = symmetrize(cov + np.outer(bias, bias))
-    mse = float(np.trace(cov) + bias @ bias)
-    return RiskReport(
-        spec=spec,
-        cov=cov,
-        bias=bias,
-        mmse=mmse,
-        mse=mse,
-        restriction_violated=violated,
-    )
+    @property
+    def mse(self) -> float:
+        return float(np.trace(self.cov) + self.bias @ self.bias)
 
 
 def risk(scenario: RiskScenario, spec: EstimatorSpec) -> RiskReport:
@@ -205,19 +201,18 @@ def risk(scenario: RiskScenario, spec: EstimatorSpec) -> RiskReport:
     """
     beta = scenario.beta_true
     restricted = spec.kind in RESTRICTED_KINDS
-    violated = False
     if restricted:
         scenario._require_restriction(f"estimator {spec.kind!r}")
-        violated = scenario.restriction_violated()
+    violated = restricted and scenario.restriction_violated()
     if spec.d is None:  # identity smoother: the base itself
         if restricted:
-            cov = scenario.A @ scenario.C @ scenario.A
-            return _assemble(spec, cov, scenario.rmle_bias(), violated)
-        return _assemble(spec, scenario.c_inv, np.zeros(scenario.m), False)
+            cov = symmetrize(scenario.A @ scenario.C @ scenario.A)
+            return RiskReport(spec, cov, scenario.rmle_bias(), violated)
+        return RiskReport(spec, scenario.c_inv.copy(), np.zeros(scenario.m))
     smoother = smoother_matrix(scenario.decomp, spec)
     dispersion = scenario.A if restricted else scenario.c_inv
-    cov = smoother @ dispersion @ smoother
-    return _assemble(spec, cov, smoother @ beta - beta, violated)
+    cov = symmetrize(smoother @ dispersion @ smoother)
+    return RiskReport(spec, cov, smoother @ beta - beta, violated)
 
 
 class SpectralRiskTerms(NamedTuple):

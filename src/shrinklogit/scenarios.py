@@ -16,6 +16,7 @@ labeled blocks of comma separated numeric rows:
     0.0
 
 Blocks C and beta are required; H and h come together and are optional.
+The vectors beta and h are each one row or one column of numbers.
 Lines starting with '#' are comments. Numbers are written with full
 round-trip precision so write-then-read is exact.
 """
@@ -87,6 +88,16 @@ def _parse_blocks(path):
     return meta, sections
 
 
+def _vector(path, sections, name):
+    """A vector block, written as one row or as one column."""
+    rows = sections[name]
+    if len(rows) == 1:
+        return np.array(rows[0])
+    if all(len(row) == 1 for row in rows):
+        return np.array([row[0] for row in rows])
+    raise CsvParseError(f"{path}: section [{name}] must be one row or one column of numbers")
+
+
 def load_scenario(path) -> tuple[RiskScenario, float | None]:
     """Read a scenario file; returns the scenario and the d from [meta], if any."""
     meta, sections = _parse_blocks(path)
@@ -94,15 +105,11 @@ def load_scenario(path) -> tuple[RiskScenario, float | None]:
         if required not in sections or not sections[required]:
             raise CsvParseError(f"{path}: missing required section [{required}]")
     C = np.array(sections["C"])
-    beta_rows = sections["beta"]
-    beta = np.array(beta_rows[0] if len(beta_rows) == 1 else [r[0] for r in beta_rows])
+    beta = _vector(path, sections, "beta")
     restriction = None
     if "H" in sections:
         if "h" not in sections or not sections["h"]:
             raise CsvParseError(f"{path}: section [H] present but [h] missing")
-        H = np.array(sections["H"])
-        h_rows = sections["h"]
-        h = np.array(h_rows[0] if len(h_rows) == 1 else [r[0] for r in h_rows])
-        restriction = LinearRestriction(H, h)
+        restriction = LinearRestriction(np.array(sections["H"]), _vector(path, sections, "h"))
     d = float(meta["d"]) if "d" in meta else None
     return RiskScenario(C=C, beta_true=beta, restriction=restriction), d

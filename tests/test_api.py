@@ -2,12 +2,15 @@
 
 ``shrinklogit/__init__.py`` keeps two parallel lists, its imports and its
 ``__all__``; these tests catch an entry left in one after a name is
-removed from the other, or from the module that defined it.
+removed from the other, or from the module that defined it. A last test
+checks that every error a public docstring says is raised still exists.
 """
 
+import builtins
 import importlib
 import inspect
 import pkgutil
+import re
 
 import pytest
 
@@ -45,3 +48,41 @@ def test_every_error_type_is_exported():
     ]
     assert defined
     assert sorted(set(defined) - set(shrinklogit.__all__)) == []
+
+
+def _public_callables():
+    """Every exported function and class, and the members of exported classes."""
+    objects = [getattr(shrinklogit, name) for name in shrinklogit.__all__]
+    for module_name in SUBMODULES:
+        module = importlib.import_module(f"shrinklogit.{module_name}")
+        objects += [getattr(module, name) for name in getattr(module, "__all__", [])]
+    for obj in objects:
+        yield obj
+        if inspect.isclass(obj):
+            # Static and class methods hold their function in __func__.
+            yield from (getattr(member, "__func__", member) for member in vars(obj).values())
+
+
+def test_documented_errors_exist():
+    """Every error a public numpydoc ``Raises`` section names exists, so a
+    deleted error cannot stay documented."""
+    docs = {
+        obj.__qualname__: inspect.getdoc(obj)
+        for obj in _public_callables()
+        if callable(obj) and obj.__doc__
+    }
+    # A section runs from its underlined heading to the next heading.
+    section_text = re.compile(r"^Raises\n-+\n(.*?)(?:\n(?=\S[^\n]*\n-+\n)|\Z)", re.S | re.M)
+    sections = [
+        (name, re.findall(r"^(\w+)$", section, re.M))
+        for name, doc in docs.items()
+        for section in section_text.findall(doc)
+    ]
+    assert sections and all(raised for _, raised in sections)
+    unknown = [
+        (name, error)
+        for name, raised in sections
+        for error in raised
+        if not hasattr(errors, error) and not hasattr(builtins, error)
+    ]
+    assert unknown == []

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from shrinklogit import RiskScenario, bundled_dataset_path, save_scenario
+from shrinklogit import RiskScenario, bundled_dataset_path, d_sweep, load_scenario, save_scenario
 from shrinklogit.cli import main
 from shrinklogit.logit import LinearRestriction
 from helpers import random_scenario
@@ -205,10 +205,13 @@ class TestRisk:
              "--plot-data", str(plot), "--format", "csv"],
         )
         assert code == 0
-        header, rows = parse_csv(plot.read_text())
-        assert header[:4] == ["mle_d", "mle_mse", "rmle_d", "rmle_mse"]
-        assert len(rows) == 2
-        assert float(rows[0][0]) == 0.1
+        kinds = ["mle", "rmle", "aule", "raule"]
+        sweep = d_sweep(load_scenario(spath)[0], kinds, [0.1, 0.9])
+        mse = {(row.d, row.kind): row.mse for row in sweep}
+        expected = ",".join(f"{kind}_{col}" for kind in kinds for col in ("d", "mse")) + "\n"
+        for d in (0.1, 0.9):
+            expected += ",".join(f"{d!r},{mse[d, kind]!r}" for kind in kinds) + "\n"
+        assert plot.read_bytes() == expected.encode()
 
     def test_requires_some_input(self, capsys):
         code, _, err = run(capsys, ["risk", "--d-grid", "0.5"])
@@ -267,6 +270,23 @@ class TestDominance:
         )
         assert code == 0
         assert "d=0.2" in out
+
+    def test_full_restriction_reports_all_six_checks(self, capsys, tmp_path):
+        """With H = I (q = m) A vanishes: T3.4/T3.6 have no positive a_ii."""
+        path = tmp_path / "scenario.txt"
+        path.write_text(
+            "[C]\n3.0,0.0\n0.0,1.0\n[beta]\n1.0,-1.0\n[H]\n1.0,0.0\n0.0,1.0\n[h]\n1.0,-1.0\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(
+            capsys, ["dominance", "--scenario-file", str(path), "--d", "0.5", "--format", "csv"]
+        )
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["T3.3", "T3.4", "T3.5", "T3.6", "T3.7", "C3.1"]
+        for row in (rows[1], rows[3]):
+            assert row[2] == "false" and float(row[5]) == 0.0
+            assert "min_positive_a=inf" in row[6]
 
     def test_missing_d_everywhere(self, capsys, tmp_path):
         rng = np.random.default_rng(12)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from shrinklogit import (
-    DegenerateTermsError,
     EstimatorSpec,
     LinearRestriction,
     MissingRestrictionError,
@@ -136,9 +135,17 @@ class TestT34:
         assert not verdict.condition_holds
 
     def test_full_restriction_degenerates(self):
+        """q = m: A = 0, so no a_ii is positive and the bound's right side is 0."""
         scenario = diag_scenario([2.0, 3.0], [0.0, 0.0], np.eye(2))
-        with pytest.raises(DegenerateTermsError):
-            check_t34(scenario, 0.5)
+        verdicts = check_all(scenario, 0.5)
+        assert [v.theorem for v in verdicts] == ["T3.3", "T3.4", "T3.5", "T3.6", "T3.7", "C3.1"]
+        raule = risk(scenario, EstimatorSpec("raule", 0.5)).mse
+        for verdict, baseline in ((verdicts[1], "rmle"), (verdicts[3], "mle")):
+            assert verdict.witnesses["min_positive_a"] == np.inf
+            assert verdict.rhs == 0.0
+            assert not verdict.condition_holds
+            direct = risk(scenario, EstimatorSpec(baseline)).mse - raule
+            assert verdict.witnesses["delta_mse"] == direct
 
 
 class TestT35:

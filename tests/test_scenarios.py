@@ -69,3 +69,30 @@ class TestScenarioErrors:
         path.write_text("1.0,2.0\n[C]\n1.0\n", encoding="utf-8")
         with pytest.raises(CsvParseError):
             load_scenario(path)
+
+
+class TestScenarioVectors:
+    """[beta] and [h] are one row or one column; any other block is refused."""
+
+    C = "[C]\n3.0,0.0\n0.0,1.0\n"
+
+    def test_column_vectors_read_like_rows(self, tmp_path):
+        path = tmp_path / "s.txt"
+        blocks = "[beta]\n1.0\n-1.0\n[H]\n1.0,0.0\n0.0,1.0\n[h]\n1.0\n-1.0\n"
+        path.write_text(self.C + blocks, encoding="utf-8")
+        scenario, _ = load_scenario(path)
+        assert np.array_equal(scenario.beta_true, [1.0, -1.0])
+        assert np.array_equal(scenario.restriction.h, [1.0, -1.0])
+
+    @pytest.mark.parametrize(
+        "section, blocks",
+        [
+            ("beta", "[beta]\n1.0,2.0,3.0\n-1.0,4.0,5.0\n"),
+            ("h", "[beta]\n1.0,-1.0\n[H]\n1.0,0.0\n0.0,1.0\n[h]\n1.0,2.0\n-1.0,3.0\n"),
+        ],
+    )
+    def test_block_of_several_columns_is_refused(self, tmp_path, section, blocks):
+        path = tmp_path / "s.txt"
+        path.write_text(self.C + blocks, encoding="utf-8")
+        with pytest.raises(CsvParseError, match=rf"section \[{section}\]"):
+            load_scenario(path)
