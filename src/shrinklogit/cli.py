@@ -573,7 +573,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except MissingRestrictionError as err:
-        print(f"error: {err}\nhint: pass --H/--h (or --restriction-file)", file=sys.stderr)
+        if getattr(args, "scenario_file", None):
+            hint = "add [H] and [h] sections to the scenario file"
+        else:
+            hint = "pass --H/--h (or --restriction-file)"
+        print(f"error: {err}\nhint: {hint}", file=sys.stderr)
         return EXIT_ERROR
     except (OSError, ShrinkLogitError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

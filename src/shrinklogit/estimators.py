@@ -197,6 +197,8 @@ def shrinkage_estimates(
     definiteness test per row, at most one restricted projection per row.
     The unshrunken kinds repeat their base along the d axis.
 
+    Kinds are case-insensitive, as in :class:`EstimatorSpec`.
+
     Raises ValueError for a d outside [0, 1]. Otherwise the kinds are
     checked in order, and the first that fails decides the error: for
     each kind, ValueError if it is unknown, then for restricted kinds
@@ -204,6 +206,7 @@ def shrinkage_estimates(
     SingularInformationError at the first kind that passes these. A
     stack raises the error of its first row that fails.
     """
+    kinds = [kind.lower() for kind in kinds]
     d = np.asarray(d_grid, dtype=float).reshape(-1)
     if not np.all((0.0 <= d) & (d <= 1.0)):
         raise ValueError(f"d must be in [0, 1], got {d.tolist()}")

@@ -48,6 +48,15 @@ RANK_CUT = 1e-10
 PSD_SLACK = 1e-8
 
 
+def _read_only(array) -> NDArray:
+    """A float view of ``array`` that raises ValueError on writes. Only the
+    view is locked, so the caller's array keeps its own flags; objects that
+    cache quantities derived from an array lock a private copy of it."""
+    view = np.asarray(array, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
 def symmetrize(matrix) -> NDArray:
     """Return the symmetric part (M + M') / 2 as a float64 array.
 
@@ -142,21 +151,21 @@ def positive_definite(eigenvalues):
     return ~((high <= 0.0) | (low <= RANK_CUT * high))
 
 
-def definiteness_error(eigenvalues, what: str = "C", error=SingularInformationError) -> Exception:
-    """The ``error`` that matrix ``what``, with these eigenvalues, is not
+def definiteness_error(eigenvalues, what: str = "C") -> SingularInformationError:
+    """The error that matrix ``what``, with these eigenvalues, is not
     positive definite; its message gives the eigenvalue range."""
     low, high = float(np.min(eigenvalues)), float(np.max(eigenvalues))
-    return error(
+    return SingularInformationError(
         f"{what} is not positive definite at rank_cut={RANK_CUT:g} "
         f"(eigenvalue range [{low:.3e}, {high:.3e}])"
     )
 
 
-def require_positive_definite(eigenvalues, what: str = "C", error=SingularInformationError) -> None:
+def require_positive_definite(eigenvalues, what: str = "C") -> None:
     """Raise :func:`definiteness_error` unless :func:`positive_definite`
     holds for one matrix's eigenvalues."""
     if not positive_definite(eigenvalues):
-        raise definiteness_error(eigenvalues, what, error)
+        raise definiteness_error(eigenvalues, what)
 
 
 def in_range(vector, matrix) -> bool:

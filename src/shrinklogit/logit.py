@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 from scipy.special import expit, logit as logit_link
 
 from .errors import NotConvergedError
-from .linalg import RANK_CUT, definiteness_error, positive_definite, symmetrize
+from .linalg import RANK_CUT, _read_only, definiteness_error, positive_definite, symmetrize
 
 __all__ = [
     "Dataset",
@@ -126,7 +126,9 @@ class LinearRestriction:
     rank is checked through the singular values at ``RANK_CUT``. That SVD
     also gives what every restricted quantity is built from: ``null_basis``,
     an orthonormal basis of null(H) (m - q columns), and ``particular``,
-    the minimum-norm solution H^+ h of H beta = h.
+    the minimum-norm solution H^+ h of H beta = h. H and h are copied
+    from the caller, and all four arrays are read-only, so the cached
+    null basis always describes the H it was built from.
     """
 
     H: NDArray
@@ -135,8 +137,8 @@ class LinearRestriction:
     particular: NDArray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        H = np.atleast_2d(np.asarray(self.H, dtype=float))
-        h = np.atleast_1d(np.asarray(self.h, dtype=float))
+        H = np.atleast_2d(np.array(self.H, dtype=float))
+        h = np.atleast_1d(np.array(self.h, dtype=float))
         q, width = H.shape
         if not 1 <= q <= width:
             raise ValueError(f"need 1 <= q <= m restriction rows, got H shape {H.shape}")
@@ -147,10 +149,10 @@ class LinearRestriction:
         u, s, vt = np.linalg.svd(H)
         if s[-1] <= RANK_CUT * s[0]:
             raise ValueError("H is rank deficient: restriction rows must be independent")
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "null_basis", vt[q:].T)
-        object.__setattr__(self, "particular", vt[:q].T @ ((u.T @ h) / s))
+        object.__setattr__(self, "H", _read_only(H))
+        object.__setattr__(self, "h", _read_only(h))
+        object.__setattr__(self, "null_basis", _read_only(vt[q:].T))
+        object.__setattr__(self, "particular", _read_only(vt[:q].T @ ((u.T @ h) / s)))
 
     @property
     def q(self) -> int:

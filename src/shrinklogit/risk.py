@@ -26,6 +26,10 @@ estimate's own null-space route, and A uses the same null basis of H.
 A :class:`RiskReport` stores only the covariance and the bias; its
 matrix and scalar MSE are formed from them when read.
 
+What does not depend on d (C^-1, the eigenbasis of C, A, the MLE and
+RMLE reports and the spectral terms) is built once per scenario and
+shared by every caller, so all of it is read-only.
+
 The restricted shrinkage rows use the bias form that assumes the
 restriction holds at the truth. When it does not, the report carries
 ``restriction_violated=True``; the RMLE row is the exception and always
@@ -44,8 +48,7 @@ from numpy.typing import NDArray
 from .errors import MissingRestrictionError
 from .estimators import RESTRICTED_KINDS, SHRINKAGE_KINDS, EstimatorSpec, smoother_matrix
 from .estimators import _check_width, _project
-from .linalg import SpectralDecomp, sym_eigen, symmetrize
-from .linalg import require_positive_definite
+from .linalg import SpectralDecomp, _read_only, require_positive_definite, sym_eigen, symmetrize
 from .logit import LinearRestriction
 
 __all__ = [
@@ -105,10 +108,12 @@ class RiskScenario:
     """Ground truth for exact risk evaluation.
 
     Bundles the information matrix C (positive definite), the true
-    coefficient vector, and optionally a linear restriction. The kernel
-    A, the RMLE bias, the inverse of C, and the spectral decomposition of
-    C are computed eagerly and cached, so scenarios are cheap to reuse
-    across many estimators and biasing parameters, and immutable afterwards.
+    coefficient vector, and optionally a linear restriction. What does
+    not depend on d is built once, at construction: the spectral
+    decomposition and inverse of C, the MLE report, and with a
+    restriction the kernel A, the RMLE report and the
+    :class:`SpectralRiskTerms`. C and beta_true are copied from the
+    caller and every array held is read-only, so none of it goes stale.
     """
 
     C: NDArray
@@ -118,26 +123,32 @@ class RiskScenario:
 
     def __post_init__(self):
         C = symmetrize(self.C)
-        beta = np.asarray(self.beta_true, dtype=float)
+        beta = np.array(self.beta_true, dtype=float)
         if beta.shape != (C.shape[0],):
             raise ValueError(
                 f"beta_true has shape {beta.shape}, expected ({C.shape[0]},)"
             )
         decomp = sym_eigen(C)
         require_positive_definite(decomp.values, "C")
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "beta_true", beta)
-        object.__setattr__(self, "_c_inv", symmetrize(np.linalg.inv(C)))
+        decomp = SpectralDecomp(_read_only(decomp.values), _read_only(decomp.basis))
+        object.__setattr__(self, "C", _read_only(C))
+        object.__setattr__(self, "beta_true", _read_only(beta))
         object.__setattr__(self, "_decomp", decomp)
-        violated = False
+        c_inv = symmetrize(np.linalg.inv(C))
+        object.__setattr__(self, "_mle", RiskReport(EstimatorSpec("mle"), c_inv, np.zeros(self.m)))
         if self.restriction is not None:
             # The width check and projection of restricted_mle.
             _check_width(self.restriction, C.shape[0])
-            object.__setattr__(self, "_rmle_bias", _project(C, beta, self.restriction) - beta)
-            object.__setattr__(self, "A", _dispersion(C, self.restriction))
+            A = _dispersion(C, self.restriction)
             gap = self.restriction.H @ beta - self.restriction.h
             violated = float(np.max(np.abs(gap))) > RESTRICTION_VIOLATION_TOL
-        object.__setattr__(self, "_violated", violated)
+            bias = _project(C, beta, self.restriction) - beta
+            rmle = RiskReport(EstimatorSpec("rmle"), symmetrize(A @ C @ A), bias, violated)
+            a_diag = np.sum(decomp.basis * (A @ decomp.basis), axis=0)
+            terms = SpectralRiskTerms(decomp.values, _read_only(a_diag), _read_only(decomp.basis.T @ beta))
+            object.__setattr__(self, "A", _read_only(A))
+            object.__setattr__(self, "_rmle", rmle)
+            object.__setattr__(self, "_terms", terms)
 
     @property
     def m(self) -> int:
@@ -145,7 +156,7 @@ class RiskScenario:
 
     @property
     def c_inv(self) -> NDArray:
-        return self._c_inv
+        return self._mle.cov
 
     @property
     def decomp(self) -> SpectralDecomp:
@@ -153,7 +164,7 @@ class RiskScenario:
 
     def restriction_violated(self) -> bool:
         """Whether the truth fails H beta = h beyond the violation tolerance."""
-        return self._violated
+        return self.restriction is not None and self._rmle.restriction_violated
 
     def _require_restriction(self, what: str) -> LinearRestriction:
         if self.restriction is None:
@@ -163,14 +174,15 @@ class RiskScenario:
     def rmle_bias(self) -> NDArray:
         """Exact RMLE bias -C^-1 H'(H C^-1 H')^-1 (H beta_true - h), as R(b) - b."""
         self._require_restriction("the restricted MLE")
-        return self._rmle_bias.copy()
+        return self._rmle.bias
 
 
 @dataclass(frozen=True)
 class RiskReport:
     """Risk of one estimator at one scenario.
 
-    Only the covariance and bias are stored; ``mmse`` (the covariance
+    Only the covariance and bias are stored, read-only because the MLE
+    and RMLE reports of a scenario are shared; ``mmse`` (the covariance
     plus the bias outer product) and ``mse`` (its trace) are formed from
     them when read. ``restriction_violated`` flags reports of restricted
     kinds whose bias formula assumed a restriction that the scenario's
@@ -181,6 +193,10 @@ class RiskReport:
     cov: NDArray
     bias: NDArray
     restriction_violated: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "cov", _read_only(self.cov))
+        object.__setattr__(self, "bias", _read_only(self.bias))
 
     @property
     def mmse(self) -> NDArray:
@@ -194,25 +210,23 @@ class RiskReport:
 def risk(scenario: RiskScenario, spec: EstimatorSpec) -> RiskReport:
     """Exact risk report for one estimator at the scenario's truth.
 
+    The unshrunken kinds return the scenario's own MLE or RMLE report.
+
     Raises
     ------
     MissingRestrictionError
         If ``spec`` is a restricted kind and the scenario has no restriction.
     """
-    beta = scenario.beta_true
     restricted = spec.kind in RESTRICTED_KINDS
     if restricted:
         scenario._require_restriction(f"estimator {spec.kind!r}")
-    violated = restricted and scenario.restriction_violated()
     if spec.d is None:  # identity smoother: the base itself
-        if restricted:
-            cov = symmetrize(scenario.A @ scenario.C @ scenario.A)
-            return RiskReport(spec, cov, scenario.rmle_bias(), violated)
-        return RiskReport(spec, scenario.c_inv.copy(), np.zeros(scenario.m))
+        return scenario._rmle if restricted else scenario._mle
+    beta = scenario.beta_true
     smoother = smoother_matrix(scenario.decomp, spec)
     dispersion = scenario.A if restricted else scenario.c_inv
     cov = symmetrize(smoother @ dispersion @ smoother)
-    return RiskReport(spec, cov, smoother @ beta - beta, violated)
+    return RiskReport(spec, cov, smoother @ beta - beta, restricted and scenario.restriction_violated())
 
 
 class SpectralRiskTerms(NamedTuple):
@@ -232,12 +246,10 @@ class SpectralRiskTerms(NamedTuple):
 
 
 def spectral_risk_terms(scenario: RiskScenario) -> SpectralRiskTerms:
-    """Eigenvalues of C with the matching diagonal of T'AT and T'beta."""
+    """Eigenvalues of C with the matching diagonal of T'AT and T'beta,
+    as the scenario built them."""
     scenario._require_restriction("spectral risk terms")
-    dec = scenario.decomp
-    a_diag = np.sum(dec.basis * (scenario.A @ dec.basis), axis=0)
-    alpha = dec.basis.T @ scenario.beta_true
-    return SpectralRiskTerms(dec.values.copy(), a_diag, alpha)
+    return scenario._terms
 
 
 @dataclass(frozen=True)
@@ -251,9 +263,16 @@ class SweepRow:
 
     d: float
     kind: str
-    mse: float
-    coefficients: NDArray
     report: RiskReport
+    beta_true: NDArray = field(repr=False)
+
+    @property
+    def mse(self) -> float:
+        return self.report.mse
+
+    @property
+    def coefficients(self) -> NDArray:
+        return self.beta_true + self.report.bias
 
 
 def d_sweep(
@@ -263,9 +282,11 @@ def d_sweep(
 ) -> list[SweepRow]:
     """Risk of each requested estimator at every d in the grid.
 
-    Kinds without a biasing parameter (mle, rmle) get one row per d as
-    well so tables stay rectangular; those rows are constant in d.
+    Kinds are case-insensitive, as in :class:`EstimatorSpec`. Kinds
+    without a biasing parameter (mle, rmle) get one row per d as well so
+    tables stay rectangular; those rows share one report.
     """
+    kinds = [kind.lower() for kind in kinds]
     rows = []
     for d in d_grid:
         d = float(d)
@@ -273,14 +294,5 @@ def d_sweep(
             raise ValueError(f"d grid values must be in [0, 1], got {d}")
         for kind in kinds:
             spec = EstimatorSpec(kind, d if kind in SHRINKAGE_KINDS else None)
-            report = risk(scenario, spec)
-            rows.append(
-                SweepRow(
-                    d=d,
-                    kind=spec.kind,
-                    mse=report.mse,
-                    coefficients=scenario.beta_true + report.bias,
-                    report=report,
-                )
-            )
+            rows.append(SweepRow(d, spec.kind, risk(scenario, spec), scenario.beta_true))
     return rows

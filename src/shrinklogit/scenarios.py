@@ -16,7 +16,9 @@ labeled blocks of comma separated numeric rows:
     0.0
 
 Blocks C and beta are required; H and h come together and are optional.
-The vectors beta and h are each one row or one column of numbers.
+The matrices C and H have rows of one length; the vectors beta and h are
+each one row or one column of numbers. Any other section, a non-numeric
+d, or a malformed block raises CsvParseError naming the file and section.
 Lines starting with '#' are comments. Numbers are written with full
 round-trip precision so write-then-read is exact.
 """
@@ -64,6 +66,8 @@ def _parse_blocks(path):
                 continue
             if text.startswith("[") and text.endswith("]"):
                 current = text[1:-1].strip()
+                if current not in ("meta", "C", "beta", "H", "h"):
+                    raise CsvParseError(f"{path}:{lineno}: unknown section [{current}]", row=lineno)
                 if current != "meta":
                     sections.setdefault(current, [])
                 continue
@@ -88,6 +92,14 @@ def _parse_blocks(path):
     return meta, sections
 
 
+def _matrix(path, sections, name):
+    """A matrix block: every row as long as the first."""
+    rows = sections[name]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise CsvParseError(f"{path}: section [{name}] has rows of different lengths")
+    return np.array(rows)
+
+
 def _vector(path, sections, name):
     """A vector block, written as one row or as one column."""
     rows = sections[name]
@@ -104,12 +116,17 @@ def load_scenario(path) -> tuple[RiskScenario, float | None]:
     for required in ("C", "beta"):
         if required not in sections or not sections[required]:
             raise CsvParseError(f"{path}: missing required section [{required}]")
-    C = np.array(sections["C"])
+    C = _matrix(path, sections, "C")
     beta = _vector(path, sections, "beta")
     restriction = None
     if "H" in sections:
         if "h" not in sections or not sections["h"]:
             raise CsvParseError(f"{path}: section [H] present but [h] missing")
-        restriction = LinearRestriction(np.array(sections["H"]), _vector(path, sections, "h"))
-    d = float(meta["d"]) if "d" in meta else None
+        restriction = LinearRestriction(_matrix(path, sections, "H"), _vector(path, sections, "h"))
+    elif "h" in sections:
+        raise CsvParseError(f"{path}: section [h] present but [H] missing")
+    try:
+        d = float(meta["d"]) if "d" in meta else None
+    except ValueError:
+        raise CsvParseError(f"{path}: section [meta] has non-numeric d = {meta['d']!r}") from None
     return RiskScenario(C=C, beta_true=beta, restriction=restriction), d

@@ -1,4 +1,4 @@
-"""Shared random generators for the test and acceptance suites.
+"""Shared random generators and inputs for the test and acceptance suites.
 
 Two scenario families are used throughout:
 
@@ -18,8 +18,20 @@ Two scenario families are used throughout:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from shrinklogit import LinearRestriction, RiskScenario
+
+_C_BETA = "[C]\n3.0,0.0\n0.0,1.0\n[beta]\n1.0,-1.0\n"
+
+#: Malformed scenario files, each with the section its error must name.
+MALFORMED_SCENARIOS = [
+    pytest.param("C", "[C]\n3.0,0.0\n0.0\n[beta]\n1.0,-1.0\n", id="ragged-C"),
+    pytest.param("H", _C_BETA + "[H]\n1.0,0.0\n1.0\n[h]\n1.0,0.0\n", id="ragged-H"),
+    pytest.param("meta", "[meta]\nd = half\n" + _C_BETA, id="non-numeric-d"),
+    pytest.param("h", _C_BETA + "[h]\n1.0\n", id="h-without-H"),
+    pytest.param("Hh", _C_BETA + "[Hh]\n1.0,0.0\n", id="unknown-section"),
+]
 
 
 def random_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:

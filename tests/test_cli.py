@@ -9,7 +9,7 @@ import pytest
 from shrinklogit import RiskScenario, bundled_dataset_path, d_sweep, load_scenario, save_scenario
 from shrinklogit.cli import main
 from shrinklogit.logit import LinearRestriction
-from helpers import random_scenario
+from helpers import MALFORMED_SCENARIOS, random_scenario
 
 BUNDLED = str(bundled_dataset_path())
 
@@ -295,6 +295,27 @@ class TestDominance:
         save_scenario(path, scenario)
         code, _, err = run(capsys, ["dominance", "--scenario-file", str(path)])
         assert code == 1
+
+
+class TestScenarioFileErrors:
+    @pytest.mark.parametrize("section, text", MALFORMED_SCENARIOS)
+    @pytest.mark.parametrize("command", [["risk", "--d-grid", "0.5"], ["dominance", "--d", "0.5"]])
+    def test_malformed_file_exits_one_naming_file_and_section(self, capsys, tmp_path, command, section, text):
+        path = tmp_path / "s.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, command + ["--scenario-file", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}") and f"[{section}]" in err
+
+    @pytest.mark.parametrize(
+        "command", [["risk", "--d-grid", "0.5", "--estimators", "raule"], ["dominance", "--d", "0.5"]]
+    )
+    def test_missing_restriction_hint_points_to_the_file(self, capsys, tmp_path, command):
+        path = tmp_path / "s.txt"
+        save_scenario(path, RiskScenario(np.diag([3.0, 1.0]), np.array([1.0, -1.0])))
+        code, out, err = run(capsys, command + ["--scenario-file", str(path)])
+        assert (code, out) == (1, "")
+        assert err.endswith("\nhint: add [H] and [h] sections to the scenario file\n")
 
 
 class TestSimulate:

@@ -200,3 +200,20 @@ class TestLinearRestriction:
         r = LinearRestriction(np.array([[1.0, 0.0, -2.0]]), np.array([0.5]))
         assert r.q == 1
         assert r.width == 3
+
+    def test_later_edits_by_the_caller_change_nothing(self):
+        H, h = np.array([[1.0, 0.0]]), np.array([1.0])
+        r = LinearRestriction(H, h)
+        null_basis, particular = r.null_basis.copy(), r.particular.copy()
+        H[0] = [0.0, 1.0]
+        h[0] = 5.0
+        assert np.array_equal(r.H, [[1.0, 0.0]]) and np.array_equal(r.h, [1.0])
+        assert np.array_equal(r.null_basis, null_basis)
+        assert np.array_equal(r.particular, particular)
+        assert np.allclose(r.H @ r.null_basis, 0.0)
+
+    @pytest.mark.parametrize("name", ["H", "h", "null_basis", "particular"])
+    def test_arrays_are_read_only(self, name):
+        r = LinearRestriction(np.array([[1.0, -1.0, 0.0]]), np.array([0.5]))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(r, name)[0] = 9.0

@@ -236,6 +236,62 @@ class TestDSweep:
         with pytest.raises(ValueError):
             d_sweep(scenario, ["aule"], [0.5, 1.5])
 
+    def test_kinds_are_case_insensitive(self):
+        scenario = random_scenario(np.random.default_rng(11), 3, 1)
+        kinds = ["mle", "rmle", "le", "rle", "aule", "raule"]
+        upper = d_sweep(scenario, [k.upper() for k in kinds], [0.2, 0.8])
+        lower = d_sweep(scenario, kinds, [0.2, 0.8])
+        assert [(r.d, r.kind, r.mse) for r in upper] == [(r.d, r.kind, r.mse) for r in lower]
+        for a, b in zip(upper, lower):
+            assert np.array_equal(a.report.cov, b.report.cov)
+            assert np.array_equal(a.coefficients, b.coefficients)
+
+
+class TestBuiltOnceAndReadOnly:
+    """A scenario builds its d-independent quantities once and shares them,
+    so neither it nor its reports may change after construction."""
+
+    @staticmethod
+    def scenario_and_inputs():
+        C, beta = np.diag([3.0, 1.0]), np.array([1.0, -1.0])
+        H, h = np.array([[1.0, 0.0]]), np.array([1.0])
+        return RiskScenario(C, beta, LinearRestriction(H, h)), (C, beta, H, h)
+
+    def test_unshrunken_reports_and_spectral_terms_are_built_once(self):
+        scenario, _ = self.scenario_and_inputs()
+        assert risk(scenario, EstimatorSpec("rmle")) is risk(scenario, EstimatorSpec("rmle"))
+        assert risk(scenario, EstimatorSpec("mle")) is risk(scenario, EstimatorSpec("MLE"))
+        assert spectral_risk_terms(scenario) is spectral_risk_terms(scenario)
+        assert scenario.c_inv is risk(scenario, EstimatorSpec("mle")).cov
+        assert scenario.rmle_bias() is risk(scenario, EstimatorSpec("rmle")).bias
+
+    def test_later_edits_by_the_caller_change_nothing(self):
+        scenario, (C, beta, H, h) = self.scenario_and_inputs()
+        before = [risk(scenario, EstimatorSpec(k, 0.5)).mse for k in ("aule", "raule")]
+        C[0, 0], beta[0], H[0, 0], h[0] = 100.0, 5.0, 7.0, 3.0
+        assert np.array_equal(scenario.C, np.diag([3.0, 1.0]))
+        assert np.array_equal(scenario.beta_true, [1.0, -1.0])
+        assert not scenario.restriction_violated()
+        assert np.array_equal(scenario.rmle_bias(), [0.0, 0.0])
+        assert [risk(scenario, EstimatorSpec(k, 0.5)).mse for k in ("aule", "raule")] == before
+
+    def test_writes_into_held_arrays_raise_and_caller_arrays_stay_writable(self):
+        scenario, inputs = self.scenario_and_inputs()
+        terms = spectral_risk_terms(scenario)
+        held = [
+            scenario.C, scenario.beta_true, scenario.A, scenario.c_inv,
+            scenario.decomp.values, scenario.decomp.basis, scenario.rmle_bias(),
+            terms.eigenvalues, terms.a_diag, terms.alpha,
+        ]
+        for kind, d in (("mle", None), ("rmle", None), ("le", 0.5), ("raule", 0.5)):
+            report = risk(scenario, EstimatorSpec(kind, d))
+            held += [report.cov, report.bias]
+        for array in held:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 9.0
+        for array in inputs:
+            array[0] = 9.0
+
 
 class TestLinearizedSamplingOracle:
     def test_empirical_mmse_matches_closed_forms(self):

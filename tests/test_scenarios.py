@@ -1,10 +1,12 @@
 """Scenario file round-trips and parse errors."""
 
+import re
+
 import numpy as np
 import pytest
 
 from shrinklogit import CsvParseError, load_scenario, save_scenario
-from helpers import random_scenario
+from helpers import MALFORMED_SCENARIOS, random_scenario
 
 
 class TestScenarioRoundTrip:
@@ -68,6 +70,13 @@ class TestScenarioErrors:
         path = tmp_path / "s.txt"
         path.write_text("1.0,2.0\n[C]\n1.0\n", encoding="utf-8")
         with pytest.raises(CsvParseError):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("section, text", MALFORMED_SCENARIOS)
+    def test_malformed_file_names_file_and_section(self, tmp_path, section, text):
+        path = tmp_path / "s.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CsvParseError, match=rf"^{re.escape(str(path))}:.*\[{section}\]"):
             load_scenario(path)
 
 

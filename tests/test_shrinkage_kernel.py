@@ -167,6 +167,14 @@ class TestKernelAgainstLoop:
         with pytest.raises(ValueError):
             shrinkage_estimates(fit, ["aule"], [0.5, 1.5])
 
+    def test_kinds_are_case_insensitive(self):
+        rng = np.random.default_rng(4)
+        fit = synthetic_fit(np.diag([5.0, 2.0, 0.1]), rng.standard_normal(3))
+        restriction = LinearRestriction(np.array([[1.0, -1.0, 0.0]]), np.zeros(1))
+        upper = shrinkage_estimates(fit, [k.upper() for k in KINDS], [0.2, 0.7], restriction)
+        lower = shrinkage_estimates(fit, KINDS, [0.2, 0.7], restriction)
+        assert np.array_equal(upper, lower)
+
     def test_estimate_is_one_kernel_cell(self):
         rng = np.random.default_rng(3)
         fit = synthetic_fit(np.diag([5.0, 2.0, 0.1]), rng.standard_normal(3))
