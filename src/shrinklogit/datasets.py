@@ -4,6 +4,11 @@ The input format is RFC-4180-style comma separated text, UTF-8, with a
 '.' decimal separator and an optional header row. Missing values are a
 hard error; every parse failure is reported with its 1-based row (and
 column) number.
+
+A well-formed file (unquoted numbers of one width, a header line that is
+neither blank nor quoted, responses in {0, 1}) is read in one vectorised
+``np.loadtxt`` pass. Every other file, and so every error, goes through
+a field-by-field ``csv.reader`` loop, which reads the same values.
 """
 
 from __future__ import annotations
@@ -71,6 +76,12 @@ def load_csv(
     column name. With ``intercept`` a constant-1 column is prepended to
     the predictors.
 
+    A well-formed file is read in one vectorised pass: every line after
+    the header is unquoted numbers of one width, the header line is
+    neither blank nor quoted and as wide as the body, and every response
+    is 0 or 1. Any other file goes through the field-by-field loop, which
+    is the one source of the errors below and reads the same values.
+
     Raises
     ------
     CsvParseError
@@ -79,6 +90,57 @@ def load_csv(
     NonBinaryResponseError
         If a response value parses to something other than 0 or 1.
     """
+    columns = _read_vectorised(path, header, response_column)
+    if columns is None:
+        columns = _read_checked(path, header, response_column)
+    x, y = columns
+    if intercept:
+        x = np.column_stack([np.ones(len(y)), x])
+    return Dataset(X=x, y=y, has_intercept=intercept)
+
+
+def _read_vectorised(path, header, response_column):
+    """(predictors, response) of a well-formed file from one ``np.loadtxt``
+    pass, or None for any file it cannot vouch for.
+
+    Lines are split as ``csv.reader`` splits unquoted text, so a file
+    read here gives the arrays :func:`_read_checked` would give.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
+    except UnicodeDecodeError:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None  # csv.reader refuses such a field
+    names = None
+    if header:
+        first = lines.pop(0)
+        if not first or '"' in first:
+            return None
+        names = [field.strip() for field in first.split(",")]
+    if not any(lines):
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    ncols = table.shape[1]
+    if ncols < 2 or (header and len(names) != ncols):
+        return None
+    try:
+        response_index = _resolve_response(response_column, names, ncols, header)
+    except CsvParseError:
+        return None
+    y = table[:, response_index].copy()
+    if not np.all((y == 0.0) | (y == 1.0)):
+        return None
+    return np.delete(table, response_index, axis=1), y
+
+
+def _read_checked(path, header, response_column):
+    """(predictors, response) parsed field by field, raising the first
+    problem found with its row and column."""
     with open(path, newline="", encoding="utf-8") as handle:
         raw = [(lineno, row) for lineno, row in enumerate(csv.reader(handle), start=1) if row]
     if not raw:
@@ -127,9 +189,7 @@ def load_csv(
             else:
                 x[i, k] = value
                 k += 1
-    if intercept:
-        x = np.column_stack([np.ones(len(raw)), x])
-    return Dataset(X=x, y=y, has_intercept=intercept)
+    return x, y
 
 
 def save_csv(data: Dataset, path):
@@ -137,17 +197,21 @@ def save_csv(data: Dataset, path):
 
     The intercept column, if present, is omitted so that reading the
     file back with the same ``intercept`` flag reproduces the dataset.
-    Floats are written with full round-trip precision.
+    Floats are written with full round-trip precision (``repr``), in the
+    bytes ``csv.writer`` would write: no field ever needs quoting, and
+    lines end in CRLF.
     """
     x = data.X[:, 1:] if data.has_intercept else data.X
+    names = ["y"] + [f"x{j + 1}" for j in range(x.shape[1])]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["y"] + [f"x{j + 1}" for j in range(x.shape[1])])
-        for yi, row in zip(data.y, x):
-            writer.writerow([repr(int(yi))] + [repr(float(v)) for v in row])
+        handle.write(",".join(names) + "\r\n")
+        handle.writelines(
+            ",".join([repr(int(yi)), *map(repr, row)]) + "\r\n"
+            for yi, row in zip(data.y.tolist(), x.tolist())
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagnosticsReport:
     """Collinearity diagnostics for the predictor columns.
 

@@ -29,7 +29,8 @@ where L is the shrinkage operator, A the restricted dispersion kernel,
 and b1 = (L - I) beta the shared shrinkage bias. The matrix checks take
 b1 and LAL from the RAULE risk report (its bias and covariance), T3.3
 takes ACA from the RMLE report's covariance, and T3.7 builds L with the
-same smoother function as the risk module.
+same smoother function as the risk module. :func:`check_all` builds the
+RAULE report once per d and shares it between the checks.
 
 The scalar conditions of T3.4/T3.6 compare
 (lam_1 + d)(lam_1 + 2 - d) / (1 - d)^2 against
@@ -129,6 +130,10 @@ def _matrix_verdict(theorem, scenario, d, dispersion, raule, applicable, side) -
     )
 
 
+def _raule(scenario: RiskScenario, d: float):
+    return risk(scenario, EstimatorSpec("raule", d))
+
+
 def check_t33(scenario: RiskScenario, d: float) -> DominanceVerdict:
     """RAULE vs RMLE in the matrix MSE order (necessary and sufficient).
 
@@ -138,7 +143,10 @@ def check_t33(scenario: RiskScenario, d: float) -> DominanceVerdict:
     equivalent to the matrix MSE difference Delta1 = ACA - LAL - b1 b1'
     being nonnegative definite. Delta1 is always checked directly too.
     """
-    raule = risk(scenario, EstimatorSpec("raule", d))
+    return _t33(scenario, d, _raule(scenario, d))
+
+
+def _t33(scenario, d, raule) -> DominanceVerdict:
     aca = risk(scenario, EstimatorSpec("rmle")).cov
     ratio = lambda_max_ratio(raule.cov, aca)
     range_ok = in_range(raule.cov, aca)
@@ -164,11 +172,10 @@ def _scalar_condition(scenario: RiskScenario, d: float):
     return lam1, lhs, rhs, min_positive_a, max_alpha_sq
 
 
-def _scalar_verdict(scenario, d, theorem, baseline_kind) -> DominanceVerdict:
+def _scalar_verdict(scenario, d, raule, theorem, baseline_kind) -> DominanceVerdict:
     lam1, lhs, rhs, min_a, max_alpha_sq = _scalar_condition(scenario, d)
     baseline = risk(scenario, EstimatorSpec(baseline_kind))
-    shrunk = risk(scenario, EstimatorSpec("raule", d))
-    delta = baseline.mse - shrunk.mse
+    delta = baseline.mse - raule.mse
     return DominanceVerdict(
         theorem=theorem,
         applicable=True,
@@ -193,7 +200,7 @@ def check_t34(scenario: RiskScenario, d: float) -> DominanceVerdict:
     Under a full restriction (q = m) A = 0, so no a_ii is positive: the
     bound's right side is 0 and ``condition_holds`` is false.
     """
-    return _scalar_verdict(scenario, d, "T3.4", "rmle")
+    return _scalar_verdict(scenario, d, _raule(scenario, d), "T3.4", "rmle")
 
 
 def check_t35(scenario: RiskScenario, d: float) -> DominanceVerdict:
@@ -204,7 +211,10 @@ def check_t35(scenario: RiskScenario, d: float) -> DominanceVerdict:
     criterion b1'(C^-1 - LAL)^+ b1 <= 1 is equivalent to
     Delta3 = C^-1 - LAL - b1 b1' being nonnegative definite.
     """
-    raule = risk(scenario, EstimatorSpec("raule", d))
+    return _t35(scenario, d, _raule(scenario, d))
+
+
+def _t35(scenario, d, raule) -> DominanceVerdict:
     dec = scenario.decomp
     half = dec.basis * np.sqrt(np.maximum(dec.values, 0.0))
     core = half.T @ raule.cov @ half
@@ -216,7 +226,7 @@ def check_t35(scenario: RiskScenario, d: float) -> DominanceVerdict:
 
 def check_t36(scenario: RiskScenario, d: float) -> DominanceVerdict:
     """RAULE vs MLE in scalar MSE: same bound as T3.4, direct difference vs MLE."""
-    return _scalar_verdict(scenario, d, "T3.6", "mle")
+    return _scalar_verdict(scenario, d, _raule(scenario, d), "T3.6", "mle")
 
 
 def check_t37(scenario: RiskScenario, d: float) -> DominanceVerdict:
@@ -242,9 +252,11 @@ def check_t37(scenario: RiskScenario, d: float) -> DominanceVerdict:
 def check_c31(scenario: RiskScenario, d: float) -> DominanceVerdict:
     """RAULE vs AULE in scalar MSE, the trace consequence of the matrix order."""
     scenario._require_restriction("this dominance check")
-    aule = risk(scenario, EstimatorSpec("aule", d))
-    raule = risk(scenario, EstimatorSpec("raule", d))
-    delta = aule.mse - raule.mse
+    return _c31(scenario, d, _raule(scenario, d))
+
+
+def _c31(scenario, d, raule) -> DominanceVerdict:
+    delta = risk(scenario, EstimatorSpec("aule", d)).mse - raule.mse
     return DominanceVerdict(
         theorem="C3.1",
         applicable=True,
@@ -255,12 +267,13 @@ def check_c31(scenario: RiskScenario, d: float) -> DominanceVerdict:
 
 
 def check_all(scenario: RiskScenario, d: float) -> list[DominanceVerdict]:
-    """All six checks in report order."""
+    """All six checks in report order, sharing one RAULE report."""
+    raule = _raule(scenario, d)
     return [
-        check_t33(scenario, d),
-        check_t34(scenario, d),
-        check_t35(scenario, d),
-        check_t36(scenario, d),
+        _t33(scenario, d, raule),
+        _scalar_verdict(scenario, d, raule, "T3.4", "rmle"),
+        _t35(scenario, d, raule),
+        _scalar_verdict(scenario, d, raule, "T3.6", "mle"),
         check_t37(scenario, d),
-        check_c31(scenario, d),
+        _c31(scenario, d, raule),
     ]

@@ -94,7 +94,7 @@ class EstimatorSpec:
         return f"{self.kind.upper()}(d={self.d:g})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Estimate:
     """Coefficient vector produced by one estimator."""
 

@@ -77,7 +77,7 @@ def symmetrize(matrix) -> NDArray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomp:
     """Eigendecomposition of a symmetric matrix with eigenvalues descending.
 

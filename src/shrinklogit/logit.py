@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Design matrix and binary response.
 
@@ -97,7 +97,7 @@ class FitOptions:
             raise ValueError("prob_clip must be in (0, 0.5)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FittedLogit:
     """Converged IRLS state.
 
@@ -118,7 +118,7 @@ class FittedLogit:
     final_step: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearRestriction:
     """Linear equality constraints H beta = h.
 
@@ -133,8 +133,8 @@ class LinearRestriction:
 
     H: NDArray
     h: NDArray
-    null_basis: NDArray = field(init=False, repr=False, compare=False)
-    particular: NDArray = field(init=False, repr=False, compare=False)
+    null_basis: NDArray = field(init=False, repr=False)
+    particular: NDArray = field(init=False, repr=False)
 
     def __post_init__(self):
         H = np.atleast_2d(np.array(self.H, dtype=float))

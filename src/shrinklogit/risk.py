@@ -103,7 +103,7 @@ def _dispersion(C: NDArray, restriction: LinearRestriction) -> NDArray:
     return symmetrize(null_basis @ np.linalg.solve(core, null_basis.T))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiskScenario:
     """Ground truth for exact risk evaluation.
 
@@ -177,7 +177,7 @@ class RiskScenario:
         return self._rmle.bias
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiskReport:
     """Risk of one estimator at one scenario.
 
@@ -252,7 +252,7 @@ def spectral_risk_terms(scenario: RiskScenario) -> SpectralRiskTerms:
     return scenario._terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepRow:
     """One (d, estimator) cell of a risk sweep.
 

@@ -16,9 +16,10 @@ labeled blocks of comma separated numeric rows:
     0.0
 
 Blocks C and beta are required; H and h come together and are optional.
-The matrices C and H have rows of one length; the vectors beta and h are
-each one row or one column of numbers. Any other section, a non-numeric
-d, or a malformed block raises CsvParseError naming the file and section.
+The matrices C and H have rows of one length, and C is square; the
+vectors beta and h are each one row or one column of numbers. Any other
+section, a section given twice, a non-numeric d, or a malformed or empty
+block raises CsvParseError naming the file and section.
 Lines starting with '#' are comments. Numbers are written with full
 round-trip precision so write-then-read is exact.
 """
@@ -58,6 +59,7 @@ def save_scenario(path, scenario: RiskScenario, d: float | None = None):
 def _parse_blocks(path):
     sections: dict[str, list[list[float]]] = {}
     meta: dict[str, str] = {}
+    seen: set[str] = set()
     current = None
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -68,8 +70,11 @@ def _parse_blocks(path):
                 current = text[1:-1].strip()
                 if current not in ("meta", "C", "beta", "H", "h"):
                     raise CsvParseError(f"{path}:{lineno}: unknown section [{current}]", row=lineno)
+                if current in seen:
+                    raise CsvParseError(f"{path}:{lineno}: section [{current}] given twice", row=lineno)
+                seen.add(current)
                 if current != "meta":
-                    sections.setdefault(current, [])
+                    sections[current] = []
                 continue
             if current is None:
                 raise CsvParseError(
@@ -93,8 +98,10 @@ def _parse_blocks(path):
 
 
 def _matrix(path, sections, name):
-    """A matrix block: every row as long as the first."""
+    """A matrix block: at least one row, every row as long as the first."""
     rows = sections[name]
+    if not rows:
+        raise CsvParseError(f"{path}: section [{name}] has no rows")
     if any(len(row) != len(rows[0]) for row in rows):
         raise CsvParseError(f"{path}: section [{name}] has rows of different lengths")
     return np.array(rows)
@@ -117,6 +124,8 @@ def load_scenario(path) -> tuple[RiskScenario, float | None]:
         if required not in sections or not sections[required]:
             raise CsvParseError(f"{path}: missing required section [{required}]")
     C = _matrix(path, sections, "C")
+    if C.shape[0] != C.shape[1]:
+        raise CsvParseError(f"{path}: section [C] must be square, got {C.shape[0]} rows of {C.shape[1]}")
     beta = _vector(path, sections, "beta")
     restriction = None
     if "H" in sections:

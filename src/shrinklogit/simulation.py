@@ -219,7 +219,7 @@ class SimulationCell:
     std_error: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
     """Per-cell estimated MSE with Monte Carlo standard errors.
 

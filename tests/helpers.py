@@ -31,6 +31,9 @@ MALFORMED_SCENARIOS = [
     pytest.param("meta", "[meta]\nd = half\n" + _C_BETA, id="non-numeric-d"),
     pytest.param("h", _C_BETA + "[h]\n1.0\n", id="h-without-H"),
     pytest.param("Hh", _C_BETA + "[Hh]\n1.0,0.0\n", id="unknown-section"),
+    pytest.param("H", _C_BETA + "[H]\n[h]\n1.0\n", id="H-without-rows"),
+    pytest.param("C", "[C]\n3.0,0.0,1.0\n0.0,1.0,2.0\n[beta]\n1.0,-1.0\n", id="non-square-C"),
+    pytest.param("C", _C_BETA + "[C]\n1.0,0.0\n0.0,1.0\n", id="C-given-twice"),
 ]
 
 

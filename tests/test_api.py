@@ -3,15 +3,18 @@
 ``shrinklogit/__init__.py`` keeps two parallel lists, its imports and its
 ``__all__``; these tests catch an entry left in one after a name is
 removed from the other, or from the module that defined it. A last test
-checks that every error a public docstring says is raised still exists.
+checks that every error a public docstring says is raised still exists,
+and the last ones that every dataclass holding arrays compares by identity.
 """
 
 import builtins
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 import re
 
+import numpy as np
 import pytest
 
 import shrinklogit
@@ -86,3 +89,44 @@ def test_documented_errors_exist():
         if not hasattr(errors, error) and not hasattr(builtins, error)
     ]
     assert unknown == []
+
+
+def _array_dataclasses():
+    for module_name in SUBMODULES:
+        module = importlib.import_module(f"shrinklogit.{module_name}")
+        for obj in vars(module).values():
+            if (
+                inspect.isclass(obj)
+                and dataclasses.is_dataclass(obj)
+                and obj.__module__ == module.__name__
+                and any("NDArray" in str(f.type) for f in dataclasses.fields(obj))
+            ):
+                yield obj
+
+
+def test_array_dataclasses_compare_by_identity():
+    """A generated __eq__ would compare array fields as tuples, and numpy
+    refuses the truth value of an elementwise comparison."""
+    classes = list(_array_dataclasses())
+    assert {"LinearRestriction", "RiskScenario", "RiskReport"} <= {cls.__qualname__ for cls in classes}
+    assert [cls.__qualname__ for cls in classes if "__eq__" in vars(cls)] == []
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: shrinklogit.LinearRestriction([[1.0, 0.0]], [1.0]), id="LinearRestriction"),
+        pytest.param(lambda: shrinklogit.RiskScenario(np.eye(2), np.zeros(2)), id="RiskScenario"),
+        pytest.param(
+            lambda: shrinklogit.risk(
+                shrinklogit.RiskScenario(np.eye(2), np.ones(2)), shrinklogit.EstimatorSpec("aule", 0.5)
+            ),
+            id="RiskReport",
+        ),
+    ],
+)
+def test_equality_is_a_bool(make):
+    a, b = make(), make()
+    assert (a == b) is False and (a != b) is True
+    assert (a == a) is True
+    assert len({a, b, a}) == 2

@@ -1,7 +1,12 @@
 """CSV ingestion, serialization round-trips, and collinearity diagnostics."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shrinklogit import (
     ConstantColumnError,
@@ -12,13 +17,167 @@ from shrinklogit import (
     load_csv,
     save_csv,
 )
+from shrinklogit import datasets
 from shrinklogit.logit import Dataset
 
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode("utf-8"))
     return path
+
+
+def assert_same_array(actual, expected):
+    """Same dtype, shape and bits (so -0.0 and 0.0 differ), C order."""
+    expected = np.ascontiguousarray(expected, dtype=float)
+    assert actual.dtype == np.float64 and actual.flags.c_contiguous
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+#: (text, load_csv keywords, predictors, response) read with intercept=False.
+PINNED_LOADS = [
+    pytest.param('y,x\n"1","0.5"\n0,"-0.5"\n', {}, [[0.5], [-0.5]], [1, 0], id="quoted-fields"),
+    pytest.param('"y","x"\n1,0.5\n0,2\n', {}, [[0.5], [2]], [1, 0], id="quoted-header"),
+    pytest.param('"y",y\n1,0\n0,1\n', {"response_column": "y"}, [[0], [1]], [1, 0], id="quoted-header-name"),
+    pytest.param(" y , x \n 1 , 0.5 \n0 ,-0.5\n", {"response_column": "y"}, [[0.5], [-0.5]], [1, 0], id="surrounding-spaces"),
+    pytest.param("y,x\n\t1\t,\xa00.25\xa0\n0,\t2\n", {}, [[0.25], [2]], [1, 0], id="tabs-and-nbsp"),
+    pytest.param("y,#x\n1,0.5\n0,1\n", {}, [[0.5], [1]], [1, 0], id="hash-in-header"),
+    pytest.param("y,x\n\n1,0.5\n\n\n0,-0.5\n\n", {}, [[0.5], [-0.5]], [1, 0], id="blank-lines"),
+    pytest.param("\n\ny,x\n1,0.5\n0,-0.5\n", {}, [[0.5], [-0.5]], [1, 0], id="blank-lines-before-header"),
+    pytest.param("y,x\r\n1,0.5\r\n0,-0.5\r\n", {}, [[0.5], [-0.5]], [1, 0], id="crlf"),
+    pytest.param("y,x\r1,0.5\r0,-0.5\r", {}, [[0.5], [-0.5]], [1, 0], id="bare-cr"),
+    pytest.param("y,x\n1,0.5\n0,1", {}, [[0.5], [1]], [1, 0], id="no-final-newline"),
+    pytest.param("y,x\n1,1_000\n0,2\n", {}, [[1000], [2]], [1, 0], id="underscores"),
+    pytest.param("y,x\n1,-0.0\n0,1\n", {}, [[-0.0], [1]], [1, 0], id="negative-zero"),
+    pytest.param("y,x\n1,1e-320\n0,1\n", {}, [[1e-320], [1]], [1, 0], id="subnormal"),
+    pytest.param("1,0.5\n0,1\n1,2\n", {}, [[1], [2]], [0, 1], id="numeric-header-row"),
+    pytest.param("y,x\n-0.0,0.5\n1,1\n", {}, [[0.5], [1]], [-0.0, 1], id="negative-zero-response"),
+    pytest.param("a,outcome,b\n0.1,1,2\n0.2,0,3\n", {"response_column": "outcome"}, [[0.1, 2], [0.2, 3]], [1, 0], id="named-response"),
+    pytest.param("a,outcome,b\n0.1,1,2\n0.2,0,3\n", {"response_column": 1}, [[0.1, 2], [0.2, 3]], [1, 0], id="indexed-response"),
+    pytest.param("x,y\n0.5,1\n-0.5,0\n", {"response_column": -1}, [[0.5], [-0.5]], [1, 0], id="negative-response-index"),
+    pytest.param("1,0.5\n0,-0.5\n", {"header": False}, [[0.5], [-0.5]], [1, 0], id="headerless"),
+    pytest.param("y,x,z\n1,0.5\n0,1\n", {}, [[0.5], [1]], [1, 0], id="header-wider-than-body"),
+]
+
+#: (text, load_csv keywords, error type, message with {path}, row, column).
+PINNED_ERRORS = [
+    pytest.param('y,x\n1,"0,5"\n', {}, CsvParseError, "row 2, column 2: cannot parse '0,5' as a number", 2, 2, id="quoted-comma"),
+    pytest.param("y,x\n1,0.5 # note\n0,1\n", {}, CsvParseError, "row 2, column 2: cannot parse '0.5 # note' as a number", 2, 2, id="hash-in-field"),
+    pytest.param("y,x\n1,\n0,1\n", {}, CsvParseError, "row 2, column 2: missing value", 2, 2, id="empty-field"),
+    pytest.param("y,x\n1, \t\n0,1\n", {}, CsvParseError, "row 2, column 2: missing value", 2, 2, id="blank-field"),
+    pytest.param("y,x\n1,0.5\n0,1.0,7.0\n", {}, CsvParseError, "row 3: expected 2 fields, got 3", 3, None, id="ragged-row"),
+    pytest.param("y,x\n1,0.5\n  \n0,1\n", {}, CsvParseError, "row 3: expected 2 fields, got 1", 3, None, id="whitespace-only-line"),
+    pytest.param("\ny,x\n\n1,oops\n", {}, CsvParseError, "row 4, column 2: cannot parse 'oops' as a number", 4, 2, id="rows-count-blank-lines"),
+    pytest.param("y,x\r\n1,0.5\r\n0,x\r\n", {}, CsvParseError, "row 3, column 2: cannot parse 'x' as a number", 3, 2, id="crlf-error"),
+    pytest.param("y,x\n1,nan\n0,1\n", {}, ValueError, "X has non-finite entries", None, None, id="nan-predictor"),
+    pytest.param("y,x\n1,inf\n0,1\n", {}, ValueError, "X has non-finite entries", None, None, id="inf-predictor"),
+    pytest.param("y,x\n1,-Infinity\n0,1\n", {}, ValueError, "X has non-finite entries", None, None, id="minus-infinity-predictor"),
+    pytest.param("y,x\nnan,0.5\n0,1\n", {}, NonBinaryResponseError, "row 2: response value 'nan' is not 0 or 1", 2, 1, id="nan-response"),
+    pytest.param("y,x\n1,0.5\n 2 ,1\n", {}, NonBinaryResponseError, "row 3: response value ' 2 ' is not 0 or 1", 3, 1, id="response-two"),
+    pytest.param("y,x\n2,oops\n", {}, NonBinaryResponseError, "row 2: response value '2' is not 0 or 1", 2, 1, id="response-before-later-field"),
+    pytest.param("y,x\n1,0.5\n0,1\n", {"response_column": 2}, CsvParseError, "response column index 2 out of range for 2 columns", None, None, id="index-out-of-range"),
+    pytest.param("y,x\n1,0.5\n0,1\n", {"response_column": -3}, CsvParseError, "response column index -3 out of range for 2 columns", None, None, id="negative-index-out-of-range"),
+    pytest.param("y,x\n1,0.5\n0,1\n", {"response_column": "outcome"}, CsvParseError, "response column 'outcome' not found in header ['y', 'x']", None, None, id="name-not-in-header"),
+    pytest.param("1,0.5\n0,1\n", {"header": False, "response_column": "y"}, CsvParseError, "response column 'y' named but the file has no header", None, None, id="name-without-header"),
+    pytest.param("", {}, CsvParseError, "{path}: file contains no data rows", None, None, id="empty-file"),
+    pytest.param("\n\r\n\n", {}, CsvParseError, "{path}: file contains no data rows", None, None, id="blank-file"),
+    pytest.param("y,x\n\n", {}, CsvParseError, "{path}: file contains a header but no data rows", None, None, id="header-only"),
+    pytest.param("y\n1\n0\n", {}, CsvParseError, "{path}: need a response and at least one predictor column", None, None, id="single-column"),
+]
+
+
+class TestLoadCsvSemantics:
+    """What load_csv reads or refuses, value for value and error for error."""
+
+    @pytest.mark.parametrize("text, kwargs, x, y", PINNED_LOADS)
+    def test_reads(self, tmp_path, text, kwargs, x, y):
+        data = load_csv(write(tmp_path, text), intercept=False, **kwargs)
+        assert_same_array(data.X, x)
+        assert_same_array(data.y, y)
+
+    @pytest.mark.parametrize("text, kwargs, error, message, row, column", PINNED_ERRORS)
+    def test_refuses(self, tmp_path, text, kwargs, error, message, row, column):
+        path = write(tmp_path, text)
+        with pytest.raises(error) as excinfo:
+            load_csv(path, **kwargs)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message.format(path=path)
+        assert getattr(excinfo.value, "row", None) == row
+        assert getattr(excinfo.value, "column", None) == column
+
+    def test_intercept_is_stacked_first(self, tmp_path):
+        data = load_csv(write(tmp_path, "x,y\n0.5,1\n-0.5,0\n"), response_column="y")
+        assert_same_array(data.X, [[1.0, 0.5], [1.0, -0.5]])
+        assert_same_array(data.y, [1.0, 0.0])
+
+
+#: Fields for random CSV text, from well-formed numbers to what only the
+#: field-by-field loop reads or refuses.
+FIELDS = ["0", "1", "-0.0", "0.5", "-1.5e3", "1e-320", "1e400", "nan", "inf", "1_000", "", " ", " 1 ",
+          "\xa01", "\t0", '"1"', '"y"', '"0,5"', "#", "1#", "x", "y", "2", "\u0661"]
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(1, 4))
+    lines = draw(
+        st.lists(
+            st.one_of(
+                st.lists(st.sampled_from(["0", "1", "0.25", "-3.5"]), min_size=width, max_size=width),
+                st.lists(st.sampled_from(FIELDS), min_size=0, max_size=width + 1),
+            ),
+            max_size=6,
+        )
+    )
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    return "".join(",".join(fields) + end for fields, end in zip(lines, ends))
+
+
+class TestVectorisedPass:
+    """The one-pass reader either reads what the loop reads or steps aside."""
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_texts(), st.booleans(), st.sampled_from([0, 1, -1, 3, "y", "x1"]))
+    def test_agrees_with_the_loop(self, tmp_path, text, header, response_column):
+        path = write(tmp_path, text)
+        fast = datasets._read_vectorised(path, header, response_column)
+        try:
+            expected = datasets._read_checked(path, header, response_column)
+        except CsvParseError:
+            assert fast is None
+            return
+        if fast is not None:
+            for got, want in zip(fast, expected):
+                assert_same_array(got, want)
+
+    @pytest.mark.parametrize(
+        "text, response_column",
+        [
+            pytest.param("y,x\n1,oops\n0,1\n", 0, id="parse-error"),
+            pytest.param("\ny,x\n1,0.5\n0,1\n", 0, id="blank-first-line"),
+            pytest.param('"y",x\n1,0.5\n0,1\n', 0, id="quoted-first-line"),
+            pytest.param("y,x,z\n1,0.5\n0,1\n", 0, id="header-wider-than-body"),
+            pytest.param("y,x\n1,0.5\n2,1\n", 0, id="non-binary-response"),
+            pytest.param("y,x\n1,0.5\n0,1\n", "outcome", id="unknown-response-name"),
+            pytest.param("y,x\n1,0.5\n0,1\n", 2, id="response-index-out-of-range"),
+            pytest.param("y,x\n1,0." + "0" * csv.field_size_limit() + "\n0,1\n", 0, id="field-over-csv-limit"),
+        ],
+    )
+    def test_steps_aside(self, tmp_path, text, response_column):
+        assert datasets._read_vectorised(write(tmp_path, text), True, response_column) is None
+
+    def test_written_files_never_reach_the_loop(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the field-by-field loop ran")
+
+        monkeypatch.setattr(datasets, "_read_checked", refuse)
+        bundled = load_csv(bundled_dataset_path())
+        path = tmp_path / "copy.csv"
+        save_csv(bundled, path)
+        back = load_csv(path)
+        assert_same_array(back.X, bundled.X)
+        assert_same_array(back.y, bundled.y)
 
 
 class TestLoadCsv:
@@ -104,6 +263,54 @@ class TestLoadCsv:
         save_csv(data, out)
         back = load_csv(out)
         assert np.array_equal(back.X, data.X)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_round_trip_is_exact_on_any_finite_float(self, tmp_path, data):
+        m = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(m, 8))
+        values = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+        )
+        x = np.array(data.draw(st.lists(values, min_size=n * m, max_size=n * m))).reshape(n, m)
+        y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+        path = tmp_path / "round.csv"
+        save_csv(Dataset(x, y), path)
+        back = load_csv(path, intercept=False)
+        assert_same_array(back.X, x)
+        assert_same_array(back.y, y)
+
+
+def csv_writer_reference(data):
+    """The bytes csv.writer writes for a dataset, response first."""
+    x = data.X[:, 1:] if data.has_intercept else data.X
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["y"] + [f"x{j + 1}" for j in range(x.shape[1])])
+    for yi, row in zip(data.y, x):
+        writer.writerow([repr(int(yi))] + [repr(float(v)) for v in row])
+    return out.getvalue().encode("utf-8")
+
+
+class TestSaveCsv:
+    @pytest.mark.parametrize("has_intercept", [False, True])
+    def test_bytes_match_csv_writer(self, tmp_path, has_intercept):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((12, 3)) * 10.0 ** rng.integers(-300, 300, size=(12, 3))
+        x[0, :] = [-0.0, 5e-324, 1e308]
+        if has_intercept:
+            x[:, 0] = 1.0
+        data = Dataset(x, (rng.random(12) < 0.5).astype(float), has_intercept=has_intercept)
+        path = tmp_path / "out.csv"
+        save_csv(data, path)
+        assert path.read_bytes() == csv_writer_reference(data)
+
+    def test_intercept_only_dataset(self, tmp_path):
+        data = Dataset(np.ones((2, 1)), np.array([1.0, 0.0]), has_intercept=True)
+        path = tmp_path / "out.csv"
+        save_csv(data, path)
+        assert path.read_bytes() == csv_writer_reference(data) == b"y\r\n1\r\n0\r\n"
 
 
 class TestDiagnostics:
