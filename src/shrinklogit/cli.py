@@ -19,16 +19,15 @@ import numpy as np
 from .datasets import diagnostics, load_csv
 from .dominance import check_all
 from .errors import (
-    CsvParseError,
     MissingRestrictionError,
     NotConvergedError,
     ShrinkLogitError,
 )
 # ``estimate`` stays bound here: perfbench's traced run rebinds it by name.
-from .estimators import KINDS, SHRINKAGE_KINDS, estimate, shrinkage_estimates  # noqa: F401
+from .estimators import KINDS, SHRINKAGE_KINDS, _check_request, estimate, shrinkage_estimates  # noqa: F401
 from .logit import FitOptions, LinearRestriction, irls_fit
 from .risk import RiskScenario, d_sweep
-from .scenarios import load_scenario
+from .scenarios import load_scenario, matrix_block, parse_row, vector_block
 from .simulation import (
     TABLE_SUITE_D_GRID,
     TABLE_SUITE_KINDS,
@@ -102,24 +101,18 @@ def _emit(text: str, output: str | None):
         sys.stdout.write(text)
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError:
-        raise CsvParseError(f"cannot parse {text!r} as comma separated numbers") from None
+def _vector_flag(flag: str, text: str) -> list[float]:
+    """A comma separated number flag, read as a scenario-file vector row."""
+    return vector_block([parse_row(text, flag)], flag).tolist()
 
 
-def _parse_matrix(text: str) -> np.ndarray:
-    rows = [r for r in text.split(";") if r.strip() != ""]
-    return np.array([_parse_floats(r) for r in rows])
+def _matrix_flag(flag: str, text: str) -> np.ndarray:
+    """A ';' separated matrix flag, read as a scenario-file matrix block."""
+    return matrix_block([parse_row(row, flag) for row in text.split(";")], flag)
 
 
 def _parse_kinds(text: str) -> list[str]:
-    kinds = [k.strip().lower() for k in text.split(",") if k.strip()]
-    for kind in kinds:
-        if kind not in KINDS:
-            raise ShrinkLogitError(f"unknown estimator {kind!r}, expected one of {KINDS}")
-    return kinds
+    return _check_request([k.strip() for k in text.split(",") if k.strip()])[0]
 
 
 def _restriction_from_args(args) -> LinearRestriction | None:
@@ -133,8 +126,8 @@ def _restriction_from_args(args) -> LinearRestriction | None:
         return scenario.restriction
     if args.H is None:
         return None
-    H = _parse_matrix(args.H)
-    h = np.array(_parse_floats(args.h)) if args.h else np.zeros(H.shape[0])
+    H = _matrix_flag("--H", args.H)
+    h = _vector_flag("--h", args.h) if args.h is not None else np.zeros(H.shape[0])
     return LinearRestriction(H, h)
 
 
@@ -201,7 +194,7 @@ def _max_offdiag(correlation) -> float:
 
 def cmd_estimate(args) -> int:
     kinds = _parse_kinds(args.estimator)
-    d_values = _parse_floats(args.d) if args.d else []
+    d_values = _vector_flag("--d", args.d) if args.d is not None else []
     needs_d = [k for k in kinds if k in SHRINKAGE_KINDS]
     if needs_d and not d_values:
         raise ShrinkLogitError(
@@ -250,9 +243,7 @@ def cmd_risk(args) -> int:
             raise ShrinkLogitError(f"--scenario-file does not take {', '.join(given)}")
     scenario, _, code = _scenario_from_args(args)
     kinds = _parse_kinds(args.estimators)
-    grid = _parse_floats(args.d_grid)
-    if not grid:
-        raise ShrinkLogitError("--d-grid must contain at least one value")
+    grid = _vector_flag("--d-grid", args.d_grid)
     rows_out = []
     sweep = d_sweep(scenario, kinds, grid)
     names = [f"b{j + 1}" for j in range(scenario.m)]
@@ -383,8 +374,8 @@ _TABLE_SUITE_FIXED = ("--n", "--p", "--rho", "--H", "--h", "--restriction-file",
 
 
 def cmd_simulate(args) -> int:
-    d_grid = tuple(_parse_floats(args.d_grid)) if args.d_grid else TABLE_SUITE_D_GRID
-    kinds = tuple(_parse_kinds(args.kinds)) if args.kinds else TABLE_SUITE_KINDS
+    d_grid = tuple(_vector_flag("--d-grid", args.d_grid)) if args.d_grid is not None else TABLE_SUITE_D_GRID
+    kinds = tuple(_parse_kinds(args.kinds)) if args.kinds is not None else TABLE_SUITE_KINDS
     fit_options = _fit_options(args)
     if args.table_suite:
         given = _given(args, _TABLE_SUITE_FIXED)
@@ -476,9 +467,10 @@ def _add_restriction_args(parser):
     parser.add_argument(
         "--H",
         help="restriction rows, ';' separated, e.g. '1,0,-2,1;1,-1,1,-1'"
-        " (columns must match the fitted coefficient count, intercept included)",
+        " (columns must match the fitted coefficient count, intercept included;"
+        " an empty row or item is an error)",
     )
-    parser.add_argument("--h", help="restriction targets, comma separated; default zeros")
+    parser.add_argument("--h", help="restriction targets, comma separated (an empty item is an error); default zeros")
     parser.add_argument(
         "--restriction-file",
         help="scenario-format file whose [H]/[h] sections supply the restriction",
@@ -510,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help=f"comma separated estimator kinds from {', '.join(KINDS)}",
     )
-    p_est.add_argument("--d", help="comma separated biasing parameters in [0, 1]")
+    p_est.add_argument("--d", help="comma separated biasing parameters in [0, 1]; an empty item is an error")
     _add_output_args(p_est)
     p_est.set_defaults(func=cmd_estimate)
 
@@ -523,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p_risk, positional_required=False)
     _add_restriction_args(p_risk)
     p_risk.add_argument("--scenario-file", help="read C, beta (and H, h) from this file")
-    p_risk.add_argument("--d-grid", required=True, help="comma separated d values")
+    p_risk.add_argument("--d-grid", required=True, help="comma separated d values; an empty item is an error")
     p_risk.add_argument(
         "--estimators",
         default="mle,rmle,aule,raule",
@@ -548,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rho", type=float,
         help="degree of correlation between distinct predictors, in [0, 1)",
     )
-    p_sim.add_argument("--d-grid", help="comma separated d values; default the stock grid")
+    p_sim.add_argument("--d-grid", help="comma separated d values (an empty item is an error); default the stock grid")
     p_sim.add_argument("--kinds", help="comma separated estimator kinds; default mle,aule,rmle,raule")
     p_sim.add_argument("--workers", type=int, default=1, help="process pool size")
     # store_true flags default to None so --table-suite can tell them given.

@@ -52,13 +52,11 @@ def _resolve_response(response_column, names, ncols, header):
             raise CsvParseError(
                 f"response column {response_column!r} named but the file has no header"
             )
-        try:
-            return names.index(response_column)
-        except ValueError:
-            raise CsvParseError(
-                f"response column {response_column!r} not found in header {names}"
-            ) from None
-    idx = int(response_column)
+        if response_column not in names:
+            raise CsvParseError(f"response column {response_column!r} not found in header {names}")
+        idx = names.index(response_column)  # a header wider than the body may name a column past it
+    else:
+        idx = int(response_column)
     if not -ncols <= idx < ncols:
         raise CsvParseError(f"response column index {idx} out of range for {ncols} columns")
     return idx % ncols
@@ -85,8 +83,9 @@ def load_csv(
     Raises
     ------
     CsvParseError
-        For ragged rows, empty fields, or non-numeric fields, with the
-        offending 1-based row and column.
+        For ragged rows, empty fields, non-numeric fields, or a field
+        longer than ``csv.field_size_limit()``, with the offending 1-based
+        row (and column); or for a response column outside the data rows.
     NonBinaryResponseError
         If a response value parses to something other than 0 or 1.
     """
@@ -141,8 +140,14 @@ def _read_vectorised(path, header, response_column):
 def _read_checked(path, header, response_column):
     """(predictors, response) parsed field by field, raising the first
     problem found with its row and column."""
+    raw, lineno = [], 0
     with open(path, newline="", encoding="utf-8") as handle:
-        raw = [(lineno, row) for lineno, row in enumerate(csv.reader(handle), start=1) if row]
+        try:
+            for lineno, row in enumerate(csv.reader(handle), start=1):
+                if row:
+                    raw.append((lineno, row))
+        except csv.Error as err:  # such as a field longer than csv.field_size_limit()
+            raise CsvParseError(f"row {lineno + 1}: {err}", row=lineno + 1) from None
     if not raw:
         raise CsvParseError(f"{path}: file contains no data rows")
     names = None

@@ -61,6 +61,26 @@ SHRINKAGE_KINDS = frozenset({"le", "rle", "aule", "raule"})
 RESTRICTED_KINDS = frozenset({"rmle", "rle", "raule"})
 
 
+def _check_request(kinds: Sequence[str], d_grid: Sequence[float] | None = None):
+    """The one check of an estimator request, in pure Python so that an
+    EstimatorSpec stays cheap: (kinds lowercased, d values as floats).
+    ValueError unless there is at least one kind, each in KINDS, and
+    (unless ``d_grid`` is None) at least one d, each in [0, 1]."""
+    kinds = list(map(str.lower, kinds))
+    if not kinds:
+        raise ValueError(f"need at least one estimator kind from {KINDS}")
+    for kind in kinds:
+        if kind not in KINDS:
+            raise ValueError(f"unknown estimator kind {kind!r}, expected one of {KINDS}")
+    d_values = None if d_grid is None else list(map(float, d_grid))
+    if d_values == []:
+        raise ValueError("need at least one biasing parameter d in [0, 1]")
+    for d in d_values or ():
+        if not 0.0 <= d <= 1.0:
+            raise ValueError(f"d must be in [0, 1], got {d}")
+    return kinds, d_values
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
     """Tagged choice of estimator, with the biasing parameter where needed.
@@ -74,19 +94,13 @@ class EstimatorSpec:
     d: float | None = None
 
     def __post_init__(self):
-        kind = self.kind.lower()
-        if kind not in KINDS:
-            raise ValueError(f"unknown estimator kind {self.kind!r}, expected one of {KINDS}")
-        object.__setattr__(self, "kind", kind)
-        if kind in SHRINKAGE_KINDS:
-            if self.d is None:
-                raise ValueError(f"estimator {kind!r} needs a biasing parameter d")
-            d = float(self.d)
-            if not 0.0 <= d <= 1.0:
-                raise ValueError(f"d must be in [0, 1], got {d}")
-            object.__setattr__(self, "d", d)
-        elif self.d is not None:
+        (kind,), d = _check_request([self.kind], None if self.d is None else [self.d])
+        if kind in SHRINKAGE_KINDS and d is None:
+            raise ValueError(f"estimator {kind!r} needs a biasing parameter d")
+        if kind not in SHRINKAGE_KINDS and d is not None:
             raise ValueError(f"estimator {kind!r} takes no biasing parameter")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "d", None if d is None else d[0])
 
     def label(self) -> str:
         if self.d is None:
@@ -199,45 +213,35 @@ def shrinkage_estimates(
 
     Kinds are case-insensitive, as in :class:`EstimatorSpec`.
 
-    Raises ValueError for a d outside [0, 1]. Otherwise the kinds are
-    checked in order, and the first that fails decides the error: for
-    each kind, ValueError if it is unknown, then for restricted kinds
-    MissingRestrictionError and DimensionMismatchError; C is tested for
-    SingularInformationError at the first kind that passes these. A
-    stack raises the error of its first row that fails.
+    Raises ValueError first, before any test of C, if ``kinds`` or
+    ``d_grid`` is empty, a kind is unknown or a d lies outside [0, 1].
+    Then the kinds are checked in order, and the first that fails decides
+    the error: for restricted kinds MissingRestrictionError, then
+    DimensionMismatchError; C is tested for SingularInformationError at
+    the first kind that passes these. A stack raises the error of its
+    first row that fails.
     """
-    kinds = [kind.lower() for kind in kinds]
-    d = np.asarray(d_grid, dtype=float).reshape(-1)
-    if not np.all((0.0 <= d) & (d <= 1.0)):
-        raise ValueError(f"d must be in [0, 1], got {d.tolist()}")
+    kinds, d_values = _check_request(kinds, d_grid)
+    d = np.array(d_values)
     C = np.asarray(fit.C, dtype=float)
     beta = np.asarray(fit.beta_mle, dtype=float)
     single = beta.ndim == 1
     if single:
         C, beta = C[None], beta[None]
     rows, m = beta.shape
-    # Walk the kinds as for one fit. The first error that does not depend
-    # on the fit (``static``) ends the walk; C is tested if a kind passed
-    # before it.
+    # The first restricted kind decides the errors that do not depend on
+    # the fit (``static``); C is tested if they pass or a kind precedes it.
+    first = next((kind for kind in kinds if kind in RESTRICTED_KINDS), None)
     static = None
-    test_c = project = False
-    for kind in kinds:
-        restricted = kind in RESTRICTED_KINDS
-        if kind not in KINDS:
-            static = ValueError(f"unknown estimator kind {kind!r}, expected one of {KINDS}")
-        elif restricted and restriction is None:
-            static = MissingRestrictionError(f"estimator {kind!r} needs a linear restriction (H, h)")
-        elif restricted:
-            try:
-                _check_width(restriction, m)
-            except DimensionMismatchError as err:
-                static = err
-        if static is not None:
-            break
-        test_c = True
-        project = project or restricted
+    if first is not None and restriction is None:
+        static = MissingRestrictionError(f"estimator {first!r} needs a linear restriction (H, h)")
+    elif first is not None:
+        try:
+            _check_width(restriction, m)
+        except DimensionMismatchError as err:
+            static = err
     c_ok = np.ones(rows, dtype=bool)
-    if test_c:
+    if static is None or kinds[0] != first:
         decomp = sym_eigen(C)
         c_ok = positive_definite(decomp.values)
     if static is not None or not c_ok.all():
@@ -245,7 +249,7 @@ def shrinkage_estimates(
         if rows and not c_ok[row]:
             raise definiteness_error(decomp.values[row], "C")
         raise static
-    rmle = _project(C, beta, restriction) if project else None
+    rmle = _project(C, beta, restriction) if first is not None else None
     out = np.empty((rows, len(kinds), d.size, m))
     for i, kind in enumerate(kinds):
         base = rmle if kind in RESTRICTED_KINDS else beta

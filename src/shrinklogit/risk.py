@@ -47,7 +47,7 @@ from numpy.typing import NDArray
 
 from .errors import MissingRestrictionError
 from .estimators import RESTRICTED_KINDS, SHRINKAGE_KINDS, EstimatorSpec, smoother_matrix
-from .estimators import _check_width, _project
+from .estimators import _check_request, _check_width, _project
 from .linalg import SpectralDecomp, _read_only, require_positive_definite, sym_eigen, symmetrize
 from .logit import LinearRestriction
 
@@ -284,14 +284,12 @@ def d_sweep(
 
     Kinds are case-insensitive, as in :class:`EstimatorSpec`. Kinds
     without a biasing parameter (mle, rmle) get one row per d as well so
-    tables stay rectangular; those rows share one report.
+    tables stay rectangular; those rows share one report. ValueError for
+    no kinds, no d, an unknown kind or a d outside [0, 1].
     """
-    kinds = [kind.lower() for kind in kinds]
+    kinds, d_grid = _check_request(kinds, d_grid)
     rows = []
     for d in d_grid:
-        d = float(d)
-        if not 0.0 <= d <= 1.0:
-            raise ValueError(f"d grid values must be in [0, 1], got {d}")
         for kind in kinds:
             spec = EstimatorSpec(kind, d if kind in SHRINKAGE_KINDS else None)
             rows.append(SweepRow(d, spec.kind, risk(scenario, spec), scenario.beta_true))

@@ -22,6 +22,10 @@ section, a section given twice, a non-numeric d, or a malformed or empty
 block raises CsvParseError naming the file and section.
 Lines starting with '#' are comments. Numbers are written with full
 round-trip precision so write-then-read is exact.
+
+The command line reads its number flags (--H, --h, --d, --d-grid) with
+the same :func:`parse_row`, :func:`matrix_block` and :func:`vector_block`;
+their errors name the flag in place of the file and section.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .errors import CsvParseError
 from .logit import LinearRestriction
 from .risk import RiskScenario
 
-__all__ = ["load_scenario", "save_scenario"]
+__all__ = ["load_scenario", "save_scenario", "parse_row", "matrix_block", "vector_block"]
 
 
 def save_scenario(path, scenario: RiskScenario, d: float | None = None):
@@ -88,50 +92,53 @@ def _parse_blocks(path):
                 key, _, value = text.partition("=")
                 meta[key.strip()] = value.strip()
                 continue
-            try:
-                sections[current].append([float(v) for v in text.split(",")])
-            except ValueError:
-                raise CsvParseError(
-                    f"{path}:{lineno}: cannot parse numeric row {text!r}", row=lineno
-                ) from None
+            sections[current].append(parse_row(text, f"{path}:{lineno}", row=lineno))
     return meta, sections
 
 
-def _matrix(path, sections, name):
+def parse_row(text: str, where: str, row: int | None = None) -> list[float]:
+    """Comma separated numbers, every item one (so an empty item is an error)."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise CsvParseError(f"{where}: cannot parse numeric row {text!r}", row=row) from None
+
+
+def matrix_block(rows: list[list[float]], where: str) -> np.ndarray:
     """A matrix block: at least one row, every row as long as the first."""
-    rows = sections[name]
     if not rows:
-        raise CsvParseError(f"{path}: section [{name}] has no rows")
+        raise CsvParseError(f"{where} has no rows")
     if any(len(row) != len(rows[0]) for row in rows):
-        raise CsvParseError(f"{path}: section [{name}] has rows of different lengths")
+        raise CsvParseError(f"{where} has rows of different lengths")
     return np.array(rows)
 
 
-def _vector(path, sections, name):
+def vector_block(rows: list[list[float]], where: str) -> np.ndarray:
     """A vector block, written as one row or as one column."""
-    rows = sections[name]
     if len(rows) == 1:
         return np.array(rows[0])
     if all(len(row) == 1 for row in rows):
         return np.array([row[0] for row in rows])
-    raise CsvParseError(f"{path}: section [{name}] must be one row or one column of numbers")
+    raise CsvParseError(f"{where} must be one row or one column of numbers")
 
 
 def load_scenario(path) -> tuple[RiskScenario, float | None]:
     """Read a scenario file; returns the scenario and the d from [meta], if any."""
     meta, sections = _parse_blocks(path)
+    where = {name: f"{path}: section [{name}]" for name in sections}
     for required in ("C", "beta"):
         if required not in sections or not sections[required]:
             raise CsvParseError(f"{path}: missing required section [{required}]")
-    C = _matrix(path, sections, "C")
+    C = matrix_block(sections["C"], where["C"])
     if C.shape[0] != C.shape[1]:
         raise CsvParseError(f"{path}: section [C] must be square, got {C.shape[0]} rows of {C.shape[1]}")
-    beta = _vector(path, sections, "beta")
+    beta = vector_block(sections["beta"], where["beta"])
     restriction = None
     if "H" in sections:
         if "h" not in sections or not sections["h"]:
             raise CsvParseError(f"{path}: section [H] present but [h] missing")
-        restriction = LinearRestriction(_matrix(path, sections, "H"), _vector(path, sections, "h"))
+        H, h = matrix_block(sections["H"], where["H"]), vector_block(sections["h"], where["h"])
+        restriction = LinearRestriction(H, h)
     elif "h" in sections:
         raise CsvParseError(f"{path}: section [h] present but [H] missing")
     try:

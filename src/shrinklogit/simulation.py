@@ -47,7 +47,7 @@ from .errors import (
 )
 # ``estimate`` and ``irls_fit`` stay bound here: perfbench's traced run
 # rebinds them by name.
-from .estimators import KINDS, _check_width, estimate, shrinkage_estimates  # noqa: F401
+from .estimators import _check_request, _check_width, estimate, shrinkage_estimates  # noqa: F401
 from .logit import FitOptions, FittedLogit, LinearRestriction, irls_fit, irls_stack  # noqa: F401
 
 __all__ = [
@@ -196,17 +196,9 @@ class SimulationConfig:
         if self.p < 2:
             raise ValueError("p must be at least 2")
         _check_width(self.restriction, self.p)
-        d_grid = tuple(float(d) for d in self.d_grid)
-        if not d_grid:
-            raise ValueError("d_grid must be nonempty")
-        if any(not 0.0 <= d <= 1.0 for d in d_grid):
-            raise ValueError("d grid values must lie in [0, 1]")
-        kinds = tuple(k.lower() for k in self.estimator_kinds)
-        unknown = [k for k in kinds if k not in KINDS]
-        if unknown:
-            raise ValueError(f"unknown estimator kinds {unknown}")
-        object.__setattr__(self, "d_grid", d_grid)
-        object.__setattr__(self, "estimator_kinds", kinds)
+        kinds, d_grid = _check_request(self.estimator_kinds, self.d_grid)
+        object.__setattr__(self, "d_grid", tuple(d_grid))
+        object.__setattr__(self, "estimator_kinds", tuple(kinds))
 
 
 @dataclass(frozen=True)

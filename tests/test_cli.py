@@ -6,10 +6,11 @@ import io
 import numpy as np
 import pytest
 
-from shrinklogit import RiskScenario, bundled_dataset_path, d_sweep, load_scenario, save_scenario
+from shrinklogit import KINDS, RiskScenario, bundled_dataset_path, d_sweep, load_scenario, save_scenario
 from shrinklogit.cli import main
 from shrinklogit.logit import LinearRestriction
 from helpers import MALFORMED_SCENARIOS, random_scenario
+from test_datasets import PINNED_ERRORS
 
 BUNDLED = str(bundled_dataset_path())
 
@@ -118,10 +119,10 @@ class TestEstimate:
         assert [r[1] for r in rows] == ["0.1", "0.5"]
 
     def test_stock_restriction_string_parses(self, capsys, tmp_path):
-        from shrinklogit.cli import _parse_matrix
+        from shrinklogit.cli import _matrix_flag
         from shrinklogit.simulation import default_restriction
 
-        parsed = _parse_matrix("1,0,-2,1;1,-1,1,-1")
+        parsed = _matrix_flag("--H", "1,0,-2,1;1,-1,1,-1")
         np.testing.assert_array_equal(parsed, default_restriction(4).H)
 
     def test_missing_restriction_exits_one_with_hint(self, capsys):
@@ -147,6 +148,7 @@ class TestEstimate:
             ["estimate", BUNDLED, "--no-intercept", "--estimator", "ridge"],
         )
         assert code == 1
+        assert err == f"error: unknown estimator kind 'ridge', expected one of {KINDS}\n"
 
 
 class TestRisk:
@@ -295,6 +297,74 @@ class TestDominance:
         save_scenario(path, scenario)
         code, _, err = run(capsys, ["dominance", "--scenario-file", str(path)])
         assert code == 1
+
+
+def assert_one_error_line(code, out, err):
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+#: Number flags no command may accept, as (flag, value); "--d" stands for
+#: the command's d flag.
+BAD_NUMBER_FLAGS = [
+    pytest.param("--H", "1,-1,0,0;0,1", id="ragged-H"),
+    pytest.param("--H", "0,1,,-1,0", id="empty-item-H"),
+    pytest.param("--H", "1,-1,0,0;", id="empty-row-H"),
+    pytest.param("--H", "1,-1,x,0", id="non-number-H"),
+    pytest.param("--h", "0,", id="empty-item-h"),
+    pytest.param("--d", "0.5,", id="empty-item-d"),
+]
+
+#: Each command's arguments and its d flag, for BAD_NUMBER_FLAGS.
+NUMBER_FLAG_COMMANDS = {
+    "estimate": (["estimate", BUNDLED, "--no-intercept", "--estimator", "raule"], "--d"),
+    "risk": (["risk", BUNDLED, "--no-intercept"], "--d-grid"),
+}
+
+
+SIMULATE = ["simulate", "--seed", "3", "--reps", "3", "--n", "50", "--p", "4", "--rho", "0.9"]
+NO_KINDS = f"need at least one estimator kind from {KINDS}"
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("text, kwargs, error, message, row, column", PINNED_ERRORS)
+    def test_malformed_csv_exits_one_with_one_error_line(self, capsys, tmp_path, text, kwargs, error, message, row, column):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        argv = ["fit", str(path)]
+        if kwargs.get("header") is False:
+            argv.append("--no-header")
+        if "response_column" in kwargs:
+            argv.append(f"--response={kwargs['response_column']}")
+        code, out, err = run(capsys, argv)
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {message.format(path=path)}\n"
+
+    @pytest.mark.parametrize("flag, value", BAD_NUMBER_FLAGS)
+    @pytest.mark.parametrize("command", sorted(NUMBER_FLAG_COMMANDS))
+    def test_bad_number_flag_exits_one_naming_the_flag(self, capsys, command, flag, value):
+        argv, d_flag = NUMBER_FLAG_COMMANDS[command]
+        flag = d_flag if flag == "--d" else flag
+        flags = {"--H": "1,-1,0,0;0,1,-1,0", "--h": "0,0", d_flag: "0.5", flag: value}
+        code, out, err = run(capsys, argv + [part for item in flags.items() for part in item])
+        assert_one_error_line(code, out, err)
+        assert err.startswith(f"error: {flag}")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(SIMULATE + ["--d-grid", ""], "--d-grid: cannot parse numeric row ''", id="simulate-d-grid"),
+            pytest.param(SIMULATE + ["--kinds", ""], NO_KINDS, id="simulate-kinds"),
+            pytest.param(SIMULATE[:5] + ["--table-suite", "--kinds", ""], NO_KINDS, id="table-suite-kinds"),
+            pytest.param(["risk", BUNDLED, "--d-grid", "0.5", "--estimators", ""], NO_KINDS, id="risk-estimators"),
+            pytest.param(["estimate", BUNDLED, "--estimator", ","], NO_KINDS, id="estimate-estimator"),
+        ],
+    )
+    def test_empty_request_exits_one(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {message}\n"
 
 
 class TestScenarioFileErrors:

@@ -84,6 +84,8 @@ PINNED_ERRORS = [
     pytest.param("\n\r\n\n", {}, CsvParseError, "{path}: file contains no data rows", None, None, id="blank-file"),
     pytest.param("y,x\n\n", {}, CsvParseError, "{path}: file contains a header but no data rows", None, None, id="header-only"),
     pytest.param("y\n1\n0\n", {}, CsvParseError, "{path}: need a response and at least one predictor column", None, None, id="single-column"),
+    pytest.param("y,x,z\n1,0.5\n0,1\n", {"response_column": "z"}, CsvParseError, "response column index 2 out of range for 2 columns", None, None, id="named-response-beyond-body"),
+    pytest.param("y,x\n1," + "5" * 131075 + "\n0,1\n", {}, CsvParseError, "row 2: field larger than field limit (131072)", 2, None, id="field-over-size-limit"),
 ]
 
 

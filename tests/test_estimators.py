@@ -9,6 +9,7 @@ from shrinklogit import (
     Estimate,
     EstimatorSpec,
     FittedLogit,
+    KINDS,
     LinearRestriction,
     DimensionMismatchError,
     MissingRestrictionError,
@@ -16,7 +17,12 @@ from shrinklogit import (
     irls_fit,
     ld_matrix,
     liu_matrix,
+    RiskScenario,
+    SimulationConfig,
+    d_sweep,
+    default_restriction,
     residual,
+    shrinkage_estimates,
 )
 
 
@@ -41,6 +47,38 @@ def random_fit(rng, n=60, p=3):
     beta = rng.standard_normal(p + 1)
     y = (rng.random(n) < expit(x @ beta)).astype(float)
     return irls_fit(Dataset(x, y, has_intercept=True))
+
+
+class TestOneRequestCheck:
+    """Every door that takes kinds and d gives the same error for the same rule."""
+
+    @pytest.mark.parametrize(
+        "kinds, d_grid, message",
+        [
+            pytest.param(["Ridge"], [0.5], f"unknown estimator kind 'ridge', expected one of {KINDS}", id="unknown-kind"),
+            pytest.param(["aule"], [1.5], "d must be in [0, 1], got 1.5", id="d-above-one"),
+            pytest.param(["aule"], [-0.0, -0.5], "d must be in [0, 1], got -0.5", id="d-below-zero"),
+            pytest.param([], [0.5], f"need at least one estimator kind from {KINDS}", id="no-kinds"),
+            pytest.param(["aule"], [], "need at least one biasing parameter d in [0, 1]", id="no-d"),
+        ],
+    )
+    def test_one_message_per_rule(self, kinds, d_grid, message):
+        fit = synthetic_fit(np.diag([4.0, 2.0, 1.0, 0.5]), np.ones(4))
+        scenario = RiskScenario(fit.C, fit.beta_mle)
+        doors = [
+            lambda: shrinkage_estimates(fit, kinds, d_grid),
+            lambda: d_sweep(scenario, kinds, d_grid),
+            lambda: SimulationConfig(
+                n=50, p=4, rho=0.9, d_grid=d_grid, reps=1, seed=1,
+                restriction=default_restriction(4), estimator_kinds=kinds,
+            ),
+        ]
+        if len(kinds) == len(d_grid) == 1:
+            doors.append(lambda: EstimatorSpec(kinds[0], d_grid[0]))
+        for door in doors:
+            with pytest.raises(ValueError) as excinfo:
+                door()
+            assert str(excinfo.value) == message
 
 
 class TestEstimatorSpec:

@@ -160,6 +160,11 @@ class TestKernelAgainstLoop:
         with pytest.raises(MissingRestrictionError):
             shrinkage_estimates(fit, ["rmle", "mle"], [0.5])
 
+    def test_unknown_kind_is_rejected_before_the_c_test(self):
+        fit = synthetic_fit(np.diag([1.0, 0.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="unknown estimator kind 'ridge'"):
+            shrinkage_estimates(fit, ["mle", "ridge"], [0.5])
+
     def test_rejects_unknown_kind_and_d_outside_unit_interval(self):
         fit = synthetic_fit(np.eye(2), np.ones(2))
         with pytest.raises(ValueError):
