@@ -111,13 +111,22 @@ def _matrix_flag(flag: str, text: str) -> np.ndarray:
     return matrix_block([parse_row(row, flag) for row in text.split(";")], flag)
 
 
-def _parse_kinds(text: str) -> list[str]:
-    return _check_request([k.strip() for k in text.split(",") if k.strip()])[0]
+def _parse_kinds(flag: str, text: str) -> list[str]:
+    """A comma separated kind flag. An empty item next to a kind is an
+    error naming the flag; no kind at all is the empty request's error."""
+    items = [k.strip() for k in text.split(",")]
+    if any(items) and not all(items):
+        raise ValueError(f"{flag}: empty item in kind list {text!r}")
+    return _check_request([k for k in items if k])[0]
 
 
 def _restriction_from_args(args) -> LinearRestriction | None:
-    """Build (H, h) from --H/--h strings or a scenario-format file."""
+    """Build (H, h) from --H/--h strings or a scenario-format file; the
+    file takes neither flag, and --h needs --H."""
     if getattr(args, "restriction_file", None):
+        given = _given(args, ("--H", "--h"))
+        if given:
+            raise ShrinkLogitError(f"--restriction-file does not take {', '.join(given)}")
         scenario, _ = load_scenario(args.restriction_file)
         if scenario.restriction is None:
             raise ShrinkLogitError(
@@ -125,6 +134,8 @@ def _restriction_from_args(args) -> LinearRestriction | None:
             )
         return scenario.restriction
     if args.H is None:
+        if args.h is not None:
+            raise ShrinkLogitError("--h needs --H (the rows of H b = h)")
         return None
     H = _matrix_flag("--H", args.H)
     h = _vector_flag("--h", args.h) if args.h is not None else np.zeros(H.shape[0])
@@ -193,12 +204,16 @@ def _max_offdiag(correlation) -> float:
 
 
 def cmd_estimate(args) -> int:
-    kinds = _parse_kinds(args.estimator)
+    kinds = _parse_kinds("--estimator", args.estimator)
     d_values = _vector_flag("--d", args.d) if args.d is not None else []
     needs_d = [k for k in kinds if k in SHRINKAGE_KINDS]
     if needs_d and not d_values:
         raise ShrinkLogitError(
             f"estimators {needs_d} need --d (comma separated values in [0, 1])"
+        )
+    if d_values and not needs_d:
+        raise ShrinkLogitError(
+            f"--d is only for the shrinkage estimators, and --estimator {args.estimator!r} has none"
         )
     data, fit, code = _load_and_fit(args)
     restriction = _restriction_from_args(args)
@@ -242,7 +257,7 @@ def cmd_risk(args) -> int:
         if given:
             raise ShrinkLogitError(f"--scenario-file does not take {', '.join(given)}")
     scenario, _, code = _scenario_from_args(args)
-    kinds = _parse_kinds(args.estimators)
+    kinds = _parse_kinds("--estimators", args.estimators)
     grid = _vector_flag("--d-grid", args.d_grid)
     rows_out = []
     sweep = d_sweep(scenario, kinds, grid)
@@ -375,7 +390,7 @@ _TABLE_SUITE_FIXED = ("--n", "--p", "--rho", "--H", "--h", "--restriction-file",
 
 def cmd_simulate(args) -> int:
     d_grid = tuple(_vector_flag("--d-grid", args.d_grid)) if args.d_grid is not None else TABLE_SUITE_D_GRID
-    kinds = tuple(_parse_kinds(args.kinds)) if args.kinds is not None else TABLE_SUITE_KINDS
+    kinds = tuple(_parse_kinds("--kinds", args.kinds)) if args.kinds is not None else TABLE_SUITE_KINDS
     fit_options = _fit_options(args)
     if args.table_suite:
         given = _given(args, _TABLE_SUITE_FIXED)

@@ -27,10 +27,16 @@ C3.1     RAULE beats AULE in scalar MSE (always)     mse(AULE) - mse(RAULE)
 
 where L is the shrinkage operator, A the restricted dispersion kernel,
 and b1 = (L - I) beta the shared shrinkage bias. The matrix checks take
-b1 and LAL from the RAULE risk report (its bias and covariance), T3.3
-takes ACA from the RMLE report's covariance, and T3.7 builds L with the
-same smoother function as the risk module. :func:`check_all` builds the
-RAULE report once per d and shares it between the checks.
+b1 and LAL from the RAULE risk report (its bias and covariance), and
+T3.3 takes ACA from the RMLE report's covariance.
+
+Each quantity is built once. What does not depend on d (ACA's PSD test,
+pseudo-inverse and congruence, C^{1/2}, C^-1 - A, the scalar conditions'
+parts) is kept by the scenario from the first check that needs it. What
+does, the RAULE and AULE reports and Delta5, comes from one L per d.
+:func:`check_all` shares that per-d bundle between the theorems, except
+that T3.7 runs through :func:`check_t37` by name (so a wrapper of it sees
+every T3.7 verdict) and builds its own.
 
 The scalar conditions of T3.4/T3.6 compare
 (lam_1 + d)(lam_1 + 2 - d) / (1 - d)^2 against
@@ -50,12 +56,20 @@ and leaves the judgement to the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from numpy.typing import NDArray
 
-from .estimators import EstimatorSpec, smoother_matrix
-from .linalg import PSD_SLACK, RANK_CUT, in_range, in_range_with_pinv, is_psd, lambda_max_ratio, moore_penrose
-from .risk import RiskScenario, risk, spectral_risk_terms
+from .estimators import EstimatorSpec, _smoothers
+from .linalg import PSD_SLACK, RANK_CUT, _read_only, in_range_with_pinv, is_psd, moore_penrose, sym_eigen
+from .linalg import _congruence, _pinv, _ratio, _require_psd
+from .risk import RiskReport, RiskScenario, _smoothed, spectral_risk_terms
+
+# No longer called here, but kept bound: perfbench's traced run rebinds
+# them by name (ROADMAP item 6).
+from .linalg import in_range, lambda_max_ratio  # noqa: F401
+from .risk import risk  # noqa: F401
 
 __all__ = [
     "DominanceVerdict",
@@ -102,12 +116,63 @@ class DominanceVerdict:
         return record
 
 
-def _matrix_verdict(theorem, scenario, d, dispersion, raule, applicable, side) -> DominanceVerdict:
+class _AtD:
+    """What the checks share at one d, each built on first use from one L:
+    the RAULE and AULE reports and Delta5 = L (C^-1 - A) L."""
+
+    def __init__(self, scenario: RiskScenario, d: float):
+        self.scenario, self.d, self.L = scenario, d, _smoothers(scenario.decomp, "raule", [d])
+
+    @cached_property
+    def raule(self) -> RiskReport:
+        return _smoothed(self.scenario, [EstimatorSpec("raule", self.d)], self.L)[0]
+
+    @cached_property
+    def aule(self) -> RiskReport:
+        return _smoothed(self.scenario, [EstimatorSpec("aule", self.d)], self.L)[0]
+
+    @cached_property
+    def delta5(self) -> NDArray:
+        return self.L[0] @ _part(self.scenario, _c_inv_minus_a) @ self.L[0]
+
+
+def _part(scenario: RiskScenario, build):
+    """``build(scenario)``, kept by the scenario from its first use on."""
+    if build not in scenario._parts:
+        scenario._parts[build] = build(scenario)
+    return scenario._parts[build]
+
+
+def _aca_parts(scenario: RiskScenario):
+    """ACA's PSD test, Moore-Penrose inverse and lambda_max_ratio congruence."""
+    dec = sym_eigen(scenario._rmle.cov)
+    return is_psd(scenario._rmle.cov), _read_only(_pinv(dec)), _read_only(_congruence(dec))
+
+
+def _c_half(scenario: RiskScenario) -> NDArray:
+    return _read_only(scenario.decomp.basis * np.sqrt(np.maximum(scenario.decomp.values, 0.0)))
+
+
+def _c_inv_minus_a(scenario: RiskScenario) -> NDArray:
+    return _read_only(scenario.c_inv - scenario.A)
+
+
+def _scalar_parts(scenario: RiskScenario):
+    """lam_1, min_i a_ii over the strictly positive a_ii (inf when there are
+    none), max_i alpha_i^2 and the right side of the scalar conditions."""
+    terms = spectral_risk_terms(scenario)
+    positive = terms.a_diag > RANK_CUT * max(float(np.max(terms.a_diag)), 0.0)
+    min_positive_a = float(np.min(terms.a_diag[positive], initial=np.inf))
+    max_alpha_sq = float(np.max(terms.alpha**2))
+    return float(terms.eigenvalues[0]), min_positive_a, max_alpha_sq, max_alpha_sq / min_positive_a
+
+
+def _matrix_verdict(theorem, at: _AtD, dispersion, applicable, side) -> DominanceVerdict:
     """T3.3/T3.5 lemma test for D = dispersion - LAL, b1 and LAL from the RAULE
     report: b1 in range(D) and b1' D^+ b1 <= 1 with D^+ formed once, and the
     direct PSD test of D - b1 b1'. ``side`` holds the applicability witnesses."""
-    b1 = raule.bias
-    difference = dispersion - raule.cov
+    b1 = at.raule.bias
+    difference = dispersion - at.raule.cov
     pinv = moore_penrose(difference)
     b_in_range = in_range_with_pinv(b1, difference, pinv)
     qform = float(b1 @ pinv @ b1)
@@ -120,7 +185,7 @@ def _matrix_verdict(theorem, scenario, d, dispersion, raule, applicable, side) -
         lhs=qform,
         rhs=1.0,
         witnesses={
-            "d": float(d),
+            "d": float(at.d),
             **side,
             "bias_in_range": float(b_in_range),
             "quadratic_form": qform,
@@ -128,10 +193,6 @@ def _matrix_verdict(theorem, scenario, d, dispersion, raule, applicable, side) -
             "delta_min_eigenvalue": psd.min_eigenvalue,
         },
     )
-
-
-def _raule(scenario: RiskScenario, d: float):
-    return risk(scenario, EstimatorSpec("raule", d))
 
 
 def check_t33(scenario: RiskScenario, d: float) -> DominanceVerdict:
@@ -143,38 +204,28 @@ def check_t33(scenario: RiskScenario, d: float) -> DominanceVerdict:
     equivalent to the matrix MSE difference Delta1 = ACA - LAL - b1 b1'
     being nonnegative definite. Delta1 is always checked directly too.
     """
-    return _t33(scenario, d, _raule(scenario, d))
+    return _t33(scenario, _AtD(scenario, d))
 
 
-def _t33(scenario, d, raule) -> DominanceVerdict:
-    aca = risk(scenario, EstimatorSpec("rmle")).cov
-    ratio = lambda_max_ratio(raule.cov, aca)
-    range_ok = in_range(raule.cov, aca)
+def _t33(scenario, at: _AtD) -> DominanceVerdict:
+    """lambda_max_ratio(LAL, ACA) and in_range(LAL, ACA) on ACA's kept parts."""
+    lal = at.raule.cov
+    _require_psd(numerator=is_psd(lal))
+    psd, pinv, congruence = _part(scenario, _aca_parts)
+    _require_psd(denominator=psd)
+    ratio = _ratio(lal, congruence)
+    range_ok = in_range_with_pinv(lal, scenario._rmle.cov, pinv)
     applicable = bool(ratio <= 1.0 + PSD_SLACK and range_ok)
     side = {"lambda_max_ratio": ratio, "range_inclusion": float(range_ok)}
-    return _matrix_verdict("T3.3", scenario, d, aca, raule, applicable, side)
+    return _matrix_verdict("T3.3", at, scenario._rmle.cov, applicable, side)
 
 
-def _scalar_condition(scenario: RiskScenario, d: float):
-    """Shared lhs/rhs of the scalar (trace MSE) conditions; the minimum
-    over the strictly positive a_ii is inf when there are none."""
-    terms = spectral_risk_terms(scenario)
-    lam1 = float(terms.eigenvalues[0])
-    if d == 1.0:
-        lhs = np.inf
-    else:
-        lhs = (lam1 + d) * (lam1 + 2.0 - d) / (1.0 - d) ** 2
-    a_max = float(np.max(terms.a_diag))
-    positive = terms.a_diag > RANK_CUT * max(a_max, 0.0)
-    min_positive_a = float(np.min(terms.a_diag[positive], initial=np.inf))
-    max_alpha_sq = float(np.max(terms.alpha**2))
-    rhs = max_alpha_sq / min_positive_a
-    return lam1, lhs, rhs, min_positive_a, max_alpha_sq
-
-
-def _scalar_verdict(scenario, d, raule, theorem, baseline_kind) -> DominanceVerdict:
-    lam1, lhs, rhs, min_a, max_alpha_sq = _scalar_condition(scenario, d)
-    baseline = risk(scenario, EstimatorSpec(baseline_kind))
+def _scalar_verdict(theorem, scenario, at: _AtD, baseline_kind) -> DominanceVerdict:
+    raule = at.raule  # first: without a restriction, its error is the check's
+    lam1, min_a, max_alpha_sq, rhs = _part(scenario, _scalar_parts)
+    d = at.d
+    lhs = np.inf if d == 1.0 else (lam1 + d) * (lam1 + 2.0 - d) / (1.0 - d) ** 2
+    baseline = scenario._rmle if baseline_kind == "rmle" else scenario._mle
     delta = baseline.mse - raule.mse
     return DominanceVerdict(
         theorem=theorem,
@@ -200,7 +251,7 @@ def check_t34(scenario: RiskScenario, d: float) -> DominanceVerdict:
     Under a full restriction (q = m) A = 0, so no a_ii is positive: the
     bound's right side is 0 and ``condition_holds`` is false.
     """
-    return _scalar_verdict(scenario, d, _raule(scenario, d), "T3.4", "rmle")
+    return _scalar_verdict("T3.4", scenario, _AtD(scenario, d), "rmle")
 
 
 def check_t35(scenario: RiskScenario, d: float) -> DominanceVerdict:
@@ -211,22 +262,22 @@ def check_t35(scenario: RiskScenario, d: float) -> DominanceVerdict:
     criterion b1'(C^-1 - LAL)^+ b1 <= 1 is equivalent to
     Delta3 = C^-1 - LAL - b1 b1' being nonnegative definite.
     """
-    return _t35(scenario, d, _raule(scenario, d))
+    return _t35(scenario, _AtD(scenario, d))
 
 
-def _t35(scenario, d, raule) -> DominanceVerdict:
-    dec = scenario.decomp
-    half = dec.basis * np.sqrt(np.maximum(dec.values, 0.0))
-    core = half.T @ raule.cov @ half
+def _t35(scenario, at: _AtD) -> DominanceVerdict:
+    lal = at.raule.cov
+    half = _part(scenario, _c_half)
+    core = half.T @ lal @ half
     lam = float(max(np.linalg.eigvalsh(0.5 * (core + core.T))[-1], 0.0))
     applicable = bool(lam <= 1.0 + PSD_SLACK)
     side = {"lambda_max_product": lam}
-    return _matrix_verdict("T3.5", scenario, d, scenario.c_inv, raule, applicable, side)
+    return _matrix_verdict("T3.5", at, scenario.c_inv, applicable, side)
 
 
 def check_t36(scenario: RiskScenario, d: float) -> DominanceVerdict:
     """RAULE vs MLE in scalar MSE: same bound as T3.4, direct difference vs MLE."""
-    return _scalar_verdict(scenario, d, _raule(scenario, d), "T3.6", "mle")
+    return _scalar_verdict("T3.6", scenario, _AtD(scenario, d), "mle")
 
 
 def check_t37(scenario: RiskScenario, d: float) -> DominanceVerdict:
@@ -238,8 +289,7 @@ def check_t37(scenario: RiskScenario, d: float) -> DominanceVerdict:
     a counterexample.
     """
     scenario._require_restriction("this dominance check")
-    L = smoother_matrix(scenario.decomp, EstimatorSpec("raule", d))
-    psd = is_psd(L @ (scenario.c_inv - scenario.A) @ L)
+    psd = is_psd(_AtD(scenario, d).delta5)
     return DominanceVerdict(
         theorem="T3.7",
         applicable=True,
@@ -251,29 +301,30 @@ def check_t37(scenario: RiskScenario, d: float) -> DominanceVerdict:
 
 def check_c31(scenario: RiskScenario, d: float) -> DominanceVerdict:
     """RAULE vs AULE in scalar MSE, the trace consequence of the matrix order."""
+    return _c31(scenario, _AtD(scenario, d))
+
+
+def _c31(scenario, at: _AtD) -> DominanceVerdict:
     scenario._require_restriction("this dominance check")
-    return _c31(scenario, d, _raule(scenario, d))
-
-
-def _c31(scenario, d, raule) -> DominanceVerdict:
-    delta = risk(scenario, EstimatorSpec("aule", d)).mse - raule.mse
+    delta = at.aule.mse - at.raule.mse
     return DominanceVerdict(
         theorem="C3.1",
         applicable=True,
         condition_holds=True,
         delta_psd=bool(delta >= -PSD_SLACK),
-        witnesses={"d": float(d), "delta_mse": float(delta)},
+        witnesses={"d": float(at.d), "delta_mse": float(delta)},
     )
 
 
 def check_all(scenario: RiskScenario, d: float) -> list[DominanceVerdict]:
-    """All six checks in report order, sharing one RAULE report."""
-    raule = _raule(scenario, d)
+    """All six checks in report order, sharing one per-d bundle (T3.7
+    through :func:`check_t37`, see the module docstring)."""
+    at = _AtD(scenario, d)
     return [
-        _t33(scenario, d, raule),
-        _scalar_verdict(scenario, d, raule, "T3.4", "rmle"),
-        _t35(scenario, d, raule),
-        _scalar_verdict(scenario, d, raule, "T3.6", "mle"),
+        _t33(scenario, at),
+        _scalar_verdict("T3.4", scenario, at, "rmle"),
+        _t35(scenario, at),
+        _scalar_verdict("T3.6", scenario, at, "mle"),
         check_t37(scenario, d),
-        _c31(scenario, d, raule),
+        _c31(scenario, at),
     ]

@@ -139,8 +139,14 @@ def smoother_matrix(decomp: SpectralDecomp, spec: EstimatorSpec) -> NDArray:
     The spectral route avoids squaring an explicit inverse, which matters
     when C is badly conditioned.
     """
-    factors = smoother_factors(spec.kind, decomp.values, spec.d)[0]
-    return symmetrize((decomp.basis * factors) @ decomp.basis.T)
+    return _smoothers(decomp, spec.kind, [spec.d])[0]
+
+
+def _smoothers(decomp: SpectralDecomp, kind: str, d_grid) -> NDArray:
+    """``kind``'s smoother at every d of ``d_grid`` as one (D, m, m) stack,
+    each member bit for bit the matrix :func:`smoother_matrix` gives."""
+    factors = smoother_factors(kind, decomp.values, d_grid)
+    return symmetrize((decomp.basis * factors[:, None, :]) @ decomp.basis.T)
 
 
 def ld_matrix(C, d: float) -> NDArray:

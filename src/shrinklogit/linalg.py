@@ -112,7 +112,11 @@ def moore_penrose(matrix) -> NDArray:
     magnitude are dropped; the remaining ones are inverted in place on
     the eigenbasis. The zero matrix maps to the zero matrix.
     """
-    dec = sym_eigen(matrix)
+    return _pinv(sym_eigen(matrix))
+
+
+def _pinv(dec: SpectralDecomp) -> NDArray:
+    """:func:`moore_penrose` of the matrix whose decomposition is ``dec``."""
     scale = float(np.max(np.abs(dec.values))) if dec.values.size else 0.0
     if scale == 0.0:
         return np.zeros((dec.basis.shape[0], dec.basis.shape[0]))
@@ -206,23 +210,27 @@ def lambda_max_ratio(numerator, denominator) -> float:
     NotPSDError
         If either argument fails :func:`is_psd`.
     """
-    n = symmetrize(numerator)
-    m = symmetrize(denominator)
-    for name, mat in (("numerator", n), ("denominator", m)):
-        check = is_psd(mat)
+    n, m = symmetrize(numerator), symmetrize(denominator)
+    _require_psd(numerator=is_psd(n), denominator=is_psd(m))
+    return _ratio(n, _congruence(sym_eigen(m)))
+
+
+def _require_psd(**checks: PsdResult) -> None:
+    for name, check in checks.items():
         if not check.ok:
-            raise NotPSDError(
-                f"{name} is not positive semidefinite "
-                f"(min eigenvalue {check.min_eigenvalue:.3e})"
-            )
-    dec = sym_eigen(m)
+            raise NotPSDError(f"{name} is not positive semidefinite (min eigenvalue {check.min_eigenvalue:.3e})")
+
+
+def _congruence(dec: SpectralDecomp) -> NDArray:
+    """lambda_max_ratio's S from M's decomposition (no columns if no eigenvalue is kept)."""
     scale = float(np.max(np.abs(dec.values))) if dec.values.size else 0.0
-    if scale == 0.0:
-        return 0.0
     keep = dec.values > RANK_CUT * scale
-    if not np.any(keep):
+    return dec.basis[:, keep] * (dec.values[keep] ** -0.5)
+
+
+def _ratio(numerator: NDArray, congruence: NDArray) -> float:
+    """Largest eigenvalue of S'NS, at least 0 (0 for an S with no columns)."""
+    if congruence.shape[1] == 0:
         return 0.0
-    s = dec.basis[:, keep] * (dec.values[keep] ** -0.5)
-    core = s.T @ n @ s
-    w = np.linalg.eigvalsh(0.5 * (core + core.T))
-    return float(max(w[-1], 0.0))
+    core = congruence.T @ numerator @ congruence
+    return float(max(np.linalg.eigvalsh(0.5 * (core + core.T))[-1], 0.0))

@@ -19,7 +19,7 @@ raule        L A L                    (L - I) b
 
 with b = beta_true, L the shrinkage operator of :func:`ld_matrix`,
 F the Liu smoother, and A = C^-1 - C^-1 H'(H C^-1 H')^-1 H C^-1 the
-restricted dispersion kernel. The smoothers come from the estimators'
+restricted dispersion kernel. The smoothers are built like the estimators'
 :func:`smoother_matrix`, on the scenario's cached eigenbasis of C.
 R is :func:`restricted_mle`: the RMLE bias projects the truth by the
 estimate's own null-space route, and A uses the same null basis of H.
@@ -28,7 +28,10 @@ matrix and scalar MSE are formed from them when read.
 
 What does not depend on d (C^-1, the eigenbasis of C, A, the MLE and
 RMLE reports and the spectral terms) is built once per scenario and
-shared by every caller, so all of it is read-only.
+shared by every caller, so all of it is read-only; the dominance checks
+keep their d-independent parts on it too. A shrunken kind is scored over
+a d grid as one (D, m, m) stack of smoothers; :func:`risk` is the D = 1
+case, and a stack's members are bit for bit what it gives.
 
 The restricted shrinkage rows use the bias form that assumes the
 restriction holds at the truth. When it does not, the report carries
@@ -40,14 +43,15 @@ restriction is satisfied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import MissingRestrictionError
-from .estimators import RESTRICTED_KINDS, SHRINKAGE_KINDS, EstimatorSpec, smoother_matrix
-from .estimators import _check_request, _check_width, _project
+from .estimators import RESTRICTED_KINDS, SHRINKAGE_KINDS, EstimatorSpec
+from .estimators import _check_request, _check_width, _project, _smoothers
 from .linalg import SpectralDecomp, _read_only, require_positive_definite, sym_eigen, symmetrize
 from .logit import LinearRestriction
 
@@ -114,6 +118,8 @@ class RiskScenario:
     restriction the kernel A, the RMLE report and the
     :class:`SpectralRiskTerms`. C and beta_true are copied from the
     caller and every array held is read-only, so none of it goes stale.
+    ``_parts`` keeps what the dominance checks derive from these; none of
+    it refers back to the scenario, which reference counting alone frees.
     """
 
     C: NDArray
@@ -134,6 +140,7 @@ class RiskScenario:
         object.__setattr__(self, "C", _read_only(C))
         object.__setattr__(self, "beta_true", _read_only(beta))
         object.__setattr__(self, "_decomp", decomp)
+        object.__setattr__(self, "_parts", {})
         c_inv = symmetrize(np.linalg.inv(C))
         object.__setattr__(self, "_mle", RiskReport(EstimatorSpec("mle"), c_inv, np.zeros(self.m)))
         if self.restriction is not None:
@@ -184,9 +191,9 @@ class RiskReport:
     Only the covariance and bias are stored, read-only because the MLE
     and RMLE reports of a scenario are shared; ``mmse`` (the covariance
     plus the bias outer product) and ``mse`` (its trace) are formed from
-    them when read. ``restriction_violated`` flags reports of restricted
-    kinds whose bias formula assumed a restriction that the scenario's
-    truth does not satisfy.
+    them when read, ``mse`` only once. ``restriction_violated`` flags
+    reports of restricted kinds whose bias formula assumed a restriction
+    that the scenario's truth does not satisfy.
     """
 
     spec: EstimatorSpec
@@ -202,7 +209,7 @@ class RiskReport:
     def mmse(self) -> NDArray:
         return self.cov + np.outer(self.bias, self.bias)
 
-    @property
+    @cached_property
     def mse(self) -> float:
         return float(np.trace(self.cov) + self.bias @ self.bias)
 
@@ -222,11 +229,19 @@ def risk(scenario: RiskScenario, spec: EstimatorSpec) -> RiskReport:
         scenario._require_restriction(f"estimator {spec.kind!r}")
     if spec.d is None:  # identity smoother: the base itself
         return scenario._rmle if restricted else scenario._mle
+    return _smoothed(scenario, [spec], _smoothers(scenario.decomp, spec.kind, [spec.d]))[0]
+
+
+def _smoothed(scenario: RiskScenario, specs, smoothers: NDArray) -> list[RiskReport]:
+    """Reports of shrunken ``specs`` of one kind from their smoothers S, a
+    (D, m, m) stack: covariances S D S (D = A or C^-1) and biases S b - b."""
+    restricted = specs[0].kind in RESTRICTED_KINDS
+    if restricted:
+        scenario._require_restriction(f"estimator {specs[0].kind!r}")
     beta = scenario.beta_true
-    smoother = smoother_matrix(scenario.decomp, spec)
-    dispersion = scenario.A if restricted else scenario.c_inv
-    cov = symmetrize(smoother @ dispersion @ smoother)
-    return RiskReport(spec, cov, smoother @ beta - beta, restricted and scenario.restriction_violated())
+    covs = symmetrize(smoothers @ (scenario.A if restricted else scenario.c_inv) @ smoothers)
+    violated = restricted and scenario.restriction_violated()
+    return [RiskReport(*row, violated) for row in zip(specs, covs, smoothers @ beta - beta)]
 
 
 class SpectralRiskTerms(NamedTuple):
@@ -288,9 +303,11 @@ def d_sweep(
     no kinds, no d, an unknown kind or a d outside [0, 1].
     """
     kinds, d_grid = _check_request(kinds, d_grid)
-    rows = []
-    for d in d_grid:
-        for kind in kinds:
-            spec = EstimatorSpec(kind, d if kind in SHRINKAGE_KINDS else None)
-            rows.append(SweepRow(d, spec.kind, risk(scenario, spec), scenario.beta_true))
-    return rows
+    columns = [
+        _smoothed(scenario, [EstimatorSpec(kind, d) for d in d_grid], _smoothers(scenario.decomp, kind, d_grid))
+        if kind in SHRINKAGE_KINDS
+        else [risk(scenario, EstimatorSpec(kind))] * len(d_grid)
+        for kind in kinds
+    ]
+    beta = scenario.beta_true
+    return [SweepRow(d, kind, column[j], beta) for j, d in enumerate(d_grid) for kind, column in zip(kinds, columns)]

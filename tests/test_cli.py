@@ -366,6 +366,38 @@ class TestInputErrors:
         assert_one_error_line(code, out, err)
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["estimate", BUNDLED, "--no-intercept", "--estimator", "mle", "--h", "1,2"],
+                         "--h needs --H (the rows of H b = h)", id="h-without-H"),
+            pytest.param(["risk", BUNDLED, "--d-grid", "0.5", "--h", "0"],
+                         "--h needs --H (the rows of H b = h)", id="risk-h-without-H"),
+            pytest.param(["estimate", BUNDLED, "--no-intercept", "--estimator", "rmle", "--restriction-file", "FILE",
+                          "--H", "0,1,0,0", "--h", "5"],
+                         "--restriction-file does not take --H, --h", id="file-with-H-and-h"),
+            pytest.param(["risk", BUNDLED, "--no-intercept", "--d-grid", "0.5", "--restriction-file", "FILE", "--h", "5"],
+                         "--restriction-file does not take --h", id="file-with-h"),
+            pytest.param(["estimate", BUNDLED, "--estimator", "mle,rmle", "--d", "0.5"],
+                         "--d is only for the shrinkage estimators, and --estimator 'mle,rmle' has none",
+                         id="d-without-shrinkage-kind"),
+            pytest.param(["estimate", BUNDLED, "--estimator", "mle,"],
+                         "--estimator: empty item in kind list 'mle,'", id="estimator-empty-item"),
+            pytest.param(["risk", BUNDLED, "--d-grid", "0.5", "--estimators", "mle,,aule"],
+                         "--estimators: empty item in kind list 'mle,,aule'", id="estimators-empty-item"),
+            pytest.param(SIMULATE + ["--kinds", "mle,,aule"],
+                         "--kinds: empty item in kind list 'mle,,aule'", id="kinds-empty-item"),
+        ],
+    )
+    def test_flag_that_would_be_ignored_exits_one(self, capsys, tmp_path, argv, message):
+        """Each of these once ran as if the flag or item were absent."""
+        path = tmp_path / "restriction.txt"
+        restriction = LinearRestriction(np.array([[1.0, 0.0, 0.0, 0.0]]), np.zeros(1))
+        save_scenario(path, RiskScenario(np.eye(4), np.zeros(4), restriction))
+        code, out, err = run(capsys, [str(path) if arg == "FILE" else arg for arg in argv])
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {message}\n"
+
 
 class TestScenarioFileErrors:
     @pytest.mark.parametrize("section, text", MALFORMED_SCENARIOS)

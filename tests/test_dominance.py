@@ -1,9 +1,15 @@
 """Dominance checks: hand cases, iff-consistency, and faithful reporting."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shrinklogit import (
+    KINDS,
     EstimatorSpec,
     LinearRestriction,
     MissingRestrictionError,
@@ -15,12 +21,17 @@ from shrinklogit import (
     check_t35,
     check_t36,
     check_t37,
+    d_sweep,
     is_psd,
     ld_matrix,
     risk,
     symmetrize,
 )
 from helpers import random_scenario
+from test_risk_properties import SETTINGS, scenarios
+
+#: The checks in the order check_all reports them.
+CHECKS = (check_t33, check_t34, check_t35, check_t36, check_t37, check_c31)
 
 
 def diag_scenario(c_diag, beta, h_rows, h=None):
@@ -292,3 +303,89 @@ class TestC31AndCheckAll:
         second = check_all(scenario, 0.3)
         for a, b in zip(first, second):
             assert a == b
+
+
+def full_restrictions():
+    """q = m, so A = ACA = 0: a diagonal case with h != 0 and a dense one."""
+    rng = np.random.default_rng(16)
+    return [
+        diag_scenario([2.0, 3.0], [1.0, -1.0], np.eye(2), h=[1.0, -1.0]),
+        random_scenario(rng, 3, 3, project=False),
+    ]
+
+
+class TestOneImplementationPerTheorem:
+    """check_all shares its d-independent and per-d parts between the checks;
+    each check alone builds the same parts, so its verdict is the same."""
+
+    @SETTINGS
+    @given(scenarios(), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    def test_each_check_gives_its_check_all_verdict(self, scenario, d):
+        together = check_all(scenario, d)
+        for check, verdict in zip(CHECKS, together):
+            assert check(scenario, d).as_record() == verdict.as_record()
+
+    @pytest.mark.parametrize("d", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_full_restriction(self, index, d):
+        scenario = full_restrictions()[index]
+        assert np.array_equal(scenario.A, np.zeros_like(scenario.A))
+        alone = [check(scenario, d).as_record() for check in CHECKS]
+        assert alone == [verdict.as_record() for verdict in check_all(scenario, d)]
+        assert alone[0]["lambda_max_ratio"] == 0.0
+
+    @pytest.mark.parametrize(
+        "check, what",
+        [(check, "estimator 'raule'") for check in (check_t33, check_t34, check_t35, check_t36, check_all)]
+        + [(check_t37, "this dominance check"), (check_c31, "this dominance check")],
+    )
+    def test_missing_restriction_error_is_unchanged(self, check, what):
+        scenario = RiskScenario(np.diag([3.0, 1.0]), np.array([1.0, -1.0]))
+        with pytest.raises(MissingRestrictionError, match=f"^{what} needs a linear restriction"):
+            check(scenario, 0.5)
+
+
+class TestKeptParts:
+    """What the scenario keeps for the checks is read-only, holds no
+    reference back to the scenario, and does not change later verdicts."""
+
+    @staticmethod
+    def scenario():
+        return random_scenario(np.random.default_rng(15), 4, 2)
+
+    def test_kept_parts_are_read_only(self):
+        scenario = self.scenario()
+        check_all(scenario, 0.5)
+        parts = list(scenario._parts.values())
+        assert len(parts) == 4
+        arrays = [a for part in parts for a in (part if isinstance(part, tuple) else (part,)) if isinstance(a, np.ndarray)]
+        assert len(arrays) == 4
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 9.0
+
+    def test_a_single_check_builds_only_what_it_needs(self):
+        scenario = self.scenario()
+        check_t37(scenario, 0.5)
+        assert len(scenario._parts) == 1
+
+    def test_scenario_is_freed_by_reference_counting(self):
+        scenario = self.scenario()
+        d_sweep(scenario, KINDS, [0.5])
+        check_all(scenario, 0.5)
+        ref = weakref.ref(scenario)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del scenario
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_kept_parts_change_no_verdict(self):
+        scenario = self.scenario()
+        first = check_all(scenario, 0.3)
+        check_all(scenario, 0.7)
+        assert check_all(scenario, 0.3) == first
+        assert [check(self.scenario(), 0.3) for check in CHECKS] == first

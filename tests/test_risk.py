@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from shrinklogit import (
+    KINDS,
+    RESTRICTED_KINDS,
+    SHRINKAGE_KINDS,
     EstimatorSpec,
     LinearRestriction,
     DimensionMismatchError,
@@ -15,8 +19,11 @@ from shrinklogit import (
     is_psd,
     risk,
     spectral_risk_terms,
+    symmetrize,
 )
+from shrinklogit.estimators import smoother_factors
 from helpers import random_scenario
+from test_risk_properties import SETTINGS, scenarios
 
 
 class TestAMatrix:
@@ -198,19 +205,24 @@ class TestDSweep:
         assert by_kind["aule"].mse == pytest.approx(by_kind["mle"].mse, rel=1e-12)
         assert by_kind["raule"].mse == pytest.approx(by_kind["rmle"].mse, rel=1e-12)
 
-    def test_rows_match_standalone_risk_calls(self):
-        rng = np.random.default_rng(8)
-        scenario = random_scenario(rng, 3, 1)
-        grid = [0.1, 0.5, 0.9]
-        rows = d_sweep(scenario, ["mle", "raule"], grid)
-        for row in rows:
-            spec = EstimatorSpec(row.kind, row.d if row.kind == "raule" else None)
+    @SETTINGS
+    @given(scenarios())
+    def test_rows_match_standalone_risk_calls(self, scenario):
+        """A sweep scores each shrunken kind as one stack of smoothers over the
+        grid; every row is bit for bit the standalone call, and a shrunken
+        row bit for bit the unstacked products S D S and S b - b."""
+        dec, beta = scenario.decomp, scenario.beta_true
+        for row in d_sweep(scenario, KINDS, [0.0, 0.1, 0.35, 0.5, 0.9, 1.0]):
+            spec = EstimatorSpec(row.kind, row.d if row.kind in SHRINKAGE_KINDS else None)
             again = risk(scenario, spec)
+            assert np.array_equal(row.report.cov, again.cov) and np.array_equal(row.report.bias, again.bias)
             assert row.mse == again.mse
-            assert np.array_equal(row.report.mmse, again.mmse)
-            np.testing.assert_allclose(
-                row.coefficients, scenario.beta_true + again.bias, atol=0
-            )
+            assert np.array_equal(row.coefficients, beta + again.bias)
+            if spec.d is not None:
+                smoother = symmetrize((dec.basis * smoother_factors(spec.kind, dec.values, spec.d)[0]) @ dec.basis.T)
+                dispersion = scenario.A if spec.kind in RESTRICTED_KINDS else scenario.c_inv
+                assert np.array_equal(row.report.cov, symmetrize(smoother @ dispersion @ smoother))
+                assert np.array_equal(row.report.bias, smoother @ beta - beta)
 
     def test_scalar_aule_monotone_on_grid(self):
         scenario = RiskScenario(C=np.eye(1), beta_true=np.ones(1))
