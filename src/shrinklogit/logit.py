@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 from scipy.special import expit, logit as logit_link
 
 from .errors import NotConvergedError
-from .linalg import RANK_CUT, _read_only, definiteness_error, positive_definite, symmetrize
+from .linalg import RANK_CUT, _certify_positive_definite, _read_only, definiteness_error, symmetrize
 
 __all__ = [
     "Dataset",
@@ -188,13 +188,18 @@ def irls_stack(X, y, opts: FitOptions = FitOptions()):
     """Fit the logistic MLE of each row of a stack: X (R, n, m), y (R, n).
 
     One Newton loop serves every row. Each iteration forms the working
-    quantities of the rows still active, tests each row's X'WX with
-    :func:`positive_definite` on a batched ``eigvalsh``, and takes all
-    their steps with one batched ``solve``. A row whose X'WX fails the
-    test leaves at that iteration; a row whose max-norm step falls to
-    ``opts.tol`` is frozen; a row still active after ``opts.max_iter``
-    has not converged. Rows never mix, so each gets, bit for bit, what
-    it gets fitted alone. X is indexed (copied) only once rows leave.
+    quantities of the rows still active, certifies with one shifted
+    Cholesky of the stack that every row's X'WX passes
+    :func:`~shrinklogit.linalg.positive_definite` (deciding on a batched
+    ``eigvalsh`` when the certificate does not cover every row), and
+    takes all their steps with one batched ``solve``. A row whose X'WX
+    fails the test leaves at that iteration; a row whose max-norm step
+    falls to ``opts.tol`` leaves converged; a row still active after
+    ``opts.max_iter`` has not converged. The active rows' coefficients
+    and steps are kept compact; a row's entries of the returned arrays
+    are written once, when it leaves. Rows never mix, so each gets, bit
+    for bit, what it gets fitted alone. X is indexed (copied) only once
+    rows leave.
 
     Returns ``(fit, errors)``. ``fit`` is a :class:`FittedLogit` with a
     leading row axis, evaluated at each row's last iterate. ``errors``
@@ -204,32 +209,41 @@ def irls_stack(X, y, opts: FitOptions = FitOptions()):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     rows, _, m = X.shape
-    beta = np.zeros((rows, m))
-    step = np.full(rows, np.inf)
-    iterations = np.zeros(rows, dtype=int)
+    beta = np.empty((rows, m))
+    step = np.empty(rows)
+    iterations = np.empty(rows, dtype=int)
     errors: list = [None] * rows
     active = np.arange(rows)
     Xa, ya = X, y
+    beta_a, step_a = np.zeros((rows, m)), np.full(rows, np.inf)
+
+    def leave(mask, iteration):
+        left = active[mask]
+        beta[left], step[left], iterations[left] = beta_a[mask], step_a[mask], iteration
+
     for iteration in range(1, opts.max_iter + 1):
-        iterations[active] = iteration
-        w, z, c = _working(Xa, ya, beta[active], opts)
-        eigenvalues = np.linalg.eigvalsh(c)
-        definite = positive_definite(eigenvalues)
+        w, z, c = _working(Xa, ya, beta_a, opts)
+        definite, eigenvalues = _certify_positive_definite(c)
         if not definite.all():
             for i in np.flatnonzero(~definite):
                 errors[active[i]] = definiteness_error(eigenvalues[i], "information matrix X'WX")
-            active, Xa, ya, w, z, c = (a[definite] for a in (active, Xa, ya, w, z, c))
+            leave(~definite, iteration)
+            active, Xa, ya, w, z, c, beta_a, step_a = (
+                a[definite] for a in (active, Xa, ya, w, z, c, beta_a, step_a)
+            )
             if active.size == 0:
                 break
         rhs = Xa.swapaxes(-1, -2) @ (w * z)[..., None]
         beta_next = np.linalg.solve(c, rhs)[..., 0]
-        step[active] = np.max(np.abs(beta_next - beta[active]), axis=-1)
-        beta[active] = beta_next
-        done = step[active] <= opts.tol
+        step_a = np.abs(beta_next - beta_a).max(axis=-1)
+        beta_a = beta_next
+        done = step_a <= opts.tol
         if done.any():
-            active, Xa, ya = active[~done], Xa[~done], ya[~done]
+            leave(done, iteration)
+            active, Xa, ya, beta_a, step_a = (a[~done] for a in (active, Xa, ya, beta_a, step_a))
             if active.size == 0:
                 break
+    leave(np.ones(active.size, dtype=bool), opts.max_iter)
     for row in active:
         errors[row] = NotConvergedError(
             f"IRLS did not converge in {opts.max_iter} iterations "

@@ -20,13 +20,19 @@ Randomness is organized in keyed substreams of a single 64-bit seed:
 * ``[seed, 1]``      the design draw when the design is held fixed,
 * ``[seed, 2 + r]``  replication r (design, then response, in that order).
 
-Replications run in blocks of at most :data:`BLOCK_SIZE`: each one draws
-its data from its own substream, then the block is fitted by one batched
-Newton loop (:func:`~shrinklogit.logit.irls_stack`) and scored by one
-call of the shrinkage kernel. Every numerical step treats the rows of a
-block independently, so results are bit-identical whatever the blocks,
-whether they run sequentially or on a process pool, and independent of
-worker count.
+Replications run in blocks of at most :data:`BLOCK_SIZE`. A block opens
+the substream of each of its replications, draws every replication's
+standard normal design block into one (R, n, p) stack, applies the
+design formula and the logistic probabilities to the whole stack at
+once, and then draws every replication's responses from its own
+substream, so each replication gets, bit for bit, what
+:func:`gen_design` and :func:`gen_response` draw for it alone. The block
+is then fitted by one batched Newton loop
+(:func:`~shrinklogit.logit.irls_stack`) and scored by one call of the
+shrinkage kernel. Every numerical step treats the rows of a block
+independently, so results are bit-identical whatever the blocks, whether
+they run sequentially or on a process pool, and independent of worker
+count.
 """
 
 from __future__ import annotations
@@ -118,8 +124,16 @@ def gen_design(n: int, p: int, r: float, rng: np.random.Generator) -> NDArray:
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must be in [0, 1), got {r}")
-    z = rng.standard_normal((n, p))
-    return np.sqrt(1.0 - r**2) * z + r * z[:, [p - 1]]
+    return _correlate(rng.standard_normal((n, p)), r)
+
+
+def _correlate(z: NDArray, r: float) -> NDArray:
+    """The module formula applied in place to standard normal blocks z
+    (..., n, p), whose last column is the shared component."""
+    shared = r * z[..., -1:]
+    z *= np.sqrt(1.0 - r**2)
+    z += shared
+    return z
 
 
 def gen_beta(
@@ -158,8 +172,14 @@ def gen_beta(
 
 def gen_response(X: NDArray, beta: NDArray, rng: np.random.Generator) -> NDArray:
     """Bernoulli responses with logistic probabilities at X beta."""
+    return _responses(np.asarray(X)[None], beta, [rng])[0]
+
+
+def _responses(X: NDArray, beta: NDArray, rngs) -> NDArray:
+    """:func:`gen_response` for a stack of designs X (R, n, p), row i drawn
+    from ``rngs[i]``; the probabilities come from one stacked product."""
     pi = expit(X @ beta)
-    return rng.binomial(1, pi).astype(float)
+    return np.array([rng.binomial(1, row) for rng, row in zip(rngs, pi)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -240,14 +260,23 @@ class SimulationResult:
         return self.cell(kind, d).mse
 
 
-def _draw(config: SimulationConfig, beta: NDArray, fixed_x, rep_index: int):
-    """Design and response of replication ``rep_index``, from its substream."""
-    rng = np.random.default_rng([config.seed, _REPLICATION_STREAM_BASE + rep_index])
+def _draw_block(config: SimulationConfig, beta: NDArray, fixed_x, reps: range):
+    """Designs X (R, n, p) and responses y (R, n) of replications ``reps``.
+
+    Each replication draws its design, then its response, from its own
+    substream, exactly as :func:`gen_design` and :func:`gen_response` would
+    draw them one replication at a time; the correlation formula and the
+    probabilities are formed once for the whole block.
+    """
+    rngs = [np.random.default_rng([config.seed, _REPLICATION_STREAM_BASE + r]) for r in reps]
     if config.regenerate_design:
-        X = gen_design(config.n, config.p, np.sqrt(config.rho), rng)
+        X = np.empty((len(rngs), config.n, config.p))
+        for rng, z in zip(rngs, X):
+            rng.standard_normal(z.shape, out=z)
+        _correlate(X, np.sqrt(config.rho))
     else:
-        X = fixed_x
-    return X, gen_response(X, beta, rng)
+        X = np.broadcast_to(fixed_x, (len(rngs),) + fixed_x.shape)
+    return X, _responses(X, beta, rngs)
 
 
 def _run_block(config: SimulationConfig, beta: NDArray, fixed_x, reps: range):
@@ -257,12 +286,7 @@ def _run_block(config: SimulationConfig, beta: NDArray, fixed_x, reps: range):
     (kept, K, D) in replication order, and per replication its skip
     reason, or None if it was fitted.
     """
-    draws = [_draw(config, beta, fixed_x, r) for r in reps]
-    if config.regenerate_design:
-        X = np.stack([x for x, _ in draws])
-    else:
-        X = np.broadcast_to(fixed_x, (len(draws),) + fixed_x.shape)
-    fit, errors = irls_stack(X, np.stack([y for _, y in draws]), config.fit_options)
+    fit, errors = irls_stack(*_draw_block(config, beta, fixed_x, reps), config.fit_options)
     if not fit.converged.all():
         fit = FittedLogit(*(getattr(fit, f.name)[fit.converged] for f in fields(fit)))
     estimates = shrinkage_estimates(fit, config.estimator_kinds, config.d_grid, config.restriction)

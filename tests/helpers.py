@@ -76,7 +76,13 @@ def random_scenario(
     project: bool = True,
     aligned: bool = False,
 ) -> RiskScenario:
-    """Random PD scenario with a restriction; see the module docstring."""
+    """Random PD scenario with a restriction; see the module docstring.
+
+    With ``project`` the truth lies in null(H), so a full restriction
+    (q = m) is a ValueError: null(H) = {0} holds no nonzero truth.
+    """
+    if project and q == m:
+        raise ValueError(f"q = m = {m}: null(H) = {{0}} cannot hold a unit-norm truth; pass project=False")
     if aligned:
         eigenvalues = np.sort(np.exp(rng.uniform(-1.5, 1.5, size=m)))[::-1]
         basis = random_orthogonal(rng, m)

@@ -34,7 +34,10 @@ from shrinklogit import (
     run_simulation,
     shrinkage_estimates,
     simulation,
+    working_quantities,
 )
+from shrinklogit.linalg import definiteness_error, positive_definite
+from shrinklogit.logit import irls_stack
 
 
 def reference_loop(config, beta, fixed_x):
@@ -130,6 +133,47 @@ class TestBlocksAgainstLoop:
         assert not isinstance(actual, type), f"engine raised {actual.__name__}"
         assert actual[1] == expected[1]
         assert np.array_equal(actual[0], expected[0])
+
+
+def plain_newton(X, y, opts):
+    """One row's IRLS as a plain loop: (beta, iterations, final step, error message or None)."""
+    data, beta, step = Dataset(X, y), np.zeros(X.shape[1]), np.inf
+    for iteration in range(1, opts.max_iter + 1):
+        w, z, c = working_quantities(data, beta, opts)
+        eigenvalues = np.linalg.eigvalsh(c)
+        if not positive_definite(eigenvalues):
+            return beta, iteration, step, str(definiteness_error(eigenvalues, "information matrix X'WX"))
+        beta_next = np.linalg.solve(c, X.T @ (w * z))
+        step, beta = np.max(np.abs(beta_next - beta)), beta_next
+        if step <= opts.tol:
+            return beta, iteration, step, None
+    return beta, opts.max_iter, step, f"IRLS did not converge in {opts.max_iter} iterations (last step {step:.3e})"
+
+
+def test_each_row_leaves_with_its_own_state():
+    # Nearly repeated columns: rows converge, meet a singular X'WX (at the
+    # first iteration or later) or run out of iterations, at different times.
+    opts = FitOptions(max_iter=6)
+    X, y = [], []
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((12, 3))
+        x[:, -1] = x[:, 0] + [0.0, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3][seed % 6] * rng.standard_normal(12)
+        X.append(x)
+        y.append((rng.random(12) < 0.5).astype(float))
+    fit, errors = irls_stack(np.stack(X), np.stack(y), opts)
+    outcomes = set()
+    for i, error in enumerate(errors):
+        beta, iterations, step, message = plain_newton(X[i], y[i], opts)
+        assert np.array_equal(fit.beta_mle[i], beta)
+        assert (fit.iterations[i], fit.final_step[i]) == (iterations, step)
+        assert (None if error is None else str(error)) == message
+        assert fit.converged[i] == (error is None)
+        w, z, c = working_quantities(Dataset(X[i], y[i]), beta, opts)
+        assert np.array_equal(fit.W[i], w) and np.array_equal(fit.Z[i], z) and np.array_equal(fit.C[i], c)
+        outcomes.add((type(error).__name__, iterations))
+    assert {("NoneType", 5), ("NotConvergedError", 6), ("SingularInformationError", 1)} <= outcomes
+    assert any(kind == "SingularInformationError" and it > 1 for kind, it in outcomes)
 
 
 def skip_prone_config():

@@ -314,6 +314,12 @@ def full_restrictions():
     ]
 
 
+@pytest.mark.parametrize("aligned", [False, True])
+def test_projected_truth_needs_a_null_space(aligned):
+    with pytest.raises(ValueError, match=r"null\(H\) = \{0\} cannot hold a unit-norm truth"):
+        random_scenario(np.random.default_rng(16), 3, 3, aligned=aligned)
+
+
 class TestOneImplementationPerTheorem:
     """check_all shares its d-independent and per-d parts between the checks;
     each check alone builds the same parts, so its verdict is the same."""

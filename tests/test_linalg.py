@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shrinklogit import (
     InvalidMatrixError,
@@ -13,7 +15,13 @@ from shrinklogit import (
     sym_eigen,
     symmetrize,
 )
-from shrinklogit.linalg import PSD_SLACK, RANK_CUT
+from shrinklogit.linalg import (
+    PSD_SLACK,
+    RANK_CUT,
+    _certify_positive_definite,
+    definiteness_error,
+    positive_definite,
+)
 from helpers import random_symmetric
 
 
@@ -198,3 +206,75 @@ class TestLambdaMaxRatio:
             assert (ratio <= 1.0) == is_psd(denom - numer).ok
             checked += 1
         assert checked > 250
+
+
+#: How the smallest eigenvalue of a drawn matrix sits against the largest (1).
+SPECTRA = {
+    "conditioned": st.floats(0.0, 13.0).map(lambda k: 10.0**-k),
+    "near the cut": st.floats(-11.0, -9.0).map(lambda k: 10.0**k),
+    "near the certificate": st.floats(-10.0, -7.0).map(lambda k: 10.0**k),
+    "singular": st.just(0.0),
+    "indefinite": st.floats(0.0, 12.0).map(lambda k: -(10.0**-k)),
+    "zero": st.just(None),
+}
+
+
+@st.composite
+def symmetric_stacks(draw):
+    """Stacks (R, m, m) mixing rows of every kind in SPECTRA, at scales up to 1e200."""
+    m, rows = draw(st.integers(1, 10)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for _ in range(rows):
+        low = draw(st.sampled_from(sorted(SPECTRA)).flatmap(SPECTRA.get))
+        if low is None:
+            stack.append(np.zeros((m, m)))
+            continue
+        middle = np.abs(low) ** rng.uniform(0.0, 1.0, size=max(m - 2, 0)) if low else rng.uniform(0.0, 1.0, m)
+        eigenvalues = np.concatenate([[1.0, low], middle])[:m] if m > 1 else np.array([low])
+        scale = draw(st.sampled_from([1.0, 1e-3, 1e5, 1e200, -1.0]))
+        stack.append(symmetrize(random_symmetric(rng, m, scale * eigenvalues)))
+    return np.stack(stack)
+
+
+class TestCertifyPositiveDefinite:
+    """The shifted-Cholesky certificate decides every row as positive_definite
+    does on the eigvalsh spectrum, and hands over that spectrum when needed."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(symmetric_stacks())
+    def test_same_verdict_as_the_eigenvalue_route(self, stack):
+        spectrum = np.linalg.eigvalsh(stack)
+        expected = positive_definite(spectrum)
+        definite, eigenvalues = _certify_positive_definite(stack)
+        assert np.array_equal(definite, expected)
+        assert eigenvalues is None or np.array_equal(eigenvalues, spectrum)
+        for i in range(stack.shape[0]):
+            alone, _ = _certify_positive_definite(stack[i : i + 1])
+            assert alone[0] == expected[i]
+
+    def test_well_conditioned_rows_need_no_eigensolve(self):
+        stack = np.stack([np.eye(3), np.diag([1e3, 1.0, 1e-3]), 1e200 * np.eye(3)])
+        definite, eigenvalues = _certify_positive_definite(stack)
+        assert definite.all() and eigenvalues is None
+
+    def test_band_near_the_cut_is_left_to_the_eigenvalues(self):
+        # positive definite at RANK_CUT, yet below the certificate's shift
+        stack = np.diag([1.0, 1.5 * RANK_CUT])[None]
+        definite, eigenvalues = _certify_positive_definite(stack)
+        assert definite.all() and eigenvalues is not None
+
+    def test_non_finite_factor_is_no_certificate(self, monkeypatch):
+        stack = np.stack([np.eye(2), np.diag([1.0, 0.1 * RANK_CUT])])
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: np.full(a.shape, np.nan))
+        definite, eigenvalues = _certify_positive_definite(stack)
+        assert definite.tolist() == [True, False]
+        assert np.array_equal(eigenvalues, np.linalg.eigvalsh(stack))
+
+    def test_failing_rows_get_the_eigenvalue_route_message(self):
+        stack = np.stack([np.eye(3), np.diag([1.0, 1e-12, 2.0]), np.diag([1.0, -1.0, 0.5]), np.zeros((3, 3))])
+        definite, eigenvalues = _certify_positive_definite(stack)
+        assert definite.tolist() == [True, False, False, False]
+        for i in (1, 2, 3):
+            message = str(definiteness_error(eigenvalues[i], "X'WX"))
+            assert message == str(definiteness_error(np.linalg.eigvalsh(stack[i]), "X'WX"))

@@ -14,6 +14,7 @@ from shrinklogit import (
     is_psd,
     working_quantities,
 )
+from shrinklogit.linalg import definiteness_error
 
 
 def newton_mle(X, y, iterations=100, tol=1e-12):
@@ -177,8 +178,11 @@ class TestIrlsFit:
     def test_singular_information(self):
         x = np.column_stack([np.ones(10), np.ones(10)])
         y = np.array([0.0, 1.0] * 5)
-        with pytest.raises(SingularInformationError):
+        with pytest.raises(SingularInformationError) as caught:
             irls_fit(Dataset(x, y))
+        # the message reports the eigenvalues of X'WX at the failing iterate
+        _, _, c = working_quantities(Dataset(x, y), np.zeros(2))
+        assert str(caught.value) == str(definiteness_error(np.linalg.eigvalsh(c), "information matrix X'WX"))
 
     def test_weights_in_bernoulli_range(self):
         rng = np.random.default_rng(9)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from shrinklogit import (
     AllReplicationsFailedError,
@@ -13,6 +14,7 @@ from shrinklogit import (
     gen_design,
     gen_response,
     run_simulation,
+    simulation,
 )
 
 
@@ -98,6 +100,49 @@ class TestGenResponse:
         a = gen_response(x, np.array([0.5, -0.5]), np.random.default_rng(9))
         b = gen_response(x, np.array([0.5, -0.5]), np.random.default_rng(9))
         assert np.array_equal(a, b)
+
+
+class TestBlockDraw:
+    """A block's designs and responses are, bit for bit, what gen_design and
+    gen_response draw one replication at a time from its substream."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(),
+            dict(regenerate_design=False),
+            dict(p=2, restriction=LinearRestriction([[1.0, -1.0]], [0.0])),
+            dict(n=4),
+            dict(seed=2**32 + 7),
+            dict(seed=2**64 + 3, regenerate_design=False, n=4),
+        ],
+        ids=["fresh", "fixed-design", "p2", "n-equals-p", "seed-above-2**32", "fixed-n-equals-p-big-seed"],
+    )
+    def test_equals_per_replication_draws(self, overrides):
+        config = small_config(reps=9, **overrides)
+        beta = gen_beta(config.p, config.restriction, True, np.random.default_rng(3))
+        fixed_x = gen_design(config.n, config.p, np.sqrt(config.rho), np.random.default_rng(4))
+        reps = range(2, 9)
+        X, y = simulation._draw_block(config, beta, fixed_x, reps)
+        assert X.shape == (len(reps), config.n, config.p) and y.shape == (len(reps), config.n)
+        for i, r in enumerate(reps):
+            rng = np.random.default_rng([config.seed, 2 + r])
+            x = gen_design(config.n, config.p, np.sqrt(config.rho), rng) if config.regenerate_design else fixed_x
+            assert np.array_equal(X[i], x)
+            assert np.array_equal(y[i], gen_response(x, beta, rng))
+
+    def test_generators_follow_the_module_formula(self):
+        # the textbook formula, written out, so the shared block code cannot
+        # drift from it on both sides at once
+        r, beta = np.sqrt(0.99), np.array([0.6, -0.8, 0.0])
+        rng = np.random.default_rng([11, 2])
+        z = rng.standard_normal((40, 3))
+        x = np.sqrt(1.0 - r**2) * z + r * z[:, [2]]
+        y = rng.binomial(1, expit(x @ beta)).astype(float)
+        rng = np.random.default_rng([11, 2])
+        design = gen_design(40, 3, r, rng)
+        assert np.array_equal(design, x)
+        assert np.array_equal(gen_response(design, beta, rng), y)
 
 
 class TestRunSimulation:
