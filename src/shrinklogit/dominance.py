@@ -30,13 +30,16 @@ and b1 = (L - I) beta the shared shrinkage bias. The matrix checks take
 b1 and LAL from the RAULE risk report (its bias and covariance), and
 T3.3 takes ACA from the RMLE report's covariance.
 
-Each quantity is built once. What does not depend on d (ACA's PSD test,
-pseudo-inverse and congruence, C^{1/2}, C^-1 - A, the scalar conditions'
-parts) is kept by the scenario from the first check that needs it. What
-does, the RAULE and AULE reports and Delta5, comes from one L per d.
-:func:`check_all` shares that per-d bundle between the theorems, except
-that T3.7 runs through :func:`check_t37` by name (so a wrapper of it sees
-every T3.7 verdict) and builds its own.
+Each theorem has one route, its ``check_*`` function, and
+:func:`check_all` runs the six by name. What they share is built once, on
+first use, and kept by the scenario in two lifetimes. What does not
+depend on d (ACA's PSD test, pseudo-inverse and congruence, C^{1/2},
+C^-1 - A, the scalar conditions' parts) is kept for the scenario's life.
+What does (L, the RAULE and AULE reports and Delta5) is kept in one
+per-d slot for the last d asked: a new d is checked to lie in [0, 1]
+before anything is built, and then replaces the slot, so the checks at
+one d share one L and memory does not grow with the number of d. Every
+kept array is read-only and nothing kept refers back to the scenario.
 
 The scalar conditions of T3.4/T3.6 compare
 (lam_1 + d)(lam_1 + 2 - d) / (1 - d)^2 against
@@ -56,12 +59,11 @@ and leaves the judgement to the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .estimators import EstimatorSpec, _smoothers
+from .estimators import EstimatorSpec, _check_request, _smoothers
 from .linalg import PSD_SLACK, RANK_CUT, _read_only, in_range_with_pinv, is_psd, moore_penrose, sym_eigen
 from .linalg import _congruence, _pinv, _ratio, _require_psd
 from .risk import RiskReport, RiskScenario, _smoothed, spectral_risk_terms
@@ -116,31 +118,44 @@ class DominanceVerdict:
         return record
 
 
-class _AtD:
-    """What the checks share at one d, each built on first use from one L:
-    the RAULE and AULE reports and Delta5 = L (C^-1 - A) L."""
-
-    def __init__(self, scenario: RiskScenario, d: float):
-        self.scenario, self.d, self.L = scenario, d, _smoothers(scenario.decomp, "raule", [d])
-
-    @cached_property
-    def raule(self) -> RiskReport:
-        return _smoothed(self.scenario, [EstimatorSpec("raule", self.d)], self.L)[0]
-
-    @cached_property
-    def aule(self) -> RiskReport:
-        return _smoothed(self.scenario, [EstimatorSpec("aule", self.d)], self.L)[0]
-
-    @cached_property
-    def delta5(self) -> NDArray:
-        return self.L[0] @ _part(self.scenario, _c_inv_minus_a) @ self.L[0]
-
-
 def _part(scenario: RiskScenario, build):
     """``build(scenario)``, kept by the scenario from its first use on."""
     if build not in scenario._parts:
         scenario._parts[build] = build(scenario)
     return scenario._parts[build]
+
+
+def _at(scenario: RiskScenario, d: float, build):
+    """``build(scenario, d)``, kept in the scenario's one per-d slot. A d
+    other than the slot's is checked first and starts a new slot."""
+    kept_d, parts = scenario._parts.get(_at, (None, None))
+    if d != kept_d:
+        (d,) = _check_request(["raule", "aule"], [d])[1]
+        parts = {}
+        scenario._parts[_at] = (d, parts)
+    if build not in parts:
+        parts[build] = build(scenario, d)
+    return parts[build]
+
+
+def _ld(scenario: RiskScenario, d: float) -> NDArray:
+    """L at d, as a (1, m, m) stack."""
+    return _read_only(_smoothers(scenario.decomp, "raule", [d]))
+
+
+def _raule(scenario: RiskScenario, d: float) -> RiskReport:
+    return _smoothed(scenario, [EstimatorSpec("raule", d)], _at(scenario, d, _ld))[0]
+
+
+def _aule(scenario: RiskScenario, d: float) -> RiskReport:
+    return _smoothed(scenario, [EstimatorSpec("aule", d)], _at(scenario, d, _ld))[0]
+
+
+def _delta5(scenario: RiskScenario, d: float) -> NDArray:
+    """Delta5 = L (C^-1 - A) L, which exists only under a restriction."""
+    scenario._require_restriction("this dominance check")
+    L = _at(scenario, d, _ld)[0]
+    return _read_only(L @ _part(scenario, _c_inv_minus_a) @ L)
 
 
 def _aca_parts(scenario: RiskScenario):
@@ -167,12 +182,13 @@ def _scalar_parts(scenario: RiskScenario):
     return float(terms.eigenvalues[0]), min_positive_a, max_alpha_sq, max_alpha_sq / min_positive_a
 
 
-def _matrix_verdict(theorem, at: _AtD, dispersion, applicable, side) -> DominanceVerdict:
+def _matrix_verdict(theorem, scenario, d, dispersion, applicable, side) -> DominanceVerdict:
     """T3.3/T3.5 lemma test for D = dispersion - LAL, b1 and LAL from the RAULE
     report: b1 in range(D) and b1' D^+ b1 <= 1 with D^+ formed once, and the
     direct PSD test of D - b1 b1'. ``side`` holds the applicability witnesses."""
-    b1 = at.raule.bias
-    difference = dispersion - at.raule.cov
+    raule = _at(scenario, d, _raule)
+    b1 = raule.bias
+    difference = dispersion - raule.cov
     pinv = moore_penrose(difference)
     b_in_range = in_range_with_pinv(b1, difference, pinv)
     qform = float(b1 @ pinv @ b1)
@@ -185,7 +201,7 @@ def _matrix_verdict(theorem, at: _AtD, dispersion, applicable, side) -> Dominanc
         lhs=qform,
         rhs=1.0,
         witnesses={
-            "d": float(at.d),
+            "d": float(d),
             **side,
             "bias_in_range": float(b_in_range),
             "quadratic_form": qform,
@@ -203,13 +219,9 @@ def check_t33(scenario: RiskScenario, d: float) -> DominanceVerdict:
     b1'(ACA - LAL)^+ b1 <= 1 (with b1 in the range of the difference) is
     equivalent to the matrix MSE difference Delta1 = ACA - LAL - b1 b1'
     being nonnegative definite. Delta1 is always checked directly too.
+    lambda_max_ratio(LAL, ACA) and in_range(LAL, ACA) use ACA's kept parts.
     """
-    return _t33(scenario, _AtD(scenario, d))
-
-
-def _t33(scenario, at: _AtD) -> DominanceVerdict:
-    """lambda_max_ratio(LAL, ACA) and in_range(LAL, ACA) on ACA's kept parts."""
-    lal = at.raule.cov
+    lal = _at(scenario, d, _raule).cov
     _require_psd(numerator=is_psd(lal))
     psd, pinv, congruence = _part(scenario, _aca_parts)
     _require_psd(denominator=psd)
@@ -217,13 +229,12 @@ def _t33(scenario, at: _AtD) -> DominanceVerdict:
     range_ok = in_range_with_pinv(lal, scenario._rmle.cov, pinv)
     applicable = bool(ratio <= 1.0 + PSD_SLACK and range_ok)
     side = {"lambda_max_ratio": ratio, "range_inclusion": float(range_ok)}
-    return _matrix_verdict("T3.3", at, scenario._rmle.cov, applicable, side)
+    return _matrix_verdict("T3.3", scenario, d, scenario._rmle.cov, applicable, side)
 
 
-def _scalar_verdict(theorem, scenario, at: _AtD, baseline_kind) -> DominanceVerdict:
-    raule = at.raule  # first: without a restriction, its error is the check's
+def _scalar_verdict(theorem, scenario, d, baseline_kind) -> DominanceVerdict:
+    raule = _at(scenario, d, _raule)  # first: the d check, then the check's missing-restriction error
     lam1, min_a, max_alpha_sq, rhs = _part(scenario, _scalar_parts)
-    d = at.d
     lhs = np.inf if d == 1.0 else (lam1 + d) * (lam1 + 2.0 - d) / (1.0 - d) ** 2
     baseline = scenario._rmle if baseline_kind == "rmle" else scenario._mle
     delta = baseline.mse - raule.mse
@@ -251,7 +262,7 @@ def check_t34(scenario: RiskScenario, d: float) -> DominanceVerdict:
     Under a full restriction (q = m) A = 0, so no a_ii is positive: the
     bound's right side is 0 and ``condition_holds`` is false.
     """
-    return _scalar_verdict("T3.4", scenario, _AtD(scenario, d), "rmle")
+    return _scalar_verdict("T3.4", scenario, d, "rmle")
 
 
 def check_t35(scenario: RiskScenario, d: float) -> DominanceVerdict:
@@ -262,22 +273,18 @@ def check_t35(scenario: RiskScenario, d: float) -> DominanceVerdict:
     criterion b1'(C^-1 - LAL)^+ b1 <= 1 is equivalent to
     Delta3 = C^-1 - LAL - b1 b1' being nonnegative definite.
     """
-    return _t35(scenario, _AtD(scenario, d))
-
-
-def _t35(scenario, at: _AtD) -> DominanceVerdict:
-    lal = at.raule.cov
+    lal = _at(scenario, d, _raule).cov
     half = _part(scenario, _c_half)
     core = half.T @ lal @ half
     lam = float(max(np.linalg.eigvalsh(0.5 * (core + core.T))[-1], 0.0))
     applicable = bool(lam <= 1.0 + PSD_SLACK)
     side = {"lambda_max_product": lam}
-    return _matrix_verdict("T3.5", at, scenario.c_inv, applicable, side)
+    return _matrix_verdict("T3.5", scenario, d, scenario.c_inv, applicable, side)
 
 
 def check_t36(scenario: RiskScenario, d: float) -> DominanceVerdict:
     """RAULE vs MLE in scalar MSE: same bound as T3.4, direct difference vs MLE."""
-    return _scalar_verdict("T3.6", scenario, _AtD(scenario, d), "mle")
+    return _scalar_verdict("T3.6", scenario, d, "mle")
 
 
 def check_t37(scenario: RiskScenario, d: float) -> DominanceVerdict:
@@ -288,8 +295,7 @@ def check_t37(scenario: RiskScenario, d: float) -> DominanceVerdict:
     false (beyond the slack) signals a numerical integrity failure, not
     a counterexample.
     """
-    scenario._require_restriction("this dominance check")
-    psd = is_psd(_AtD(scenario, d).delta5)
+    psd = is_psd(_at(scenario, d, _delta5))
     return DominanceVerdict(
         theorem="T3.7",
         applicable=True,
@@ -301,30 +307,20 @@ def check_t37(scenario: RiskScenario, d: float) -> DominanceVerdict:
 
 def check_c31(scenario: RiskScenario, d: float) -> DominanceVerdict:
     """RAULE vs AULE in scalar MSE, the trace consequence of the matrix order."""
-    return _c31(scenario, _AtD(scenario, d))
-
-
-def _c31(scenario, at: _AtD) -> DominanceVerdict:
+    aule = _at(scenario, d, _aule)  # first: the AULE needs no restriction
     scenario._require_restriction("this dominance check")
-    delta = at.aule.mse - at.raule.mse
+    delta = aule.mse - _at(scenario, d, _raule).mse
     return DominanceVerdict(
         theorem="C3.1",
         applicable=True,
         condition_holds=True,
         delta_psd=bool(delta >= -PSD_SLACK),
-        witnesses={"d": float(at.d), "delta_mse": float(delta)},
+        witnesses={"d": float(d), "delta_mse": float(delta)},
     )
 
 
 def check_all(scenario: RiskScenario, d: float) -> list[DominanceVerdict]:
-    """All six checks in report order, sharing one per-d bundle (T3.7
-    through :func:`check_t37`, see the module docstring)."""
-    at = _AtD(scenario, d)
-    return [
-        _t33(scenario, at),
-        _scalar_verdict("T3.4", scenario, at, "rmle"),
-        _t35(scenario, at),
-        _scalar_verdict("T3.6", scenario, at, "mle"),
-        check_t37(scenario, d),
-        _c31(scenario, at),
-    ]
+    """All six checks in report order, each through its module name, so
+    that a rebinding of any of them sees its verdict here too."""
+    checks = (check_t33, check_t34, check_t35, check_t36, check_t37, check_c31)
+    return [check(scenario, d) for check in checks]

@@ -151,7 +151,8 @@ def is_psd(matrix) -> PsdResult:
 def positive_definite(eigenvalues):
     """Whether eigenvalues (last axis, in any order) have a positive maximum
     and a minimum above ``RANK_CUT`` times it: one bool per row of a stack."""
-    low, high = np.min(eigenvalues, axis=-1), np.max(eigenvalues, axis=-1)
+    eigenvalues = np.asarray(eigenvalues)
+    low, high = eigenvalues.min(axis=-1), eigenvalues.max(axis=-1)
     return ~((high <= 0.0) | (low <= RANK_CUT * high))
 
 

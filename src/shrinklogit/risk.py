@@ -118,8 +118,10 @@ class RiskScenario:
     restriction the kernel A, the RMLE report and the
     :class:`SpectralRiskTerms`. C and beta_true are copied from the
     caller and every array held is read-only, so none of it goes stale.
-    ``_parts`` keeps what the dominance checks derive from these; none of
-    it refers back to the scenario, which reference counting alone frees.
+    ``_parts`` keeps what the dominance checks derive from these: the
+    d-independent parts for the scenario's life, and one slot of per-d
+    parts for the last d asked. None of it refers back to the scenario,
+    which reference counting alone frees.
     """
 
     C: NDArray

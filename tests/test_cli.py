@@ -298,6 +298,14 @@ class TestDominance:
         code, _, err = run(capsys, ["dominance", "--scenario-file", str(path)])
         assert code == 1
 
+    @pytest.mark.parametrize("d", ["1.5", "-0.2", "nan"])
+    def test_invalid_d_exits_one(self, capsys, tmp_path, d):
+        path = tmp_path / "scenario.txt"
+        save_scenario(path, random_scenario(np.random.default_rng(12), 3, 1))
+        code, out, err = run(capsys, ["dominance", "--scenario-file", str(path), f"--d={d}"])
+        assert (code, out) == (1, "")
+        assert err == f"error: d must be in [0, 1], got {float(d)}\n"
+
 
 def assert_one_error_line(code, out, err):
     assert (code, out) == (1, "")

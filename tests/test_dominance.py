@@ -13,6 +13,7 @@ from shrinklogit import (
     EstimatorSpec,
     LinearRestriction,
     MissingRestrictionError,
+    RiskReport,
     RiskScenario,
     check_all,
     check_c31,
@@ -22,6 +23,7 @@ from shrinklogit import (
     check_t36,
     check_t37,
     d_sweep,
+    dominance,
     is_psd,
     ld_matrix,
     risk,
@@ -351,21 +353,77 @@ class TestOneImplementationPerTheorem:
             check(scenario, 0.5)
 
 
+class TestOneRoute:
+    """check_all is the six public checks by name, sharing one L per d."""
+
+    NAMES = tuple(check.__name__ for check in CHECKS)
+
+    def test_check_all_calls_each_public_check_once(self, monkeypatch):
+        calls = []
+        for name in self.NAMES:
+            original = getattr(dominance, name)
+
+            def counted(scenario, d, original=original, name=name):
+                calls.append(name)
+                return original(scenario, d)
+
+            monkeypatch.setattr(dominance, name, counted)
+        check_all(random_scenario(np.random.default_rng(15), 4, 2), 0.5)
+        assert calls == list(self.NAMES)
+
+    def test_check_all_builds_l_once_per_new_d(self, monkeypatch):
+        calls = []
+        original = dominance._smoothers
+
+        def counted(decomp, kind, d_grid):
+            calls.append((kind, list(d_grid)))
+            return original(decomp, kind, d_grid)
+
+        monkeypatch.setattr(dominance, "_smoothers", counted)
+        scenario = random_scenario(np.random.default_rng(15), 4, 2)
+        for d in (0.5, 0.5, 0.7):
+            check_all(scenario, d)
+        assert calls == [("raule", [0.5]), ("raule", [0.7])]
+
+    @pytest.mark.parametrize("d", [1.5, -0.2, float("nan")])
+    @pytest.mark.parametrize("check", CHECKS + (check_all,))
+    def test_invalid_d_is_rejected_before_anything_is_built(self, check, d):
+        scenario = diag_scenario([3.0, 1.0, 0.5], [1.0, -1.0, 0.5], [[1.0, 1.0, 0.0]])
+        check_all(scenario, 0.5)
+        with pytest.raises(ValueError, match=r"^d must be in \[0, 1\], got "):
+            check(scenario, d)
+        assert scenario._parts[dominance._at][0] == 0.5
+
+
 class TestKeptParts:
     """What the scenario keeps for the checks is read-only, holds no
-    reference back to the scenario, and does not change later verdicts."""
+    reference back to the scenario, and does not change later verdicts.
+    The d-independent parts are kept for the scenario's life, the per-d
+    parts in one slot for the last d asked."""
 
     @staticmethod
     def scenario():
         return random_scenario(np.random.default_rng(15), 4, 2)
 
+    @staticmethod
+    def kept(scenario):
+        """The d-independent parts, and the per-d slot's d and parts."""
+        parts = dict(scenario._parts)
+        d, per_d = parts.pop(dominance._at)
+        return parts, d, per_d
+
     def test_kept_parts_are_read_only(self):
         scenario = self.scenario()
         check_all(scenario, 0.5)
-        parts = list(scenario._parts.values())
-        assert len(parts) == 4
-        arrays = [a for part in parts for a in (part if isinstance(part, tuple) else (part,)) if isinstance(a, np.ndarray)]
-        assert len(arrays) == 4
+        parts, d, per_d = self.kept(scenario)
+        assert (len(parts), d, len(per_d)) == (4, 0.5, 4)
+        arrays = []
+        for part in [*parts.values(), *per_d.values()]:
+            if isinstance(part, RiskReport):
+                part = (part.cov, part.bias)
+            part = part if isinstance(part, tuple) else (part,)
+            arrays.extend(a for a in part if isinstance(a, np.ndarray))
+        assert len(arrays) == 10
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 9.0
@@ -373,7 +431,15 @@ class TestKeptParts:
     def test_a_single_check_builds_only_what_it_needs(self):
         scenario = self.scenario()
         check_t37(scenario, 0.5)
-        assert len(scenario._parts) == 1
+        parts, d, per_d = self.kept(scenario)
+        assert (len(parts), d, len(per_d)) == (1, 0.5, 2)
+
+    def test_one_per_d_slot_whatever_the_number_of_d(self):
+        scenario = self.scenario()
+        for d in np.linspace(0.0, 1.0, 20):
+            check_all(scenario, d)
+        parts, d, per_d = self.kept(scenario)
+        assert (len(scenario._parts), len(parts), d, len(per_d)) == (5, 4, 1.0, 4)
 
     def test_scenario_is_freed_by_reference_counting(self):
         scenario = self.scenario()
@@ -394,4 +460,9 @@ class TestKeptParts:
         first = check_all(scenario, 0.3)
         check_all(scenario, 0.7)
         assert check_all(scenario, 0.3) == first
+        interleaved = []
+        for check in CHECKS:
+            check(scenario, 0.7)
+            interleaved.append(check(scenario, 0.3))
+        assert interleaved == first
         assert [check(self.scenario(), 0.3) for check in CHECKS] == first
