@@ -269,20 +269,16 @@ def cmd_risk(args) -> int:
     table = OutputTable(columns=["d", "estimator", "mse"] + names, rows=rows_out)
     _emit(table.render(args.format), args.output)
     if args.plot_data:
-        _emit(_plot_data(sweep, kinds, grid), args.plot_data)
+        _emit(_plot_data(sweep, kinds), args.plot_data)
     return code
 
 
-def _plot_data(sweep, kinds, grid) -> str:
-    """Two columns per estimator series (d, mse), one row per grid point."""
-    by_kind = {kind: [] for kind in kinds}
-    for row in sweep:
-        by_kind[row.kind].append((row.d, row.mse))
+def _plot_data(sweep, kinds) -> str:
+    """Two columns per estimator series (d, mse), one row per grid point,
+    read by position: the sweep is d-major with one row per requested kind."""
     columns = [name for kind in kinds for name in (f"{kind}_d", f"{kind}_mse")]
-    rows = [
-        [float(v) for kind in kinds for v in by_kind[kind][i]]
-        for i in range(len(grid))
-    ]
+    step = len(kinds)
+    rows = [[float(v) for row in sweep[i : i + step] for v in (row.d, row.mse)] for i in range(0, len(sweep), step)]
     return OutputTable(columns, rows).to_csv()
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConstantColumnError, CsvParseError, NonBinaryResponseError
-from .linalg import RANK_CUT, symmetrize
+from .linalg import positive_definite, symmetrize
 from .logit import Dataset
 
 __all__ = [
@@ -255,8 +255,5 @@ def diagnostics(data: Dataset) -> DiagnosticsReport:
     correlation = symmetrize(np.corrcoef(cols, rowvar=False))
     np.fill_diagonal(correlation, 1.0)
     evals = np.linalg.eigvalsh(correlation)[::-1].copy()
-    if evals[-1] <= RANK_CUT * evals[0]:
-        kappa = np.inf
-    else:
-        kappa = float(np.sqrt(evals[0] / evals[-1]))
+    kappa = float(np.sqrt(evals[0] / evals[-1])) if positive_definite(evals) else np.inf
     return DiagnosticsReport(correlation=correlation, kappa=kappa, eigenvalues=evals)

@@ -64,8 +64,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .estimators import EstimatorSpec, _check_request, _smoothers
-from .linalg import PSD_SLACK, RANK_CUT, _read_only, in_range_with_pinv, is_psd, moore_penrose, sym_eigen
-from .linalg import _congruence, _pinv, _ratio, _require_psd
+from .linalg import PSD_SLACK, _read_only, in_range_with_pinv, is_psd, moore_penrose, sym_eigen
+from .linalg import _congruence, _kept, _pinv, _ratio, _require_psd
 from .risk import RiskReport, RiskScenario, _smoothed, spectral_risk_terms
 
 # No longer called here, but kept bound: perfbench's traced run rebinds
@@ -173,10 +173,10 @@ def _c_inv_minus_a(scenario: RiskScenario) -> NDArray:
 
 
 def _scalar_parts(scenario: RiskScenario):
-    """lam_1, min_i a_ii over the strictly positive a_ii (inf when there are
+    """lam_1, min_i a_ii over the a_ii that ``_kept`` keeps (inf when there are
     none), max_i alpha_i^2 and the right side of the scalar conditions."""
     terms = spectral_risk_terms(scenario)
-    positive = terms.a_diag > RANK_CUT * max(float(np.max(terms.a_diag)), 0.0)
+    positive = _kept(terms.a_diag)
     min_positive_a = float(np.min(terms.a_diag[positive], initial=np.inf))
     max_alpha_sq = float(np.max(terms.alpha**2))
     return float(terms.eigenvalues[0]), min_positive_a, max_alpha_sq, max_alpha_sq / min_positive_a
@@ -269,14 +269,12 @@ def check_t35(scenario: RiskScenario, d: float) -> DominanceVerdict:
     """RAULE vs MLE in the matrix MSE order (necessary and sufficient).
 
     Applicable when lambda_max(LAL C) <= 1, evaluated literally on the
-    product LAL C through the congruence C^{1/2} LAL C^{1/2}. Then the
+    product LAL C through ``_ratio`` with the congruence S = C^{1/2}. Then the
     criterion b1'(C^-1 - LAL)^+ b1 <= 1 is equivalent to
     Delta3 = C^-1 - LAL - b1 b1' being nonnegative definite.
     """
     lal = _at(scenario, d, _raule).cov
-    half = _part(scenario, _c_half)
-    core = half.T @ lal @ half
-    lam = float(max(np.linalg.eigvalsh(0.5 * (core + core.T))[-1], 0.0))
+    lam = _ratio(lal, _part(scenario, _c_half))
     applicable = bool(lam <= 1.0 + PSD_SLACK)
     side = {"lambda_max_product": lam}
     return _matrix_verdict("T3.5", scenario, d, scenario.c_inv, applicable, side)

@@ -235,26 +235,22 @@ def shrinkage_estimates(
     if single:
         C, beta = C[None], beta[None]
     rows, m = beta.shape
-    # The first restricted kind decides the errors that do not depend on
-    # the fit (``static``); C is tested if they pass or a kind precedes it.
+    # Restriction errors are every row's, so row 0 raises them, unless an
+    # unrestricted kind before the first restricted one fails row 0's C.
     first = next((kind for kind in kinds if kind in RESTRICTED_KINDS), None)
-    static = None
-    if first is not None and restriction is None:
-        static = MissingRestrictionError(f"estimator {first!r} needs a linear restriction (H, h)")
-    elif first is not None:
-        try:
+    try:
+        if first is not None and restriction is None:
+            raise MissingRestrictionError(f"estimator {first!r} needs a linear restriction (H, h)")
+        if first is not None:
             _check_width(restriction, m)
-        except DimensionMismatchError as err:
-            static = err
-    c_ok = np.ones(rows, dtype=bool)
-    if static is None or kinds[0] != first:
-        decomp = sym_eigen(C)
-        c_ok = positive_definite(decomp.values)
-    if static is not None or not c_ok.all():
-        row = 0 if static is not None else int(np.argmin(c_ok))
-        if rows and not c_ok[row]:
-            raise definiteness_error(decomp.values[row], "C")
-        raise static
+    except (MissingRestrictionError, DimensionMismatchError):
+        if rows and kinds[0] != first:
+            require_positive_definite(sym_eigen(C[:1]).values[0], "C")
+        raise
+    decomp = sym_eigen(C)
+    ok = positive_definite(decomp.values)
+    if not ok.all():
+        raise definiteness_error(decomp.values[np.argmin(ok)], "C")
     rmle = _project(C, beta, restriction) if first is not None else None
     out = np.empty((rows, len(kinds), d.size, m))
     for i, kind in enumerate(kinds):

@@ -5,7 +5,8 @@ predicates) reduces to a handful of operations on real symmetric
 matrices: spectral decomposition, Moore-Penrose inversion, positive
 (semi)definiteness tests, range membership, and a generalized Rayleigh
 ratio. They live here so that their two thresholds, :data:`RANK_CUT`
-and :data:`PSD_SLACK`, are defined in one place.
+and :data:`PSD_SLACK`, are defined in one place, and every zero test
+(C definite, H of full rank, a kept eigenvalue, a positive a_ii) is :func:`_kept`.
 """
 
 from __future__ import annotations
@@ -40,12 +41,20 @@ __all__ = [
 # and condition numbers up to about 1e7, the regime produced by
 # near-unit pairwise correlations in the design.
 
-#: Relative: eigenvalues whose magnitude falls below RANK_CUT times the
-#: largest magnitude are treated as exact zeros.
+#: Relative: :func:`_kept`, the one zero test, treats a value at most
+#: RANK_CUT times the largest magnitude beside it as an exact zero; signed
+#: values below the cut, negative ones included, count as "not positive".
 RANK_CUT = 1e-10
 #: Absolute: a matrix counts as positive semidefinite when its smallest
 #: eigenvalue is at least -PSD_SLACK.
 PSD_SLACK = 1e-8
+
+
+def _kept(values) -> NDArray:
+    """Which of ``values`` count as nonzero: those above ``RANK_CUT`` times
+    the largest magnitude on the last axis, decided row by row for a stack."""
+    values = np.asarray(values)
+    return values > RANK_CUT * np.abs(values).max(axis=-1, keepdims=True, initial=0.0)
 
 
 def _read_only(array) -> NDArray:
@@ -117,10 +126,9 @@ def moore_penrose(matrix) -> NDArray:
 
 def _pinv(dec: SpectralDecomp) -> NDArray:
     """:func:`moore_penrose` of the matrix whose decomposition is ``dec``."""
-    scale = float(np.max(np.abs(dec.values))) if dec.values.size else 0.0
-    if scale == 0.0:
+    keep = _kept(np.abs(dec.values))
+    if not keep.any():  # the zero matrix, as +0.0 entries
         return np.zeros((dec.basis.shape[0], dec.basis.shape[0]))
-    keep = np.abs(dec.values) > RANK_CUT * scale
     inv = np.zeros_like(dec.values)
     inv[keep] = 1.0 / dec.values[keep]
     return symmetrize((dec.basis * inv) @ dec.basis.T)
@@ -149,11 +157,9 @@ def is_psd(matrix) -> PsdResult:
 
 
 def positive_definite(eigenvalues):
-    """Whether eigenvalues (last axis, in any order) have a positive maximum
-    and a minimum above ``RANK_CUT`` times it: one bool per row of a stack."""
-    eigenvalues = np.asarray(eigenvalues)
-    low, high = eigenvalues.min(axis=-1), eigenvalues.max(axis=-1)
-    return ~((high <= 0.0) | (low <= RANK_CUT * high))
+    """Whether every eigenvalue (last axis, in any order) is kept by
+    :func:`_kept`: one bool per row of a stack."""
+    return _kept(eigenvalues).all(axis=-1)
 
 
 def _certify_positive_definite(matrices):
@@ -250,8 +256,7 @@ def _require_psd(**checks: PsdResult) -> None:
 
 def _congruence(dec: SpectralDecomp) -> NDArray:
     """lambda_max_ratio's S from M's decomposition (no columns if no eigenvalue is kept)."""
-    scale = float(np.max(np.abs(dec.values))) if dec.values.size else 0.0
-    keep = dec.values > RANK_CUT * scale
+    keep = _kept(dec.values)
     return dec.basis[:, keep] * (dec.values[keep] ** -0.5)
 
 

@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 from scipy.special import expit, logit as logit_link
 
 from .errors import NotConvergedError
-from .linalg import RANK_CUT, _certify_positive_definite, _read_only, definiteness_error, symmetrize
+from .linalg import _certify_positive_definite, _kept, _read_only, definiteness_error, symmetrize
 
 __all__ = [
     "Dataset",
@@ -147,7 +147,7 @@ class LinearRestriction:
         if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h))):
             raise ValueError("restriction has non-finite entries")
         u, s, vt = np.linalg.svd(H)
-        if s[-1] <= RANK_CUT * s[0]:
+        if not _kept(s).all():
             raise ValueError("H is rank deficient: restriction rows must be independent")
         object.__setattr__(self, "H", _read_only(H))
         object.__setattr__(self, "h", _read_only(h))

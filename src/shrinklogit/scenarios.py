@@ -17,9 +17,10 @@ labeled blocks of comma separated numeric rows:
 
 Blocks C and beta are required; H and h come together and are optional.
 The matrices C and H have rows of one length, and C is square; the
-vectors beta and h are each one row or one column of numbers. Any other
-section, a section given twice, a non-numeric d, or a malformed or empty
-block raises CsvParseError naming the file and section.
+vectors beta and h are each one row or one column of numbers; [meta]
+holds at most m (C's size) and d, once each. Any other section or key,
+a section or key given twice, a non-numeric value, or a malformed or
+empty block raises CsvParseError naming the file and section.
 Lines starting with '#' are comments. Numbers are written with full
 round-trip precision so write-then-read is exact.
 
@@ -62,7 +63,7 @@ def save_scenario(path, scenario: RiskScenario, d: float | None = None):
 
 def _parse_blocks(path):
     sections: dict[str, list[list[float]]] = {}
-    meta: dict[str, str] = {}
+    meta: dict[str, tuple[float, int]] = {}
     seen: set[str] = set()
     current = None
     with open(path, encoding="utf-8") as handle:
@@ -85,12 +86,17 @@ def _parse_blocks(path):
                     f"{path}:{lineno}: data before any section header", row=lineno
                 )
             if current == "meta":
-                if "=" not in text:
-                    raise CsvParseError(
-                        f"{path}:{lineno}: expected 'key = value'", row=lineno
-                    )
-                key, _, value = text.partition("=")
-                meta[key.strip()] = value.strip()
+                key, equals, value = (part.strip() for part in text.partition("="))
+                where = f"{path}:{lineno}: section [meta]"
+                if not equals:
+                    raise CsvParseError(f"{path}:{lineno}: expected 'key = value'", row=lineno)
+                if key not in ("m", "d") or key in meta:
+                    problem = f"gives key {key!r} twice" if key in meta else f"has unknown key {key!r}"
+                    raise CsvParseError(f"{where} {problem}", row=lineno)
+                try:
+                    meta[key] = (float(value), lineno)
+                except ValueError:
+                    raise CsvParseError(f"{where} has non-numeric {key} = {value!r}", row=lineno) from None
                 continue
             sections[current].append(parse_row(text, f"{path}:{lineno}", row=lineno))
     return meta, sections
@@ -132,6 +138,9 @@ def load_scenario(path) -> tuple[RiskScenario, float | None]:
     C = matrix_block(sections["C"], where["C"])
     if C.shape[0] != C.shape[1]:
         raise CsvParseError(f"{path}: section [C] must be square, got {C.shape[0]} rows of {C.shape[1]}")
+    if "m" in meta and meta["m"][0] != C.shape[0]:
+        m, lineno = meta["m"]
+        raise CsvParseError(f"{path}:{lineno}: section [meta] has m = {m:g} for a {len(C)} x {len(C)} [C]", row=lineno)
     beta = vector_block(sections["beta"], where["beta"])
     restriction = None
     if "H" in sections:
@@ -141,8 +150,5 @@ def load_scenario(path) -> tuple[RiskScenario, float | None]:
         restriction = LinearRestriction(H, h)
     elif "h" in sections:
         raise CsvParseError(f"{path}: section [h] present but [H] missing")
-    try:
-        d = float(meta["d"]) if "d" in meta else None
-    except ValueError:
-        raise CsvParseError(f"{path}: section [meta] has non-numeric d = {meta['d']!r}") from None
+    d = meta["d"][0] if "d" in meta else None
     return RiskScenario(C=C, beta_true=beta, restriction=restriction), d

@@ -29,6 +29,9 @@ MALFORMED_SCENARIOS = [
     pytest.param("C", "[C]\n3.0,0.0\n0.0\n[beta]\n1.0,-1.0\n", id="ragged-C"),
     pytest.param("H", _C_BETA + "[H]\n1.0,0.0\n1.0\n[h]\n1.0,0.0\n", id="ragged-H"),
     pytest.param("meta", "[meta]\nd = half\n" + _C_BETA, id="non-numeric-d"),
+    pytest.param("meta", "[meta]\nD = 0.5\n" + _C_BETA, id="unknown-meta-key"),
+    pytest.param("meta", "[meta]\nd = 0.2\nd = 0.9\n" + _C_BETA, id="meta-key-given-twice"),
+    pytest.param("meta", "[meta]\nm = 3\n" + _C_BETA, id="m-not-the-size-of-C"),
     pytest.param("h", _C_BETA + "[h]\n1.0\n", id="h-without-H"),
     pytest.param("Hh", _C_BETA + "[Hh]\n1.0,0.0\n", id="unknown-section"),
     pytest.param("H", _C_BETA + "[H]\n[h]\n1.0\n", id="H-without-rows"),

@@ -215,6 +215,24 @@ class TestRisk:
             expected += ",".join(f"{d!r},{mse[d, kind]!r}" for kind in kinds) + "\n"
         assert plot.read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("estimators", ["aule,aule", "mle,MLE"])
+    def test_plot_data_with_a_repeated_kind(self, capsys, tmp_path, estimators):
+        """A kind given twice is two series, each with one row per grid point."""
+        spath = tmp_path / "scenario.txt"
+        save_scenario(spath, random_scenario(np.random.default_rng(9), 3, 1))
+        plot = tmp_path / "series.csv"
+        code, _, _ = run(
+            capsys,
+            ["risk", "--scenario-file", str(spath), "--d-grid", "0.1,0.5,0.9",
+             "--estimators", estimators, "--plot-data", str(plot)],
+        )
+        assert code == 0
+        kind = estimators.split(",")[0].lower()
+        sweep = d_sweep(load_scenario(spath)[0], [kind], [0.1, 0.5, 0.9])
+        expected = [f"{kind}_d,{kind}_mse,{kind}_d,{kind}_mse"]
+        expected += [f"{row.d!r},{row.mse!r},{row.d!r},{row.mse!r}" for row in sweep]
+        assert plot.read_text(encoding="utf-8").splitlines() == expected
+
     def test_requires_some_input(self, capsys):
         code, _, err = run(capsys, ["risk", "--d-grid", "0.5"])
         assert code == 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from shrinklogit import (
     InvalidMatrixError,
+    LinearRestriction,
     NotPSDError,
     in_range,
     is_psd,
@@ -19,6 +20,7 @@ from shrinklogit.linalg import (
     PSD_SLACK,
     RANK_CUT,
     _certify_positive_definite,
+    _kept,
     definiteness_error,
     positive_definite,
 )
@@ -62,6 +64,36 @@ class TestThresholds:
     def test_values(self):
         assert RANK_CUT == 1e-10
         assert PSD_SLACK == 1e-8
+
+
+class TestRankRule:
+    """The one zero test at its cut, through every consumer: a value of
+    exactly RANK_CUT times the largest magnitude is a zero, the next float
+    up is kept. The inputs are diagonal, so every spectrum is exact."""
+
+    SCALE = 4.0  # a power of two, so RANK_CUT * SCALE is exact
+
+    def test_cut_is_relative_to_the_largest_magnitude(self):
+        cut = RANK_CUT * self.SCALE
+        values = np.array([-self.SCALE, cut, np.nextafter(cut, 1.0), -np.nextafter(cut, 1.0)])
+        assert _kept(values).tolist() == [False, False, True, False]
+
+    @pytest.mark.parametrize("kept", [False, True], ids=["at-the-cut", "next-float-up"])
+    def test_boundary_at_every_consumer(self, kept):
+        cut = RANK_CUT * self.SCALE
+        v = np.nextafter(cut, 1.0) if kept else cut
+        M = np.diag([2.0, self.SCALE, v])
+        assert np.linalg.eigvalsh(M)[0] == v
+        assert positive_definite(np.linalg.eigvalsh(M)) == kept
+        assert moore_penrose(M)[2, 2] == (pytest.approx(1.0 / v) if kept else 0.0)
+        assert lambda_max_ratio(np.diag([0.0, 0.0, v]), M) == (pytest.approx(1.0) if kept else 0.0)
+        H = [[0.0, self.SCALE, 0.0], [v, 0.0, 0.0]]
+        assert np.linalg.svd(H, compute_uv=False)[-1] == v
+        if kept:
+            assert LinearRestriction(H, [0.0, 0.0]).q == 2
+        else:
+            with pytest.raises(ValueError, match="rank deficient"):
+                LinearRestriction(H, [0.0, 0.0])
 
 
 class TestSymEigen:

@@ -79,6 +79,23 @@ class TestScenarioErrors:
         with pytest.raises(CsvParseError, match=rf"^{re.escape(str(path))}:.*\[{section}\]"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "meta, line, named",
+        [
+            ("D = 0.5", 2, "unknown key 'D'"),
+            ("d = 0.2\nd = 0.9", 3, "key 'd' twice"),
+            ("m = 3", 2, "m = 3 for a 2 x 2 [C]"),
+            ("m = 2.5", 2, "m = 2.5 for a 2 x 2 [C]"),
+            ("m = two", 2, "non-numeric m = 'two'"),
+            ("d = half", 2, "non-numeric d = 'half'"),
+        ],
+    )
+    def test_meta_error_names_line_and_key(self, tmp_path, meta, line, named):
+        path = tmp_path / "s.txt"
+        path.write_text(f"[meta]\n{meta}\n[C]\n3.0,0.0\n0.0,1.0\n[beta]\n1.0,-1.0\n", encoding="utf-8")
+        with pytest.raises(CsvParseError, match=f"^{re.escape(f'{path}:{line}: section [meta] ')}.*{re.escape(named)}"):
+            load_scenario(path)
+
 
 class TestScenarioVectors:
     """[beta] and [h] are one row or one column; any other block is refused."""
