@@ -6,167 +6,30 @@ quantities, computes their exact bias, covariance, and (matrix) mean
 squared error at known truth, runs executable dominance checks between
 them, and reproduces the standard correlated-design Monte Carlo
 comparison with deterministic, parallel-safe seeding.
+
+Each public name is declared once, in the ``__all__`` of the module that
+defines it; the package republishes those lists. The command line
+(:mod:`shrinklogit.cli`) is the program, not the library, and is not
+republished.
 """
 
-from .datasets import (
-    DiagnosticsReport,
-    bundled_dataset_path,
-    diagnostics,
-    load_csv,
-    save_csv,
-)
-from .dominance import (
-    DominanceVerdict,
-    check_all,
-    check_c31,
-    check_t33,
-    check_t34,
-    check_t35,
-    check_t36,
-    check_t37,
-)
-from .errors import (
-    AllReplicationsFailedError,
-    ConstantColumnError,
-    CsvParseError,
-    DegenerateProjectionError,
-    DimensionMismatchError,
-    InvalidMatrixError,
-    MissingRestrictionError,
-    NonBinaryResponseError,
-    NotConvergedError,
-    NotPSDError,
-    ShrinkLogitError,
-    SingularInformationError,
-)
-from .estimators import (
-    KINDS,
-    RESTRICTED_KINDS,
-    SHRINKAGE_KINDS,
-    Estimate,
-    EstimatorSpec,
-    estimate,
-    ld_matrix,
-    liu_matrix,
-    residual,
-    restricted_mle,
-    shrinkage_estimates,
-)
-from .linalg import (
-    PsdResult,
-    SpectralDecomp,
-    in_range,
-    is_psd,
-    lambda_max_ratio,
-    moore_penrose,
-    sym_eigen,
-    symmetrize,
-)
-from .logit import (
-    Dataset,
-    FitOptions,
-    FittedLogit,
-    LinearRestriction,
-    irls_fit,
-    working_quantities,
-)
-from .risk import (
-    RiskReport,
-    RiskScenario,
-    SpectralRiskTerms,
-    SweepRow,
-    a_matrix,
-    d_sweep,
-    risk,
-    spectral_risk_terms,
-)
-from .scenarios import load_scenario, save_scenario
-from .simulation import (
-    TABLE_SUITE_D_GRID,
-    TABLE_SUITE_KINDS,
-    SimulationCell,
-    SimulationConfig,
-    SimulationResult,
-    default_restriction,
-    gen_beta,
-    gen_design,
-    gen_response,
-    run_simulation,
-    table_suite,
-)
+from . import datasets, dominance, errors, estimators, linalg, logit, risk, scenarios, simulation
+
+# Read before the star imports, which rebind ``risk`` to the function.
+__all__ = [
+    name
+    for module in (datasets, dominance, errors, estimators, linalg, logit, risk, scenarios, simulation)
+    for name in module.__all__
+]
+
+from .datasets import *  # noqa: E402, F403
+from .dominance import *  # noqa: E402, F403
+from .errors import *  # noqa: E402, F403
+from .estimators import *  # noqa: E402, F403
+from .linalg import *  # noqa: E402, F403
+from .logit import *  # noqa: E402, F403
+from .risk import *  # noqa: E402, F403
+from .scenarios import *  # noqa: E402, F403
+from .simulation import *  # noqa: E402, F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AllReplicationsFailedError",
-    "ConstantColumnError",
-    "CsvParseError",
-    "Dataset",
-    "DegenerateProjectionError",
-    "DiagnosticsReport",
-    "DimensionMismatchError",
-    "DominanceVerdict",
-    "Estimate",
-    "EstimatorSpec",
-    "FitOptions",
-    "FittedLogit",
-    "InvalidMatrixError",
-    "KINDS",
-    "LinearRestriction",
-    "MissingRestrictionError",
-    "NonBinaryResponseError",
-    "NotConvergedError",
-    "NotPSDError",
-    "PsdResult",
-    "RESTRICTED_KINDS",
-    "RiskReport",
-    "RiskScenario",
-    "SHRINKAGE_KINDS",
-    "ShrinkLogitError",
-    "SimulationCell",
-    "SimulationConfig",
-    "SimulationResult",
-    "SingularInformationError",
-    "SpectralDecomp",
-    "SpectralRiskTerms",
-    "SweepRow",
-    "TABLE_SUITE_D_GRID",
-    "TABLE_SUITE_KINDS",
-    "a_matrix",
-    "bundled_dataset_path",
-    "check_all",
-    "check_c31",
-    "check_t33",
-    "check_t34",
-    "check_t35",
-    "check_t36",
-    "check_t37",
-    "d_sweep",
-    "default_restriction",
-    "diagnostics",
-    "estimate",
-    "gen_beta",
-    "gen_design",
-    "gen_response",
-    "in_range",
-    "irls_fit",
-    "is_psd",
-    "lambda_max_ratio",
-    "ld_matrix",
-    "liu_matrix",
-    "load_csv",
-    "load_scenario",
-    "moore_penrose",
-    "residual",
-    "restricted_mle",
-    "risk",
-    "run_simulation",
-    "save_csv",
-    "save_scenario",
-    "shrinkage_estimates",
-    "spectral_risk_terms",
-    "sym_eigen",
-    "symmetrize",
-    "table_suite",
-    "working_quantities",
-]

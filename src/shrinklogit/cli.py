@@ -27,7 +27,7 @@ from .errors import (
 from .estimators import KINDS, SHRINKAGE_KINDS, _check_request, estimate, shrinkage_estimates  # noqa: F401
 from .logit import FitOptions, LinearRestriction, irls_fit
 from .risk import RiskScenario, d_sweep
-from .scenarios import load_scenario, matrix_block, parse_row, vector_block
+from .scenarios import load_restriction, load_scenario, matrix_block, parse_row, vector_block
 from .simulation import (
     TABLE_SUITE_D_GRID,
     TABLE_SUITE_KINDS,
@@ -127,12 +127,10 @@ def _restriction_from_args(args) -> LinearRestriction | None:
         given = _given(args, ("--H", "--h"))
         if given:
             raise ShrinkLogitError(f"--restriction-file does not take {', '.join(given)}")
-        scenario, _ = load_scenario(args.restriction_file)
-        if scenario.restriction is None:
-            raise ShrinkLogitError(
-                f"{args.restriction_file} has no [H]/[h] sections"
-            )
-        return scenario.restriction
+        restriction = load_restriction(args.restriction_file)
+        if restriction is None:
+            raise ShrinkLogitError(f"{args.restriction_file} has no [H]/[h] sections")
+        return restriction
     if args.H is None:
         if args.h is not None:
             raise ShrinkLogitError("--h needs --H (the rows of H b = h)")
@@ -233,15 +231,12 @@ def cmd_estimate(args) -> int:
 
 def _scenario_from_args(args):
     """Scenario from a file, or plug-in from a fitted CSV (C-hat, beta-hat)."""
-    code = EXIT_OK
     if args.scenario_file:
-        scenario, meta_d = load_scenario(args.scenario_file)
-        return scenario, meta_d, code
+        return (*load_scenario(args.scenario_file), EXIT_OK)
     if not args.csv:
         raise ShrinkLogitError("either a CSV path or --scenario-file is required")
-    data, fit, code = _load_and_fit(args)
-    restriction = _restriction_from_args(args)
-    scenario = RiskScenario(C=fit.C, beta_true=fit.beta_mle, restriction=restriction)
+    _, fit, code = _load_and_fit(args)
+    scenario = RiskScenario(C=fit.C, beta_true=fit.beta_mle, restriction=_restriction_from_args(args))
     return scenario, None, code
 
 
@@ -259,14 +254,10 @@ def cmd_risk(args) -> int:
     scenario, _, code = _scenario_from_args(args)
     kinds = _parse_kinds("--estimators", args.estimators)
     grid = _vector_flag("--d-grid", args.d_grid)
-    rows_out = []
     sweep = d_sweep(scenario, kinds, grid)
+    rows = [[float(row.d), row.kind, float(row.mse)] + [float(v) for v in row.coefficients] for row in sweep]
     names = [f"b{j + 1}" for j in range(scenario.m)]
-    for row in sweep:
-        rows_out.append(
-            [float(row.d), row.kind, float(row.mse)] + [float(v) for v in row.coefficients]
-        )
-    table = OutputTable(columns=["d", "estimator", "mse"] + names, rows=rows_out)
+    table = OutputTable(columns=["d", "estimator", "mse"] + names, rows=rows)
     _emit(table.render(args.format), args.output)
     if args.plot_data:
         _emit(_plot_data(sweep, kinds), args.plot_data)

@@ -1,7 +1,8 @@
 """CSV ingestion, serialization, and multicollinearity diagnostics.
 
-The input format is RFC-4180-style comma separated text, UTF-8, with a
-'.' decimal separator and an optional header row. Missing values are a
+The input format is RFC-4180-style comma separated text, UTF-8 (a
+leading byte-order mark, as Excel writes, is skipped), with a '.'
+decimal separator and an optional header row. Missing values are a
 hard error; every parse failure is reported with its 1-based row (and
 column) number.
 
@@ -106,7 +107,7 @@ def _read_vectorised(path, header, response_column):
     read here gives the arrays :func:`_read_checked` would give.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = handle.read().split("\n")
     except UnicodeDecodeError:
         return None
@@ -141,7 +142,7 @@ def _read_checked(path, header, response_column):
     """(predictors, response) parsed field by field, raising the first
     problem found with its row and column."""
     raw, lineno = [], 0
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         try:
             for lineno, row in enumerate(csv.reader(handle), start=1):
                 if row:

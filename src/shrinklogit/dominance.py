@@ -63,10 +63,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .estimators import EstimatorSpec, _check_request, _smoothers
+from .estimators import _check_request, _smoothers
 from .linalg import PSD_SLACK, _read_only, in_range_with_pinv, is_psd, moore_penrose, sym_eigen
 from .linalg import _congruence, _kept, _pinv, _ratio, _require_psd
-from .risk import RiskReport, RiskScenario, _smoothed, spectral_risk_terms
+from .risk import RiskReport, RiskScenario, _reports, spectral_risk_terms
 
 # No longer called here, but kept bound: perfbench's traced run rebinds
 # them by name (ROADMAP item 6).
@@ -144,11 +144,11 @@ def _ld(scenario: RiskScenario, d: float) -> NDArray:
 
 
 def _raule(scenario: RiskScenario, d: float) -> RiskReport:
-    return _smoothed(scenario, [EstimatorSpec("raule", d)], _at(scenario, d, _ld))[0]
+    return _reports(scenario, "raule", [d], _at(scenario, d, _ld))[0]
 
 
 def _aule(scenario: RiskScenario, d: float) -> RiskReport:
-    return _smoothed(scenario, [EstimatorSpec("aule", d)], _at(scenario, d, _ld))[0]
+    return _reports(scenario, "aule", [d], _at(scenario, d, _ld))[0]
 
 
 def _delta5(scenario: RiskScenario, d: float) -> NDArray:

@@ -4,6 +4,21 @@ All library-specific failures derive from :class:`ShrinkLogitError` so
 callers can catch one base class at an API boundary (the CLI does).
 """
 
+__all__ = [
+    "ShrinkLogitError",
+    "InvalidMatrixError",
+    "NotPSDError",
+    "SingularInformationError",
+    "NotConvergedError",
+    "MissingRestrictionError",
+    "DimensionMismatchError",
+    "DegenerateProjectionError",
+    "AllReplicationsFailedError",
+    "CsvParseError",
+    "NonBinaryResponseError",
+    "ConstantColumnError",
+]
+
 
 class ShrinkLogitError(Exception):
     """Base class for all errors raised by this package."""

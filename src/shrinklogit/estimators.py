@@ -46,11 +46,9 @@ __all__ = [
     "RESTRICTED_KINDS",
     "EstimatorSpec",
     "Estimate",
-    "ld_factors",
-    "smoother_factors",
-    "smoother_matrix",
     "ld_matrix",
     "liu_matrix",
+    "restricted_mle",
     "shrinkage_estimates",
     "estimate",
     "residual",
@@ -189,14 +187,18 @@ def restricted_mle(C, beta_mle, restriction: LinearRestriction) -> NDArray:
     It exists for every positive definite C and every H that
     LinearRestriction accepts, however close H C^-1 H' is to singular.
 
+    C is read through its symmetric part, as :func:`a_matrix` reads it.
+
     Raises
     ------
+    InvalidMatrixError
+        If C is not square or has non-finite entries.
     DimensionMismatchError
         If the restriction's width is not C's dimension.
     SingularInformationError
         If C is not positive definite at ``RANK_CUT``.
     """
-    C = np.asarray(C, dtype=float)
+    C = symmetrize(C)
     _check_width(restriction, C.shape[0])
     require_positive_definite(np.linalg.eigvalsh(C), "C")
     return _project(C, np.asarray(beta_mle, dtype=float), restriction)
@@ -215,7 +217,8 @@ def shrinkage_estimates(
     (R, K, D, m), and each row is bit for bit what its fit gives alone.
     The stack is scored at once: one batched decomposition of C, one
     definiteness test per row, at most one restricted projection per row.
-    The unshrunken kinds repeat their base along the d axis.
+    The unshrunken kinds repeat their base along the d axis. C is read
+    through its symmetric part, in the decomposition and the projection.
 
     Kinds are case-insensitive, as in :class:`EstimatorSpec`.
 
@@ -247,6 +250,7 @@ def shrinkage_estimates(
         if rows and kinds[0] != first:
             require_positive_definite(sym_eigen(C[:1]).values[0], "C")
         raise
+    C = symmetrize(C)
     decomp = sym_eigen(C)
     ok = positive_definite(decomp.values)
     if not ok.all():

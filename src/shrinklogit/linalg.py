@@ -19,19 +19,13 @@ from numpy.typing import NDArray
 from .errors import InvalidMatrixError, NotPSDError, SingularInformationError
 
 __all__ = [
-    "RANK_CUT",
-    "PSD_SLACK",
     "SpectralDecomp",
     "PsdResult",
     "symmetrize",
     "sym_eigen",
     "moore_penrose",
     "is_psd",
-    "positive_definite",
-    "definiteness_error",
-    "require_positive_definite",
     "in_range",
-    "in_range_with_pinv",
     "lambda_max_ratio",
 ]
 

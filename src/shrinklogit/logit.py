@@ -26,7 +26,6 @@ __all__ = [
     "FittedLogit",
     "LinearRestriction",
     "working_quantities",
-    "irls_stack",
     "irls_fit",
 ]
 

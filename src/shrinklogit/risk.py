@@ -30,8 +30,8 @@ What does not depend on d (C^-1, the eigenbasis of C, A, the MLE and
 RMLE reports and the spectral terms) is built once per scenario and
 shared by every caller, so all of it is read-only; the dominance checks
 keep their d-independent parts on it too. A shrunken kind is scored over
-a d grid as one (D, m, m) stack of smoothers; :func:`risk` is the D = 1
-case, and a stack's members are bit for bit what it gives.
+a d grid as one (D, m, m) stack of smoothers; :func:`risk` is one cell
+of :func:`d_sweep`, and a stack's members are bit for bit what it gives.
 
 The restricted shrinkage rows use the bias form that assumes the
 restriction holds at the truth. When it does not, the report carries
@@ -112,8 +112,8 @@ class RiskScenario:
     """Ground truth for exact risk evaluation.
 
     Bundles the information matrix C (positive definite), the true
-    coefficient vector, and optionally a linear restriction. What does
-    not depend on d is built once, at construction: the spectral
+    coefficient vector (finite), and optionally a linear restriction.
+    What does not depend on d is built once, at construction: the spectral
     decomposition and inverse of C, the MLE report, and with a
     restriction the kernel A, the RMLE report and the
     :class:`SpectralRiskTerms`. C and beta_true are copied from the
@@ -136,6 +136,8 @@ class RiskScenario:
             raise ValueError(
                 f"beta_true has shape {beta.shape}, expected ({C.shape[0]},)"
             )
+        if not np.all(np.isfinite(beta)):
+            raise ValueError("beta_true has non-finite entries")
         decomp = sym_eigen(C)
         require_positive_definite(decomp.values, "C")
         decomp = SpectralDecomp(_read_only(decomp.values), _read_only(decomp.basis))
@@ -217,32 +219,34 @@ class RiskReport:
 
 
 def risk(scenario: RiskScenario, spec: EstimatorSpec) -> RiskReport:
-    """Exact risk report for one estimator at the scenario's truth.
-
-    The unshrunken kinds return the scenario's own MLE or RMLE report.
+    """Exact risk report for one estimator at the scenario's truth: one
+    cell of :func:`d_sweep`. The unshrunken kinds return the scenario's
+    own MLE or RMLE report.
 
     Raises
     ------
     MissingRestrictionError
         If ``spec`` is a restricted kind and the scenario has no restriction.
     """
-    restricted = spec.kind in RESTRICTED_KINDS
-    if restricted:
-        scenario._require_restriction(f"estimator {spec.kind!r}")
-    if spec.d is None:  # identity smoother: the base itself
-        return scenario._rmle if restricted else scenario._mle
-    return _smoothed(scenario, [spec], _smoothers(scenario.decomp, spec.kind, [spec.d]))[0]
+    return _reports(scenario, spec.kind, [spec.d])[0]
 
 
-def _smoothed(scenario: RiskScenario, specs, smoothers: NDArray) -> list[RiskReport]:
-    """Reports of shrunken ``specs`` of one kind from their smoothers S, a
-    (D, m, m) stack: covariances S D S (D = A or C^-1) and biases S b - b."""
-    restricted = specs[0].kind in RESTRICTED_KINDS
+def _reports(scenario: RiskScenario, kind: str, d_grid, smoothers: NDArray | None = None) -> list[RiskReport]:
+    """Reports of ``kind`` at every d of ``d_grid``. An unshrunken kind
+    repeats the scenario's MLE or RMLE report. A shrunken kind is scored
+    from its smoothers S, a (D, m, m) stack built here unless given:
+    covariances S D S (D = A or C^-1) and biases S b - b."""
+    restricted = kind in RESTRICTED_KINDS
     if restricted:
-        scenario._require_restriction(f"estimator {specs[0].kind!r}")
+        scenario._require_restriction(f"estimator {kind!r}")
+    if kind not in SHRINKAGE_KINDS:  # identity smoother: the base itself
+        return [scenario._rmle if restricted else scenario._mle] * len(d_grid)
+    if smoothers is None:
+        smoothers = _smoothers(scenario.decomp, kind, d_grid)
     beta = scenario.beta_true
     covs = symmetrize(smoothers @ (scenario.A if restricted else scenario.c_inv) @ smoothers)
     violated = restricted and scenario.restriction_violated()
+    specs = [EstimatorSpec(kind, d) for d in d_grid]
     return [RiskReport(*row, violated) for row in zip(specs, covs, smoothers @ beta - beta)]
 
 
@@ -305,11 +309,6 @@ def d_sweep(
     no kinds, no d, an unknown kind or a d outside [0, 1].
     """
     kinds, d_grid = _check_request(kinds, d_grid)
-    columns = [
-        _smoothed(scenario, [EstimatorSpec(kind, d) for d in d_grid], _smoothers(scenario.decomp, kind, d_grid))
-        if kind in SHRINKAGE_KINDS
-        else [risk(scenario, EstimatorSpec(kind))] * len(d_grid)
-        for kind in kinds
-    ]
+    columns = [_reports(scenario, kind, d_grid) for kind in kinds]
     beta = scenario.beta_true
     return [SweepRow(d, kind, column[j], beta) for j, d in enumerate(d_grid) for kind, column in zip(kinds, columns)]

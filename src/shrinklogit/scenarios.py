@@ -26,7 +26,10 @@ round-trip precision so write-then-read is exact.
 
 The command line reads its number flags (--H, --h, --d, --d-grid) with
 the same :func:`parse_row`, :func:`matrix_block` and :func:`vector_block`;
-their errors name the flag in place of the file and section.
+their errors name the flag in place of the file and section. Its
+--restriction-file is read by :func:`load_restriction`, which reads
+[H]/[h] as :func:`load_scenario` does and needs no other section. A
+UTF-8 byte-order mark at the start of a file is skipped.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .errors import CsvParseError
 from .logit import LinearRestriction
 from .risk import RiskScenario
 
-__all__ = ["load_scenario", "save_scenario", "parse_row", "matrix_block", "vector_block"]
+__all__ = ["load_scenario", "save_scenario"]
 
 
 def save_scenario(path, scenario: RiskScenario, d: float | None = None):
@@ -66,7 +69,7 @@ def _parse_blocks(path):
     meta: dict[str, tuple[float, int]] = {}
     seen: set[str] = set()
     current = None
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -131,24 +134,34 @@ def vector_block(rows: list[list[float]], where: str) -> np.ndarray:
 def load_scenario(path) -> tuple[RiskScenario, float | None]:
     """Read a scenario file; returns the scenario and the d from [meta], if any."""
     meta, sections = _parse_blocks(path)
-    where = {name: f"{path}: section [{name}]" for name in sections}
     for required in ("C", "beta"):
         if required not in sections or not sections[required]:
             raise CsvParseError(f"{path}: missing required section [{required}]")
-    C = matrix_block(sections["C"], where["C"])
+    C = matrix_block(sections["C"], f"{path}: section [C]")
     if C.shape[0] != C.shape[1]:
         raise CsvParseError(f"{path}: section [C] must be square, got {C.shape[0]} rows of {C.shape[1]}")
     if "m" in meta and meta["m"][0] != C.shape[0]:
         m, lineno = meta["m"]
         raise CsvParseError(f"{path}:{lineno}: section [meta] has m = {m:g} for a {len(C)} x {len(C)} [C]", row=lineno)
-    beta = vector_block(sections["beta"], where["beta"])
-    restriction = None
-    if "H" in sections:
-        if "h" not in sections or not sections["h"]:
-            raise CsvParseError(f"{path}: section [H] present but [h] missing")
-        H, h = matrix_block(sections["H"], where["H"]), vector_block(sections["h"], where["h"])
-        restriction = LinearRestriction(H, h)
-    elif "h" in sections:
-        raise CsvParseError(f"{path}: section [h] present but [H] missing")
+    beta = vector_block(sections["beta"], f"{path}: section [beta]")
     d = meta["d"][0] if "d" in meta else None
-    return RiskScenario(C=C, beta_true=beta, restriction=restriction), d
+    return RiskScenario(C=C, beta_true=beta, restriction=_restriction(path, sections)), d
+
+
+def load_restriction(path) -> LinearRestriction | None:
+    """The [H]/[h] pair of a scenario-format file, or None if it has
+    neither. The file needs no other section; any other it has must
+    parse but is not used."""
+    return _restriction(path, _parse_blocks(path)[1])
+
+
+def _restriction(path, sections) -> LinearRestriction | None:
+    """The one reading of a parsed file's [H]/[h] pair."""
+    if "H" not in sections:
+        if "h" in sections:
+            raise CsvParseError(f"{path}: section [h] present but [H] missing")
+        return None
+    if "h" not in sections or not sections["h"]:
+        raise CsvParseError(f"{path}: section [H] present but [h] missing")
+    H = matrix_block(sections["H"], f"{path}: section [H]")
+    return LinearRestriction(H, vector_block(sections["h"], f"{path}: section [h]"))

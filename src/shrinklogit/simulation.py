@@ -66,7 +66,6 @@ __all__ = [
     "gen_response",
     "run_simulation",
     "table_suite",
-    "BLOCK_SIZE",
     "TABLE_SUITE_D_GRID",
     "TABLE_SUITE_KINDS",
 ]

@@ -1,10 +1,12 @@
 """The public surface: every exported name resolves, and nothing is exported twice.
 
-``shrinklogit/__init__.py`` keeps two parallel lists, its imports and its
-``__all__``; these tests catch an entry left in one after a name is
-removed from the other, or from the module that defined it. A last test
-checks that every error a public docstring says is raised still exists,
-and the last ones that every dataclass holding arrays compares by identity.
+Each public name is declared once, in the ``__all__`` of the library
+module that defines it, and ``shrinklogit/__init__.py`` republishes those
+lists by star import. These tests check that the package exports exactly
+the union of the library modules' lists, that every entry resolves, and
+that a star import binds nothing else. Later tests check that every error
+a public docstring says is raised still exists, and that every dataclass
+holding arrays compares by identity.
 """
 
 import builtins
@@ -21,6 +23,16 @@ import shrinklogit
 from shrinklogit import errors
 
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(shrinklogit.__path__))
+
+#: The command line is the program, not the library, and is not republished.
+LIBRARY_MODULES = [name for name in SUBMODULES if name != "cli"]
+
+
+def test_package_exports_exactly_the_library_modules_all():
+    declared = [
+        entry for name in LIBRARY_MODULES for entry in importlib.import_module(f"shrinklogit.{name}").__all__
+    ]
+    assert sorted(shrinklogit.__all__) == sorted(declared)
 
 
 def test_package_names_resolve_once():

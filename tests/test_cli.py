@@ -69,6 +69,19 @@ class TestFit:
         assert out == ""
         assert err.startswith("error: ") and str(tmp_path) in err
 
+    @pytest.mark.parametrize("header", [True, False])
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, header):
+        text = write_dataset(tmp_path).read_text(encoding="utf-8")
+        if not header:
+            text = text.split("\n", 1)[1]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        args = ["--response", "y"] if header else ["--no-header"]
+        expected = run(capsys, ["fit", str(plain), *args])
+        assert expected[0] == 0
+        assert run(capsys, ["fit", str(marked), *args]) == expected
+
     def test_parse_error_reports_row(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("y,x\n1,0.5\n0,oops\n", encoding="utf-8")
@@ -124,6 +137,26 @@ class TestEstimate:
 
         parsed = _matrix_flag("--H", "1,0,-2,1;1,-1,1,-1")
         np.testing.assert_array_equal(parsed, default_restriction(4).H)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            pytest.param("", id="H-and-h-only"),
+            pytest.param("[C]\n2.0,0.0\n0.0,2.0\n[beta]\n1.0,1.0\n", id="smaller-C-and-beta"),
+            pytest.param(None, id="saved-scenario"),
+        ],
+    )
+    def test_restriction_file_is_read_for_its_h_sections(self, capsys, tmp_path, scenario):
+        H, h = [[0.0, 1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0, 0.0]], [0.0, 0.5]
+        path = tmp_path / "restriction.txt"
+        if scenario is None:
+            save_scenario(path, RiskScenario(np.eye(5), np.zeros(5), LinearRestriction(H, h)))
+        else:
+            path.write_text(scenario + "[H]\n0,1,-1,0,0\n0,0,1,-1,0\n[h]\n0,0.5\n", encoding="utf-8")
+        args = ["estimate", BUNDLED, "--estimator", "rmle,raule", "--d", "0.5", "--format", "csv"]
+        code, out, err = run(capsys, args + ["--restriction-file", str(path)])
+        assert (code, err) == (0, "")
+        assert out == run(capsys, args + ["--H", "0,1,-1,0,0;0,0,1,-1,0", "--h", "0,0.5"])[1]
 
     def test_missing_restriction_exits_one_with_hint(self, capsys):
         code, _, err = run(
@@ -434,6 +467,14 @@ class TestScenarioFileErrors:
         code, out, err = run(capsys, command + ["--scenario-file", str(path)])
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}") and f"[{section}]" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [["risk", "--d-grid", "0.5"], ["dominance", "--d", "0.5"]])
+    def test_non_finite_truth_exits_one(self, capsys, tmp_path, command, value):
+        path = tmp_path / "s.txt"
+        path.write_text(f"[C]\n3.0,0.0\n0.0,1.0\n[beta]\n{value},-1.0\n[H]\n1,0\n[h]\n0\n", encoding="utf-8")
+        code, out, err = run(capsys, command + ["--scenario-file", str(path)])
+        assert (code, out, err) == (1, "", "error: beta_true has non-finite entries\n")
 
     @pytest.mark.parametrize(
         "command", [["risk", "--d-grid", "0.5", "--estimators", "raule"], ["dominance", "--d", "0.5"]]

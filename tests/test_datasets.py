@@ -108,6 +108,20 @@ class TestLoadCsvSemantics:
         assert getattr(excinfo.value, "row", None) == row
         assert getattr(excinfo.value, "column", None) == column
 
+    @pytest.mark.parametrize(
+        "text, kwargs",
+        [
+            pytest.param("y,x\n1,0.5\n0,-0.5\n", {"response_column": "y"}, id="header"),
+            pytest.param("1,0.5\n0,-0.5\n", {"header": False}, id="headerless"),
+            pytest.param('"y",x\n1,"0.5"\n0,-0.5\n', {"response_column": "y"}, id="quoted-fields"),
+        ],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, text, kwargs):
+        plain = load_csv(write(tmp_path, text, "plain.csv"), **kwargs)
+        marked = load_csv(write(tmp_path, "\ufeff" + text, "bom.csv"), **kwargs)
+        assert_same_array(marked.X, plain.X)
+        assert_same_array(marked.y, plain.y)
+
     def test_intercept_is_stacked_first(self, tmp_path):
         data = load_csv(write(tmp_path, "x,y\n0.5,1\n-0.5,0\n"), response_column="y")
         assert_same_array(data.X, [[1.0, 0.5], [1.0, -0.5]])

@@ -20,16 +20,21 @@ rows, and a truth inside or outside the restriction set, it must
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shrinklogit import (
     EstimatorSpec,
+    FittedLogit,
+    InvalidMatrixError,
     LinearRestriction,
     RiskScenario,
     ShrinkLogitError,
+    a_matrix,
     restricted_mle,
     risk,
+    shrinkage_estimates,
 )
 from shrinklogit.linalg import positive_definite, require_positive_definite, symmetrize
 from helpers import random_orthogonal
@@ -162,3 +167,28 @@ class TestRestrictedRoute:
         np.testing.assert_allclose(N.T @ N, np.eye(3), atol=1e-15)
         np.testing.assert_allclose(restriction.H @ N, 0.0, atol=1e-14)
         np.testing.assert_allclose(restriction.particular, np.linalg.pinv(restriction.H) @ restriction.h, rtol=1e-13)
+
+
+class TestAsymmetricC:
+    """C is read through its symmetric part, as a_matrix and RiskScenario read it."""
+
+    C = np.array([[2.0, 1.0], [0.0, 2.0]])
+    restriction = LinearRestriction([[1.0, 1.0]], [0.0])
+    beta = np.array([1.0, 1.0])
+
+    def test_projection_uses_the_symmetric_part(self):
+        expected = restricted_mle(symmetrize(self.C), self.beta, self.restriction)
+        np.testing.assert_allclose(expected, [0.0, 0.0], atol=1e-15)
+        assert np.array_equal(restricted_mle(self.C, self.beta, self.restriction), expected)
+        fit = FittedLogit(self.beta, None, None, self.C, None, None, None)
+        kernel = shrinkage_estimates(fit, ["rmle", "raule"], [0.5], self.restriction)
+        symmetric = FittedLogit(self.beta, None, None, symmetrize(self.C), None, None, None)
+        assert np.array_equal(kernel, shrinkage_estimates(symmetric, ["rmle", "raule"], [0.5], self.restriction))
+        assert np.array_equal(kernel[0, 0], expected)
+
+    @pytest.mark.parametrize("C", [np.full((2, 2), np.nan), np.ones((2, 3))], ids=["nan", "not-square"])
+    def test_bad_c_raises_what_a_matrix_raises(self, C):
+        with pytest.raises(InvalidMatrixError):
+            a_matrix(C, self.restriction)
+        with pytest.raises(InvalidMatrixError):
+            restricted_mle(C, self.beta, self.restriction)

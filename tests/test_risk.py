@@ -62,6 +62,13 @@ class TestAMatrix:
             a_matrix(np.diag([1.0, -1.0]), LinearRestriction(np.array([[1.0, 0.0]]), np.zeros(1)))
 
 
+class TestRiskScenario:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_truth_is_refused(self, value):
+        with pytest.raises(ValueError, match="^beta_true has non-finite entries$"):
+            RiskScenario(C=np.diag([2.0, 4.0]), beta_true=np.array([value, -1.0]))
+
+
 class TestRiskReports:
     def test_mle_diagonal(self):
         scenario = RiskScenario(C=np.diag([2.0, 4.0]), beta_true=np.zeros(2))

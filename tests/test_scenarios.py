@@ -47,6 +47,20 @@ class TestScenarioRoundTrip:
         np.testing.assert_allclose(scenario.C, np.diag([2.0, 1.0]))
 
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        rng = np.random.default_rng(2)
+        plain = tmp_path / "plain.txt"
+        save_scenario(plain, random_scenario(rng, 3, 1), d=0.25)
+        marked = tmp_path / "bom.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        (expected, expected_d), (back, d) = load_scenario(plain), load_scenario(marked)
+        assert d == expected_d
+        for name in ("C", "beta_true"):
+            assert np.array_equal(getattr(back, name), getattr(expected, name))
+        assert np.array_equal(back.restriction.H, expected.restriction.H)
+        assert np.array_equal(back.restriction.h, expected.restriction.h)
+
+
 class TestScenarioErrors:
     def test_missing_c_section(self, tmp_path):
         path = tmp_path / "s.txt"
