@@ -60,12 +60,13 @@ def _read_only(array) -> NDArray:
     return view
 
 
-def symmetrize(matrix) -> NDArray:
+def symmetrize(matrix, what: str = "matrix") -> NDArray:
     """Return the symmetric part (M + M') / 2 as a float64 array.
 
     Floating point products such as X'WX drift slightly from exact
     symmetry, so constructors symmetrize instead of rejecting. A stack
     of square matrices (..., k, k) is symmetrized matrix by matrix.
+    ``what`` names the input in the non-finite error.
 
     Raises
     ------
@@ -76,7 +77,7 @@ def symmetrize(matrix) -> NDArray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidMatrixError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise InvalidMatrixError("matrix has non-finite entries")
+        raise InvalidMatrixError(f"{what} has non-finite entries")
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 

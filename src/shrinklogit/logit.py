@@ -7,15 +7,20 @@ C = X'WX evaluated at the final iterate.
 
 There is one Newton loop, :func:`irls_stack`, which fits a stack of R
 datasets of the same shape at once; :func:`irls_fit` is its one-row case.
+
+``scipy.special`` supplies the link's ``expit`` and ``logit``. It is
+imported by :func:`_special` on the first fit, not with the package:
+loading it takes longer than loading NumPy, and commands that do not fit
+(exact risk, dominance checks) never need it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import expit, logit as logit_link
 
 from .errors import NotConvergedError
 from .linalg import _certify_positive_definite, _kept, _read_only, definiteness_error, symmetrize
@@ -162,6 +167,18 @@ class LinearRestriction:
         return self.H.shape[1]
 
 
+@cache
+def _special():
+    """``(expit, logit)`` from ``scipy.special``, imported on the first call.
+
+    The cache makes every later call a lookup, so the Newton loop runs no
+    ``import`` statement per iteration.
+    """
+    from scipy.special import expit, logit
+
+    return expit, logit
+
+
 def working_quantities(data: Dataset, beta, opts: FitOptions = FitOptions()):
     """Weights, working response, and information matrix at ``beta``.
 
@@ -175,6 +192,7 @@ def working_quantities(data: Dataset, beta, opts: FitOptions = FitOptions()):
 def _working(X, y, beta, opts: FitOptions):
     """:func:`working_quantities` for arrays, also stacked: X (..., n, m),
     y (..., n) and beta (..., m) give W and Z (..., n) and C (..., m, m)."""
+    expit, logit_link = _special()
     eta = (X @ beta[..., None])[..., 0]
     pi = np.clip(expit(eta), opts.prob_clip, 1.0 - opts.prob_clip)
     w = pi * (1.0 - pi)

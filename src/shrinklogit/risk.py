@@ -130,7 +130,7 @@ class RiskScenario:
     A: NDArray | None = field(init=False, default=None)
 
     def __post_init__(self):
-        C = symmetrize(self.C)
+        C = symmetrize(self.C, "C")
         beta = np.array(self.beta_true, dtype=float)
         if beta.shape != (C.shape[0],):
             raise ValueError(

@@ -19,8 +19,9 @@ Blocks C and beta are required; H and h come together and are optional.
 The matrices C and H have rows of one length, and C is square; the
 vectors beta and h are each one row or one column of numbers; [meta]
 holds at most m (C's size) and d, once each. Any other section or key,
-a section or key given twice, a non-numeric value, or a malformed or
-empty block raises CsvParseError naming the file and section.
+a section or key given twice, a non-numeric value, a non-finite entry
+(inf or nan) of a block, or a malformed or empty block raises
+CsvParseError naming the file and section.
 Lines starting with '#' are comments. Numbers are written with full
 round-trip precision so write-then-read is exact.
 
@@ -33,6 +34,8 @@ UTF-8 byte-order mark at the start of a file is skipped.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -101,7 +104,10 @@ def _parse_blocks(path):
                 except ValueError:
                     raise CsvParseError(f"{where} has non-numeric {key} = {value!r}", row=lineno) from None
                 continue
-            sections[current].append(parse_row(text, f"{path}:{lineno}", row=lineno))
+            row = parse_row(text, f"{path}:{lineno}", row=lineno)
+            if not all(map(math.isfinite, row)):
+                raise CsvParseError(f"{path}:{lineno}: section [{current}] has non-finite entries", row=lineno)
+            sections[current].append(row)
     return meta, sections
 
 

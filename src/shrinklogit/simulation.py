@@ -33,17 +33,21 @@ shrinkage kernel. Every numerical step treats the rows of a block
 independently, so results are bit-identical whatever the blocks, whether
 they run sequentially or on a process pool, and independent of worker
 count.
+
+Two modules are imported where they are used, not with the package:
+``concurrent.futures`` in :func:`run_simulation`'s ``workers > 1``
+branch, and ``scipy.special`` through :func:`shrinklogit.logit._special`
+when responses are drawn. Neither is needed by a command that does not
+simulate, and each would add to the start-up time of every command.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import expit
 
 from .errors import (
     AllReplicationsFailedError,
@@ -54,7 +58,8 @@ from .errors import (
 # ``estimate`` and ``irls_fit`` stay bound here: perfbench's traced run
 # rebinds them by name.
 from .estimators import _check_request, _check_width, estimate, shrinkage_estimates  # noqa: F401
-from .logit import FitOptions, FittedLogit, LinearRestriction, irls_fit, irls_stack  # noqa: F401
+from .linalg import positive_definite, sym_eigen
+from .logit import FitOptions, FittedLogit, LinearRestriction, _special, irls_fit, irls_stack  # noqa: F401
 
 __all__ = [
     "SimulationConfig",
@@ -84,7 +89,7 @@ _BETA_STREAM = 0
 _FIXED_DESIGN_STREAM = 1
 _REPLICATION_STREAM_BASE = 2
 
-#: Why a replication is skipped, by the error its fit ends with.
+#: Why a replication is skipped, by the error its fit or its scoring ends with.
 _SKIP_REASONS = {NotConvergedError: "not_converged", SingularInformationError: "singular_information"}
 
 
@@ -177,6 +182,7 @@ def gen_response(X: NDArray, beta: NDArray, rng: np.random.Generator) -> NDArray
 def _responses(X: NDArray, beta: NDArray, rngs) -> NDArray:
     """:func:`gen_response` for a stack of designs X (R, n, p), row i drawn
     from ``rngs[i]``; the probabilities come from one stacked product."""
+    expit, _ = _special()
     pi = expit(X @ beta)
     return np.array([rng.binomial(1, row) for rng, row in zip(rngs, pi)], dtype=float)
 
@@ -281,16 +287,33 @@ def _draw_block(config: SimulationConfig, beta: NDArray, fixed_x, reps: range):
 def _run_block(config: SimulationConfig, beta: NDArray, fixed_x, reps: range):
     """Fit and score replications ``reps`` as one stack.
 
-    Returns the squared errors of the fitted replications, shape
+    Returns the squared errors of the scored replications, shape
     (kept, K, D) in replication order, and per replication its skip
-    reason, or None if it was fitted.
+    reason, or None if it was scored. A converged fit whose C fails the
+    kernel's definiteness test is skipped as ``singular_information``.
     """
     fit, errors = irls_stack(*_draw_block(config, beta, fixed_x, reps), config.fit_options)
+    reasons = [None if e is None else _SKIP_REASONS[type(e)] for e in errors]
     if not fit.converged.all():
-        fit = FittedLogit(*(getattr(fit, f.name)[fit.converged] for f in fields(fit)))
-    estimates = shrinkage_estimates(fit, config.estimator_kinds, config.d_grid, config.restriction)
+        fit = _rows(fit, fit.converged)
+    request = (config.estimator_kinds, config.d_grid, config.restriction)
+    try:
+        estimates = shrinkage_estimates(fit, *request)
+    except SingularInformationError:
+        # The kernel raises for the first row whose C fails its definiteness
+        # test; every such row is skipped and the others are scored.
+        definite = positive_definite(sym_eigen(fit.C).values)
+        fitted = np.flatnonzero([reason is None for reason in reasons])
+        for row in fitted[~definite]:
+            reasons[row] = _SKIP_REASONS[SingularInformationError]
+        estimates = shrinkage_estimates(_rows(fit, definite), *request)
     diff = estimates - beta
-    return np.sum(diff * diff, axis=-1), [None if e is None else _SKIP_REASONS[type(e)] for e in errors]
+    return np.sum(diff * diff, axis=-1), reasons
+
+
+def _rows(fit: FittedLogit, keep: NDArray) -> FittedLogit:
+    """The rows ``keep`` (a boolean mask) of a stacked fit."""
+    return FittedLogit(*(getattr(fit, f.name)[keep] for f in fields(fit)))
 
 
 def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationResult:
@@ -332,6 +355,8 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationResu
     if workers == 1:
         outcomes = [task(block) for block in blocks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(task, blocks))
     stacked = np.concatenate([errors for errors, _ in outcomes])

@@ -24,6 +24,15 @@ from shrinklogit import LinearRestriction, RiskScenario
 
 _C_BETA = "[C]\n3.0,0.0\n0.0,1.0\n[beta]\n1.0,-1.0\n"
 
+#: Scenario files with one non-finite entry, by the section that holds it;
+#: the entry is the ``{}`` slot.
+NON_FINITE_SCENARIOS = {
+    "C": "[C]\n2.0,0.0\n0.0,{}\n[beta]\n1.0,-1.0\n",
+    "beta": "[C]\n3.0,0.0\n0.0,1.0\n[beta]\n{},-1.0\n",
+    "H": _C_BETA + "[H]\n1.0,{}\n[h]\n0.0\n",
+    "h": _C_BETA + "[H]\n1.0,0.0\n[h]\n{}\n",
+}
+
 #: Malformed scenario files, each with the section its error must name.
 MALFORMED_SCENARIOS = [
     pytest.param("C", "[C]\n3.0,0.0\n0.0\n[beta]\n1.0,-1.0\n", id="ragged-C"),
@@ -37,6 +46,11 @@ MALFORMED_SCENARIOS = [
     pytest.param("H", _C_BETA + "[H]\n[h]\n1.0\n", id="H-without-rows"),
     pytest.param("C", "[C]\n3.0,0.0,1.0\n0.0,1.0,2.0\n[beta]\n1.0,-1.0\n", id="non-square-C"),
     pytest.param("C", _C_BETA + "[C]\n1.0,0.0\n0.0,1.0\n", id="C-given-twice"),
+    *[
+        pytest.param(section, text.format(value), id=f"{value}-in-{section}")
+        for section, text in NON_FINITE_SCENARIOS.items()
+        for value in ("inf", "nan")
+    ],
 ]
 
 

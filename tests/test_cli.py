@@ -9,7 +9,7 @@ import pytest
 from shrinklogit import KINDS, RiskScenario, bundled_dataset_path, d_sweep, load_scenario, save_scenario
 from shrinklogit.cli import main
 from shrinklogit.logit import LinearRestriction
-from helpers import MALFORMED_SCENARIOS, random_scenario
+from helpers import MALFORMED_SCENARIOS, NON_FINITE_SCENARIOS, random_scenario
 from test_datasets import PINNED_ERRORS
 
 BUNDLED = str(bundled_dataset_path())
@@ -465,7 +465,7 @@ class TestScenarioFileErrors:
         path = tmp_path / "s.txt"
         path.write_text(text, encoding="utf-8")
         code, out, err = run(capsys, command + ["--scenario-file", str(path)])
-        assert (code, out) == (1, "")
+        assert_one_error_line(code, out, err)
         assert err.startswith(f"error: {path}") and f"[{section}]" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -474,7 +474,16 @@ class TestScenarioFileErrors:
         path = tmp_path / "s.txt"
         path.write_text(f"[C]\n3.0,0.0\n0.0,1.0\n[beta]\n{value},-1.0\n[H]\n1,0\n[h]\n0\n", encoding="utf-8")
         code, out, err = run(capsys, command + ["--scenario-file", str(path)])
-        assert (code, out, err) == (1, "", "error: beta_true has non-finite entries\n")
+        assert (code, out, err) == (1, "", f"error: {path}:5: section [beta] has non-finite entries\n")
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("section", ["H", "h"])
+    def test_non_finite_restriction_file_exits_one_naming_the_section(self, capsys, tmp_path, section, value):
+        path = tmp_path / "r.txt"
+        path.write_text(NON_FINITE_SCENARIOS[section].format(value), encoding="utf-8")
+        code, out, err = run(capsys, ["estimate", BUNDLED, "--estimator", "rmle", "--restriction-file", str(path)])
+        assert_one_error_line(code, out, err)
+        assert f"section [{section}] has non-finite entries" in err
 
     @pytest.mark.parametrize(
         "command", [["risk", "--d-grid", "0.5", "--estimators", "raule"], ["dominance", "--d", "0.5"]]

@@ -9,6 +9,7 @@ from shrinklogit import (
     RESTRICTED_KINDS,
     SHRINKAGE_KINDS,
     EstimatorSpec,
+    InvalidMatrixError,
     LinearRestriction,
     DimensionMismatchError,
     MissingRestrictionError,
@@ -67,6 +68,11 @@ class TestRiskScenario:
     def test_non_finite_truth_is_refused(self, value):
         with pytest.raises(ValueError, match="^beta_true has non-finite entries$"):
             RiskScenario(C=np.diag([2.0, 4.0]), beta_true=np.array([value, -1.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_c_is_refused_by_name(self, value):
+        with pytest.raises(InvalidMatrixError, match="^C has non-finite entries$"):
+            RiskScenario(C=np.array([[2.0, 0.0], [0.0, value]]), beta_true=np.array([1.0, -1.0]))
 
 
 class TestRiskReports:

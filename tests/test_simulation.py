@@ -1,5 +1,7 @@
 """Monte Carlo harness: generators, determinism, and aggregation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -14,6 +16,7 @@ from shrinklogit import (
     gen_design,
     gen_response,
     run_simulation,
+    shrinkage_estimates,
     simulation,
 )
 
@@ -221,6 +224,54 @@ class TestRunSimulation:
         result = run_simulation(small_config(reps=5))
         with pytest.raises(KeyError):
             result.cell("mle", 0.123)
+
+
+class TestSingularScoring:
+    """A converged fit whose C fails the kernel's definiteness test is
+    skipped, and the rest of its block is scored."""
+
+    SINGULAR_C = np.diag([1.0, 1.0, 1.0, 0.0])
+
+    @staticmethod
+    def break_rows(monkeypatch, rows):
+        """Make ``irls_stack`` return, for the given rows of every block, a
+        converged fit with a singular C; returns the list of crafted fits."""
+        real, fits = simulation.irls_stack, []
+
+        def crafted(X, y, opts):
+            fit, errors = real(X, y, opts)
+            for row in rows:
+                fit.C[row] = TestSingularScoring.SINGULAR_C
+            fits.append(fit)
+            return fit, errors
+
+        monkeypatch.setattr(simulation, "irls_stack", crafted)
+        return fits
+
+    def test_other_rows_score_as_alone(self, monkeypatch):
+        config = small_config(reps=6)
+        beta = np.full(4, 0.5)
+        fits = self.break_rows(monkeypatch, [2])
+        squared, reasons = simulation._run_block(config, beta, None, range(6))
+        (fit,) = fits
+        assert fit.converged.all()
+        assert reasons == [None, None, "singular_information", None, None, None]
+        assert squared.shape == (5, 4, 3)
+        for out, row in enumerate([0, 1, 3, 4, 5]):
+            alone = dataclasses.replace(fit, beta_mle=fit.beta_mle[row], C=fit.C[row])
+            estimates = shrinkage_estimates(alone, config.estimator_kinds, config.d_grid, config.restriction)
+            assert np.array_equal(squared[out], np.sum((estimates - beta) ** 2, axis=-1))
+
+    def test_run_counts_the_row_and_completes(self, monkeypatch):
+        self.break_rows(monkeypatch, [0])
+        result = run_simulation(small_config(reps=10))
+        assert (result.completed, result.skipped) == (9, 1)
+        assert result.skipped_by_reason == {"not_converged": 0, "singular_information": 1}
+
+    def test_every_row_singular_fails_the_run(self, monkeypatch):
+        self.break_rows(monkeypatch, range(4))
+        with pytest.raises(AllReplicationsFailedError):
+            run_simulation(small_config(reps=4))
 
 
 class TestConfigValidation:
