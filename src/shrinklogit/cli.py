@@ -24,7 +24,7 @@ from .errors import (
     ShrinkLogitError,
 )
 # ``estimate`` stays bound here: perfbench's traced run rebinds it by name.
-from .estimators import KINDS, SHRINKAGE_KINDS, _check_request, estimate, shrinkage_estimates  # noqa: F401
+from .estimators import KINDS, RESTRICTED_KINDS, SHRINKAGE_KINDS, _check_request, estimate, shrinkage_estimates  # noqa: F401
 from .logit import FitOptions, LinearRestriction, irls_fit
 from .risk import RiskScenario, d_sweep
 from .scenarios import load_restriction, load_scenario, matrix_block, parse_row, vector_block
@@ -120,6 +120,17 @@ def _parse_kinds(flag: str, text: str) -> list[str]:
     return _check_request([k for k in items if k])[0]
 
 
+def _reject_unused_restriction(args, flag: str, kinds):
+    """Refuse --H or --restriction-file when no kind of ``flag`` is restricted
+    (--h alone is the error of :func:`_restriction_from_args`)."""
+    given = _given(args, ("--H", "--restriction-file"))
+    if given and RESTRICTED_KINDS.isdisjoint(kinds):
+        raise ShrinkLogitError(
+            f"{', '.join(given)}: a restriction is only for the restricted estimators, "
+            f"and {flag} {getattr(args, flag[2:])!r} has none"
+        )
+
+
 def _restriction_from_args(args) -> LinearRestriction | None:
     """Build (H, h) from --H/--h strings or a scenario-format file; the
     file takes neither flag, and --h needs --H."""
@@ -213,6 +224,7 @@ def cmd_estimate(args) -> int:
         raise ShrinkLogitError(
             f"--d is only for the shrinkage estimators, and --estimator {args.estimator!r} has none"
         )
+    _reject_unused_restriction(args, "--estimator", kinds)
     data, fit, code = _load_and_fit(args)
     restriction = _restriction_from_args(args)
     # The unshrunken kinds ignore d, so any grid serves when none is given.
@@ -251,8 +263,9 @@ def cmd_risk(args) -> int:
         given = ([f"the CSV {args.csv}"] if args.csv else []) + _given(args, _SCENARIO_FILE_REPLACES)
         if given:
             raise ShrinkLogitError(f"--scenario-file does not take {', '.join(given)}")
-    scenario, _, code = _scenario_from_args(args)
     kinds = _parse_kinds("--estimators", args.estimators)
+    _reject_unused_restriction(args, "--estimators", kinds)
+    scenario, _, code = _scenario_from_args(args)
     grid = _vector_flag("--d-grid", args.d_grid)
     sweep = d_sweep(scenario, kinds, grid)
     rows = [[float(row.d), row.kind, float(row.mse)] + [float(v) for v in row.coefficients] for row in sweep]

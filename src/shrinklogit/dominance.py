@@ -9,8 +9,8 @@ returns a :class:`DominanceVerdict` holding, side by side,
   claims to characterize (``delta_psd``),
 
 so the two can be audited against each other. A failed comparison is a
-result, not an error: checks only raise for structural problems such as
-a missing restriction.
+result, not an error: checks only raise for a d outside [0, 1] or a
+missing restriction, the same error and message from every check.
 
 The five checks, with the difference each one verifies directly:
 
@@ -36,7 +36,7 @@ first use, and kept by the scenario in two lifetimes. What does not
 depend on d (ACA's PSD test, pseudo-inverse and congruence, C^{1/2},
 C^-1 - A, the scalar conditions' parts) is kept for the scenario's life.
 What does (L, the RAULE and AULE reports and Delta5) is kept in one
-per-d slot for the last d asked: a new d is checked to lie in [0, 1]
+per-d slot for the last d asked: a new d (and the restriction) is checked
 before anything is built, and then replaces the slot, so the checks at
 one d share one L and memory does not grow with the number of d. Every
 kept array is read-only and nothing kept refers back to the scenario.
@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .estimators import _check_request, _smoothers
+from .estimators import _check_request, _check_restriction, _smoothers
 from .linalg import PSD_SLACK, _read_only, in_range_with_pinv, is_psd, moore_penrose, sym_eigen
 from .linalg import _congruence, _kept, _pinv, _ratio, _require_psd
 from .risk import RiskReport, RiskScenario, _reports, spectral_risk_terms
@@ -127,10 +127,11 @@ def _part(scenario: RiskScenario, build):
 
 def _at(scenario: RiskScenario, d: float, build):
     """``build(scenario, d)``, kept in the scenario's one per-d slot. A d
-    other than the slot's is checked first and starts a new slot."""
+    other than the slot's is checked first, with the restriction, and starts a new slot."""
     kept_d, parts = scenario._parts.get(_at, (None, None))
     if d != kept_d:
-        (d,) = _check_request(["raule", "aule"], [d])[1]
+        kinds, (d,) = _check_request(["raule", "aule"], [d])
+        _check_restriction(kinds, scenario.restriction, scenario.m)
         parts = {}
         scenario._parts[_at] = (d, parts)
     if build not in parts:
@@ -153,7 +154,6 @@ def _aule(scenario: RiskScenario, d: float) -> RiskReport:
 
 def _delta5(scenario: RiskScenario, d: float) -> NDArray:
     """Delta5 = L (C^-1 - A) L, which exists only under a restriction."""
-    scenario._require_restriction("this dominance check")
     L = _at(scenario, d, _ld)[0]
     return _read_only(L @ _part(scenario, _c_inv_minus_a) @ L)
 
@@ -233,7 +233,7 @@ def check_t33(scenario: RiskScenario, d: float) -> DominanceVerdict:
 
 
 def _scalar_verdict(theorem, scenario, d, baseline_kind) -> DominanceVerdict:
-    raule = _at(scenario, d, _raule)  # first: the d check, then the check's missing-restriction error
+    raule = _at(scenario, d, _raule)
     lam1, min_a, max_alpha_sq, rhs = _part(scenario, _scalar_parts)
     lhs = np.inf if d == 1.0 else (lam1 + d) * (lam1 + 2.0 - d) / (1.0 - d) ** 2
     baseline = scenario._rmle if baseline_kind == "rmle" else scenario._mle
@@ -305,8 +305,7 @@ def check_t37(scenario: RiskScenario, d: float) -> DominanceVerdict:
 
 def check_c31(scenario: RiskScenario, d: float) -> DominanceVerdict:
     """RAULE vs AULE in scalar MSE, the trace consequence of the matrix order."""
-    aule = _at(scenario, d, _aule)  # first: the AULE needs no restriction
-    scenario._require_restriction("this dominance check")
+    aule = _at(scenario, d, _aule)
     delta = aule.mse - _at(scenario, d, _raule).mse
     return DominanceVerdict(
         theorem="C3.1",

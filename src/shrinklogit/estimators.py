@@ -165,6 +165,21 @@ def _check_width(restriction: LinearRestriction, m: int):
         )
 
 
+def _check_restriction(kinds, restriction: LinearRestriction | None, m: int, who: str | None = None):
+    """The restriction half of a request, checked before any test of C: a
+    given restriction must be ``m`` wide, used or not; a missing one is the
+    package's one MissingRestrictionError, naming ``who`` needs it (a caller
+    that needs it whatever the kinds) or else the first restricted kind.
+    Returns the restriction if it is needed, else None."""
+    if who is None:
+        who = next((f"estimator {kind!r}" for kind in kinds if kind in RESTRICTED_KINDS), None)
+    if restriction is not None:
+        _check_width(restriction, m)
+    elif who is not None:
+        raise MissingRestrictionError(f"{who} needs a linear restriction (H, h)")
+    return None if who is None else restriction
+
+
 def _project(C: NDArray, beta: NDArray, restriction: LinearRestriction) -> NDArray:
     """beta_0 + N (N'CN)^-1 N'C (beta - beta_0) for positive definite C, with
     N and beta_0 = H^+ h from the restriction: H beta_R = h to rounding.
@@ -222,13 +237,13 @@ def shrinkage_estimates(
 
     Kinds are case-insensitive, as in :class:`EstimatorSpec`.
 
-    Raises ValueError first, before any test of C, if ``kinds`` or
-    ``d_grid`` is empty, a kind is unknown or a d lies outside [0, 1].
-    Then the kinds are checked in order, and the first that fails decides
-    the error: for restricted kinds MissingRestrictionError, then
-    DimensionMismatchError; C is tested for SingularInformationError at
-    the first kind that passes these. A stack raises the error of its
-    first row that fails.
+    The whole request is checked before any test of C: ValueError if
+    ``kinds`` or ``d_grid`` is empty, a kind is unknown or a d lies
+    outside [0, 1]; MissingRestrictionError if a kind is restricted and
+    ``restriction`` is None; DimensionMismatchError if ``restriction`` is
+    given and its width is not the coefficient count. Only then is C
+    tested: SingularInformationError for the first row whose C is not
+    positive definite.
     """
     kinds, d_values = _check_request(kinds, d_grid)
     d = np.array(d_values)
@@ -238,24 +253,13 @@ def shrinkage_estimates(
     if single:
         C, beta = C[None], beta[None]
     rows, m = beta.shape
-    # Restriction errors are every row's, so row 0 raises them, unless an
-    # unrestricted kind before the first restricted one fails row 0's C.
-    first = next((kind for kind in kinds if kind in RESTRICTED_KINDS), None)
-    try:
-        if first is not None and restriction is None:
-            raise MissingRestrictionError(f"estimator {first!r} needs a linear restriction (H, h)")
-        if first is not None:
-            _check_width(restriction, m)
-    except (MissingRestrictionError, DimensionMismatchError):
-        if rows and kinds[0] != first:
-            require_positive_definite(sym_eigen(C[:1]).values[0], "C")
-        raise
+    restriction = _check_restriction(kinds, restriction, m)
     C = symmetrize(C)
     decomp = sym_eigen(C)
     ok = positive_definite(decomp.values)
     if not ok.all():
         raise definiteness_error(decomp.values[np.argmin(ok)], "C")
-    rmle = _project(C, beta, restriction) if first is not None else None
+    rmle = None if restriction is None else _project(C, beta, restriction)
     out = np.empty((rows, len(kinds), d.size, m))
     for i, kind in enumerate(kinds):
         base = rmle if kind in RESTRICTED_KINDS else beta

@@ -49,9 +49,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import MissingRestrictionError
 from .estimators import RESTRICTED_KINDS, SHRINKAGE_KINDS, EstimatorSpec
-from .estimators import _check_request, _check_width, _project, _smoothers
+from .estimators import _check_request, _check_restriction, _check_width, _project, _smoothers
 from .linalg import SpectralDecomp, _read_only, require_positive_definite, sym_eigen, symmetrize
 from .logit import LinearRestriction
 
@@ -177,14 +176,9 @@ class RiskScenario:
         """Whether the truth fails H beta = h beyond the violation tolerance."""
         return self.restriction is not None and self._rmle.restriction_violated
 
-    def _require_restriction(self, what: str) -> LinearRestriction:
-        if self.restriction is None:
-            raise MissingRestrictionError(f"{what} needs a linear restriction (H, h)")
-        return self.restriction
-
     def rmle_bias(self) -> NDArray:
         """Exact RMLE bias -C^-1 H'(H C^-1 H')^-1 (H beta_true - h), as R(b) - b."""
-        self._require_restriction("the restricted MLE")
+        _check_restriction(["rmle"], self.restriction, self.m)
         return self._rmle.bias
 
 
@@ -228,17 +222,16 @@ def risk(scenario: RiskScenario, spec: EstimatorSpec) -> RiskReport:
     MissingRestrictionError
         If ``spec`` is a restricted kind and the scenario has no restriction.
     """
-    return _reports(scenario, spec.kind, [spec.d])[0]
+    return d_sweep(scenario, [spec.kind], [1.0 if spec.d is None else spec.d])[0].report
 
 
 def _reports(scenario: RiskScenario, kind: str, d_grid, smoothers: NDArray | None = None) -> list[RiskReport]:
     """Reports of ``kind`` at every d of ``d_grid``. An unshrunken kind
     repeats the scenario's MLE or RMLE report. A shrunken kind is scored
     from its smoothers S, a (D, m, m) stack built here unless given:
-    covariances S D S (D = A or C^-1) and biases S b - b."""
+    covariances S D S (D = A or C^-1) and biases S b - b. The caller has
+    checked the request, so a restricted kind has its restriction."""
     restricted = kind in RESTRICTED_KINDS
-    if restricted:
-        scenario._require_restriction(f"estimator {kind!r}")
     if kind not in SHRINKAGE_KINDS:  # identity smoother: the base itself
         return [scenario._rmle if restricted else scenario._mle] * len(d_grid)
     if smoothers is None:
@@ -268,8 +261,8 @@ class SpectralRiskTerms(NamedTuple):
 
 def spectral_risk_terms(scenario: RiskScenario) -> SpectralRiskTerms:
     """Eigenvalues of C with the matching diagonal of T'AT and T'beta,
-    as the scenario built them."""
-    scenario._require_restriction("spectral risk terms")
+    as the scenario built them: the ingredients of the RAULE's scalar risk."""
+    _check_restriction(["raule"], scenario.restriction, scenario.m)
     return scenario._terms
 
 
@@ -306,9 +299,11 @@ def d_sweep(
     Kinds are case-insensitive, as in :class:`EstimatorSpec`. Kinds
     without a biasing parameter (mle, rmle) get one row per d as well so
     tables stay rectangular; those rows share one report. ValueError for
-    no kinds, no d, an unknown kind or a d outside [0, 1].
+    no kinds, no d, an unknown kind or a d outside [0, 1], and
+    MissingRestrictionError for a restricted kind with no restriction.
     """
     kinds, d_grid = _check_request(kinds, d_grid)
+    _check_restriction(kinds, scenario.restriction, scenario.m)
     columns = [_reports(scenario, kind, d_grid) for kind in kinds]
     beta = scenario.beta_true
     return [SweepRow(d, kind, column[j], beta) for j, d in enumerate(d_grid) for kind, column in zip(kinds, columns)]

@@ -57,7 +57,7 @@ from .errors import (
 )
 # ``estimate`` and ``irls_fit`` stay bound here: perfbench's traced run
 # rebinds them by name.
-from .estimators import _check_request, _check_width, estimate, shrinkage_estimates  # noqa: F401
+from .estimators import _check_request, _check_restriction, _check_width, estimate, shrinkage_estimates  # noqa: F401
 from .linalg import positive_definite, sym_eigen
 from .logit import FitOptions, FittedLogit, LinearRestriction, _special, irls_fit, irls_stack  # noqa: F401
 
@@ -199,6 +199,10 @@ class SimulationConfig:
     ``regenerate_design`` draws a fresh design every replication, making
     the reported MSE unconditional; a fixed-design mode is available for
     conditional studies.
+
+    Rejected here, before any draw: no restriction, n below p (every fit
+    would be singular), and with ``project_beta`` a restriction of p rows
+    (its null space is 0).
     """
 
     n: int
@@ -220,8 +224,18 @@ class SimulationConfig:
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")
         if self.p < 2:
             raise ValueError("p must be at least 2")
-        _check_width(self.restriction, self.p)
+        if self.n < self.p:
+            raise ValueError(
+                f"n={self.n} is below p={self.p}: every replication's information matrix would be singular"
+            )
         kinds, d_grid = _check_request(self.estimator_kinds, self.d_grid)
+        who = "the simulation (it draws its truth in the restriction's null space)"
+        _check_restriction(kinds, self.restriction, self.p, who)
+        if self.project_beta and self.restriction.q == self.p:
+            raise ValueError(
+                f"project_beta needs fewer restriction rows than p={self.p}: "
+                f"the null space of {self.restriction.q} independent rows holds only 0"
+            )
         object.__setattr__(self, "d_grid", tuple(d_grid))
         object.__setattr__(self, "estimator_kinds", tuple(kinds))
 

@@ -440,6 +440,18 @@ class TestInputErrors:
             pytest.param(["estimate", BUNDLED, "--estimator", "mle,rmle", "--d", "0.5"],
                          "--d is only for the shrinkage estimators, and --estimator 'mle,rmle' has none",
                          id="d-without-shrinkage-kind"),
+            pytest.param(["estimate", BUNDLED, "--estimator", "mle", "--H", "1,0"],
+                         "--H: a restriction is only for the restricted estimators, and --estimator 'mle' has none",
+                         id="H-without-restricted-kind"),
+            pytest.param(["estimate", BUNDLED, "--estimator", "mle,aule", "--d", "0.5", "--restriction-file", "FILE"],
+                         "--restriction-file: a restriction is only for the restricted estimators, "
+                         "and --estimator 'mle,aule' has none", id="file-without-restricted-kind"),
+            pytest.param(["risk", BUNDLED, "--estimators", "mle,aule", "--d-grid", "0.5", "--H", "0,1,0,0,0"],
+                         "--H: a restriction is only for the restricted estimators, and --estimators 'mle,aule' has none",
+                         id="risk-H-without-restricted-kind"),
+            pytest.param(["risk", BUNDLED, "--estimators", "le", "--d-grid", "0.5", "--H", "0,1,0,0,0", "--h", "1"],
+                         "--H: a restriction is only for the restricted estimators, and --estimators 'le' has none",
+                         id="risk-H-and-h-without-restricted-kind"),
             pytest.param(["estimate", BUNDLED, "--estimator", "mle,"],
                          "--estimator: empty item in kind list 'mle,'", id="estimator-empty-item"),
             pytest.param(["risk", BUNDLED, "--d-grid", "0.5", "--estimators", "mle,,aule"],
@@ -497,6 +509,19 @@ class TestScenarioFileErrors:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            pytest.param(["--H", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"],
+                         "project_beta needs fewer restriction rows than p=4", id="full-restriction"),
+            pytest.param(["--n", "3"], "n=3 is below p=4", id="n-below-p"),
+        ],
+    )
+    def test_config_that_can_only_fail_exits_one_before_running(self, capsys, flags, message):
+        code, out, err = run(capsys, SIMULATE + flags)
+        assert_one_error_line(code, out, err)
+        assert err.startswith(f"error: {message}")
+
     def test_seed_is_required(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--n", "50", "--p", "4", "--rho", "0.9", "--reps", "3"])

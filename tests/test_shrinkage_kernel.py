@@ -46,13 +46,18 @@ _SMOOTHER = {"le": liu_matrix, "rle": liu_matrix, "aule": ld_matrix, "raule": ld
 
 
 def reference_loop(fit, kinds, d_grid, restriction):
-    """One (kind, d) pair at a time, redoing every check per pair."""
-    out = np.empty((len(kinds), len(d_grid), fit.C.shape[0]))
+    """One (kind, d) pair at a time, redoing every check per pair, once the
+    request's restriction is checked: before any test of C, a given
+    restriction must be as wide as C, and a restricted kind needs one."""
+    m = fit.C.shape[0]
+    if restriction is not None and restriction.H.shape[1] != m:
+        raise DimensionMismatchError(restriction.H.shape)
+    if restriction is None and any(kind in RESTRICTED_KINDS for kind in kinds):
+        raise MissingRestrictionError(kinds)
+    out = np.empty((len(kinds), len(d_grid), m))
     for i, kind in enumerate(kinds):
         for j, d in enumerate(d_grid):
             if kind in RESTRICTED_KINDS:
-                if restriction is None:
-                    raise MissingRestrictionError(kind)
                 base = restricted_mle(fit.C, fit.beta_mle, restriction)
             else:
                 require_positive_definite(np.linalg.eigvalsh(fit.C))
@@ -153,12 +158,45 @@ class TestKernelAgainstLoop:
         with pytest.raises(error):
             shrinkage_estimates(fit, kinds, [0.5], restriction)
 
-    def test_singular_information_is_raised_before_a_missing_restriction_when_mle_comes_first(self):
+    def test_a_missing_restriction_is_raised_before_singular_information_when_mle_comes_first(self):
         fit = synthetic_fit(np.diag([1.0, 0.0]), np.array([1.0, 1.0]))
-        with pytest.raises(SingularInformationError):
+        with pytest.raises(MissingRestrictionError):
             shrinkage_estimates(fit, ["mle", "rmle"], [0.5])
         with pytest.raises(MissingRestrictionError):
             shrinkage_estimates(fit, ["rmle", "mle"], [0.5])
+        with pytest.raises(SingularInformationError):
+            shrinkage_estimates(fit, ["mle"], [0.5])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.permutations(KINDS),
+        st.integers(1, len(KINDS)),
+        st.sampled_from((None, 0, 1, 2)),
+        st.sampled_from(("single", "stack", "empty")),
+    )
+    def test_restriction_errors_come_before_the_c_test_in_any_kind_order(self, order, size, singular_row, shape):
+        kinds = order[:size]
+        C = np.stack([np.diag([3.0, 1.0, 0.5])] * 3)
+        if singular_row is not None:
+            C[singular_row, 1, 1] = 0.0
+        beta = np.tile([1.0, -1.0, 0.5], (3, 1))
+        fit = {
+            "single": synthetic_fit(C[singular_row or 0], beta[0]),
+            "stack": synthetic_fit(C, beta),
+            "empty": synthetic_fit(C[:0], beta[:0]),
+        }[shape]
+        wide = LinearRestriction(np.ones((1, 4)), np.zeros(1))
+        with pytest.raises(DimensionMismatchError, match="restriction width 4 does not match coefficient count 3"):
+            shrinkage_estimates(fit, kinds, [0.5], wide)
+        restricted = [kind for kind in kinds if kind in RESTRICTED_KINDS]
+        if restricted:
+            with pytest.raises(MissingRestrictionError, match=f"^estimator {restricted[0]!r} needs"):
+                shrinkage_estimates(fit, kinds, [0.5])
+        elif singular_row is not None and shape != "empty":
+            with pytest.raises(SingularInformationError):
+                shrinkage_estimates(fit, kinds, [0.5])
+        else:
+            assert shrinkage_estimates(fit, kinds, [0.5]).shape[-3:] == (size, 1, 3)
 
     def test_unknown_kind_is_rejected_before_the_c_test(self):
         fit = synthetic_fit(np.diag([1.0, 0.0]), np.array([1.0, 1.0]))

@@ -10,6 +10,7 @@ from shrinklogit import (
     AllReplicationsFailedError,
     FitOptions,
     LinearRestriction,
+    MissingRestrictionError,
     SimulationConfig,
     default_restriction,
     gen_beta,
@@ -288,6 +289,22 @@ class TestConfigValidation:
             small_config(estimator_kinds=("mle", "ridge"))
         with pytest.raises(ValueError):
             small_config(restriction=default_restriction(8))
+
+    @pytest.mark.parametrize("kinds", [("mle", "aule", "rmle", "raule"), ("mle", "aule")])
+    def test_no_restriction_is_a_missing_restriction(self, kinds):
+        with pytest.raises(MissingRestrictionError, match=r"^the simulation \(it draws its truth in the restriction's null space\)"):
+            small_config(restriction=None, estimator_kinds=kinds)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_fewer_observations_than_predictors_is_rejected(self, n):
+        with pytest.raises(ValueError, match=f"^n={n} is below p=4"):
+            small_config(n=n)
+
+    def test_projection_onto_a_full_restriction_is_rejected(self):
+        full = LinearRestriction(np.eye(4), np.zeros(4))
+        with pytest.raises(ValueError, match="^project_beta needs fewer restriction rows than p=4"):
+            small_config(restriction=full)
+        run_simulation(small_config(restriction=full, project_beta=False, reps=2))
 
     def test_default_restrictions(self):
         r4 = default_restriction(4)
