@@ -12,7 +12,6 @@ __all__ = [
     "NotConvergedError",
     "MissingRestrictionError",
     "DimensionMismatchError",
-    "DegenerateProjectionError",
     "AllReplicationsFailedError",
     "CsvParseError",
     "NonBinaryResponseError",
@@ -56,10 +55,6 @@ class DimensionMismatchError(ShrinkLogitError, ValueError):
     """Vector and matrix dimensions do not line up, such as a restriction
     whose width is not the coefficient count. Also a ValueError, so
     ``except ValueError`` catches it too."""
-
-
-class DegenerateProjectionError(ShrinkLogitError):
-    """Projecting a coefficient draw onto the restriction null space kept failing."""
 
 
 class AllReplicationsFailedError(ShrinkLogitError):

@@ -36,8 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionMismatchError, MissingRestrictionError
-from .linalg import SpectralDecomp, sym_eigen, symmetrize
-from .linalg import definiteness_error, positive_definite, require_positive_definite
+from .linalg import SpectralDecomp, require_positive_definite, sym_eigen, symmetrize
 from .logit import FittedLogit, LinearRestriction
 
 __all__ = [
@@ -180,6 +179,25 @@ def _check_restriction(kinds, restriction: LinearRestriction | None, m: int, who
     return None if who is None else restriction
 
 
+def _information(C, beta=None, what: str = "beta", restriction: LinearRestriction | None = None):
+    """The one door for a caller's C (or stack of C), beta and restriction,
+    checked in this order: C is read through :func:`symmetrize`; beta must
+    have shape ``C.shape[:-1]`` and be finite (errors naming ``what``); the
+    restriction must be as wide as C. Only then is C decomposed, once, and
+    tested. Returns (C, its decomposition)."""
+    C = symmetrize(C, "C")
+    if beta is not None:
+        if np.shape(beta) != C.shape[:-1]:
+            raise DimensionMismatchError(f"{what} has shape {np.shape(beta)}, expected {C.shape[:-1]}")
+        if not np.all(np.isfinite(beta)):
+            raise ValueError(f"{what} has non-finite entries")
+    if restriction is not None:
+        _check_width(restriction, C.shape[-1])
+    decomp = sym_eigen(C)
+    require_positive_definite(decomp.values, "C")
+    return C, decomp
+
+
 def _project(C: NDArray, beta: NDArray, restriction: LinearRestriction) -> NDArray:
     """beta_0 + N (N'CN)^-1 N'C (beta - beta_0) for positive definite C, with
     N and beta_0 = H^+ h from the restriction: H beta_R = h to rounding.
@@ -202,21 +220,23 @@ def restricted_mle(C, beta_mle, restriction: LinearRestriction) -> NDArray:
     It exists for every positive definite C and every H that
     LinearRestriction accepts, however close H C^-1 H' is to singular.
 
-    C is read through its symmetric part, as :func:`a_matrix` reads it.
+    C is read through its symmetric part, as :func:`a_matrix` reads it. A
+    stack of C (R, m, m) with ``beta_mle`` (R, m) is projected row by row.
 
     Raises
     ------
     InvalidMatrixError
         If C is not square or has non-finite entries.
     DimensionMismatchError
-        If the restriction's width is not C's dimension.
+        If ``beta_mle`` or the restriction is not as wide as C.
+    ValueError
+        If ``beta_mle`` has non-finite entries.
     SingularInformationError
         If C is not positive definite at ``RANK_CUT``.
     """
-    C = symmetrize(C)
-    _check_width(restriction, C.shape[0])
-    require_positive_definite(np.linalg.eigvalsh(C), "C")
-    return _project(C, np.asarray(beta_mle, dtype=float), restriction)
+    beta = np.asarray(beta_mle, dtype=float)
+    C, _ = _information(C, beta, "beta_mle", restriction)
+    return _project(C, beta, restriction)
 
 
 def shrinkage_estimates(
@@ -237,39 +257,41 @@ def shrinkage_estimates(
 
     Kinds are case-insensitive, as in :class:`EstimatorSpec`.
 
-    The whole request is checked before any test of C: ValueError if
-    ``kinds`` or ``d_grid`` is empty, a kind is unknown or a d lies
-    outside [0, 1]; MissingRestrictionError if a kind is restricted and
-    ``restriction`` is None; DimensionMismatchError if ``restriction`` is
-    given and its width is not the coefficient count. Only then is C
-    tested: SingularInformationError for the first row whose C is not
-    positive definite.
+    The request (kinds, d, the restriction) is checked before C, then C,
+    beta and C's definiteness at :func:`_information`; a single fit's
+    errors give its own (m,) and (m, m) shapes.
+
+    Raises
+    ------
+    ValueError
+        If ``kinds`` or ``d_grid`` is empty, a kind is unknown or a d lies
+        outside [0, 1], or ``beta_mle`` has non-finite entries.
+    MissingRestrictionError
+        If a kind is restricted and ``restriction`` is None.
+    DimensionMismatchError
+        If ``restriction`` is not as wide as ``beta_mle``, or ``beta_mle``
+        is not as wide as C.
+    InvalidMatrixError
+        If C is not square or has non-finite entries.
+    SingularInformationError
+        For the first row whose C is not positive definite.
     """
     kinds, d_values = _check_request(kinds, d_grid)
     d = np.array(d_values)
-    C = np.asarray(fit.C, dtype=float)
     beta = np.asarray(fit.beta_mle, dtype=float)
-    single = beta.ndim == 1
-    if single:
-        C, beta = C[None], beta[None]
-    rows, m = beta.shape
-    restriction = _check_restriction(kinds, restriction, m)
-    C = symmetrize(C)
-    decomp = sym_eigen(C)
-    ok = positive_definite(decomp.values)
-    if not ok.all():
-        raise definiteness_error(decomp.values[np.argmin(ok)], "C")
+    restriction = _check_restriction(kinds, restriction, beta.shape[-1] if beta.ndim else 0)
+    C, decomp = _information(fit.C, beta, "beta_mle")
     rmle = None if restriction is None else _project(C, beta, restriction)
-    out = np.empty((rows, len(kinds), d.size, m))
+    out = np.empty(beta.shape[:-1] + (len(kinds), d.size, beta.shape[-1]))
     for i, kind in enumerate(kinds):
         base = rmle if kind in RESTRICTED_KINDS else beta
         if kind in SHRINKAGE_KINDS:
             basis_t = decomp.basis.swapaxes(-1, -2)
             coords = (basis_t @ base[..., None])[..., None, :, 0]
-            out[:, i] = (smoother_factors(kind, decomp.values, d) * coords) @ basis_t
+            out[..., i, :, :] = (smoother_factors(kind, decomp.values, d) * coords) @ basis_t
         else:
-            out[:, i] = base[:, None]
-    return out[0] if single else out
+            out[..., i, :, :] = base[..., None, :]
+    return out
 
 
 def estimate(

@@ -195,9 +195,12 @@ def definiteness_error(eigenvalues, what: str = "C") -> SingularInformationError
 
 def require_positive_definite(eigenvalues, what: str = "C") -> None:
     """Raise :func:`definiteness_error` unless :func:`positive_definite`
-    holds for one matrix's eigenvalues."""
-    if not positive_definite(eigenvalues):
-        raise definiteness_error(eigenvalues, what)
+    holds for one matrix's eigenvalues, or for every row of a stack's;
+    the error reports the first row that fails."""
+    ok = positive_definite(eigenvalues)
+    if not ok.all():
+        rows = np.reshape(eigenvalues, (-1, np.shape(eigenvalues)[-1]))
+        raise definiteness_error(rows[np.argmin(ok)], what)
 
 
 def in_range(vector, matrix) -> bool:

@@ -49,9 +49,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from .errors import InvalidMatrixError
 from .estimators import RESTRICTED_KINDS, SHRINKAGE_KINDS, EstimatorSpec
-from .estimators import _check_request, _check_restriction, _check_width, _project, _smoothers
-from .linalg import SpectralDecomp, _read_only, require_positive_definite, sym_eigen, symmetrize
+from .estimators import _check_request, _check_restriction, _information, _project, _smoothers
+from .linalg import SpectralDecomp, _read_only, symmetrize
 from .logit import LinearRestriction
 
 __all__ = [
@@ -84,17 +85,18 @@ def a_matrix(C, restriction: LinearRestriction) -> NDArray:
     conditioning. N'CN is positive definite whenever C is, so A exists
     for every H that LinearRestriction accepts, even where H C^-1 H' is
     numerically singular and the subtraction form cannot be evaluated.
+    A stack of C (R, m, m) gives the stack of their kernels.
 
     Raises
     ------
+    InvalidMatrixError
+        If C is not square or has non-finite entries.
     DimensionMismatchError
         If the restriction's width is not C's dimension.
     SingularInformationError
         If C is not positive definite at ``RANK_CUT``.
     """
-    C = symmetrize(C)
-    _check_width(restriction, C.shape[0])
-    require_positive_definite(np.linalg.eigvalsh(C), "C")
+    C, _ = _information(C, restriction=restriction)
     return _dispersion(C, restriction)
 
 
@@ -121,6 +123,17 @@ class RiskScenario:
     d-independent parts for the scenario's life, and one slot of per-d
     parts for the last d asked. None of it refers back to the scenario,
     which reference counting alone frees.
+
+    Raises
+    ------
+    InvalidMatrixError
+        If C is not one square matrix or has non-finite entries.
+    DimensionMismatchError
+        If ``beta_true`` or the restriction is not as wide as C.
+    ValueError
+        If ``beta_true`` has non-finite entries.
+    SingularInformationError
+        If C is not positive definite at ``RANK_CUT``.
     """
 
     C: NDArray
@@ -129,16 +142,10 @@ class RiskScenario:
     A: NDArray | None = field(init=False, default=None)
 
     def __post_init__(self):
-        C = symmetrize(self.C, "C")
+        if np.ndim(self.C) != 2:  # the door also reads a stack of C
+            raise InvalidMatrixError(f"expected a square matrix, got shape {np.shape(self.C)}")
         beta = np.array(self.beta_true, dtype=float)
-        if beta.shape != (C.shape[0],):
-            raise ValueError(
-                f"beta_true has shape {beta.shape}, expected ({C.shape[0]},)"
-            )
-        if not np.all(np.isfinite(beta)):
-            raise ValueError("beta_true has non-finite entries")
-        decomp = sym_eigen(C)
-        require_positive_definite(decomp.values, "C")
+        C, decomp = _information(self.C, beta, "beta_true", self.restriction)
         decomp = SpectralDecomp(_read_only(decomp.values), _read_only(decomp.basis))
         object.__setattr__(self, "C", _read_only(C))
         object.__setattr__(self, "beta_true", _read_only(beta))
@@ -147,8 +154,6 @@ class RiskScenario:
         c_inv = symmetrize(np.linalg.inv(C))
         object.__setattr__(self, "_mle", RiskReport(EstimatorSpec("mle"), c_inv, np.zeros(self.m)))
         if self.restriction is not None:
-            # The width check and projection of restricted_mle.
-            _check_width(self.restriction, C.shape[0])
             A = _dispersion(C, self.restriction)
             gap = self.restriction.H @ beta - self.restriction.h
             violated = float(np.max(np.abs(gap))) > RESTRICTION_VIOLATION_TOL

@@ -49,12 +49,7 @@ from functools import partial
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    AllReplicationsFailedError,
-    DegenerateProjectionError,
-    NotConvergedError,
-    SingularInformationError,
-)
+from .errors import AllReplicationsFailedError, NotConvergedError, SingularInformationError
 # ``estimate`` and ``irls_fit`` stay bound here: perfbench's traced run
 # rebinds them by name.
 from .estimators import _check_request, _check_restriction, _check_width, estimate, shrinkage_estimates  # noqa: F401
@@ -140,6 +135,18 @@ def _correlate(z: NDArray, r: float) -> NDArray:
     return z
 
 
+def _check_projection(restriction: LinearRestriction, p: int, project_beta: bool):
+    """The truth's restriction rules: DimensionMismatchError unless the
+    restriction is ``p`` wide, and with ``project_beta`` a ValueError for
+    p rows, whose null space holds only 0."""
+    _check_width(restriction, p)
+    if project_beta and restriction.q == p:
+        raise ValueError(
+            f"project_beta needs fewer restriction rows than p={p}: "
+            f"the null space of {restriction.q} independent rows holds only 0"
+        )
+
+
 def gen_beta(
     p: int,
     restriction: LinearRestriction,
@@ -151,27 +158,22 @@ def gen_beta(
     Draws a standard normal vector; when ``project_beta`` is set it is
     projected onto the null space of H through N N', N the restriction's
     ``null_basis``, before being normalized, so both beta'beta = 1 and
-    H beta = 0 hold. Near-zero projections are redrawn, up to ten times.
+    H beta = 0 hold. With fewer than p rows the projection is zero with
+    probability 0, and one draw suffices.
 
     Raises
     ------
     DimensionMismatchError
         If the restriction's width is not ``p``.
-    DegenerateProjectionError
-        If ten consecutive projected draws have norm below 1e-8.
+    ValueError
+        If ``project_beta`` is set and the restriction has p rows.
     """
-    _check_width(restriction, p)
-    null_basis = restriction.null_basis
-    for _ in range(10):
-        v = rng.standard_normal(p)
-        if project_beta:
-            v = null_basis @ (null_basis.T @ v)
-        norm = float(np.linalg.norm(v))
-        if norm >= 1e-8:
-            return v / norm
-    raise DegenerateProjectionError(
-        "projection onto the restriction null space kept collapsing to zero"
-    )
+    _check_projection(restriction, p, project_beta)
+    v = rng.standard_normal(p)
+    if project_beta:
+        null_basis = restriction.null_basis
+        v = null_basis @ (null_basis.T @ v)
+    return v / np.linalg.norm(v)
 
 
 def gen_response(X: NDArray, beta: NDArray, rng: np.random.Generator) -> NDArray:
@@ -200,9 +202,9 @@ class SimulationConfig:
     the reported MSE unconditional; a fixed-design mode is available for
     conditional studies.
 
-    Rejected here, before any draw: no restriction, n below p (every fit
-    would be singular), and with ``project_beta`` a restriction of p rows
-    (its null space is 0).
+    Rejected here, before any draw: no restriction, n at most p (no
+    maximum likelihood estimate exists), and with ``project_beta`` a
+    restriction of p rows (its null space is 0).
     """
 
     n: int
@@ -224,18 +226,15 @@ class SimulationConfig:
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")
         if self.p < 2:
             raise ValueError("p must be at least 2")
-        if self.n < self.p:
+        if self.n <= self.p:
             raise ValueError(
-                f"n={self.n} is below p={self.p}: every replication's information matrix would be singular"
+                f"n={self.n} is not above p={self.p}: some X beta separates n <= p responses "
+                "exactly, so no maximum likelihood estimate exists"
             )
         kinds, d_grid = _check_request(self.estimator_kinds, self.d_grid)
         who = "the simulation (it draws its truth in the restriction's null space)"
         _check_restriction(kinds, self.restriction, self.p, who)
-        if self.project_beta and self.restriction.q == self.p:
-            raise ValueError(
-                f"project_beta needs fewer restriction rows than p={self.p}: "
-                f"the null space of {self.restriction.q} independent rows holds only 0"
-            )
+        _check_projection(self.restriction, self.p, self.project_beta)
         object.__setattr__(self, "d_grid", tuple(d_grid))
         object.__setattr__(self, "estimator_kinds", tuple(kinds))
 

@@ -5,10 +5,12 @@ module that defines it, and ``shrinklogit/__init__.py`` republishes those
 lists by star import. These tests check that the package exports exactly
 the union of the library modules' lists, that every entry resolves, and
 that a star import binds nothing else. Later tests check that every error
-a public docstring says is raised still exists, and that every dataclass
-holding arrays compares by identity.
+a public docstring says is raised still exists, that every dataclass
+holding arrays compares by identity, and that each rule of the package
+is named in its one home.
 """
 
+import ast
 import builtins
 import dataclasses
 import importlib
@@ -142,3 +144,30 @@ def test_equality_is_a_bool(make):
     assert (a == b) is False and (a != b) is True
     assert (a == a) is True
     assert len({a, b, a}) == 2
+
+
+def _names(module_name):
+    """Every identifier a module's code uses, imports or defines."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"shrinklogit.{module_name}")))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+@pytest.mark.parametrize(
+    "name, homes",
+    [
+        # the rank cut of every zero test lives in linalg._kept
+        ("RANK_CUT", {"linalg"}),
+        # C's definiteness is tested at the door estimators._information
+        ("require_positive_definite", {"linalg", "estimators"}),
+    ],
+)
+def test_each_rule_is_named_only_in_its_home(name, homes):
+    assert {module for module in SUBMODULES if name in set(_names(module))} == homes

@@ -87,7 +87,7 @@ def outcome(run, *args):
 @st.composite
 def problems(draw):
     p = draw(st.integers(2, 8))
-    n = draw(st.integers(p, 60))
+    n = draw(st.integers(p + 1, 60))
     reps = draw(st.integers(1, 16))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)

@@ -514,7 +514,7 @@ class TestSimulate:
         [
             pytest.param(["--H", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"],
                          "project_beta needs fewer restriction rows than p=4", id="full-restriction"),
-            pytest.param(["--n", "3"], "n=3 is below p=4", id="n-below-p"),
+            pytest.param(["--n", "3"], "n=3 is not above p=4", id="n-below-p"),
         ],
     )
     def test_config_that_can_only_fail_exits_one_before_running(self, capsys, flags, message):

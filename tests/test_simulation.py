@@ -85,6 +85,27 @@ class TestGenBeta:
         with pytest.raises(ValueError):
             gen_beta(3, default_restriction(4), True, np.random.default_rng(0))
 
+    def test_projection_onto_a_full_restriction_gives_the_config_error(self):
+        full = LinearRestriction(np.eye(4), np.zeros(4))
+        with pytest.raises(ValueError) as config_error:
+            small_config(restriction=full)
+        with pytest.raises(ValueError) as draw_error:
+            gen_beta(4, full, True, np.random.default_rng(0))
+        assert str(draw_error.value) == str(config_error.value)
+
+    def test_a_full_restriction_without_projection_still_draws(self):
+        full = LinearRestriction(np.eye(4), np.zeros(4))
+        beta = gen_beta(4, full, False, np.random.default_rng(0))
+        assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-14)
+
+    def test_one_draw_suffices_for_a_one_dimensional_null_space(self):
+        H = np.random.default_rng(5).standard_normal((3, 4))
+        restriction = LinearRestriction(H, np.zeros(3))
+        for seed in range(200):
+            beta = gen_beta(4, restriction, True, np.random.default_rng(seed))
+            assert abs(np.linalg.norm(beta) - 1.0) <= 1e-14
+            assert np.max(np.abs(H @ beta)) <= 1e-14
+
 
 class TestGenResponse:
     def test_balanced_at_zero_coefficients(self):
@@ -116,11 +137,11 @@ class TestBlockDraw:
             dict(),
             dict(regenerate_design=False),
             dict(p=2, restriction=LinearRestriction([[1.0, -1.0]], [0.0])),
-            dict(n=4),
+            dict(n=5),
             dict(seed=2**32 + 7),
-            dict(seed=2**64 + 3, regenerate_design=False, n=4),
+            dict(seed=2**64 + 3, regenerate_design=False, n=5),
         ],
-        ids=["fresh", "fixed-design", "p2", "n-equals-p", "seed-above-2**32", "fixed-n-equals-p-big-seed"],
+        ids=["fresh", "fixed-design", "p2", "n-just-above-p", "seed-above-2**32", "fixed-n-just-above-p-big-seed"],
     )
     def test_equals_per_replication_draws(self, overrides):
         config = small_config(reps=9, **overrides)
@@ -295,9 +316,9 @@ class TestConfigValidation:
         with pytest.raises(MissingRestrictionError, match=r"^the simulation \(it draws its truth in the restriction's null space\)"):
             small_config(restriction=None, estimator_kinds=kinds)
 
-    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("n", [1, 3, 4])
     def test_fewer_observations_than_predictors_is_rejected(self, n):
-        with pytest.raises(ValueError, match=f"^n={n} is below p=4"):
+        with pytest.raises(ValueError, match=f"^n={n} is not above p=4: .* no maximum likelihood estimate exists$"):
             small_config(n=n)
 
     def test_projection_onto_a_full_restriction_is_rejected(self):
