@@ -35,11 +35,26 @@ Each theorem has one route, its ``check_*`` function, and
 first use, and kept by the scenario in two lifetimes. What does not
 depend on d (ACA's PSD test, pseudo-inverse and congruence, C^{1/2},
 C^-1 - A, the scalar conditions' parts) is kept for the scenario's life.
-What does (L, the RAULE and AULE reports and Delta5) is kept in one
-per-d slot for the last d asked: a new d (and the restriction) is checked
-before anything is built, and then replaces the slot, so the checks at
-one d share one L and memory does not grow with the number of d. Every
-kept array is read-only and nothing kept refers back to the scenario.
+What does is built in one pass at a new d, whichever check asks first,
+and kept in one per-d slot for the last d asked: a new d (and the
+restriction) is checked before anything is built, and its pass then
+replaces the slot, so memory does not grow with the number of d. The
+pass forms L, and the RAULE and AULE reports from it, then makes two
+stacked decompositions:
+
+* one ``eigh`` of (D1, D3) = (ACA - LAL, C^-1 - LAL), which gives both
+  pseudo-inverses of the lemma tests;
+* one ``eigvalsh`` of (LAL, Delta1, Delta3, Delta5, the T3.5 core
+  C^{1/2}' LAL C^{1/2}), which gives every PSD witness and T3.5's
+  lambda_max(LAL C).
+
+Only T3.3's congruence core, (m - q) wide, has its own ``eigvalsh``. The
+check functions then read the slot and assemble their verdicts. NumPy
+decomposes each member of a stack as it decomposes it alone, and D1, D3,
+Delta1 and Delta3 are exactly symmetric as formed, so every verdict is
+bit for bit what the public primitives give one matrix at a time
+(``is_psd``, ``moore_penrose``, ``in_range``, ``lambda_max_ratio``).
+Every kept array is read-only and nothing kept refers back to the scenario.
 
 The scalar conditions of T3.4/T3.6 compare
 (lam_1 + d)(lam_1 + 2 - d) / (1 - d)^2 against
@@ -59,18 +74,20 @@ and leaves the judgement to the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .estimators import _check_request, _check_restriction, _smoothers
-from .linalg import PSD_SLACK, _read_only, in_range_with_pinv, is_psd, moore_penrose, sym_eigen
-from .linalg import _congruence, _kept, _pinv, _ratio, _require_psd
+from .linalg import PSD_SLACK, PsdResult, _eigh, _read_only, in_range_with_pinv, is_psd
+from .linalg import _congruence, _kept, _pinv, _psd, _ratio, _require_psd, _sym, sym_eigen
 from .risk import RiskReport, RiskScenario, _reports, spectral_risk_terms
 
 # No longer called here, but kept bound: perfbench's traced run rebinds
-# them by name (ROADMAP item 6).
-from .linalg import in_range, lambda_max_ratio  # noqa: F401
+# them by name (ROADMAP item 1), and tests/test_perfbench_names.py checks
+# that each still resolves.
+from .linalg import in_range, lambda_max_ratio, moore_penrose  # noqa: F401
 from .risk import risk  # noqa: F401
 
 __all__ = [
@@ -125,39 +142,6 @@ def _part(scenario: RiskScenario, build):
     return scenario._parts[build]
 
 
-def _at(scenario: RiskScenario, d: float, build):
-    """``build(scenario, d)``, kept in the scenario's one per-d slot. A d
-    other than the slot's is checked first, with the restriction, and starts a new slot."""
-    kept_d, parts = scenario._parts.get(_at, (None, None))
-    if d != kept_d:
-        kinds, (d,) = _check_request(["raule", "aule"], [d])
-        _check_restriction(kinds, scenario.restriction, scenario.m)
-        parts = {}
-        scenario._parts[_at] = (d, parts)
-    if build not in parts:
-        parts[build] = build(scenario, d)
-    return parts[build]
-
-
-def _ld(scenario: RiskScenario, d: float) -> NDArray:
-    """L at d, as a (1, m, m) stack."""
-    return _read_only(_smoothers(scenario.decomp, "raule", [d]))
-
-
-def _raule(scenario: RiskScenario, d: float) -> RiskReport:
-    return _reports(scenario, "raule", [d], _at(scenario, d, _ld))[0]
-
-
-def _aule(scenario: RiskScenario, d: float) -> RiskReport:
-    return _reports(scenario, "aule", [d], _at(scenario, d, _ld))[0]
-
-
-def _delta5(scenario: RiskScenario, d: float) -> NDArray:
-    """Delta5 = L (C^-1 - A) L, which exists only under a restriction."""
-    L = _at(scenario, d, _ld)[0]
-    return _read_only(L @ _part(scenario, _c_inv_minus_a) @ L)
-
-
 def _aca_parts(scenario: RiskScenario):
     """ACA's PSD test, Moore-Penrose inverse and lambda_max_ratio congruence."""
     dec = sym_eigen(scenario._rmle.cov)
@@ -182,31 +166,97 @@ def _scalar_parts(scenario: RiskScenario):
     return float(terms.eigenvalues[0]), min_positive_a, max_alpha_sq, max_alpha_sq / min_positive_a
 
 
-def _matrix_verdict(theorem, scenario, d, dispersion, applicable, side) -> DominanceVerdict:
-    """T3.3/T3.5 lemma test for D = dispersion - LAL, b1 and LAL from the RAULE
-    report: b1 in range(D) and b1' D^+ b1 <= 1 with D^+ formed once, and the
-    direct PSD test of D - b1 b1'. ``side`` holds the applicability witnesses."""
-    raule = _at(scenario, d, _raule)
-    b1 = raule.bias
-    difference = dispersion - raule.cov
-    pinv = moore_penrose(difference)
-    b_in_range = in_range_with_pinv(b1, difference, pinv)
-    qform = float(b1 @ pinv @ b1)
-    psd = is_psd(difference - np.outer(b1, b1))
+class _Lemma(NamedTuple):
+    """The T3.3/T3.5 lemma test for D = dispersion - LAL: whether b1 lies in
+    range(D), b1' D^+ b1, and the PSD test of Delta = D - b1 b1'."""
+
+    bias_in_range: bool
+    quadratic_form: float
+    delta: PsdResult
+
+
+class _PerD(NamedTuple):
+    """What the six checks read at one d."""
+
+    raule: RiskReport
+    aule: RiskReport
+    bias_norm: float  # |b1|
+    lal: PsdResult  # T3.3's numerator test
+    ratio: float  # T3.3: lambda_max(LAL (ACA)^+)
+    range_inclusion: bool  # T3.3: range(LAL) in range(ACA)
+    product: float  # T3.5: lambda_max(LAL C)
+    t33: _Lemma  # on D1 = ACA - LAL
+    t35: _Lemma  # on D3 = C^-1 - LAL
+    delta5: PsdResult  # T3.7
+
+
+def _at(scenario: RiskScenario, d: float) -> _PerD:
+    """The per-d pass at d, kept in the scenario's one per-d slot. A d other
+    than the slot's is checked first, with the restriction, and its pass
+    replaces the slot."""
+    kept_d, per_d = scenario._parts.get(_at, (None, None))
+    if d != kept_d:
+        kinds, (d,) = _check_request(["raule", "aule"], [d])
+        _check_restriction(kinds, scenario.restriction, scenario.m)
+        per_d = _pass(scenario, d)
+        scenario._parts[_at] = (d, per_d)
+    return per_d
+
+
+def _pass(scenario: RiskScenario, d: float) -> _PerD:
+    """Everything the checks read at d, in the one pass the module
+    docstring describes. Delta5 and the T3.5 core are symmetrized; the other
+    members of the stacks are exactly symmetric as formed."""
+    L = _smoothers(scenario.decomp, "raule", [d])
+    (raule,) = _reports(scenario, "raule", [d], L)
+    (aule,) = _reports(scenario, "aule", [d], L)
+    lal, b1 = raule.cov, raule.bias
+    _, aca_pinv, congruence = _part(scenario, _aca_parts)
+    c_half = _part(scenario, _c_half)
+    differences = np.subtract((scenario._rmle.cov, scenario.c_inv), lal)
+    delta5 = L[0] @ _part(scenario, _c_inv_minus_a) @ L[0]
+    core = c_half.T @ lal @ c_half
+    spectra = np.linalg.eigvalsh(
+        np.concatenate([lal[None], differences - np.outer(b1, b1), _sym(np.stack([delta5, core]))])
+    )
+    lal_psd, delta1_psd, delta3_psd, delta5_psd = map(_psd, spectra[:4, 0].tolist())
+    pinvs = _pinv(_eigh(differences))
+    t33, t35 = (
+        _Lemma(in_range_with_pinv(b1, difference, pinv), float(b1 @ pinv @ b1), psd)
+        for difference, pinv, psd in zip(differences, pinvs, (delta1_psd, delta3_psd))
+    )
+    return _PerD(
+        raule=raule,
+        aule=aule,
+        bias_norm=float(np.linalg.norm(b1)),
+        lal=lal_psd,
+        ratio=_ratio(lal, congruence),
+        range_inclusion=in_range_with_pinv(lal, scenario._rmle.cov, aca_pinv),
+        product=float(max(spectra[4, -1], 0.0)),
+        t33=t33,
+        t35=t35,
+        delta5=delta5_psd,
+    )
+
+
+def _matrix_verdict(theorem, d, at: _PerD, lemma: _Lemma, applicable, side) -> DominanceVerdict:
+    """A T3.3/T3.5 verdict from its lemma test; ``side`` holds the
+    applicability witnesses."""
+    qform = lemma.quadratic_form
     return DominanceVerdict(
         theorem=theorem,
         applicable=applicable,
-        condition_holds=b_in_range and qform <= 1.0 + PSD_SLACK,
-        delta_psd=psd.ok,
+        condition_holds=lemma.bias_in_range and qform <= 1.0 + PSD_SLACK,
+        delta_psd=lemma.delta.ok,
         lhs=qform,
         rhs=1.0,
         witnesses={
             "d": float(d),
             **side,
-            "bias_in_range": float(b_in_range),
+            "bias_in_range": float(lemma.bias_in_range),
             "quadratic_form": qform,
-            "bias_norm": float(np.linalg.norm(b1)),
-            "delta_min_eigenvalue": psd.min_eigenvalue,
+            "bias_norm": at.bias_norm,
+            "delta_min_eigenvalue": lemma.delta.min_eigenvalue,
         },
     )
 
@@ -219,21 +269,21 @@ def check_t33(scenario: RiskScenario, d: float) -> DominanceVerdict:
     b1'(ACA - LAL)^+ b1 <= 1 (with b1 in the range of the difference) is
     equivalent to the matrix MSE difference Delta1 = ACA - LAL - b1 b1'
     being nonnegative definite. Delta1 is always checked directly too.
-    lambda_max_ratio(LAL, ACA) and in_range(LAL, ACA) use ACA's kept parts.
+    The ratio is the largest eigenvalue of the (m - q)-wide congruence
+    core S'(LAL)S, with S from ACA's kept eigenpairs; the range test and
+    (ACA - LAL)^+ come from the per-d pass, which also gives the
+    PSD witnesses of LAL and Delta1.
     """
-    lal = _at(scenario, d, _raule).cov
-    _require_psd(numerator=is_psd(lal))
-    psd, pinv, congruence = _part(scenario, _aca_parts)
-    _require_psd(denominator=psd)
-    ratio = _ratio(lal, congruence)
-    range_ok = in_range_with_pinv(lal, scenario._rmle.cov, pinv)
-    applicable = bool(ratio <= 1.0 + PSD_SLACK and range_ok)
-    side = {"lambda_max_ratio": ratio, "range_inclusion": float(range_ok)}
-    return _matrix_verdict("T3.3", scenario, d, scenario._rmle.cov, applicable, side)
+    at = _at(scenario, d)
+    _require_psd(numerator=at.lal)
+    _require_psd(denominator=_part(scenario, _aca_parts)[0])
+    applicable = bool(at.ratio <= 1.0 + PSD_SLACK and at.range_inclusion)
+    side = {"lambda_max_ratio": at.ratio, "range_inclusion": float(at.range_inclusion)}
+    return _matrix_verdict("T3.3", d, at, at.t33, applicable, side)
 
 
 def _scalar_verdict(theorem, scenario, d, baseline_kind) -> DominanceVerdict:
-    raule = _at(scenario, d, _raule)
+    raule = _at(scenario, d).raule
     lam1, min_a, max_alpha_sq, rhs = _part(scenario, _scalar_parts)
     lhs = np.inf if d == 1.0 else (lam1 + d) * (lam1 + 2.0 - d) / (1.0 - d) ** 2
     baseline = scenario._rmle if baseline_kind == "rmle" else scenario._mle
@@ -269,15 +319,14 @@ def check_t35(scenario: RiskScenario, d: float) -> DominanceVerdict:
     """RAULE vs MLE in the matrix MSE order (necessary and sufficient).
 
     Applicable when lambda_max(LAL C) <= 1, evaluated literally on the
-    product LAL C through ``_ratio`` with the congruence S = C^{1/2}. Then the
-    criterion b1'(C^-1 - LAL)^+ b1 <= 1 is equivalent to
-    Delta3 = C^-1 - LAL - b1 b1' being nonnegative definite.
+    product LAL C as the largest eigenvalue of the congruence core
+    S'(LAL)S with S = C^{1/2}, which the per-d pass decomposes in its
+    stack with Delta3. Then the criterion b1'(C^-1 - LAL)^+ b1 <= 1 is
+    equivalent to Delta3 = C^-1 - LAL - b1 b1' being nonnegative definite.
     """
-    lal = _at(scenario, d, _raule).cov
-    lam = _ratio(lal, _part(scenario, _c_half))
-    applicable = bool(lam <= 1.0 + PSD_SLACK)
-    side = {"lambda_max_product": lam}
-    return _matrix_verdict("T3.5", scenario, d, scenario.c_inv, applicable, side)
+    at = _at(scenario, d)
+    applicable = bool(at.product <= 1.0 + PSD_SLACK)
+    return _matrix_verdict("T3.5", d, at, at.t35, applicable, {"lambda_max_product": at.product})
 
 
 def check_t36(scenario: RiskScenario, d: float) -> DominanceVerdict:
@@ -293,7 +342,7 @@ def check_t37(scenario: RiskScenario, d: float) -> DominanceVerdict:
     false (beyond the slack) signals a numerical integrity failure, not
     a counterexample.
     """
-    psd = is_psd(_at(scenario, d, _delta5))
+    psd = _at(scenario, d).delta5
     return DominanceVerdict(
         theorem="T3.7",
         applicable=True,
@@ -305,8 +354,8 @@ def check_t37(scenario: RiskScenario, d: float) -> DominanceVerdict:
 
 def check_c31(scenario: RiskScenario, d: float) -> DominanceVerdict:
     """RAULE vs AULE in scalar MSE, the trace consequence of the matrix order."""
-    aule = _at(scenario, d, _aule)
-    delta = aule.mse - _at(scenario, d, _raule).mse
+    at = _at(scenario, d)
+    delta = at.aule.mse - at.raule.mse
     return DominanceVerdict(
         theorem="C3.1",
         applicable=True,

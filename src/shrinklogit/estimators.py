@@ -36,7 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionMismatchError, MissingRestrictionError
-from .linalg import SpectralDecomp, require_positive_definite, sym_eigen, symmetrize
+from .linalg import SpectralDecomp, _eigh, _sym, require_positive_definite, sym_eigen, symmetrize
 from .logit import FittedLogit, LinearRestriction
 
 __all__ = [
@@ -143,7 +143,7 @@ def _smoothers(decomp: SpectralDecomp, kind: str, d_grid) -> NDArray:
     """``kind``'s smoother at every d of ``d_grid`` as one (D, m, m) stack,
     each member bit for bit the matrix :func:`smoother_matrix` gives."""
     factors = smoother_factors(kind, decomp.values, d_grid)
-    return symmetrize((decomp.basis * factors[:, None, :]) @ decomp.basis.T)
+    return _sym((decomp.basis * factors[:, None, :]) @ decomp.basis.T)
 
 
 def ld_matrix(C, d: float) -> NDArray:
@@ -193,7 +193,7 @@ def _information(C, beta=None, what: str = "beta", restriction: LinearRestrictio
             raise ValueError(f"{what} has non-finite entries")
     if restriction is not None:
         _check_width(restriction, C.shape[-1])
-    decomp = sym_eigen(C)
+    decomp = _eigh(C)
     require_positive_definite(decomp.values, "C")
     return C, decomp
 

@@ -78,6 +78,12 @@ def symmetrize(matrix, what: str = "matrix") -> NDArray:
         raise InvalidMatrixError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidMatrixError(f"{what} has non-finite entries")
+    return _sym(m)
+
+
+def _sym(m: NDArray) -> NDArray:
+    """:func:`symmetrize` without its checks, for products of operands that
+    were checked already: ``m`` is a finite float square matrix or stack."""
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
@@ -104,8 +110,13 @@ def sym_eigen(matrix) -> SpectralDecomp:
     are contiguous copies: products with a reversed view would not go
     through BLAS, and their last bits would differ from the unstacked ones.
     """
-    m = symmetrize(matrix)
-    values, basis = np.linalg.eigh(m)
+    return _eigh(symmetrize(matrix))
+
+
+def _eigh(matrix: NDArray) -> SpectralDecomp:
+    """:func:`sym_eigen` of a float array (or stack) that is already exactly
+    symmetric, which it neither checks nor symmetrizes."""
+    values, basis = np.linalg.eigh(matrix)
     return SpectralDecomp(values[..., ::-1].copy(), basis[..., ::-1].copy())
 
 
@@ -120,13 +131,13 @@ def moore_penrose(matrix) -> NDArray:
 
 
 def _pinv(dec: SpectralDecomp) -> NDArray:
-    """:func:`moore_penrose` of the matrix whose decomposition is ``dec``."""
+    """:func:`moore_penrose` of the matrix whose decomposition is ``dec``, or
+    of each matrix of a stack, each bit for bit as it is alone."""
     keep = _kept(np.abs(dec.values))
-    if not keep.any():  # the zero matrix, as +0.0 entries
-        return np.zeros((dec.basis.shape[0], dec.basis.shape[0]))
-    inv = np.zeros_like(dec.values)
-    inv[keep] = 1.0 / dec.values[keep]
-    return symmetrize((dec.basis * inv) @ dec.basis.T)
+    inv = np.divide(1.0, dec.values, out=np.zeros_like(dec.values), where=keep)
+    pinv = _sym((dec.basis * inv[..., None, :]) @ dec.basis.swapaxes(-1, -2))
+    pinv[~keep.any(axis=-1)] = 0.0  # the zero matrix, as +0.0 entries
+    return pinv
 
 
 @dataclass(frozen=True)
@@ -146,9 +157,12 @@ def is_psd(matrix) -> PsdResult:
     True iff the minimum eigenvalue is at least ``-PSD_SLACK``. The
     witness is reported either way.
     """
-    w = np.linalg.eigvalsh(symmetrize(matrix))
-    wmin = float(w[0])
-    return PsdResult(wmin >= -PSD_SLACK, wmin)
+    return _psd(float(np.linalg.eigvalsh(symmetrize(matrix))[0]))
+
+
+def _psd(min_eigenvalue: float) -> PsdResult:
+    """:func:`is_psd`'s verdict on a matrix with this smallest eigenvalue."""
+    return PsdResult(min_eigenvalue >= -PSD_SLACK, min_eigenvalue)
 
 
 def positive_definite(eigenvalues):
@@ -223,7 +237,12 @@ def in_range_with_pinv(vector, matrix, pinv) -> bool:
     hand: column v is in the range when (I - M M^+) v has norm at most
     ``RANK_CUT`` times that of v, so the zero vector is in every range."""
     residual = vector - matrix @ (pinv @ vector)
-    return bool(np.all(np.linalg.norm(residual, axis=0) <= RANK_CUT * np.linalg.norm(vector, axis=0)))
+    return bool((_column_norms(residual) <= RANK_CUT * _column_norms(vector)).all())
+
+
+def _column_norms(vectors: NDArray) -> NDArray:
+    """``np.linalg.norm(vectors, axis=0)``, bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce(vectors * vectors, axis=0))
 
 
 def lambda_max_ratio(numerator, denominator) -> float:
@@ -263,4 +282,4 @@ def _ratio(numerator: NDArray, congruence: NDArray) -> float:
     if congruence.shape[1] == 0:
         return 0.0
     core = congruence.T @ numerator @ congruence
-    return float(max(np.linalg.eigvalsh(0.5 * (core + core.T))[-1], 0.0))
+    return float(max(np.linalg.eigvalsh(_sym(core))[-1], 0.0))

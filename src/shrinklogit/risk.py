@@ -52,7 +52,7 @@ from numpy.typing import NDArray
 from .errors import InvalidMatrixError
 from .estimators import RESTRICTED_KINDS, SHRINKAGE_KINDS, EstimatorSpec
 from .estimators import _check_request, _check_restriction, _information, _project, _smoothers
-from .linalg import SpectralDecomp, _read_only, symmetrize
+from .linalg import SpectralDecomp, _read_only, _sym, symmetrize
 from .logit import LinearRestriction
 
 __all__ = [
@@ -242,7 +242,7 @@ def _reports(scenario: RiskScenario, kind: str, d_grid, smoothers: NDArray | Non
     if smoothers is None:
         smoothers = _smoothers(scenario.decomp, kind, d_grid)
     beta = scenario.beta_true
-    covs = symmetrize(smoothers @ (scenario.A if restricted else scenario.c_inv) @ smoothers)
+    covs = _sym(smoothers @ (scenario.A if restricted else scenario.c_inv) @ smoothers)
     violated = restricted and scenario.restriction_violated()
     specs = [EstimatorSpec(kind, d) for d in d_grid]
     return [RiskReport(*row, violated) for row in zip(specs, covs, smoothers @ beta - beta)]

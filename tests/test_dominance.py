@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from shrinklogit import (
     KINDS,
+    DominanceVerdict,
     EstimatorSpec,
     LinearRestriction,
     MissingRestrictionError,
@@ -24,11 +25,16 @@ from shrinklogit import (
     check_t37,
     d_sweep,
     dominance,
+    in_range,
     is_psd,
+    lambda_max_ratio,
     ld_matrix,
+    moore_penrose,
     risk,
+    spectral_risk_terms,
     symmetrize,
 )
+from shrinklogit.linalg import PSD_SLACK, _kept, _ratio
 from helpers import random_scenario
 from test_risk_properties import SETTINGS, scenarios
 
@@ -395,7 +401,7 @@ class TestKeptParts:
     """What the scenario keeps for the checks is read-only, holds no
     reference back to the scenario, and does not change later verdicts.
     The d-independent parts are kept for the scenario's life, the per-d
-    parts in one slot for the last d asked."""
+    pass in one slot for the last d asked."""
 
     @staticmethod
     def scenario():
@@ -403,39 +409,53 @@ class TestKeptParts:
 
     @staticmethod
     def kept(scenario):
-        """The d-independent parts, and the per-d slot's d and parts."""
+        """The d-independent parts, and the per-d slot's d and pass."""
         parts = dict(scenario._parts)
         d, per_d = parts.pop(dominance._at)
         return parts, d, per_d
+
+    @classmethod
+    def arrays(cls, part):
+        """Every array that a kept part holds, through reports and tuples."""
+        if isinstance(part, np.ndarray):
+            yield part
+        elif isinstance(part, RiskReport):
+            yield from (part.cov, part.bias)
+        elif isinstance(part, tuple):
+            for item in part:
+                yield from cls.arrays(item)
 
     def test_kept_parts_are_read_only(self):
         scenario = self.scenario()
         check_all(scenario, 0.5)
         parts, d, per_d = self.kept(scenario)
-        assert (len(parts), d, len(per_d)) == (4, 0.5, 4)
-        arrays = []
-        for part in [*parts.values(), *per_d.values()]:
-            if isinstance(part, RiskReport):
-                part = (part.cov, part.bias)
-            part = part if isinstance(part, tuple) else (part,)
-            arrays.extend(a for a in part if isinstance(a, np.ndarray))
-        assert len(arrays) == 10
-        for array in arrays:
+        assert (len(parts), d, type(per_d)) == (4, 0.5, dominance._PerD)
+        kept = list(self.arrays(tuple(parts.values())))
+        per_d_arrays = list(self.arrays(per_d))
+        # ACA's pinv and congruence, C^-1 - A, C^{1/2}; LAL, b1 and the AULE's cov and bias
+        assert (len(kept), len(per_d_arrays)) == (4, 4)
+        for array in kept + per_d_arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 9.0
 
-    def test_a_single_check_builds_only_what_it_needs(self):
+    @pytest.mark.parametrize("d", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("index", range(len(CHECKS)))
+    def test_a_lone_check_gives_its_check_all_verdict(self, index, d):
+        """A lone check at a fresh scenario builds the whole per-d pass, with
+        the d-independent parts it reads, and gives the verdict check_all gives."""
         scenario = self.scenario()
-        check_t37(scenario, 0.5)
-        parts, d, per_d = self.kept(scenario)
-        assert (len(parts), d, len(per_d)) == (1, 0.5, 2)
+        alone = CHECKS[index](scenario, d)
+        parts, kept_d, per_d = self.kept(scenario)
+        assert (kept_d, type(per_d)) == (d, dominance._PerD)
+        assert {dominance._aca_parts, dominance._c_half, dominance._c_inv_minus_a} <= set(parts)
+        assert alone.as_record() == check_all(self.scenario(), d)[index].as_record()
 
     def test_one_per_d_slot_whatever_the_number_of_d(self):
         scenario = self.scenario()
         for d in np.linspace(0.0, 1.0, 20):
             check_all(scenario, d)
         parts, d, per_d = self.kept(scenario)
-        assert (len(scenario._parts), len(parts), d, len(per_d)) == (5, 4, 1.0, 4)
+        assert (len(scenario._parts), len(parts), d, type(per_d)) == (5, 4, 1.0, dominance._PerD)
 
     def test_scenario_is_freed_by_reference_counting(self):
         scenario = self.scenario()
@@ -462,3 +482,86 @@ class TestKeptParts:
             interleaved.append(check(scenario, 0.3))
         assert interleaved == first
         assert [check(self.scenario(), 0.3) for check in CHECKS] == first
+
+
+def one_at_a_time(scenario, d):
+    """check_all's verdicts at d, rebuilt from the public primitives called
+    one at a time, each on its own matrix: the route the per-d pass stacks."""
+    raule = risk(scenario, EstimatorSpec("raule", d))
+    aule = risk(scenario, EstimatorSpec("aule", d))
+    rmle, mle = risk(scenario, EstimatorSpec("rmle")), risk(scenario, EstimatorSpec("mle"))
+    lal, b1, aca = raule.cov, raule.bias, rmle.cov
+
+    def lemma(theorem, dispersion, applicable, side):
+        difference = dispersion - lal
+        pinv = moore_penrose(difference)
+        in_range_ = in_range(b1, difference)
+        qform = float(b1 @ pinv @ b1)
+        psd = is_psd(difference - np.outer(b1, b1))
+        witnesses = {
+            "d": d,
+            **side,
+            "bias_in_range": float(in_range_),
+            "quadratic_form": qform,
+            "bias_norm": float(np.linalg.norm(b1)),
+            "delta_min_eigenvalue": psd.min_eigenvalue,
+        }
+        holds = in_range_ and qform <= 1.0 + PSD_SLACK
+        return DominanceVerdict(theorem, applicable, holds, psd.ok, qform, 1.0, witnesses)
+
+    def scalar(theorem, baseline):
+        terms = spectral_risk_terms(scenario)
+        lam1 = float(terms.eigenvalues[0])
+        min_a = float(np.min(terms.a_diag[_kept(terms.a_diag)], initial=np.inf))
+        max_alpha_sq = float(np.max(terms.alpha**2))
+        lhs = np.inf if d == 1.0 else (lam1 + d) * (lam1 + 2.0 - d) / (1.0 - d) ** 2
+        delta = baseline.mse - raule.mse
+        rhs = max_alpha_sq / min_a
+        witnesses = {
+            "d": d, "lambda_1": lam1, "min_positive_a": min_a, "max_alpha_sq": max_alpha_sq, "delta_mse": delta,
+        }
+        return DominanceVerdict(theorem, True, bool(lhs < rhs), delta >= -PSD_SLACK, float(lhs), rhs, witnesses)
+
+    ratio, range_ok = lambda_max_ratio(lal, aca), in_range(lal, aca)
+    c_half = scenario.decomp.basis * np.sqrt(np.maximum(scenario.decomp.values, 0.0))
+    product = _ratio(lal, c_half)
+    L = ld_matrix(scenario.C, d)
+    delta5 = is_psd(L @ (scenario.c_inv - scenario.A) @ L)
+    c31 = aule.mse - raule.mse
+    return [
+        lemma("T3.3", aca, ratio <= 1.0 + PSD_SLACK and range_ok,
+              {"lambda_max_ratio": ratio, "range_inclusion": float(range_ok)}),
+        scalar("T3.4", rmle),
+        lemma("T3.5", scenario.c_inv, product <= 1.0 + PSD_SLACK, {"lambda_max_product": product}),
+        scalar("T3.6", mle),
+        DominanceVerdict(
+            "T3.7", True, True, delta5.ok, witnesses={"d": d, "delta_min_eigenvalue": delta5.min_eigenvalue}
+        ),
+        DominanceVerdict(
+            "C3.1", True, True, c31 >= -PSD_SLACK, witnesses={"d": d, "delta_mse": c31}
+        ),
+    ]
+
+
+def oracle_scenarios():
+    """Seeded scenarios over kappa 1e1 .. 1e7, m = 2 .. 8, dense and
+    eigen-aligned restrictions, truths inside and off the restriction,
+    and full restrictions q = m (A = 0: T3.3's core has no columns)."""
+    rng = np.random.default_rng(19)
+    out = []
+    for exponent in range(1, 8):
+        for m in (2, 4, 8):
+            q = 1 + exponent % (m - 1) if m > 2 else 1
+            out.append(random_scenario(rng, m, q, cond=10.0**exponent, project=exponent % 2 == 0))
+            out.append(random_scenario(rng, m, q, aligned=True, beta_norm=float(rng.uniform(0.1, 8.0))))
+    out.extend(full_restrictions())
+    out.append(random_scenario(rng, 2, 2, cond=1e6, project=False))
+    return out
+
+
+@pytest.mark.parametrize("index", range(len(oracle_scenarios())))
+def test_the_per_d_pass_is_bit_for_bit_the_one_at_a_time_route(index):
+    scenario = oracle_scenarios()[index]
+    for d in (0.0, 0.15, 0.5, 0.85, 1.0):
+        expected = [verdict.as_record() for verdict in one_at_a_time(scenario, d)]
+        assert [verdict.as_record() for verdict in check_all(scenario, d)] == expected
