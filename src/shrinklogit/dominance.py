@@ -282,12 +282,12 @@ def check_t33(scenario: RiskScenario, d: float) -> DominanceVerdict:
     return _matrix_verdict("T3.3", d, at, at.t33, applicable, side)
 
 
-def _scalar_verdict(theorem, scenario, d, baseline_kind) -> DominanceVerdict:
-    raule = _at(scenario, d).raule
+def _scalar_verdict(theorem, scenario, d, at: _PerD, baseline: RiskReport) -> DominanceVerdict:
+    """A T3.4/T3.6 verdict against ``baseline``, the RMLE or MLE report,
+    which the caller reads only after ``_at`` has checked the restriction."""
     lam1, min_a, max_alpha_sq, rhs = _part(scenario, _scalar_parts)
     lhs = np.inf if d == 1.0 else (lam1 + d) * (lam1 + 2.0 - d) / (1.0 - d) ** 2
-    baseline = scenario._rmle if baseline_kind == "rmle" else scenario._mle
-    delta = baseline.mse - raule.mse
+    delta = baseline.mse - at.raule.mse
     return DominanceVerdict(
         theorem=theorem,
         applicable=True,
@@ -312,7 +312,7 @@ def check_t34(scenario: RiskScenario, d: float) -> DominanceVerdict:
     Under a full restriction (q = m) A = 0, so no a_ii is positive: the
     bound's right side is 0 and ``condition_holds`` is false.
     """
-    return _scalar_verdict("T3.4", scenario, d, "rmle")
+    return _scalar_verdict("T3.4", scenario, d, _at(scenario, d), scenario._rmle)
 
 
 def check_t35(scenario: RiskScenario, d: float) -> DominanceVerdict:
@@ -331,7 +331,7 @@ def check_t35(scenario: RiskScenario, d: float) -> DominanceVerdict:
 
 def check_t36(scenario: RiskScenario, d: float) -> DominanceVerdict:
     """RAULE vs MLE in scalar MSE: same bound as T3.4, direct difference vs MLE."""
-    return _scalar_verdict("T3.6", scenario, d, "mle")
+    return _scalar_verdict("T3.6", scenario, d, _at(scenario, d), scenario._mle)
 
 
 def check_t37(scenario: RiskScenario, d: float) -> DominanceVerdict:

@@ -130,30 +130,26 @@ def smoother_factors(kind: str, eigenvalues, d_grid) -> NDArray:
     return np.ones(lam.shape[:-2] + (d.shape[0], lam.shape[-1]))
 
 
-def smoother_matrix(decomp: SpectralDecomp, spec: EstimatorSpec) -> NDArray:
-    """The smoother of ``spec`` as a matrix, built on C's eigenbasis.
-
-    The spectral route avoids squaring an explicit inverse, which matters
-    when C is badly conditioned.
-    """
-    return _smoothers(decomp, spec.kind, [spec.d])[0]
-
-
 def _smoothers(decomp: SpectralDecomp, kind: str, d_grid) -> NDArray:
     """``kind``'s smoother at every d of ``d_grid`` as one (D, m, m) stack,
-    each member bit for bit the matrix :func:`smoother_matrix` gives."""
+    built on C's eigenbasis: the one route to a smoother matrix, for
+    :func:`ld_matrix`, :func:`liu_matrix`, risk and dominance. The
+    spectral route avoids squaring an explicit inverse, which matters
+    when C is badly conditioned."""
     factors = smoother_factors(kind, decomp.values, d_grid)
     return _sym((decomp.basis * factors[:, None, :]) @ decomp.basis.T)
 
 
 def ld_matrix(C, d: float) -> NDArray:
     """Shrinkage operator I - (1-d)^2 (C+I)^-2; positive definite for PSD C."""
-    return smoother_matrix(sym_eigen(C), EstimatorSpec("aule", d))
+    _, d_grid = _check_request(["aule"], [d])
+    return _smoothers(sym_eigen(C), "aule", d_grid)[0]
 
 
 def liu_matrix(C, d: float) -> NDArray:
     """Liu smoother (C+I)^-1 (C+dI), built on C's eigenbasis."""
-    return smoother_matrix(sym_eigen(C), EstimatorSpec("le", d))
+    _, d_grid = _check_request(["le"], [d])
+    return _smoothers(sym_eigen(C), "le", d_grid)[0]
 
 
 def _check_width(restriction: LinearRestriction, m: int):

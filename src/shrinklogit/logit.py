@@ -1,9 +1,10 @@
 """Binary logistic regression fitted by iteratively reweighted least squares.
 
-The fit produces, besides the maximum likelihood coefficients, the
-working quantities every downstream estimator consumes: the Bernoulli
-variance weights W, the working response Z, and the information matrix
-C = X'WX evaluated at the final iterate.
+The fit produces what every downstream estimator consumes: the maximum
+likelihood coefficients and the information matrix C = X'WX evaluated
+at the final iterate. The Bernoulli variance weights W and the working
+response Z behind C are formed in every iteration but not kept;
+:func:`working_quantities` gives them at any beta.
 
 There is one Newton loop, :func:`irls_stack`, which fits a stack of R
 datasets of the same shape at once; :func:`irls_fit` is its one-row case.
@@ -95,7 +96,7 @@ class FitOptions:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:  # NaN too
             raise ValueError("tol must be positive")
         if not 0.0 < self.prob_clip < 0.5:
             raise ValueError("prob_clip must be in (0, 0.5)")
@@ -105,17 +106,15 @@ class FitOptions:
 class FittedLogit:
     """Converged IRLS state.
 
-    ``W`` and ``Z`` are evaluated at ``beta_mle``, and ``C`` is the
-    symmetrized information matrix X'WX at the same point, so the fixed
-    point beta = C^-1 X'WZ holds to within the convergence tolerance.
+    ``C`` is the symmetrized information matrix X'WX at ``beta_mle``,
+    where the fixed point beta = C^-1 X'WZ holds to within the
+    convergence tolerance. The fit does not keep W and Z;
+    ``working_quantities(data, fit.beta_mle, opts)`` gives them.
     From :func:`irls_stack` every field carries a leading row axis:
-    ``beta_mle`` (R, m), ``W`` and ``Z`` (R, n), ``C`` (R, m, m) and the
-    last three (R,).
+    ``beta_mle`` (R, m), ``C`` (R, m, m) and the last three (R,).
     """
 
     beta_mle: NDArray
-    W: NDArray
-    Z: NDArray
     C: NDArray
     iterations: int
     converged: bool
@@ -266,11 +265,9 @@ def irls_stack(X, y, opts: FitOptions = FitOptions()):
             f"IRLS did not converge in {opts.max_iter} iterations "
             f"(last step {step[row]:.3e})"
         )
-    w, z, c = _working(X, y, beta, opts)
+    _, _, c = _working(X, y, beta, opts)
     converged = np.array([error is None for error in errors], dtype=bool)
-    fit = FittedLogit(
-        beta_mle=beta, W=w, Z=z, C=c, iterations=iterations, converged=converged, final_step=step
-    )
+    fit = FittedLogit(beta_mle=beta, C=c, iterations=iterations, converged=converged, final_step=step)
     return fit, errors
 
 
@@ -294,8 +291,6 @@ def irls_fit(data: Dataset, opts: FitOptions = FitOptions()) -> FittedLogit:
     stack, (error,) = irls_stack(data.X[None], data.y[None], opts)
     fit = FittedLogit(
         beta_mle=stack.beta_mle[0],
-        W=stack.W[0],
-        Z=stack.Z[0],
         C=stack.C[0],
         iterations=int(stack.iterations[0]),
         converged=bool(stack.converged[0]),

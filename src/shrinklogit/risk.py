@@ -19,12 +19,12 @@ raule        L A L                    (L - I) b
 
 with b = beta_true, L the shrinkage operator of :func:`ld_matrix`,
 F the Liu smoother, and A = C^-1 - C^-1 H'(H C^-1 H')^-1 H C^-1 the
-restricted dispersion kernel. The smoothers are built like the estimators'
-:func:`smoother_matrix`, on the scenario's cached eigenbasis of C.
+restricted dispersion kernel. The smoothers are built by the estimators'
+``_smoothers``, on the scenario's cached eigenbasis of C.
 R is :func:`restricted_mle`: the RMLE bias projects the truth by the
 estimate's own null-space route, and A uses the same null basis of H.
-A :class:`RiskReport` stores only the covariance and the bias; its
-matrix and scalar MSE are formed from them when read.
+A :class:`RiskReport` stores the covariance and the bias, and the scalar
+MSE formed once from them; its matrix MSE is formed when read.
 
 What does not depend on d (C^-1, the eigenbasis of C, A, the MLE and
 RMLE reports and the spectral terms) is built once per scenario and
@@ -43,7 +43,6 @@ restriction is satisfied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -152,13 +151,13 @@ class RiskScenario:
         object.__setattr__(self, "_decomp", decomp)
         object.__setattr__(self, "_parts", {})
         c_inv = symmetrize(np.linalg.inv(C))
-        object.__setattr__(self, "_mle", RiskReport(EstimatorSpec("mle"), c_inv, np.zeros(self.m)))
+        object.__setattr__(self, "_mle", RiskReport(c_inv, np.zeros(self.m)))
         if self.restriction is not None:
             A = _dispersion(C, self.restriction)
             gap = self.restriction.H @ beta - self.restriction.h
             violated = float(np.max(np.abs(gap))) > RESTRICTION_VIOLATION_TOL
             bias = _project(C, beta, self.restriction) - beta
-            rmle = RiskReport(EstimatorSpec("rmle"), symmetrize(A @ C @ A), bias, violated)
+            rmle = RiskReport(symmetrize(A @ C @ A), bias, violated)
             a_diag = np.sum(decomp.basis * (A @ decomp.basis), axis=0)
             terms = SpectralRiskTerms(decomp.values, _read_only(a_diag), _read_only(decomp.basis.T @ beta))
             object.__setattr__(self, "A", _read_only(A))
@@ -191,30 +190,28 @@ class RiskScenario:
 class RiskReport:
     """Risk of one estimator at one scenario.
 
-    Only the covariance and bias are stored, read-only because the MLE
-    and RMLE reports of a scenario are shared; ``mmse`` (the covariance
-    plus the bias outer product) and ``mse`` (its trace) are formed from
-    them when read, ``mse`` only once. ``restriction_violated`` flags
-    reports of restricted kinds whose bias formula assumed a restriction
-    that the scenario's truth does not satisfy.
+    The covariance and bias are stored read-only, because the MLE and
+    RMLE reports of a scenario are shared. ``mse``, the trace of the
+    matrix MSE, is set once from them at construction; ``mmse`` (the
+    covariance plus the bias outer product) is formed when read.
+    ``restriction_violated`` flags reports of restricted kinds whose
+    bias formula assumed a restriction that the scenario's truth does
+    not satisfy.
     """
 
-    spec: EstimatorSpec
     cov: NDArray
     bias: NDArray
     restriction_violated: bool = False
+    mse: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cov", _read_only(self.cov))
         object.__setattr__(self, "bias", _read_only(self.bias))
+        object.__setattr__(self, "mse", float(np.trace(self.cov) + self.bias @ self.bias))
 
     @property
     def mmse(self) -> NDArray:
         return self.cov + np.outer(self.bias, self.bias)
-
-    @cached_property
-    def mse(self) -> float:
-        return float(np.trace(self.cov) + self.bias @ self.bias)
 
 
 def risk(scenario: RiskScenario, spec: EstimatorSpec) -> RiskReport:
@@ -244,8 +241,7 @@ def _reports(scenario: RiskScenario, kind: str, d_grid, smoothers: NDArray | Non
     beta = scenario.beta_true
     covs = _sym(smoothers @ (scenario.A if restricted else scenario.c_inv) @ smoothers)
     violated = restricted and scenario.restriction_violated()
-    specs = [EstimatorSpec(kind, d) for d in d_grid]
-    return [RiskReport(*row, violated) for row in zip(specs, covs, smoothers @ beta - beta)]
+    return [RiskReport(cov, bias, violated) for cov, bias in zip(covs, smoothers @ beta - beta)]
 
 
 class SpectralRiskTerms(NamedTuple):

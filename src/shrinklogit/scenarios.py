@@ -30,7 +30,8 @@ the same :func:`parse_row`, :func:`matrix_block` and :func:`vector_block`;
 their errors name the flag in place of the file and section. Its
 --restriction-file is read by :func:`load_restriction`, which reads
 [H]/[h] as :func:`load_scenario` does and needs no other section. A
-UTF-8 byte-order mark at the start of a file is skipped.
+UTF-8 byte-order mark at the start of a file is skipped, and a file that
+is not UTF-8 text raises CsvParseError naming the file.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import math
 
 import numpy as np
 
+from .datasets import _read_lines
 from .errors import CsvParseError
 from .logit import LinearRestriction
 from .risk import RiskScenario
@@ -72,42 +74,39 @@ def _parse_blocks(path):
     meta: dict[str, tuple[float, int]] = {}
     seen: set[str] = set()
     current = None
-    with open(path, encoding="utf-8-sig") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if text.startswith("[") and text.endswith("]"):
-                current = text[1:-1].strip()
-                if current not in ("meta", "C", "beta", "H", "h"):
-                    raise CsvParseError(f"{path}:{lineno}: unknown section [{current}]", row=lineno)
-                if current in seen:
-                    raise CsvParseError(f"{path}:{lineno}: section [{current}] given twice", row=lineno)
-                seen.add(current)
-                if current != "meta":
-                    sections[current] = []
-                continue
-            if current is None:
-                raise CsvParseError(
-                    f"{path}:{lineno}: data before any section header", row=lineno
-                )
-            if current == "meta":
-                key, equals, value = (part.strip() for part in text.partition("="))
-                where = f"{path}:{lineno}: section [meta]"
-                if not equals:
-                    raise CsvParseError(f"{path}:{lineno}: expected 'key = value'", row=lineno)
-                if key not in ("m", "d") or key in meta:
-                    problem = f"gives key {key!r} twice" if key in meta else f"has unknown key {key!r}"
-                    raise CsvParseError(f"{where} {problem}", row=lineno)
-                try:
-                    meta[key] = (float(value), lineno)
-                except ValueError:
-                    raise CsvParseError(f"{where} has non-numeric {key} = {value!r}", row=lineno) from None
-                continue
-            row = parse_row(text, f"{path}:{lineno}", row=lineno)
-            if not all(map(math.isfinite, row)):
-                raise CsvParseError(f"{path}:{lineno}: section [{current}] has non-finite entries", row=lineno)
-            sections[current].append(row)
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if text.startswith("[") and text.endswith("]"):
+            current = text[1:-1].strip()
+            if current not in ("meta", "C", "beta", "H", "h"):
+                raise CsvParseError(f"{path}:{lineno}: unknown section [{current}]", row=lineno)
+            if current in seen:
+                raise CsvParseError(f"{path}:{lineno}: section [{current}] given twice", row=lineno)
+            seen.add(current)
+            if current != "meta":
+                sections[current] = []
+            continue
+        if current is None:
+            raise CsvParseError(f"{path}:{lineno}: data before any section header", row=lineno)
+        if current == "meta":
+            key, equals, value = (part.strip() for part in text.partition("="))
+            where = f"{path}:{lineno}: section [meta]"
+            if not equals:
+                raise CsvParseError(f"{path}:{lineno}: expected 'key = value'", row=lineno)
+            if key not in ("m", "d") or key in meta:
+                problem = f"gives key {key!r} twice" if key in meta else f"has unknown key {key!r}"
+                raise CsvParseError(f"{where} {problem}", row=lineno)
+            try:
+                meta[key] = (float(value), lineno)
+            except ValueError:
+                raise CsvParseError(f"{where} has non-numeric {key} = {value!r}", row=lineno) from None
+            continue
+        row = parse_row(text, f"{path}:{lineno}", row=lineno)
+        if not all(map(math.isfinite, row)):
+            raise CsvParseError(f"{path}:{lineno}: section [{current}] has non-finite entries", row=lineno)
+        sections[current].append(row)
     return meta, sections
 
 

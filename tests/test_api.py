@@ -171,3 +171,17 @@ def _names(module_name):
 )
 def test_each_rule_is_named_only_in_its_home(name, homes):
     assert {module for module in SUBMODULES if name in set(_names(module))} == homes
+
+
+def test_no_library_module_builds_an_estimator_spec():
+    """An EstimatorSpec is built only by callers of the ``risk`` and
+    ``estimate`` doors: the library checks a request with ``_check_request``
+    and carries kinds and d as plain values, so no row re-runs the check."""
+    calls = [
+        (module_name, node.lineno)
+        for module_name in LIBRARY_MODULES
+        for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(f"shrinklogit.{module_name}"))))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "EstimatorSpec"
+    ]
+    assert calls == []

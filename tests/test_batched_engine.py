@@ -169,8 +169,8 @@ def test_each_row_leaves_with_its_own_state():
         assert (fit.iterations[i], fit.final_step[i]) == (iterations, step)
         assert (None if error is None else str(error)) == message
         assert fit.converged[i] == (error is None)
-        w, z, c = working_quantities(Dataset(X[i], y[i]), beta, opts)
-        assert np.array_equal(fit.W[i], w) and np.array_equal(fit.Z[i], z) and np.array_equal(fit.C[i], c)
+        _, _, c = working_quantities(Dataset(X[i], y[i]), beta, opts)
+        assert np.array_equal(fit.C[i], c)
         outcomes.add((type(error).__name__, iterations))
     assert {("NoneType", 5), ("NotConvergedError", 6), ("SingularInformationError", 1)} <= outcomes
     assert any(kind == "SingularInformationError" and it > 1 for kind, it in outcomes)
@@ -213,11 +213,11 @@ class TestStackedKernelErrors:
     def stack(self, names):
         C = np.stack([self.ROWS[name] for name in names])
         beta = np.ones((len(names), 3))
-        return FittedLogit(beta, None, None, C, None, None, None)
+        return FittedLogit(beta, C, None, None, None)
 
     def alone(self, name, kinds, restriction):
         fit = self.stack([name])
-        one = FittedLogit(fit.beta_mle[0], None, None, fit.C[0], None, None, None)
+        one = FittedLogit(fit.beta_mle[0], fit.C[0], None, None, None)
         return outcome(shrinkage_estimates, one, kinds, [0.5], restriction)
 
     @pytest.mark.parametrize("kinds, restriction", [(["raule"], H), (["mle", "rle"], H), (["mle", "rmle"], None)])
@@ -235,7 +235,7 @@ class TestStackedKernelErrors:
             assert np.array_equal(stacked[i], self.alone(name, KINDS, self.H))
 
     def test_empty_stack(self):
-        empty = FittedLogit(np.empty((0, 3)), None, None, np.empty((0, 3, 3)), None, None, None)
+        empty = FittedLogit(np.empty((0, 3)), np.empty((0, 3, 3)), None, None, None)
         assert shrinkage_estimates(empty, KINDS, [0.5], self.H).shape == (0, len(KINDS), 1, 3)
         with pytest.raises(ValueError):
             shrinkage_estimates(empty, ["mle", "bogus"], [0.5])

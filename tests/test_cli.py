@@ -10,7 +10,7 @@ from shrinklogit import KINDS, RiskScenario, bundled_dataset_path, d_sweep, load
 from shrinklogit.cli import main
 from shrinklogit.logit import LinearRestriction
 from helpers import MALFORMED_SCENARIOS, NON_FINITE_SCENARIOS, random_scenario
-from test_datasets import PINNED_ERRORS
+from test_datasets import PINNED_ERRORS, encode
 
 BUNDLED = str(bundled_dataset_path())
 
@@ -81,6 +81,21 @@ class TestFit:
         expected = run(capsys, ["fit", str(plain), *args])
         assert expected[0] == 0
         assert run(capsys, ["fit", str(marked), *args]) == expected
+
+    def test_single_predictor(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("y,x\n1,0.5\n0,-0.25\n1,1.5\n0,0.75\n1,-0.5\n", encoding="utf-8")
+        code, out, err = run(capsys, ["fit", str(path), "--format", "csv"])
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        values = {row[0]: row[1] for row in rows}
+        assert [row[0] for row in rows[:2]] == ["intercept", "x1"]
+        assert (values["kappa"], values["max_abs_correlation"]) == ("1.0", "0.0")
+
+    def test_nan_tolerance_exits_one(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["fit", str(write_dataset(tmp_path)), "--tol", "nan"])
+        assert_one_error_line(code, out, err)
+        assert err == "error: tol must be positive\n"
 
     def test_parse_error_reports_row(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
@@ -390,7 +405,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("text, kwargs, error, message, row, column", PINNED_ERRORS)
     def test_malformed_csv_exits_one_with_one_error_line(self, capsys, tmp_path, text, kwargs, error, message, row, column):
         path = tmp_path / "data.csv"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(encode(text))
         argv = ["fit", str(path)]
         if kwargs.get("header") is False:
             argv.append("--no-header")
@@ -479,6 +494,20 @@ class TestScenarioFileErrors:
         code, out, err = run(capsys, command + ["--scenario-file", str(path)])
         assert_one_error_line(code, out, err)
         assert err.startswith(f"error: {path}") and f"[{section}]" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["risk", "--d-grid", "0.5", "--scenario-file"],
+            ["dominance", "--d", "0.5", "--scenario-file"],
+            ["estimate", BUNDLED, "--estimator", "rmle", "--restriction-file"],
+        ],
+    )
+    def test_non_utf8_file_exits_one_naming_the_file(self, capsys, tmp_path, command):
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"[C]\n3.0,0.0\n0.0,1.0\n[beta]\n1.0,-1.0\n[H]\n1,0\n[h]\n\xff\n")
+        code, out, err = run(capsys, command + [str(path)])
+        assert (code, out, err) == (1, "", f"error: {path}: not UTF-8 text (invalid start byte)\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command", [["risk", "--d-grid", "0.5"], ["dominance", "--d", "0.5"]])

@@ -21,9 +21,15 @@ from shrinklogit import datasets
 from shrinklogit.logit import Dataset
 
 
+def encode(text):
+    """UTF-8 bytes of ``text``, where a lone surrogate U+DC80..U+DCFF stands
+    for the raw byte 0x80..0xFF, so a table row can hold a non-UTF-8 byte."""
+    return text.encode("utf-8", "surrogateescape")
+
+
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(encode(text))
     return path
 
 
@@ -86,6 +92,8 @@ PINNED_ERRORS = [
     pytest.param("y\n1\n0\n", {}, CsvParseError, "{path}: need a response and at least one predictor column", None, None, id="single-column"),
     pytest.param("y,x,z\n1,0.5\n0,1\n", {"response_column": "z"}, CsvParseError, "response column index 2 out of range for 2 columns", None, None, id="named-response-beyond-body"),
     pytest.param("y,x\n1," + "5" * 131075 + "\n0,1\n", {}, CsvParseError, "row 2: field larger than field limit (131072)", 2, None, id="field-over-size-limit"),
+    pytest.param("y,x\n1,0.5\n0,\udcff\n", {}, CsvParseError, "{path}: not UTF-8 text (invalid start byte)", None, None, id="non-utf8-byte"),
+    pytest.param("y,caf\udce9\n1,0.5\n0,1\n", {}, CsvParseError, "{path}: not UTF-8 text (invalid continuation byte)", None, None, id="latin-1-header"),
 ]
 
 
@@ -347,6 +355,15 @@ class TestDiagnostics:
         report = diagnostics(data)
         np.testing.assert_allclose(report.correlation, np.eye(4), atol=1e-10)
         assert report.kappa == pytest.approx(1.0, abs=1e-8)
+
+    def test_single_predictor(self):
+        # np.corrcoef gives a 0-d coefficient for one column
+        rng = np.random.default_rng(6)
+        x = np.column_stack([np.ones(30), rng.standard_normal(30)])
+        report = diagnostics(Dataset(x, (rng.random(30) < 0.5).astype(float), has_intercept=True))
+        assert report.correlation.tolist() == [[1.0]]
+        assert report.eigenvalues.tolist() == [1.0]
+        assert report.kappa == 1.0
 
     def test_intercept_column_is_excluded(self):
         rng = np.random.default_rng(3)

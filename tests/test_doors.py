@@ -72,9 +72,7 @@ CASES = {
 
 
 def fit_of(C, beta):
-    return FittedLogit(
-        beta_mle=beta, W=np.zeros(1), Z=np.zeros(1), C=C, iterations=1, converged=True, final_step=0.0,
-    )
+    return FittedLogit(beta_mle=beta, C=C, iterations=1, converged=True, final_step=0.0)
 
 
 def stack(C, beta, rows):

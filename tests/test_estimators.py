@@ -27,14 +27,11 @@ from shrinklogit import (
 
 
 def synthetic_fit(C, beta):
-    """FittedLogit carrying prescribed working quantities for formula tests."""
+    """FittedLogit carrying a prescribed C and beta for formula tests."""
     C = np.asarray(C, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    n = C.shape[0]
     return FittedLogit(
         beta_mle=beta,
-        W=np.full(n, 0.25),
-        Z=np.zeros(n),
         C=C,
         iterations=1,
         converged=True,
@@ -120,9 +117,11 @@ class TestLdMatrix:
         expected = np.diag(1.0 - (1.0 - d) ** 2 / (np.array([4.0, 1.0]) + 1.0) ** 2)
         np.testing.assert_allclose(ld_matrix(c, d), expected, atol=1e-14)
 
-    def test_rejects_d_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            ld_matrix(np.eye(2), 1.1)
+    @pytest.mark.parametrize("smoother", [ld_matrix, liu_matrix])
+    @pytest.mark.parametrize("d", [1.1, -0.5, float("nan")])
+    def test_rejects_d_outside_unit_interval(self, smoother, d):
+        with pytest.raises(ValueError, match=rf"^d must be in \[0, 1\], got {d}$"):
+            smoother(np.eye(2), d)
 
 
 class TestLiuMatrix:

@@ -71,6 +71,11 @@ class TestFitOptions:
         with pytest.raises(ValueError):
             FitOptions(**kwargs)
 
+    def test_rejects_nan_tolerance(self):
+        # tol <= 0 is false for NaN, and every fit would then run to max_iter
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            FitOptions(tol=float("nan"))
+
 
 class TestWorkingQuantities:
     def test_zero_coefficients(self):
@@ -133,7 +138,8 @@ class TestIrlsFit:
         data = random_dataset(rng)
         opts = FitOptions()
         fit = irls_fit(data, opts)
-        refit = np.linalg.solve(fit.C, data.X.T @ (fit.W * fit.Z))
+        w, z, _ = working_quantities(data, fit.beta_mle, opts)
+        refit = np.linalg.solve(fit.C, data.X.T @ (w * z))
         assert np.max(np.abs(refit - fit.beta_mle)) <= opts.tol
 
     def test_score_vanishes_at_fit(self):
@@ -141,7 +147,8 @@ class TestIrlsFit:
         data = random_dataset(rng)
         opts = FitOptions()
         fit = irls_fit(data, opts)
-        score = data.X.T @ (fit.W * (fit.Z - data.X @ fit.beta_mle))
+        w, z, _ = working_quantities(data, fit.beta_mle, opts)
+        score = data.X.T @ (w * (z - data.X @ fit.beta_mle))
         assert np.max(np.abs(score)) <= 10 * opts.tol
 
     def test_deterministic(self):
@@ -186,9 +193,11 @@ class TestIrlsFit:
 
     def test_weights_in_bernoulli_range(self):
         rng = np.random.default_rng(9)
-        fit = irls_fit(random_dataset(rng))
-        assert np.all(fit.W > 0.0)
-        assert np.all(fit.W <= 0.25)
+        data = random_dataset(rng)
+        opts = FitOptions()
+        w, _, _ = working_quantities(data, irls_fit(data, opts).beta_mle, opts)
+        assert np.all(w > 0.0)
+        assert np.all(w <= 0.25)
 
 
 class TestLinearRestriction:

@@ -180,9 +180,9 @@ class TestAsymmetricC:
         expected = restricted_mle(symmetrize(self.C), self.beta, self.restriction)
         np.testing.assert_allclose(expected, [0.0, 0.0], atol=1e-15)
         assert np.array_equal(restricted_mle(self.C, self.beta, self.restriction), expected)
-        fit = FittedLogit(self.beta, None, None, self.C, None, None, None)
+        fit = FittedLogit(self.beta, self.C, None, None, None)
         kernel = shrinkage_estimates(fit, ["rmle", "raule"], [0.5], self.restriction)
-        symmetric = FittedLogit(self.beta, None, None, symmetrize(self.C), None, None, None)
+        symmetric = FittedLogit(self.beta, symmetrize(self.C), None, None, None)
         assert np.array_equal(kernel, shrinkage_estimates(symmetric, ["rmle", "raule"], [0.5], self.restriction))
         assert np.array_equal(kernel[0, 0], expected)
 

@@ -78,7 +78,7 @@ def test_mmse_is_that_of_the_kernels_affine_map(sc, d):
     # beta_hat ~ N(b, C^-1) the MMSE is S C^-1 S' + (Sb + c - b)(Sb + c - b)'.
     m = sc.m
     points = np.vstack([np.zeros(m), np.eye(m)])
-    fit = FittedLogit(points, None, None, np.broadcast_to(sc.C, (m + 1, m, m)), None, None, None)
+    fit = FittedLogit(points, np.broadcast_to(sc.C, (m + 1, m, m)), None, None, None)
     images = shrinkage_estimates(fit, KINDS, [d], sc.restriction)[:, :, 0]
     kappa = np.linalg.cond(sc.C)
     b = sc.beta_true

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shrinklogit import CsvParseError, load_scenario, save_scenario
+from shrinklogit.scenarios import load_restriction
 from helpers import MALFORMED_SCENARIOS, random_scenario
 
 
@@ -85,6 +86,21 @@ class TestScenarioErrors:
         path.write_text("1.0,2.0\n[C]\n1.0\n", encoding="utf-8")
         with pytest.raises(CsvParseError):
             load_scenario(path)
+
+    @pytest.mark.parametrize("load", [load_scenario, load_restriction])
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"[C]\n1.0\n[beta]\n\xff\n", "invalid start byte"),
+            (b"# caf\xe9\n[C]\n1.0\n[beta]\n1.0\n", "invalid continuation byte"),
+        ],
+    )
+    def test_non_utf8_file_names_the_file(self, tmp_path, load, data, reason):
+        path = tmp_path / "s.txt"
+        path.write_bytes(data)
+        with pytest.raises(CsvParseError) as excinfo:
+            load(path)
+        assert str(excinfo.value) == f"{path}: not UTF-8 text ({reason})"
 
     @pytest.mark.parametrize("section, text", MALFORMED_SCENARIOS)
     def test_malformed_file_names_file_and_section(self, tmp_path, section, text):

@@ -82,11 +82,7 @@ def outcome(fn):
 
 
 def synthetic_fit(C, beta):
-    m = C.shape[0]
-    return FittedLogit(
-        beta_mle=beta, W=np.full(m, 0.25), Z=np.zeros(m), C=C,
-        iterations=1, converged=True, final_step=0.0,
-    )
+    return FittedLogit(beta_mle=beta, C=C, iterations=1, converged=True, final_step=0.0)
 
 
 #: How the restriction is built: absent, well posed, of the wrong width,
