@@ -9,7 +9,11 @@ column) number.
 A well-formed file (unquoted numbers of one width, a header line that is
 neither blank nor quoted, responses in {0, 1}) is read in one vectorised
 ``np.loadtxt`` pass. Every other file, and so every error, goes through
-a field-by-field ``csv.reader`` loop, which reads the same values.
+a field-by-field ``csv.reader`` loop, which reads the same values. The
+vectorised pass streams the lines from the open file into
+``np.loadtxt``, so a well-formed file's text is never held in memory,
+and :func:`save_csv` converts a block of rows at a time: reading or
+writing a large dataset needs little more memory than its arrays.
 
 ``importlib.resources`` is imported in :func:`bundled_dataset_path`, the
 one function that uses it, so that loading the package does not load it.
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +89,8 @@ def load_csv(
     neither blank nor quoted and as wide as the body, and every response
     is 0 or 1. Any other file goes through the field-by-field loop, which
     is the one source of the errors below and reads the same values.
+    That pass streams the lines from the file and never holds them as
+    text, so its memory is a small multiple of the arrays returned.
 
     Raises
     ------
@@ -104,45 +111,58 @@ def load_csv(
     return Dataset(X=x, y=y, has_intercept=intercept)
 
 
+def _not_utf8(path, err: UnicodeDecodeError) -> CsvParseError:
+    return CsvParseError(f"{path}: not UTF-8 text ({err.reason})")
+
+
 def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 file, a leading byte-order mark skipped; the one
-    read that decodes a CSV or scenario file, so that a byte that is not
-    UTF-8 is a CsvParseError naming the file."""
+    """The lines of a UTF-8 scenario file, a leading byte-order mark
+    skipped, so that a byte that is not UTF-8 is a CsvParseError naming
+    the file."""
     try:
         with open(path, encoding="utf-8-sig") as handle:
-            # Split here, not in the caller: returning the whole text first
-            # raised the peak RSS of a 50,000-row CLI run by about 3.5 MB in
-            # half of the runs.
             return handle.read().split("\n")
     except UnicodeDecodeError as err:
-        raise CsvParseError(f"{path}: not UTF-8 text ({err.reason})") from None
+        raise _not_utf8(path, err) from None
+
+
+def _short_lines(lines, limit):
+    """``lines`` passed through, raising ValueError at the first one longer
+    than ``limit`` (not counting its line end): ``csv.reader`` refuses such
+    a field, so only the loop may read the file."""
+    for line in lines:
+        if len(line) - line.endswith("\n") > limit:
+            raise ValueError("line longer than csv.field_size_limit()")
+        yield line
 
 
 def _read_vectorised(path, header, response_column):
     """(predictors, response) of a well-formed file from one ``np.loadtxt``
-    pass, or None for any other UTF-8 file.
+    pass, or None for any other file.
 
     Lines are split as ``csv.reader`` splits unquoted text, so a file
-    read here gives the arrays :func:`_read_checked` would give.
+    read here gives the arrays :func:`_read_checked` would give. They go
+    from the file handle straight into ``np.loadtxt``, one at a time.
     """
-    lines = _read_lines(path)
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None  # csv.reader refuses such a field
+    limit = csv.field_size_limit()
     names = None
-    if header:
-        first = lines.pop(0)
-        if not first or '"' in first:
-            return None
-        names = [field.strip() for field in first.split(",")]
-    if not any(lines):
-        return None
     try:
-        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
+        with open(path, encoding="utf-8-sig") as handle:
+            if header:
+                head = handle.readline().rstrip("\n")
+                if not head or '"' in head or len(head) > limit:
+                    return None
+                names = [field.strip() for field in head.split(",")]
+            # np.loadtxt skips blank lines but warns when no line is left;
+            # a body of blank lines is the loop's error to name.
+            first = next((line for line in handle if line != "\n"), None)
+            if first is None:
+                return None
+            table = np.loadtxt(
+                _short_lines(chain([first], handle), limit), delimiter=",", comments=None, ndmin=2
+            )
+    except ValueError:  # a UnicodeDecodeError too: the loop then names the file
         return None
-    # The text lines (about 14 MB at n=50,000) are freed here rather than on
-    # return, before a fit that follows imports scipy.special into the heap.
-    del lines
     ncols = table.shape[1]
     if ncols < 2 or (header and len(names) != ncols):
         return None
@@ -167,6 +187,8 @@ def _read_checked(path, header, response_column):
                     raw.append((lineno, row))
         except csv.Error as err:  # such as a field longer than csv.field_size_limit()
             raise CsvParseError(f"row {lineno + 1}: {err}", row=lineno + 1) from None
+        except UnicodeDecodeError as err:
+            raise _not_utf8(path, err) from None
     if not raw:
         raise CsvParseError(f"{path}: file contains no data rows")
     names = None
@@ -216,6 +238,10 @@ def _read_checked(path, header, response_column):
     return x, y
 
 
+#: Rows that :func:`save_csv` converts to text at a time.
+SAVE_BLOCK_ROWS = 4096
+
+
 def save_csv(data: Dataset, path):
     """Write a dataset as CSV with a header row and the response first.
 
@@ -223,16 +249,20 @@ def save_csv(data: Dataset, path):
     file back with the same ``intercept`` flag reproduces the dataset.
     Floats are written with full round-trip precision (``repr``), in the
     bytes ``csv.writer`` would write: no field ever needs quoting, and
-    lines end in CRLF.
+    lines end in CRLF. Rows are converted to Python floats
+    :data:`SAVE_BLOCK_ROWS` at a time, so the memory used beyond the
+    dataset is bounded by one block, whatever the number of rows.
     """
     x = data.X[:, 1:] if data.has_intercept else data.X
     names = ["y"] + [f"x{j + 1}" for j in range(x.shape[1])]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(names) + "\r\n")
-        handle.writelines(
-            ",".join([repr(int(yi)), *map(repr, row)]) + "\r\n"
-            for yi, row in zip(data.y.tolist(), x.tolist())
-        )
+        for start in range(0, data.n, SAVE_BLOCK_ROWS):
+            rows = slice(start, start + SAVE_BLOCK_ROWS)
+            handle.writelines(
+                ",".join([repr(int(yi)), *map(repr, row)]) + "\r\n"
+                for yi, row in zip(data.y[rows].tolist(), x[rows].tolist())
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,6 +17,7 @@ loading it takes longer than loading NumPy, and commands that do not fit
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -87,6 +88,8 @@ class FitOptions:
     ``prob_clip`` clamps fitted probabilities into
     [prob_clip, 1 - prob_clip] before weights and working responses are
     formed, which keeps separated data from producing infinite values.
+    ``max_iter`` may be any integer type (a NumPy integer too) and is kept
+    as an ``int``.
     """
 
     max_iter: int = 50
@@ -94,6 +97,10 @@ class FitOptions:
     prob_clip: float = 1e-6
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "max_iter", operator.index(self.max_iter))
+        except TypeError:  # 2.5 or NaN, which range() would refuse mid-fit
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}") from None
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not self.tol > 0.0:  # NaN too
@@ -191,13 +198,20 @@ def working_quantities(data: Dataset, beta, opts: FitOptions = FitOptions()):
 def _working(X, y, beta, opts: FitOptions):
     """:func:`working_quantities` for arrays, also stacked: X (..., n, m),
     y (..., n) and beta (..., m) give W and Z (..., n) and C (..., m, m)."""
-    expit, logit_link = _special()
+    _, logit_link = _special()
+    pi, w, c = _weighted(X, beta, opts)
+    z = logit_link(pi) + (y - pi) / w
+    return w, z, c
+
+
+def _weighted(X, beta, opts: FitOptions):
+    """The clamped probabilities and W (..., n) and C (..., m, m) at beta:
+    :func:`_working` without the working response, which C does not need."""
+    expit, _ = _special()
     eta = (X @ beta[..., None])[..., 0]
     pi = np.clip(expit(eta), opts.prob_clip, 1.0 - opts.prob_clip)
     w = pi * (1.0 - pi)
-    z = logit_link(pi) + (y - pi) / w
-    c = symmetrize(X.swapaxes(-1, -2) @ (w[..., None] * X))
-    return w, z, c
+    return pi, w, symmetrize(X.swapaxes(-1, -2) @ (w[..., None] * X))
 
 
 def irls_stack(X, y, opts: FitOptions = FitOptions()):
@@ -265,7 +279,7 @@ def irls_stack(X, y, opts: FitOptions = FitOptions()):
             f"IRLS did not converge in {opts.max_iter} iterations "
             f"(last step {step[row]:.3e})"
         )
-    _, _, c = _working(X, y, beta, opts)
+    _, _, c = _weighted(X, beta, opts)
     converged = np.array([error is None for error in errors], dtype=bool)
     fit = FittedLogit(beta_mle=beta, C=c, iterations=iterations, converged=converged, final_step=step)
     return fit, errors

@@ -37,7 +37,8 @@ count.
 Two modules are imported where they are used, not with the package:
 ``concurrent.futures`` in :func:`run_simulation`'s ``workers > 1``
 branch, and ``scipy.special`` through :func:`shrinklogit.logit._special`
-when responses are drawn. Neither is needed by a command that does not
+when responses are drawn, or before that branch opens its pool so that
+the workers inherit it. Neither is needed by a command that does not
 simulate, and each would add to the start-up time of every command.
 """
 
@@ -370,6 +371,7 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationResu
     else:
         from concurrent.futures import ProcessPoolExecutor
 
+        _special()  # imported once here: forked workers inherit it instead of each importing it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(task, blocks))
     stacked = np.concatenate([errors for errors, _ in outcomes])

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,101 @@ class TestVectorisedPass:
         back = load_csv(path)
         assert_same_array(back.X, bundled.X)
         assert_same_array(back.y, bundled.y)
+
+
+def random_dataset(n, width, seed=0):
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.standard_normal((n, width)), (rng.random(n) < 0.5).astype(float))
+
+
+def traced_peak(call):
+    """``call()`` and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingRead:
+    """The vectorised pass reads the file line by line, with the loop's
+    outcome on every file, however far into it a problem lies."""
+
+    @pytest.mark.parametrize(
+        "text, header",
+        [
+            pytest.param("y,x\n\n\n1,0.5\n\n0,-0.5\n\n", True, id="blank-lines-before-and-between-rows"),
+            pytest.param("\n\n1,0.5\n\n\n0,-0.5\n", False, id="blank-lines-before-headerless-rows"),
+            pytest.param("\ufeffy,x\r\n1,0.5\r\n0,-0.5\r\n", True, id="bom-and-crlf"),
+            pytest.param("\ufeff1,0.5\r\n\r\n0,-0.5\r\n", False, id="bom-and-crlf-headerless"),
+        ],
+    )
+    def test_reads_what_the_loop_reads(self, tmp_path, text, header):
+        path = write(tmp_path, text)
+        fast = datasets._read_vectorised(path, header, 0)
+        assert fast is not None
+        for got, want in zip(fast, datasets._read_checked(path, header, 0)):
+            assert_same_array(got, want)
+        assert_same_array(fast[0], [[0.5], [-0.5]])
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_a_body_of_blank_lines_steps_aside(self, tmp_path, header):
+        # np.loadtxt would warn "input contained no data", an error in this suite
+        path = write(tmp_path, "y,x\n\n\r\n\n" if header else "\n\r\n\n")
+        assert datasets._read_vectorised(path, header, 0) is None
+        message = "file contains a header but no data rows" if header else "file contains no data rows"
+        with pytest.raises(CsvParseError) as excinfo:
+            load_csv(path, header=header)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_a_late_non_utf8_byte_names_the_file(self, tmp_path):
+        rows = "1,0.5\n0,-0.5\n" * 6000  # 78,000 bytes, past the decoder's first chunks
+        path = write(tmp_path, "y,x\n" + rows + "1,\udcff\n")
+        assert path.stat().st_size > 65536
+        with pytest.raises(CsvParseError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+    def test_a_late_non_utf8_byte_after_the_pass_stepped_aside(self, tmp_path):
+        # the quoted header sends the file to the loop, which meets the byte
+        path = write(tmp_path, '"y",x\n' + "1,0.5\n0,-0.5\n" * 5000 + "1,\udcff\n")
+        with pytest.raises(CsvParseError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+    def test_an_over_limit_line_after_good_rows(self, tmp_path):
+        long_field = "5" * (csv.field_size_limit() + 3)
+        path = write(tmp_path, "y,x\n" + "1,0.5\n" * 10000 + "0," + long_field + "\n1,1\n")
+        assert datasets._read_vectorised(path, True, 0) is None
+        with pytest.raises(CsvParseError) as excinfo:
+            load_csv(path)
+        limit = csv.field_size_limit()
+        assert str(excinfo.value) == f"row 10002: field larger than field limit ({limit})"
+        assert excinfo.value.row == 10002
+
+    def test_peak_memory_is_a_small_multiple_of_the_array(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        save_csv(random_dataset(20000, 7), path)  # 8 columns with the response
+        loaded, peak = traced_peak(lambda: load_csv(path))
+        assert peak < 3 * loaded.X.nbytes
+
+
+class TestBlockedSave:
+    """save_csv converts a block of rows at a time: same bytes, bounded memory."""
+
+    @pytest.mark.parametrize("n", [datasets.SAVE_BLOCK_ROWS, 2 * datasets.SAVE_BLOCK_ROWS + 3])
+    def test_blocks_write_the_bytes_of_one_pass(self, tmp_path, n):
+        data = random_dataset(n, 3, seed=n)
+        path = tmp_path / "out.csv"
+        save_csv(data, path)
+        assert path.read_bytes() == csv_writer_reference(data)
+
+    def test_peak_memory_does_not_grow_with_the_rows(self, tmp_path):
+        n = 2 * datasets.SAVE_BLOCK_ROWS
+        small, large = random_dataset(n, 7), random_dataset(4 * n, 7)
+        _, small_peak = traced_peak(lambda: save_csv(small, tmp_path / "small.csv"))
+        _, large_peak = traced_peak(lambda: save_csv(large, tmp_path / "large.csv"))
+        assert large_peak < 1.5 * small_peak
 
 
 class TestLoadCsv:

@@ -3,7 +3,8 @@
 ``scipy.special`` (for the fit's link functions), ``concurrent.futures``
 (for a parallel simulation) and ``importlib.resources`` (for the bundled
 dataset's path) are imported where they are used, so that a command that
-does not need them starts without them. Each check runs in a fresh
+does not need them starts without them, and a process pool's workers
+inherit what they need from the parent. Each check runs in a fresh
 ``python -S`` interpreter: the ``site`` module can preload some of these
 modules through ``.pth`` files, which would hide a top-level import.
 ``PYTHONPATH`` names the package source and NumPy's site-packages.
@@ -12,6 +13,7 @@ modules through ``.pth`` files, which would hide a top-level import.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -42,14 +44,50 @@ print(json.dumps(stages))
 """
 
 
-def loaded_after(commands):
-    """The DEFERRED modules loaded after the import and after each command."""
+#: Runs a two-worker simulation whose blocks record the modules each pool
+#: child imports while running one, and prints them as one JSON line.
+POOL_SCRIPT = """
+import json, sys
+from shrinklogit import simulation
+run_block = simulation._run_block
+
+class ChildImported(Exception):
+    pass
+
+def recording_block(*args):
+    before = set(sys.modules)
+    outcome = run_block(*args)
+    imported = sorted(set(sys.modules) - before)
+    if imported:
+        raise ChildImported(imported)
+    return outcome
+
+simulation._run_block = recording_block
+config = simulation.SimulationConfig(
+    n=40, p=4, rho=0.9, d_grid=(0.5,), reps=4, seed=1, restriction=simulation.default_restriction(4)
+)
+try:
+    simulation.run_simulation(config, workers=2)
+    imported = []
+except ChildImported as err:
+    imported = err.args[0]
+print(json.dumps(imported))
+"""
+
+
+def last_json_line(script, *args):
+    """The last line ``script`` prints, parsed, run as described above."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, SITE_PACKAGES]))
     result = subprocess.run(
-        [sys.executable, "-S", "-c", SCRIPT.format(deferred=DEFERRED), json.dumps(commands)],
+        [sys.executable, "-S", "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(result.stdout.splitlines()[-1])
+
+
+def loaded_after(commands):
+    """The DEFERRED modules loaded after the import and after each command."""
+    return last_json_line(SCRIPT.format(deferred=DEFERRED), json.dumps(commands))
 
 
 @pytest.fixture
@@ -77,3 +115,13 @@ def test_fit_loads_scipy_special():
     (scipy itself then loads the other two.)"""
     at_import, after_fit = loaded_after([["fit", str(bundled_dataset_path())]])
     assert at_import == [] and "scipy.special" in after_fit
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_all_start_methods()[0] != "fork",  # the platform's default comes first
+    reason="workers inherit modules only when forked",
+)
+def test_pool_children_import_nothing_the_parent_lacks():
+    """The parent imports the link before it forks, so each worker inherits
+    scipy.special instead of importing it for its first block."""
+    assert last_json_line(POOL_SCRIPT) == []

@@ -76,6 +76,19 @@ class TestFitOptions:
         with pytest.raises(ValueError, match="^tol must be positive$"):
             FitOptions(tol=float("nan"))
 
+    @pytest.mark.parametrize("max_iter", [2.5, float("nan"), 3.0, "3"], ids=repr)
+    def test_rejects_a_max_iter_that_is_not_an_integer(self, max_iter):
+        # max_iter < 1 is false for 2.5 and NaN, and the fit then raised TypeError
+        with pytest.raises(ValueError, match="^max_iter must be an integer, got "):
+            FitOptions(max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [np.int64(7), np.uint8(7), 7])
+    def test_accepts_any_integer_type_as_an_int(self, max_iter):
+        opts = FitOptions(max_iter=max_iter)
+        assert type(opts.max_iter) is int and opts.max_iter == 7
+        data = Dataset(np.array([[1.0, -1.0], [1.0, 0.5], [1.0, 1.0], [1.0, -0.3]]), np.array([0.0, 1.0, 0.0, 1.0]))
+        assert irls_fit(data, opts).iterations <= 7
+
 
 class TestWorkingQuantities:
     def test_zero_coefficients(self):
