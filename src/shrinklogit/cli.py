@@ -225,8 +225,8 @@ def cmd_estimate(args) -> int:
             f"--d is only for the shrinkage estimators, and --estimator {args.estimator!r} has none"
         )
     _reject_unused_restriction(args, "--estimator", kinds)
-    data, fit, code = _load_and_fit(args)
     restriction = _restriction_from_args(args)
+    data, fit, code = _load_and_fit(args)
     # The unshrunken kinds ignore d, so any grid serves when none is given.
     betas = shrinkage_estimates(fit, kinds, d_values or [1.0], restriction)
     rows = []
@@ -247,9 +247,9 @@ def _scenario_from_args(args):
         return (*load_scenario(args.scenario_file), EXIT_OK)
     if not args.csv:
         raise ShrinkLogitError("either a CSV path or --scenario-file is required")
+    restriction = _restriction_from_args(args)
     _, fit, code = _load_and_fit(args)
-    scenario = RiskScenario(C=fit.C, beta_true=fit.beta_mle, restriction=_restriction_from_args(args))
-    return scenario, None, code
+    return RiskScenario(C=fit.C, beta_true=fit.beta_mle, restriction=restriction), None, code
 
 
 #: risk flags that --scenario-file would ignore: the file gives C, beta

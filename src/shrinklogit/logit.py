@@ -80,6 +80,17 @@ class Dataset:
         return self.X.shape[1]
 
 
+def _integer(name: str, value, low: int) -> int:
+    """``value`` as an ``int`` of at least ``low``; 2.5, NaN or "3" is a ValueError."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}")
+    return value
+
+
 @dataclass(frozen=True)
 class FitOptions:
     """IRLS controls.
@@ -97,12 +108,7 @@ class FitOptions:
     prob_clip: float = 1e-6
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "max_iter", operator.index(self.max_iter))
-        except TypeError:  # 2.5 or NaN, which range() would refuse mid-fit
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}") from None
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        object.__setattr__(self, "max_iter", _integer("max_iter", self.max_iter, 1))
         if not self.tol > 0.0:  # NaN too
             raise ValueError("tol must be positive")
         if not 0.0 < self.prob_clip < 0.5:

@@ -30,20 +30,19 @@ substream, so each replication gets, bit for bit, what
 is then fitted by one batched Newton loop
 (:func:`~shrinklogit.logit.irls_stack`) and scored by one call of the
 shrinkage kernel. Every numerical step treats the rows of a block
-independently, so results are bit-identical whatever the blocks, whether
-they run sequentially or on a process pool, and independent of worker
-count.
+independently, so results are bit-identical whatever the blocks and the
+worker count. With ``workers`` > 1 a call maps its blocks, those of all
+18 cells for :func:`table_suite`, onto one process pool (:func:`_map`).
 
-Two modules are imported where they are used, not with the package:
-``concurrent.futures`` in :func:`run_simulation`'s ``workers > 1``
-branch, and ``scipy.special`` through :func:`shrinklogit.logit._special`
-when responses are drawn, or before that branch opens its pool so that
-the workers inherit it. Neither is needed by a command that does not
-simulate, and each would add to the start-up time of every command.
+``concurrent.futures`` is imported only there, and ``scipy.special``
+(:func:`shrinklogit.logit._special`) when responses are drawn or just
+before the pool opens, so that its workers inherit it; either would add
+to the start-up time of every command.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -55,7 +54,7 @@ from .errors import AllReplicationsFailedError, NotConvergedError, SingularInfor
 # rebinds them by name.
 from .estimators import _check_request, _check_restriction, _check_width, estimate, shrinkage_estimates  # noqa: F401
 from .linalg import positive_definite, sym_eigen
-from .logit import FitOptions, FittedLogit, LinearRestriction, _special, irls_fit, irls_stack  # noqa: F401
+from .logit import FitOptions, FittedLogit, LinearRestriction, _integer, _special, irls_fit, irls_stack  # noqa: F401
 
 __all__ = [
     "SimulationConfig",
@@ -203,9 +202,9 @@ class SimulationConfig:
     the reported MSE unconditional; a fixed-design mode is available for
     conditional studies.
 
-    Rejected here, before any draw: no restriction, n at most p (no
-    maximum likelihood estimate exists), and with ``project_beta`` a
-    restriction of p rows (its null space is 0).
+    Rejected here, before any draw: a non-integer n, p, reps or seed, a
+    negative seed, no restriction, n at most p (no maximum likelihood
+    estimate exists), and with ``project_beta`` a restriction of p rows.
     """
 
     n: int
@@ -221,12 +220,10 @@ class SimulationConfig:
     fit_options: FitOptions = field(default_factory=FitOptions)
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+        for name, low in (("reps", 1), ("seed", 0), ("p", 2), ("n", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")
-        if self.p < 2:
-            raise ValueError("p must be at least 2")
         if self.n <= self.p:
             raise ValueError(
                 f"n={self.n} is not above p={self.p}: some X beta separates n <= p responses "
@@ -330,50 +327,41 @@ def _rows(fit: FittedLogit, keep: NDArray) -> FittedLogit:
     return FittedLogit(*(getattr(fit, f.name)[keep] for f in fields(fit)))
 
 
-def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationResult:
-    """Run all replications of a configuration and aggregate the MSE.
-
-    Replications run in consecutive blocks of at most :data:`BLOCK_SIZE`.
-    ``workers`` > 1 distributes the blocks over a process pool; the
-    result is bit-identical to the sequential run because every
-    replication draws from its own keyed substream, rows of a block are
-    fitted and scored independently, and aggregation happens in
-    replication order.
-
-    Raises
-    ------
-    ValueError
-        If ``workers`` is below 1.
-    AllReplicationsFailedError
-        If every replication was skipped.
-    """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    beta = gen_beta(
-        config.p,
-        config.restriction,
-        config.project_beta,
-        np.random.default_rng([config.seed, _BETA_STREAM]),
-    )
-    fixed_x = None
-    if not config.regenerate_design:
-        fixed_x = gen_design(
-            config.n,
-            config.p,
-            np.sqrt(config.rho),
-            np.random.default_rng([config.seed, _FIXED_DESIGN_STREAM]),
-        )
-    size = min(BLOCK_SIZE, -(-config.reps // workers))
-    blocks = [range(start, min(start + size, config.reps)) for start in range(0, config.reps, size)]
-    task = partial(_run_block, config, beta, fixed_x)
+def _map(task, items: list, workers: int) -> list:
+    """``[task(*item) for item in items]``, or with ``workers`` > 1 the same map on
+    one pool of ``min(workers, len(items))`` processes. There the first failing
+    item, in list order, is raised once the items before it finish; items not yet
+    started are cancelled."""
     if workers == 1:
-        outcomes = [task(block) for block in blocks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+        return list(itertools.starmap(task, items))
+    from concurrent.futures import ProcessPoolExecutor
 
-        _special()  # imported once here: forked workers inherit it instead of each importing it
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(task, blocks))
+    _special()  # imported once here: forked workers inherit it instead of each importing it
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(task, *zip(*items)))
+
+
+def _simulate(configs: list[SimulationConfig], workers: int) -> list[SimulationResult]:
+    """:func:`run_simulation` of each configuration, with the blocks of all of
+    them mapped in one :func:`_map` call."""
+    cells, blocks = [], []
+    for config in configs:
+        rng = np.random.default_rng([config.seed, _BETA_STREAM])
+        beta = gen_beta(config.p, config.restriction, config.project_beta, rng)
+        fixed_x = None
+        if not config.regenerate_design:
+            rng = np.random.default_rng([config.seed, _FIXED_DESIGN_STREAM])
+            fixed_x = gen_design(config.n, config.p, np.sqrt(config.rho), rng)
+        size = min(BLOCK_SIZE, -(-config.reps // workers))
+        starts = range(0, config.reps, size)
+        blocks += [(config, beta, fixed_x, range(a, min(a + size, config.reps))) for a in starts]
+        cells.append((config, beta, len(starts)))
+    outcomes = iter(_map(_run_block, blocks, workers))
+    return [_result(config, beta, list(itertools.islice(outcomes, count))) for config, beta, count in cells]
+
+
+def _result(config: SimulationConfig, beta: NDArray, outcomes: list) -> SimulationResult:
+    """The MSE of one configuration from its blocks' outcomes, in replication order."""
     stacked = np.concatenate([errors for errors, _ in outcomes])
     reasons = [reason for _, block in outcomes for reason in block]
     completed = stacked.shape[0]
@@ -383,23 +371,31 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationResu
             f"p={config.p}, rho={config.rho})"
         )
     mse = stacked.mean(axis=0)
-    if completed > 1:
-        se = stacked.std(axis=0, ddof=1) / np.sqrt(completed)
-    else:
-        se = np.zeros_like(mse)
+    se = stacked.std(axis=0, ddof=1) / np.sqrt(completed) if completed > 1 else np.zeros_like(mse)
     cells = tuple(
         SimulationCell(kind=kind, d=d, mse=float(mse[i, j]), std_error=float(se[i, j]))
         for i, kind in enumerate(config.estimator_kinds)
         for j, d in enumerate(config.d_grid)
     )
-    return SimulationResult(
-        config=config,
-        beta_true=beta,
-        cells=cells,
-        completed=completed,
-        skipped=config.reps - completed,
-        skipped_by_reason={reason: reasons.count(reason) for reason in _SKIP_REASONS.values()},
-    )
+    by_reason = {reason: reasons.count(reason) for reason in _SKIP_REASONS.values()}
+    return SimulationResult(config, beta, cells, completed, config.reps - completed, by_reason)
+
+
+def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationResult:
+    """Run all replications of a configuration and aggregate the MSE.
+
+    Replications run in consecutive blocks of at most :data:`BLOCK_SIZE`,
+    which ``workers`` > 1 maps over one process pool; the result is
+    bit-identical to the sequential run (see the module notes).
+
+    Raises
+    ------
+    ValueError
+        If ``workers`` is not an integer of at least 1.
+    AllReplicationsFailedError
+        If every replication was skipped.
+    """
+    return _simulate([config], _integer("workers", workers, 1))[0]
 
 
 def table_suite(
@@ -417,24 +413,21 @@ def table_suite(
     table order (the three correlation blocks of one table are adjacent).
     Configuration seeds are ``base_seed + index`` with index running in
     emission order; substream keying makes adjacent seeds independent.
+
+    ``workers`` > 1 maps the blocks of all 18 cells onto one pool, and a cell
+    whose replications all fail is raised once every block has run. On one
+    process each cell is one :func:`run_simulation` call, and such a cell
+    stops the suite.
     """
-    results = []
-    index = 0
-    for p in (4, 8):
-        restriction = default_restriction(p)
-        for n in (50, 100, 200):
-            for rho in (0.9, 0.99, 0.999):
-                config = SimulationConfig(
-                    n=n,
-                    p=p,
-                    rho=rho,
-                    d_grid=tuple(d_grid),
-                    reps=reps,
-                    seed=base_seed + index,
-                    restriction=restriction,
-                    estimator_kinds=tuple(estimator_kinds),
-                    fit_options=fit_options if fit_options is not None else FitOptions(),
-                )
-                results.append(run_simulation(config, workers=workers))
-                index += 1
-    return results
+    workers = _integer("workers", workers, 1)
+    suite_config = partial(
+        SimulationConfig, d_grid=tuple(d_grid), reps=reps, estimator_kinds=tuple(estimator_kinds),
+        fit_options=fit_options if fit_options is not None else FitOptions(),
+    )
+    configs = [
+        suite_config(n=n, p=p, rho=rho, seed=base_seed + index, restriction=default_restriction(p))
+        for index, (p, n, rho) in enumerate(itertools.product((4, 8), (50, 100, 200), (0.9, 0.99, 0.999)))
+    ]
+    if workers == 1:
+        return [run_simulation(config) for config in configs]
+    return _simulate(configs, workers)

@@ -185,3 +185,29 @@ def test_no_library_module_builds_an_estimator_spec():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "EstimatorSpec"
     ]
     assert calls == []
+
+
+def test_only_simulation_map_imports_the_process_pool():
+    """One home for the process pool: ``run_simulation`` and ``table_suite``
+    map their blocks through ``simulation._map``, the only function of the
+    package that imports ``concurrent.futures``."""
+    homes = []
+    for module_name in SUBMODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"shrinklogit.{module_name}")))
+        # ast.walk is breadth first, so a nested function's nodes end up mapped to it
+        scope = {
+            child: function.name
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for child in ast.walk(function)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "concurrent" for name in imported):
+                homes.append(f"{module_name}.{scope.get(node, '<module>')}")
+    assert homes == ["simulation._map"]

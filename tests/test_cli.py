@@ -485,6 +485,32 @@ class TestInputErrors:
         assert err == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["estimate", "MISSING", "--estimator", "rmle", "--h", "1"],
+                         "--h needs --H (the rows of H b = h)", id="estimate-h-without-H"),
+            pytest.param(["estimate", "MISSING", "--estimator", "rmle", "--restriction-file", "FILE", "--H", "1,0"],
+                         "--restriction-file does not take --H", id="estimate-file-with-H"),
+            pytest.param(["estimate", "MISSING", "--estimator", "rmle", "--H", "1,-1,0,0;0,1"],
+                         "--H has rows of different lengths", id="estimate-ragged-H"),
+            pytest.param(["risk", "MISSING", "--d-grid", "0.5", "--h", "1"],
+                         "--h needs --H (the rows of H b = h)", id="risk-h-without-H"),
+            pytest.param(["risk", "MISSING", "--d-grid", "0.5", "--restriction-file", "FILE", "--H", "1,0"],
+                         "--restriction-file does not take --H", id="risk-file-with-H"),
+            pytest.param(["risk", "MISSING", "--d-grid", "0.5", "--H", "1,-1,0,0;0,1"],
+                         "--H has rows of different lengths", id="risk-ragged-H"),
+        ],
+    )
+    def test_restriction_flags_are_read_before_the_csv(self, capsys, tmp_path, argv, message):
+        """A malformed restriction is reported before the CSV is read, so a
+        missing CSV does not hide it."""
+        names = {"MISSING": str(tmp_path / "missing.csv"), "FILE": str(tmp_path / "restriction.txt")}
+        code, out, err = run(capsys, [names.get(arg, arg) for arg in argv])
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {message}\n"
+
+
 class TestScenarioFileErrors:
     @pytest.mark.parametrize("section, text", MALFORMED_SCENARIOS)
     @pytest.mark.parametrize("command", [["risk", "--d-grid", "0.5"], ["dominance", "--d", "0.5"]])
@@ -544,6 +570,7 @@ class TestSimulate:
             pytest.param(["--H", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"],
                          "project_beta needs fewer restriction rows than p=4", id="full-restriction"),
             pytest.param(["--n", "3"], "n=3 is not above p=4", id="n-below-p"),
+            pytest.param(["--seed", "-1"], "seed must be at least 0", id="negative-seed"),
         ],
     )
     def test_config_that_can_only_fail_exits_one_before_running(self, capsys, flags, message):

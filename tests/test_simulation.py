@@ -1,5 +1,6 @@
 """Monte Carlo harness: generators, determinism, and aggregation."""
 
+import concurrent.futures
 import dataclasses
 
 import numpy as np
@@ -19,6 +20,7 @@ from shrinklogit import (
     run_simulation,
     shrinkage_estimates,
     simulation,
+    table_suite,
 )
 
 
@@ -222,6 +224,25 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             run_simulation(small_config(reps=2), workers=workers)
 
+    @pytest.mark.parametrize(
+        "workers, message",
+        [
+            (0, "workers must be at least 1"),
+            (2.5, "workers must be an integer, got 2.5"),
+            (float("nan"), "workers must be an integer, got nan"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "door",
+        [
+            pytest.param(lambda workers: run_simulation(small_config(reps=2), workers=workers), id="run_simulation"),
+            pytest.param(lambda workers: table_suite(1, reps=2, workers=workers), id="table_suite"),
+        ],
+    )
+    def test_both_doors_take_the_same_pool_sizes(self, door, workers, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            door(workers)
+
     def test_all_replications_failed(self):
         config = small_config(reps=5, fit_options=FitOptions(max_iter=1))
         with pytest.raises(AllReplicationsFailedError):
@@ -246,6 +267,78 @@ class TestRunSimulation:
         result = run_simulation(small_config(reps=5))
         with pytest.raises(KeyError):
             result.cell("mle", 0.123)
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Stand in for the process pool: each pool's ``max_workers`` is recorded
+    and its map runs in this process, so no worker process starts."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, task, *iterables):
+            return map(task, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+class TestOnePool:
+    """Every pool is opened by ``simulation._map``: one per call, and never
+    larger than its list of tasks."""
+
+    def test_a_pool_starts_no_more_processes_than_blocks(self, in_process_pool):
+        config = small_config(reps=10)
+        result = run_simulation(config, workers=64)
+        assert in_process_pool == [10]
+        assert result.cells == run_simulation(config).cells
+
+    def test_a_suite_pool_starts_no_more_processes_than_blocks(self, in_process_pool):
+        results = table_suite(1707, reps=1, workers=64)  # one block per cell
+        assert in_process_pool == [18]
+        assert [r.cells for r in results] == [r.cells for r in table_suite(1707, reps=1)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_suite_raises_its_first_failing_cell(self, in_process_pool, workers):
+        with pytest.raises(AllReplicationsFailedError, match=r"^all 2 replications .*\(n=50, p=4, rho=0\.9\)$"):
+            table_suite(1707, reps=2, workers=workers, fit_options=FitOptions(max_iter=1))
+        assert in_process_pool == [2] * (workers > 1)
+
+    def test_a_suite_maps_the_blocks_of_all_its_cells_on_one_pool(self, monkeypatch):
+        pools, blocks = [], []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+            def map(self, task, *iterables):
+                blocks.extend(zip(*iterables))
+                return super().map(task, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        pooled = table_suite(1707, reps=4, workers=2)
+        alone = table_suite(1707, reps=4)
+        assert pools == [2]
+        # Each cell's 4 replications are split as at workers=2: two blocks of two.
+        assert [list(reps) for *_, reps in blocks] == [[0, 1], [2, 3]] * 18
+        configs = [config for config, *_ in blocks[::2]]
+        assert len(pooled) == 18
+        for result, config, expected in zip(pooled, configs, alone):
+            assert result.config is config
+            assert result.cells == expected.cells
+            assert np.array_equal(result.beta_true, expected.beta_true)
+            assert (result.completed, result.skipped) == (expected.completed, expected.skipped)
+            assert result.skipped_by_reason == expected.skipped_by_reason
 
 
 class TestSingularScoring:
@@ -320,6 +413,20 @@ class TestConfigValidation:
     def test_fewer_observations_than_predictors_is_rejected(self, n):
         with pytest.raises(ValueError, match=f"^n={n} is not above p=4: .* no maximum likelihood estimate exists$"):
             small_config(n=n)
+
+    @pytest.mark.parametrize("name, value", [("n", 100.5), ("p", 4.0), ("reps", 2.5), ("seed", float("nan")), ("seed", "7")])
+    def test_counts_and_seed_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            small_config(**{name: value})
+
+    def test_a_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be at least 0$"):
+            small_config(seed=-1)
+
+    def test_numpy_integers_are_kept_as_ints(self):
+        config = small_config(n=np.int64(80), p=np.int32(4), reps=np.uint8(3), seed=np.int64(0))
+        assert [type(getattr(config, name)) for name in ("n", "p", "reps", "seed")] == [int] * 4
+        assert run_simulation(config).cells == run_simulation(small_config(reps=3, seed=0)).cells
 
     def test_projection_onto_a_full_restriction_is_rejected(self):
         full = LinearRestriction(np.eye(4), np.zeros(4))
