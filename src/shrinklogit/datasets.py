@@ -6,14 +6,16 @@ decimal separator and an optional header row. Missing values are a
 hard error; every parse failure is reported with its 1-based row (and
 column) number.
 
-A well-formed file (unquoted numbers of one width, a header line that is
-neither blank nor quoted, responses in {0, 1}) is read in one vectorised
-``np.loadtxt`` pass. Every other file, and so every error, goes through
-a field-by-field ``csv.reader`` loop, which reads the same values. The
-vectorised pass streams the lines from the open file into
-``np.loadtxt``, so a well-formed file's text is never held in memory,
-and :func:`save_csv` converts a block of rows at a time: reading or
-writing a large dataset needs little more memory than its arrays.
+A well-formed file (unquoted numbers of one width under a header line,
+quoted or not, that ``csv.reader`` reads on its own; responses in
+{0, 1}) is read in one vectorised ``np.loadtxt`` pass that streams the
+lines from the open file. Every other file, and so every error, goes
+through a field-by-field ``csv.reader`` loop, which converts each row as
+it reads it and so reports the first problem in file order. Both hand
+:func:`load_csv` the parsed table, which it splits once, writing the
+intercept in place, and :func:`save_csv` converts a block of rows at a
+time: reading or writing a large dataset needs little more memory than
+its arrays.
 
 ``importlib.resources`` is imported in :func:`bundled_dataset_path`, the
 one function that uses it, so that loading the package does not load it.
@@ -22,6 +24,8 @@ one function that uses it, so that loading the package does not load it.
 from __future__ import annotations
 
 import csv
+import operator
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -66,7 +70,11 @@ def _resolve_response(response_column, names, ncols, header):
             raise CsvParseError(f"response column {response_column!r} not found in header {names}")
         idx = names.index(response_column)  # a header wider than the body may name a column past it
     else:
-        idx = int(response_column)
+        try:
+            idx = operator.index(response_column)
+        except TypeError:
+            message = f"response_column must be an integer or a column name, got {response_column!r}"
+            raise ValueError(message) from None
     if not -ncols <= idx < ncols:
         raise CsvParseError(f"response column index {idx} out of range for {ncols} columns")
     return idx % ncols
@@ -85,12 +93,15 @@ def load_csv(
     the predictors.
 
     A well-formed file is read in one vectorised pass: every line after
-    the header is unquoted numbers of one width, the header line is
-    neither blank nor quoted and as wide as the body, and every response
-    is 0 or 1. Any other file goes through the field-by-field loop, which
-    is the one source of the errors below and reads the same values.
-    That pass streams the lines from the file and never holds them as
-    text, so its memory is a small multiple of the arrays returned.
+    the header is unquoted numbers of one width, the header line is not
+    blank, is one ``csv.reader`` row on its own (quoted or not) and is as
+    wide as the body, and every response is 0 or 1. Any other file goes
+    through the field-by-field loop, the one source of the errors below,
+    which reads the same values and converts each row as it reads it, so
+    the first problem in file order is reported. y is copied out of the
+    parsed table; with ``intercept`` X is the table itself, the columns
+    before the response moved right by one and the ones written into
+    column 0. Memory is a small multiple of the arrays returned.
 
     Raises
     ------
@@ -101,14 +112,17 @@ def load_csv(
         for a file that is not UTF-8 text.
     NonBinaryResponseError
         If a response value parses to something other than 0 or 1.
+    ValueError
+        If ``response_column`` is neither an integer nor a string.
     """
-    columns = _read_vectorised(path, header, response_column)
-    if columns is None:
-        columns = _read_checked(path, header, response_column)
-    x, y = columns
-    if intercept:
-        x = np.column_stack([np.ones(len(y)), x])
-    return Dataset(X=x, y=y, has_intercept=intercept)
+    table, index = _read_vectorised(path, header, response_column) or _read_checked(path, header, response_column)
+    y = table[:, index].copy()
+    if not intercept:
+        return Dataset(X=np.delete(table, index, axis=1), y=y)
+    for j in range(index, 0, -1):  # column by column: no temporary copy
+        table[:, j] = table[:, j - 1]
+    table[:, 0] = 1.0
+    return Dataset(X=table, y=y, has_intercept=True)
 
 
 def _not_utf8(path, err: UnicodeDecodeError) -> CsvParseError:
@@ -137,105 +151,87 @@ def _short_lines(lines, limit):
 
 
 def _read_vectorised(path, header, response_column):
-    """(predictors, response) of a well-formed file from one ``np.loadtxt``
-    pass, or None for any other file.
+    """(table, response index) of a well-formed file from one
+    ``np.loadtxt`` pass, or None for any other file.
 
-    Lines are split as ``csv.reader`` splits unquoted text, so a file
-    read here gives the arrays :func:`_read_checked` would give. They go
-    from the file handle straight into ``np.loadtxt``, one at a time.
+    The header is split by a strict ``csv.reader`` and the body lines as
+    ``csv.reader`` splits unquoted text, so a file read here gives what
+    :func:`_read_checked` would give. The body lines go from the file
+    handle straight into ``np.loadtxt``, one at a time.
     """
-    limit = csv.field_size_limit()
     names = None
     try:
         with open(path, encoding="utf-8-sig") as handle:
             if header:
-                head = handle.readline().rstrip("\n")
-                if not head or '"' in head or len(head) > limit:
+                head = handle.readline()
+                if head in ("", "\n"):
                     return None
-                names = [field.strip() for field in head.split(",")]
+                # strict: a quoted field left open at the line end is an error
+                names = [field.strip() for field in next(csv.reader([head], strict=True))]
             # np.loadtxt skips blank lines but warns when no line is left;
             # a body of blank lines is the loop's error to name.
             first = next((line for line in handle if line != "\n"), None)
             if first is None:
                 return None
-            table = np.loadtxt(
-                _short_lines(chain([first], handle), limit), delimiter=",", comments=None, ndmin=2
-            )
-    except ValueError:  # a UnicodeDecodeError too: the loop then names the file
+            lines = _short_lines(chain([first], handle), csv.field_size_limit())
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, csv.Error):  # a UnicodeDecodeError too: the loop then names the file
         return None
     ncols = table.shape[1]
     if ncols < 2 or (header and len(names) != ncols):
         return None
     try:
-        response_index = _resolve_response(response_column, names, ncols, header)
+        index = _resolve_response(response_column, names, ncols, header)
     except CsvParseError:
         return None
-    y = table[:, response_index].copy()
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if not np.all((table[:, index] == 0.0) | (table[:, index] == 1.0)):
         return None
-    return np.delete(table, response_index, axis=1), y
+    return table, index
 
 
 def _read_checked(path, header, response_column):
-    """(predictors, response) parsed field by field, raising the first
-    problem found with its row and column."""
-    raw, lineno = [], 0
+    """(table, response index) parsed field by field in one pass, each row
+    converted as ``csv.reader`` yields it, raising the first problem in
+    file order with its row and column."""
+    names = ncols = index = None
+    values, lineno = array("d"), 0
     with open(path, newline="", encoding="utf-8-sig") as handle:
         try:
             for lineno, row in enumerate(csv.reader(handle), start=1):
-                if row:
-                    raw.append((lineno, row))
+                if not row:
+                    continue
+                if header and names is None:
+                    names = [field.strip() for field in row]
+                    continue
+                if ncols is None:
+                    ncols = len(row)
+                    if ncols < 2:
+                        raise CsvParseError(f"{path}: need a response and at least one predictor column")
+                    index = _resolve_response(response_column, names, ncols, header)
+                if len(row) != ncols:
+                    raise CsvParseError(f"row {lineno}: expected {ncols} fields, got {len(row)}", row=lineno)
+                for j, field in enumerate(row, start=1):
+                    text = field.strip()
+                    if text == "":
+                        raise CsvParseError(f"row {lineno}, column {j}: missing value", row=lineno, column=j)
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise CsvParseError(
+                            f"row {lineno}, column {j}: cannot parse {field!r} as a number", row=lineno, column=j
+                        ) from None
+                    if j == index + 1 and value not in (0.0, 1.0):
+                        message = f"row {lineno}: response value {field!r} is not 0 or 1"
+                        raise NonBinaryResponseError(message, row=lineno, column=j)
+                    values.append(value)
         except csv.Error as err:  # such as a field longer than csv.field_size_limit()
             raise CsvParseError(f"row {lineno + 1}: {err}", row=lineno + 1) from None
         except UnicodeDecodeError as err:
             raise _not_utf8(path, err) from None
-    if not raw:
-        raise CsvParseError(f"{path}: file contains no data rows")
-    names = None
-    if header:
-        names = [field.strip() for field in raw[0][1]]
-        raw = raw[1:]
-        if not raw:
-            raise CsvParseError(f"{path}: file contains a header but no data rows")
-    ncols = len(raw[0][1])
-    if ncols < 2:
-        raise CsvParseError(f"{path}: need a response and at least one predictor column")
-    response_index = _resolve_response(response_column, names, ncols, header)
-
-    y = np.empty(len(raw))
-    x = np.empty((len(raw), ncols - 1))
-    for i, (lineno, row) in enumerate(raw):
-        if len(row) != ncols:
-            raise CsvParseError(
-                f"row {lineno}: expected {ncols} fields, got {len(row)}", row=lineno
-            )
-        k = 0
-        for j, field in enumerate(row):
-            text = field.strip()
-            if text == "":
-                raise CsvParseError(
-                    f"row {lineno}, column {j + 1}: missing value", row=lineno, column=j + 1
-                )
-            try:
-                value = float(text)
-            except ValueError:
-                raise CsvParseError(
-                    f"row {lineno}, column {j + 1}: cannot parse {field!r} as a number",
-                    row=lineno,
-                    column=j + 1,
-                ) from None
-            if j == response_index:
-                if value not in (0.0, 1.0):
-                    raise NonBinaryResponseError(
-                        f"row {lineno}: response value {field!r} is not 0 or 1",
-                        row=lineno,
-                        column=j + 1,
-                    )
-                y[i] = value
-            else:
-                x[i, k] = value
-                k += 1
-    return x, y
+    if ncols is None:
+        what = "no" if names is None else "a header but no"
+        raise CsvParseError(f"{path}: file contains {what} data rows")
+    return np.frombuffer(values).reshape(-1, ncols), index
 
 
 #: Rows that :func:`save_csv` converts to text at a time.

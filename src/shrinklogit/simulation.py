@@ -43,6 +43,7 @@ to the start-up time of every command.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -203,7 +204,8 @@ class SimulationConfig:
     conditional studies.
 
     Rejected here, before any draw: a non-integer n, p, reps or seed, a
-    negative seed, no restriction, n at most p (no maximum likelihood
+    negative seed, a ``rho`` that is not a real number (it is kept as a
+    ``float``), no restriction, n at most p (no maximum likelihood
     estimate exists), and with ``project_beta`` a restriction of p rows.
     """
 
@@ -222,6 +224,9 @@ class SimulationConfig:
     def __post_init__(self):
         for name, low in (("reps", 1), ("seed", 0), ("p", 2), ("n", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), low))
+        if not isinstance(self.rho, numbers.Real):
+            raise ValueError(f"rho must be a real number, got {self.rho!r}")
+        object.__setattr__(self, "rho", float(self.rho))
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")
         if self.n <= self.p:

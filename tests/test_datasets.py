@@ -42,6 +42,12 @@ def assert_same_array(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
+def assert_same_read(actual, expected):
+    """Two reader results, (table, response index), are the same."""
+    assert actual[1] == expected[1]
+    assert_same_array(actual[0], expected[0])
+
+
 #: (text, load_csv keywords, predictors, response) read with intercept=False.
 PINNED_LOADS = [
     pytest.param('y,x\n"1","0.5"\n0,"-0.5"\n', {}, [[0.5], [-0.5]], [1, 0], id="quoted-fields"),
@@ -85,6 +91,8 @@ PINNED_ERRORS = [
     pytest.param("y,x\n2,oops\n", {}, NonBinaryResponseError, "row 2: response value '2' is not 0 or 1", 2, 1, id="response-before-later-field"),
     pytest.param("y,x\n1,0.5\n0,1\n", {"response_column": 2}, CsvParseError, "response column index 2 out of range for 2 columns", None, None, id="index-out-of-range"),
     pytest.param("y,x\n1,0.5\n0,1\n", {"response_column": -3}, CsvParseError, "response column index -3 out of range for 2 columns", None, None, id="negative-index-out-of-range"),
+    pytest.param("y,x\n1,0.5\n0,1\n", {"response_column": 1.7}, ValueError, "response_column must be an integer or a column name, got 1.7", None, None, id="float-index"),
+    pytest.param("y,x\n1,0.5\n0,1\n", {"response_column": float("nan")}, ValueError, "response_column must be an integer or a column name, got nan", None, None, id="nan-index"),
     pytest.param("y,x\n1,0.5\n0,1\n", {"response_column": "outcome"}, CsvParseError, "response column 'outcome' not found in header ['y', 'x']", None, None, id="name-not-in-header"),
     pytest.param("1,0.5\n0,1\n", {"header": False, "response_column": "y"}, CsvParseError, "response column 'y' named but the file has no header", None, None, id="name-without-header"),
     pytest.param("", {}, CsvParseError, "{path}: file contains no data rows", None, None, id="empty-file"),
@@ -173,15 +181,16 @@ class TestVectorisedPass:
             assert fast is None
             return
         if fast is not None:
-            for got, want in zip(fast, expected):
-                assert_same_array(got, want)
+            assert_same_read(fast, expected)
 
     @pytest.mark.parametrize(
         "text, response_column",
         [
             pytest.param("y,x\n1,oops\n0,1\n", 0, id="parse-error"),
             pytest.param("\ny,x\n1,0.5\n0,1\n", 0, id="blank-first-line"),
-            pytest.param('"y",x\n1,0.5\n0,1\n', 0, id="quoted-first-line"),
+            pytest.param('"y\nz",x\n1,0.5\n0,1\n', 0, id="quoted-header-over-two-lines"),
+            pytest.param('"y"z,x\n1,0.5\n0,1\n', 0, id="text-after-a-closing-quote"),
+            pytest.param('y,x\n"1",0.5\n0,1\n', 0, id="quoted-body-field"),
             pytest.param("y,x,z\n1,0.5\n0,1\n", 0, id="header-wider-than-body"),
             pytest.param("y,x\n1,0.5\n2,1\n", 0, id="non-binary-response"),
             pytest.param("y,x\n1,0.5\n0,1\n", "outcome", id="unknown-response-name"),
@@ -230,15 +239,16 @@ class TestStreamingRead:
             pytest.param("\n\n1,0.5\n\n\n0,-0.5\n", False, id="blank-lines-before-headerless-rows"),
             pytest.param("\ufeffy,x\r\n1,0.5\r\n0,-0.5\r\n", True, id="bom-and-crlf"),
             pytest.param("\ufeff1,0.5\r\n\r\n0,-0.5\r\n", False, id="bom-and-crlf-headerless"),
+            pytest.param('"y",x\n1,0.5\n0,-0.5\n', True, id="quoted-first-line"),
+            pytest.param('\ufeff"y","x, a ""note"""\r\n1,0.5\r\n0,-0.5\r\n', True, id="quoted-header-with-comma-and-quotes"),
         ],
     )
     def test_reads_what_the_loop_reads(self, tmp_path, text, header):
         path = write(tmp_path, text)
         fast = datasets._read_vectorised(path, header, 0)
         assert fast is not None
-        for got, want in zip(fast, datasets._read_checked(path, header, 0)):
-            assert_same_array(got, want)
-        assert_same_array(fast[0], [[0.5], [-0.5]])
+        assert_same_read(fast, datasets._read_checked(path, header, 0))
+        assert_same_array(fast[0], [[1, 0.5], [0, -0.5]])
 
     @pytest.mark.parametrize("header", [True, False])
     def test_a_body_of_blank_lines_steps_aside(self, tmp_path, header):
@@ -259,8 +269,8 @@ class TestStreamingRead:
         assert str(excinfo.value) == f"{path}: not UTF-8 text (invalid start byte)"
 
     def test_a_late_non_utf8_byte_after_the_pass_stepped_aside(self, tmp_path):
-        # the quoted header sends the file to the loop, which meets the byte
-        path = write(tmp_path, '"y",x\n' + "1,0.5\n0,-0.5\n" * 5000 + "1,\udcff\n")
+        # the quoted field sends the file to the loop, which meets the byte
+        path = write(tmp_path, 'y,x\n"1",0.5\n' + "1,0.5\n0,-0.5\n" * 5000 + "1,\udcff\n")
         with pytest.raises(CsvParseError) as excinfo:
             load_csv(path)
         assert str(excinfo.value) == f"{path}: not UTF-8 text (invalid start byte)"
@@ -275,11 +285,68 @@ class TestStreamingRead:
         assert str(excinfo.value) == f"row 10002: field larger than field limit ({limit})"
         assert excinfo.value.row == 10002
 
-    def test_peak_memory_is_a_small_multiple_of_the_array(self, tmp_path):
+    @pytest.mark.parametrize(
+        "quote, bound",
+        [
+            pytest.param(lambda line, i: line, 1.5, id="plain"),
+            pytest.param(lambda line, i: line if i else line.replace("y", '"y"'), 1.5, id="quoted-header"),
+            pytest.param(lambda line, i: '"' + line.replace(",", '","') + '"', 3, id="quoted-body-fields"),
+        ],
+    )
+    def test_peak_memory_is_a_small_multiple_of_the_array(self, tmp_path, quote, bound):
         path = tmp_path / "wide.csv"
         save_csv(random_dataset(20000, 7), path)  # 8 columns with the response
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(quote(line, i) for i, line in enumerate(lines)) + "\n")
         loaded, peak = traced_peak(lambda: load_csv(path))
-        assert peak < 3 * loaded.X.nbytes
+        assert peak < bound * loaded.X.nbytes
+
+    @pytest.mark.parametrize(
+        "later",
+        [
+            pytest.param("0," + "5" * (csv.field_size_limit() + 3) + "\n", id="over-limit-field"),
+            pytest.param("0,\udcff\n", id="non-utf8-byte"),
+        ],
+    )
+    def test_the_first_problem_in_file_order_is_reported(self, tmp_path, later):
+        # 78,000 bytes of good rows keep the later problem past the decoder's
+        # first chunks, so only the order of the loop's checks decides
+        path = write(tmp_path, "y,x\n1,oops\n" + "1,0.5\n0,-0.5\n" * 3000 + later)
+        with pytest.raises(CsvParseError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == "row 2, column 2: cannot parse 'oops' as a number"
+        assert (excinfo.value.row, excinfo.value.column) == (2, 2)
+
+
+def reference_split(table, index, intercept):
+    """(X, y) by the reference route: the response deleted, then the ones
+    column stacked in front."""
+    x = np.delete(table, index, axis=1)
+    if intercept:
+        x = np.column_stack([np.ones(len(table)), x])
+    return x, table[:, index].copy()
+
+
+class TestSplit:
+    """load_csv writes X into the parsed table, bit for bit as the reference."""
+
+    @pytest.mark.parametrize("loop", [False, True], ids=["vectorised", "loop"])
+    @pytest.mark.parametrize("intercept", [True, False])
+    @pytest.mark.parametrize("index", [0, 1, 2, 3, -1, -4])
+    def test_matches_delete_then_stack(self, tmp_path, monkeypatch, loop, intercept, index):
+        rng = np.random.default_rng(index + 4)
+        table = rng.standard_normal((12, 4))
+        table[3, :] = [-0.0, 5e-324, -1e300, 0.0]
+        table[:, index] = rng.random(12) < 0.5
+        table[5, index] = -0.0
+        path = tmp_path / "table.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
+        if loop:
+            monkeypatch.setattr(datasets, "_read_vectorised", lambda *args: None)
+        data = load_csv(path, header=False, response_column=index, intercept=intercept)
+        x, y = reference_split(table, index, intercept)
+        assert_same_array(data.X, x)
+        assert_same_array(data.y, y)
 
 
 class TestBlockedSave:

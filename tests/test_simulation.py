@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -418,6 +419,16 @@ class TestConfigValidation:
     def test_counts_and_seed_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             small_config(**{name: value})
+
+    @pytest.mark.parametrize("value", ["0.9", None, 0.9j])
+    def test_rho_must_be_a_real_number(self, value):
+        with pytest.raises(ValueError, match=f"^rho must be a real number, got {re.escape(repr(value))}$"):
+            small_config(rho=value)
+
+    @pytest.mark.parametrize("value", [np.float64(0.9), 0, np.float32(0.5)])
+    def test_rho_is_kept_as_a_float(self, value):
+        config = small_config(rho=value)
+        assert type(config.rho) is float and config.rho == value
 
     def test_a_negative_seed_is_rejected(self):
         with pytest.raises(ValueError, match="^seed must be at least 0$"):
