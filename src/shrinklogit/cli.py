@@ -242,14 +242,14 @@ def cmd_estimate(args) -> int:
 
 
 def _scenario_from_args(args):
-    """Scenario from a file, or plug-in from a fitted CSV (C-hat, beta-hat)."""
+    """risk's scenario and exit code: from a file, or plug-in from a fitted CSV (C-hat, beta-hat)."""
     if args.scenario_file:
-        return (*load_scenario(args.scenario_file), EXIT_OK)
+        return load_scenario(args.scenario_file)[0], EXIT_OK
     if not args.csv:
         raise ShrinkLogitError("either a CSV path or --scenario-file is required")
     restriction = _restriction_from_args(args)
     _, fit, code = _load_and_fit(args)
-    return RiskScenario(C=fit.C, beta_true=fit.beta_mle, restriction=restriction), None, code
+    return RiskScenario(C=fit.C, beta_true=fit.beta_mle, restriction=restriction), code
 
 
 #: risk flags that --scenario-file would ignore: the file gives C, beta
@@ -265,7 +265,7 @@ def cmd_risk(args) -> int:
             raise ShrinkLogitError(f"--scenario-file does not take {', '.join(given)}")
     kinds = _parse_kinds("--estimators", args.estimators)
     _reject_unused_restriction(args, "--estimators", kinds)
-    scenario, _, code = _scenario_from_args(args)
+    scenario, code = _scenario_from_args(args)
     grid = _vector_flag("--d-grid", args.d_grid)
     sweep = d_sweep(scenario, kinds, grid)
     rows = [[float(row.d), row.kind, float(row.mse)] + [float(v) for v in row.coefficients] for row in sweep]
@@ -287,7 +287,7 @@ def _plot_data(sweep, kinds) -> str:
 
 
 def cmd_dominance(args) -> int:
-    scenario, meta_d, _ = _scenario_from_args(args)
+    scenario, meta_d = load_scenario(args.scenario_file)
     d = args.d if args.d is not None else meta_d
     if d is None:
         raise ShrinkLogitError("no biasing parameter: pass --d or put d in the [meta] section")
@@ -544,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dom.add_argument("--scenario-file", required=True)
     p_dom.add_argument("--d", type=float, help="biasing parameter; overrides the file's d")
     _add_output_args(p_dom)
-    p_dom.set_defaults(func=cmd_dominance, csv=None)
+    p_dom.set_defaults(func=cmd_dominance)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo MSE comparison")
     p_sim.add_argument("--seed", type=int, required=True, help="simulation seed (required)")

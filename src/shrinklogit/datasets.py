@@ -24,7 +24,6 @@ one function that uses it, so that loading the package does not load it.
 from __future__ import annotations
 
 import csv
-import operator
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -35,7 +34,7 @@ from numpy.typing import NDArray
 
 from .errors import ConstantColumnError, CsvParseError, NonBinaryResponseError
 from .linalg import positive_definite, symmetrize
-from .logit import Dataset
+from .logit import Dataset, _index
 
 __all__ = [
     "DiagnosticsReport",
@@ -70,11 +69,7 @@ def _resolve_response(response_column, names, ncols, header):
             raise CsvParseError(f"response column {response_column!r} not found in header {names}")
         idx = names.index(response_column)  # a header wider than the body may name a column past it
     else:
-        try:
-            idx = operator.index(response_column)
-        except TypeError:
-            message = f"response_column must be an integer or a column name, got {response_column!r}"
-            raise ValueError(message) from None
+        idx = _index(response_column, f"response_column must be an integer or a column name, got {response_column!r}")
     if not -ncols <= idx < ncols:
         raise CsvParseError(f"response column index {idx} out of range for {ncols} columns")
     return idx % ncols
@@ -113,7 +108,8 @@ def load_csv(
     NonBinaryResponseError
         If a response value parses to something other than 0 or 1.
     ValueError
-        If ``response_column`` is neither an integer nor a string.
+        If ``response_column`` is neither an integer (a bool is not one)
+        nor a string.
     """
     table, index = _read_vectorised(path, header, response_column) or _read_checked(path, header, response_column)
     y = table[:, index].copy()

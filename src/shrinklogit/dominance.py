@@ -33,8 +33,9 @@ T3.3 takes ACA from the RMLE report's covariance.
 Each theorem has one route, its ``check_*`` function, and
 :func:`check_all` runs the six by name. What they share is built once, on
 first use, and kept by the scenario in two lifetimes. What does not
-depend on d (ACA's PSD test, pseudo-inverse and congruence, C^{1/2},
-C^-1 - A, the scalar conditions' parts) is kept for the scenario's life.
+depend on d (ACA's pseudo-inverse and congruence, both from one
+decomposition of ACA, C^{1/2}, C^-1 - A, the scalar conditions' parts)
+is kept for the scenario's life.
 What does is built in one pass at a new d, whichever check asks first,
 and kept in one per-d slot for the last d asked: a new d (and the
 restriction) is checked before anything is built, and its pass then
@@ -44,7 +45,7 @@ stacked decompositions:
 
 * one ``eigh`` of (D1, D3) = (ACA - LAL, C^-1 - LAL), which gives both
   pseudo-inverses of the lemma tests;
-* one ``eigvalsh`` of (LAL, Delta1, Delta3, Delta5, the T3.5 core
+* one ``eigvalsh`` of (Delta1, Delta3, Delta5, the T3.5 core
   C^{1/2}' LAL C^{1/2}), which gives every PSD witness and T3.5's
   lambda_max(LAL C).
 
@@ -80,14 +81,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .estimators import _check_request, _check_restriction, _smoothers
-from .linalg import PSD_SLACK, PsdResult, _eigh, _read_only, in_range_with_pinv, is_psd
-from .linalg import _congruence, _kept, _pinv, _psd, _ratio, _require_psd, _sym, sym_eigen
+from .linalg import PSD_SLACK, PsdResult, _eigh, _read_only, in_range_with_pinv
+from .linalg import _congruence, _kept, _pinv, _psd, _ratio, _sym
 from .risk import RiskReport, RiskScenario, _reports, spectral_risk_terms
 
 # No longer called here, but kept bound: perfbench's traced run rebinds
 # them by name (ROADMAP item 1), and tests/test_perfbench_names.py checks
 # that each still resolves.
-from .linalg import in_range, lambda_max_ratio, moore_penrose  # noqa: F401
+from .linalg import in_range, is_psd, lambda_max_ratio, moore_penrose  # noqa: F401
 from .risk import risk  # noqa: F401
 
 __all__ = [
@@ -143,9 +144,9 @@ def _part(scenario: RiskScenario, build):
 
 
 def _aca_parts(scenario: RiskScenario):
-    """ACA's PSD test, Moore-Penrose inverse and lambda_max_ratio congruence."""
-    dec = sym_eigen(scenario._rmle.cov)
-    return is_psd(scenario._rmle.cov), _read_only(_pinv(dec)), _read_only(_congruence(dec))
+    """ACA's Moore-Penrose inverse and lambda_max_ratio congruence, from one ``_eigh``."""
+    dec = _eigh(scenario._rmle.cov)
+    return _read_only(_pinv(dec)), _read_only(_congruence(dec))
 
 
 def _c_half(scenario: RiskScenario) -> NDArray:
@@ -181,7 +182,6 @@ class _PerD(NamedTuple):
     raule: RiskReport
     aule: RiskReport
     bias_norm: float  # |b1|
-    lal: PsdResult  # T3.3's numerator test
     ratio: float  # T3.3: lambda_max(LAL (ACA)^+)
     range_inclusion: bool  # T3.3: range(LAL) in range(ACA)
     product: float  # T3.5: lambda_max(LAL C)
@@ -211,15 +211,13 @@ def _pass(scenario: RiskScenario, d: float) -> _PerD:
     (raule,) = _reports(scenario, "raule", [d], L)
     (aule,) = _reports(scenario, "aule", [d], L)
     lal, b1 = raule.cov, raule.bias
-    _, aca_pinv, congruence = _part(scenario, _aca_parts)
+    aca_pinv, congruence = _part(scenario, _aca_parts)
     c_half = _part(scenario, _c_half)
     differences = np.subtract((scenario._rmle.cov, scenario.c_inv), lal)
     delta5 = L[0] @ _part(scenario, _c_inv_minus_a) @ L[0]
     core = c_half.T @ lal @ c_half
-    spectra = np.linalg.eigvalsh(
-        np.concatenate([lal[None], differences - np.outer(b1, b1), _sym(np.stack([delta5, core]))])
-    )
-    lal_psd, delta1_psd, delta3_psd, delta5_psd = map(_psd, spectra[:4, 0].tolist())
+    spectra = np.linalg.eigvalsh(np.concatenate([differences - np.outer(b1, b1), _sym(np.stack([delta5, core]))]))
+    delta1_psd, delta3_psd, delta5_psd = map(_psd, spectra[:3, 0].tolist())
     pinvs = _pinv(_eigh(differences))
     t33, t35 = (
         _Lemma(in_range_with_pinv(b1, difference, pinv), float(b1 @ pinv @ b1), psd)
@@ -229,10 +227,9 @@ def _pass(scenario: RiskScenario, d: float) -> _PerD:
         raule=raule,
         aule=aule,
         bias_norm=float(np.linalg.norm(b1)),
-        lal=lal_psd,
         ratio=_ratio(lal, congruence),
         range_inclusion=in_range_with_pinv(lal, scenario._rmle.cov, aca_pinv),
-        product=float(max(spectra[4, -1], 0.0)),
+        product=float(max(spectra[3, -1], 0.0)),
         t33=t33,
         t35=t35,
         delta5=delta5_psd,
@@ -271,12 +268,12 @@ def check_t33(scenario: RiskScenario, d: float) -> DominanceVerdict:
     being nonnegative definite. Delta1 is always checked directly too.
     The ratio is the largest eigenvalue of the (m - q)-wide congruence
     core S'(LAL)S, with S from ACA's kept eigenpairs; the range test and
-    (ACA - LAL)^+ come from the per-d pass, which also gives the
-    PSD witnesses of LAL and Delta1.
+    (ACA - LAL)^+ come from the per-d pass, which also gives Delta1's
+    PSD witness. LAL and ACA are PSD in exact arithmetic and neither is
+    tested, so rounding at a C near the rank cut (where
+    ``lambda_max_ratio`` raises NotPSDError) leaves a verdict, not an error.
     """
     at = _at(scenario, d)
-    _require_psd(numerator=at.lal)
-    _require_psd(denominator=_part(scenario, _aca_parts)[0])
     applicable = bool(at.ratio <= 1.0 + PSD_SLACK and at.range_inclusion)
     side = {"lambda_max_ratio": at.ratio, "range_inclusion": float(at.range_inclusion)}
     return _matrix_verdict("T3.3", d, at, at.t33, applicable, side)

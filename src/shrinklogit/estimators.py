@@ -272,13 +272,19 @@ def shrinkage_estimates(
     SingularInformationError
         For the first row whose C is not positive definite.
     """
-    kinds, d_values = _check_request(kinds, d_grid)
-    d = np.array(d_values)
+    kinds, d = _check_request(kinds, d_grid)
     beta = np.asarray(fit.beta_mle, dtype=float)
     restriction = _check_restriction(kinds, restriction, beta.shape[-1] if beta.ndim else 0)
     C, decomp = _information(fit.C, beta, "beta_mle")
-    rmle = None if restriction is None else _project(C, beta, restriction)
-    out = np.empty(beta.shape[:-1] + (len(kinds), d.size, beta.shape[-1]))
+    return _score(C, decomp, beta, kinds, d, restriction)
+
+
+def _score(C, decomp: SpectralDecomp, beta, kinds, d, restriction) -> NDArray:
+    """:func:`shrinkage_estimates` of a checked request on a positive definite
+    C (or stack) with its decomposition, and ``beta`` as wide as C; the
+    restriction is read only if a kind is restricted."""
+    rmle = _project(C, beta, restriction) if RESTRICTED_KINDS.intersection(kinds) else None
+    out = np.empty(beta.shape[:-1] + (len(kinds), len(d), beta.shape[-1]))
     for i, kind in enumerate(kinds):
         base = rmle if kind in RESTRICTED_KINDS else beta
         if kind in SHRINKAGE_KINDS:

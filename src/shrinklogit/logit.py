@@ -80,12 +80,20 @@ class Dataset:
         return self.X.shape[1]
 
 
+def _index(value, message: str) -> int:
+    """``value`` as an ``int``, or ValueError(``message``) if it is not an
+    integer. A bool is not one, although ``operator.index`` reads True as 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(message)
+
+
 def _integer(name: str, value, low: int) -> int:
-    """``value`` as an ``int`` of at least ``low``; 2.5, NaN or "3" is a ValueError."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an ``int`` of at least ``low``; True, 2.5, NaN or "3" is a ValueError."""
+    value = _index(value, f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be at least {low}")
     return value

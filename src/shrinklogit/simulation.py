@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -53,9 +53,9 @@ from numpy.typing import NDArray
 from .errors import AllReplicationsFailedError, NotConvergedError, SingularInformationError
 # ``estimate`` and ``irls_fit`` stay bound here: perfbench's traced run
 # rebinds them by name.
-from .estimators import _check_request, _check_restriction, _check_width, estimate, shrinkage_estimates  # noqa: F401
-from .linalg import positive_definite, sym_eigen
-from .logit import FitOptions, FittedLogit, LinearRestriction, _integer, _special, irls_fit, irls_stack  # noqa: F401
+from .estimators import _check_request, _check_restriction, _check_width, _score, estimate  # noqa: F401
+from .linalg import SpectralDecomp, _eigh, positive_definite
+from .logit import FitOptions, LinearRestriction, _integer, _special, irls_fit, irls_stack  # noqa: F401
 
 __all__ = [
     "SimulationConfig",
@@ -305,31 +305,21 @@ def _run_block(config: SimulationConfig, beta: NDArray, fixed_x, reps: range):
 
     Returns the squared errors of the scored replications, shape
     (kept, K, D) in replication order, and per replication its skip
-    reason, or None if it was scored. A converged fit whose C fails the
-    kernel's definiteness test is skipped as ``singular_information``.
+    reason, or None if it was scored. One decomposition of the block's C
+    picks the converged rows whose C passes the definiteness test and
+    scores them past the kernel's door (the configuration checked the
+    request); a converged row that fails it is ``singular_information``.
     """
     fit, errors = irls_stack(*_draw_block(config, beta, fixed_x, reps), config.fit_options)
     reasons = [None if e is None else _SKIP_REASONS[type(e)] for e in errors]
-    if not fit.converged.all():
-        fit = _rows(fit, fit.converged)
+    decomp = _eigh(fit.C)
+    scored = fit.converged & positive_definite(decomp.values)
+    for row in np.flatnonzero(fit.converged & ~scored):
+        reasons[row] = _SKIP_REASONS[SingularInformationError]
+    rows = SpectralDecomp(decomp.values[scored], decomp.basis[scored])
     request = (config.estimator_kinds, config.d_grid, config.restriction)
-    try:
-        estimates = shrinkage_estimates(fit, *request)
-    except SingularInformationError:
-        # The kernel raises for the first row whose C fails its definiteness
-        # test; every such row is skipped and the others are scored.
-        definite = positive_definite(sym_eigen(fit.C).values)
-        fitted = np.flatnonzero([reason is None for reason in reasons])
-        for row in fitted[~definite]:
-            reasons[row] = _SKIP_REASONS[SingularInformationError]
-        estimates = shrinkage_estimates(_rows(fit, definite), *request)
-    diff = estimates - beta
+    diff = _score(fit.C[scored], rows, fit.beta_mle[scored], *request) - beta
     return np.sum(diff * diff, axis=-1), reasons
-
-
-def _rows(fit: FittedLogit, keep: NDArray) -> FittedLogit:
-    """The rows ``keep`` (a boolean mask) of a stacked fit."""
-    return FittedLogit(*(getattr(fit, f.name)[keep] for f in fields(fit)))
 
 
 def _map(task, items: list, workers: int) -> list:

@@ -167,6 +167,8 @@ def _names(module_name):
         ("RANK_CUT", {"linalg"}),
         # C's definiteness is tested at the door estimators._information
         ("require_positive_definite", {"linalg", "estimators"}),
+        # only lambda_max_ratio raises NotPSDError; no dominance check does
+        ("_require_psd", {"linalg"}),
     ],
 )
 def test_each_rule_is_named_only_in_its_home(name, homes):

@@ -402,8 +402,8 @@ NO_KINDS = f"need at least one estimator kind from {KINDS}"
 
 
 #: The pinned errors whose arguments a command line can give: it reads
-#: --response as an index or a name, never as a float.
-CLI_PINNED_ERRORS = [case for case in PINNED_ERRORS if isinstance(case.values[1].get("response_column", 0), (int, str))]
+#: --response as an index or a name, never as a float or a bool.
+CLI_PINNED_ERRORS = [case for case in PINNED_ERRORS if type(case.values[1].get("response_column", 0)) in (int, str)]
 
 
 class TestInputErrors:

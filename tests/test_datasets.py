@@ -93,6 +93,8 @@ PINNED_ERRORS = [
     pytest.param("y,x\n1,0.5\n0,1\n", {"response_column": -3}, CsvParseError, "response column index -3 out of range for 2 columns", None, None, id="negative-index-out-of-range"),
     pytest.param("y,x\n1,0.5\n0,1\n", {"response_column": 1.7}, ValueError, "response_column must be an integer or a column name, got 1.7", None, None, id="float-index"),
     pytest.param("y,x\n1,0.5\n0,1\n", {"response_column": float("nan")}, ValueError, "response_column must be an integer or a column name, got nan", None, None, id="nan-index"),
+    pytest.param("y,x\n1,0.5\n0,1\n", {"response_column": True}, ValueError, "response_column must be an integer or a column name, got True", None, None, id="true-index"),
+    pytest.param("y,x\n1,0.5\n0,1\n", {"response_column": False}, ValueError, "response_column must be an integer or a column name, got False", None, None, id="false-index"),
     pytest.param("y,x\n1,0.5\n0,1\n", {"response_column": "outcome"}, CsvParseError, "response column 'outcome' not found in header ['y', 'x']", None, None, id="name-not-in-header"),
     pytest.param("1,0.5\n0,1\n", {"header": False, "response_column": "y"}, CsvParseError, "response column 'y' named but the file has no header", None, None, id="name-without-header"),
     pytest.param("", {}, CsvParseError, "{path}: file contains no data rows", None, None, id="empty-file"),

@@ -31,9 +31,11 @@ from shrinklogit import (
     ld_matrix,
     moore_penrose,
     risk,
+    save_scenario,
     spectral_risk_terms,
     symmetrize,
 )
+from shrinklogit.cli import main
 from shrinklogit.linalg import PSD_SLACK, _kept, _ratio
 from helpers import random_scenario
 from test_risk_properties import SETTINGS, scenarios
@@ -311,6 +313,44 @@ class TestC31AndCheckAll:
         second = check_all(scenario, 0.3)
         for a, b in zip(first, second):
             assert a == b
+
+
+def high_kappa_scenario():
+    """Restricted, m = 4, condition number 2e9: inside what RiskScenario
+    accepts (RANK_CUT = 1e-10), and close enough to it that rounding leaves
+    the RMLE covariance ACA, PSD in exact arithmetic, with a smallest
+    eigenvalue near -1e-6, far below -PSD_SLACK."""
+    rng = np.random.default_rng(329)
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)))
+    basis = q * np.sign(np.diag(r))
+    C = (basis * (np.geomspace(1.0, 1.0 / 2e9, 4) * 0.1)) @ basis.T
+    H = rng.standard_normal((1, 4))
+    beta = rng.standard_normal(4)
+    return RiskScenario(C, beta, LinearRestriction(H, H @ beta))
+
+
+class TestHighConditionNumber:
+    """T3.3 reads LAL and ACA without testing them for definiteness, so a
+    scenario that RiskScenario accepts gets all six verdicts, however
+    rounding leaves their smallest eigenvalues."""
+
+    def test_aca_fails_the_psd_test_by_rounding(self):
+        scenario = high_kappa_scenario()
+        assert 1e9 < np.linalg.cond(scenario.C) < 1e10
+        aca = risk(scenario, EstimatorSpec("rmle")).cov
+        assert is_psd(aca).min_eigenvalue < -10.0 * PSD_SLACK
+
+    def test_check_all_gives_six_verdicts(self):
+        verdicts = check_all(high_kappa_scenario(), 0.5)
+        assert [verdict.theorem for verdict in verdicts] == ["T3.3", "T3.4", "T3.5", "T3.6", "T3.7", "C3.1"]
+
+    def test_the_dominance_command_exits_zero(self, tmp_path, capsys):
+        path = tmp_path / "scenario.txt"
+        save_scenario(path, high_kappa_scenario(), 0.5)
+        assert main(["dominance", "--scenario-file", str(path), "--format", "csv"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["T3.3", "T3.4", "T3.5", "T3.6", "T3.7", "C3.1"]
 
 
 def full_restrictions():

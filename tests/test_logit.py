@@ -76,7 +76,7 @@ class TestFitOptions:
         with pytest.raises(ValueError, match="^tol must be positive$"):
             FitOptions(tol=float("nan"))
 
-    @pytest.mark.parametrize("max_iter", [2.5, float("nan"), 3.0, "3"], ids=repr)
+    @pytest.mark.parametrize("max_iter", [2.5, float("nan"), 3.0, "3", True, False], ids=repr)
     def test_rejects_a_max_iter_that_is_not_an_integer(self, max_iter):
         # max_iter < 1 is false for 2.5 and NaN, and the fit then raised TypeError
         with pytest.raises(ValueError, match="^max_iter must be an integer, got "):

@@ -13,6 +13,7 @@ from shrinklogit import (
     FitOptions,
     LinearRestriction,
     MissingRestrictionError,
+    NotConvergedError,
     SimulationConfig,
     default_restriction,
     gen_beta,
@@ -231,6 +232,7 @@ class TestRunSimulation:
             (0, "workers must be at least 1"),
             (2.5, "workers must be an integer, got 2.5"),
             (float("nan"), "workers must be an integer, got nan"),
+            (True, "workers must be an integer, got True"),
         ],
     )
     @pytest.mark.parametrize(
@@ -349,15 +351,19 @@ class TestSingularScoring:
     SINGULAR_C = np.diag([1.0, 1.0, 1.0, 0.0])
 
     @staticmethod
-    def break_rows(monkeypatch, rows):
+    def break_rows(monkeypatch, rows, unconverged=()):
         """Make ``irls_stack`` return, for the given rows of every block, a
-        converged fit with a singular C; returns the list of crafted fits."""
+        fit with a singular C, converged unless the row is in
+        ``unconverged``; returns the list of crafted fits."""
         real, fits = simulation.irls_stack, []
 
         def crafted(X, y, opts):
             fit, errors = real(X, y, opts)
             for row in rows:
                 fit.C[row] = TestSingularScoring.SINGULAR_C
+            for row in unconverged:
+                fit.converged[row] = False
+                errors[row] = NotConvergedError("crafted")
             fits.append(fit)
             return fit, errors
 
@@ -374,6 +380,22 @@ class TestSingularScoring:
         assert reasons == [None, None, "singular_information", None, None, None]
         assert squared.shape == (5, 4, 3)
         for out, row in enumerate([0, 1, 3, 4, 5]):
+            alone = dataclasses.replace(fit, beta_mle=fit.beta_mle[row], C=fit.C[row])
+            estimates = shrinkage_estimates(alone, config.estimator_kinds, config.d_grid, config.restriction)
+            assert np.array_equal(squared[out], np.sum((estimates - beta) ** 2, axis=-1))
+
+    def test_a_block_with_both_kinds_of_skip(self, monkeypatch):
+        """One row does not converge (its C singular too) and one converged
+        row has a singular C: each keeps its own reason, and the other rows
+        score exactly as they do alone."""
+        config = small_config(reps=6)
+        beta = np.full(4, 0.5)
+        fits = self.break_rows(monkeypatch, [1, 4], unconverged=[1])
+        squared, reasons = simulation._run_block(config, beta, None, range(6))
+        (fit,) = fits
+        assert reasons == [None, "not_converged", None, None, "singular_information", None]
+        assert squared.shape == (4, 4, 3)
+        for out, row in enumerate([0, 2, 3, 5]):
             alone = dataclasses.replace(fit, beta_mle=fit.beta_mle[row], C=fit.C[row])
             estimates = shrinkage_estimates(alone, config.estimator_kinds, config.d_grid, config.restriction)
             assert np.array_equal(squared[out], np.sum((estimates - beta) ** 2, axis=-1))
@@ -415,7 +437,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^n={n} is not above p=4: .* no maximum likelihood estimate exists$"):
             small_config(n=n)
 
-    @pytest.mark.parametrize("name, value", [("n", 100.5), ("p", 4.0), ("reps", 2.5), ("seed", float("nan")), ("seed", "7")])
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n", 100.5), ("p", 4.0), ("reps", 2.5), ("seed", float("nan")), ("seed", "7"), ("reps", True), ("seed", False)],
+    )
     def test_counts_and_seed_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             small_config(**{name: value})
