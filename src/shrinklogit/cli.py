@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -135,9 +135,7 @@ def _restriction_from_args(args) -> LinearRestriction | None:
     """Build (H, h) from --H/--h strings or a scenario-format file; the
     file takes neither flag, and --h needs --H."""
     if getattr(args, "restriction_file", None):
-        given = _given(args, ("--H", "--h"))
-        if given:
-            raise ShrinkLogitError(f"--restriction-file does not take {', '.join(given)}")
+        _refuse("--restriction-file", _given(args, ("--H", "--h")))
         restriction = load_restriction(args.restriction_file)
         if restriction is None:
             raise ShrinkLogitError(f"{args.restriction_file} has no [H]/[h] sections")
@@ -161,6 +159,12 @@ def _response_column(text: str):
 def _given(args, flags) -> list[str]:
     """The flags among ``flags`` given on the command line (each defaults to None)."""
     return [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+
+
+def _refuse(flag: str, given: list[str]):
+    """Refuse ``flag`` next to anything it replaces that was ``given``."""
+    if given:
+        raise ShrinkLogitError(f"{flag} does not take {', '.join(given)}")
 
 
 def _fit_options(args) -> FitOptions:
@@ -260,9 +264,8 @@ _SCENARIO_FILE_REPLACES = ("--no-header", "--response", "--no-intercept", "--max
 
 def cmd_risk(args) -> int:
     if args.scenario_file:
-        given = ([f"the CSV {args.csv}"] if args.csv else []) + _given(args, _SCENARIO_FILE_REPLACES)
-        if given:
-            raise ShrinkLogitError(f"--scenario-file does not take {', '.join(given)}")
+        csv = [f"the CSV {args.csv}"] if args.csv else []
+        _refuse("--scenario-file", csv + _given(args, _SCENARIO_FILE_REPLACES))
     kinds = _parse_kinds("--estimators", args.estimators)
     _reject_unused_restriction(args, "--estimators", kinds)
     scenario, code = _scenario_from_args(args)
@@ -377,9 +380,7 @@ def _config_meta(config: SimulationConfig) -> dict:
         "project_beta": config.project_beta,
         "estimator_kinds": list(config.estimator_kinds),
         "regenerate_design": config.regenerate_design,
-        "max_iter": config.fit_options.max_iter,
-        "tol": config.fit_options.tol,
-        "prob_clip": config.fit_options.prob_clip,
+        **asdict(config.fit_options),
     }
 
 
@@ -393,9 +394,7 @@ def cmd_simulate(args) -> int:
     kinds = tuple(_parse_kinds("--kinds", args.kinds)) if args.kinds is not None else TABLE_SUITE_KINDS
     fit_options = _fit_options(args)
     if args.table_suite:
-        given = _given(args, _TABLE_SUITE_FIXED)
-        if given:
-            raise ShrinkLogitError(f"--table-suite does not take {', '.join(given)}")
+        _refuse("--table-suite", _given(args, _TABLE_SUITE_FIXED))
         results = table_suite(
             base_seed=args.seed,
             reps=args.reps,
@@ -410,9 +409,7 @@ def cmd_simulate(args) -> int:
             "reps": args.reps,
             "d_grid": list(d_grid),
             "estimator_kinds": list(kinds),
-            "max_iter": fit_options.max_iter,
-            "tol": fit_options.tol,
-            "prob_clip": fit_options.prob_clip,
+            **asdict(fit_options),
         }
     else:
         if args.n is None or args.p is None or args.rho is None:

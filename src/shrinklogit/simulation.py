@@ -31,8 +31,8 @@ is then fitted by one batched Newton loop
 (:func:`~shrinklogit.logit.irls_stack`) and scored by one call of the
 shrinkage kernel. Every numerical step treats the rows of a block
 independently, so results are bit-identical whatever the blocks and the
-worker count. With ``workers`` > 1 a call maps its blocks, those of all
-18 cells for :func:`table_suite`, onto one process pool (:func:`_map`).
+worker count. A call maps its blocks, those of all 18 cells for
+:func:`table_suite`, through one :func:`_map`: a pool when ``workers`` > 1.
 
 ``concurrent.futures`` is imported only there, and ``scipy.special``
 (:func:`shrinklogit.logit._special`) when responses are drawn or just
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -258,17 +259,20 @@ class SimulationResult:
 
     Cells cover the full (kind, d) grid; kinds without a biasing
     parameter repeat the same value across d so tables stay rectangular.
-    ``skipped`` counts replications dropped for non-convergence or a
-    singular information matrix; ``skipped_by_reason`` splits that count
-    under the keys ``not_converged`` and ``singular_information``.
+    ``skipped_by_reason`` counts replications dropped for non-convergence
+    or a singular information matrix, under the keys ``not_converged`` and
+    ``singular_information``; ``skipped`` is their sum.
     """
 
     config: SimulationConfig
     beta_true: NDArray
     cells: tuple[SimulationCell, ...]
     completed: int
-    skipped: int
     skipped_by_reason: dict[str, int]
+
+    @property
+    def skipped(self) -> int:
+        return sum(self.skipped_by_reason.values())
 
     def cell(self, kind: str, d: float) -> SimulationCell:
         kind = kind.lower()
@@ -322,23 +326,27 @@ def _run_block(config: SimulationConfig, beta: NDArray, fixed_x, reps: range):
     return np.sum(diff * diff, axis=-1), reasons
 
 
-def _map(task, items: list, workers: int) -> list:
-    """``[task(*item) for item in items]``, or with ``workers`` > 1 the same map on
-    one pool of ``min(workers, len(items))`` processes. There the first failing
-    item, in list order, is raised once the items before it finish; items not yet
-    started are cancelled."""
+@contextmanager
+def _map(task, items: list, workers: int):
+    """A lazy map of ``task`` over ``items``: on one process, or on one pool of
+    ``min(workers, len(items))`` processes open until the block ends. There the
+    first failing item, in list order, is raised once the items before it finish;
+    items not yet started are cancelled."""
     if workers == 1:
-        return list(itertools.starmap(task, items))
+        yield itertools.starmap(task, items)
+        return
     from concurrent.futures import ProcessPoolExecutor
 
     _special()  # imported once here: forked workers inherit it instead of each importing it
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(task, *zip(*items)))
+        yield pool.map(task, *zip(*items))
 
 
 def _simulate(configs: list[SimulationConfig], workers: int) -> list[SimulationResult]:
-    """:func:`run_simulation` of each configuration, with the blocks of all of
-    them mapped in one :func:`_map` call."""
+    """:func:`run_simulation` of each configuration, with the blocks of all of them
+    in one :func:`_map`. Each result is aggregated as its blocks arrive, so on one
+    process a configuration whose replications all fail stops the next ones."""
+    workers = _integer("workers", workers, 1)
     cells, blocks = [], []
     for config in configs:
         rng = np.random.default_rng([config.seed, _BETA_STREAM])
@@ -351,8 +359,8 @@ def _simulate(configs: list[SimulationConfig], workers: int) -> list[SimulationR
         starts = range(0, config.reps, size)
         blocks += [(config, beta, fixed_x, range(a, min(a + size, config.reps))) for a in starts]
         cells.append((config, beta, len(starts)))
-    outcomes = iter(_map(_run_block, blocks, workers))
-    return [_result(config, beta, list(itertools.islice(outcomes, count))) for config, beta, count in cells]
+    with _map(_run_block, blocks, workers) as outcomes:
+        return [_result(config, beta, list(itertools.islice(outcomes, count))) for config, beta, count in cells]
 
 
 def _result(config: SimulationConfig, beta: NDArray, outcomes: list) -> SimulationResult:
@@ -373,7 +381,7 @@ def _result(config: SimulationConfig, beta: NDArray, outcomes: list) -> Simulati
         for j, d in enumerate(config.d_grid)
     )
     by_reason = {reason: reasons.count(reason) for reason in _SKIP_REASONS.values()}
-    return SimulationResult(config, beta, cells, completed, config.reps - completed, by_reason)
+    return SimulationResult(config, beta, cells, completed, by_reason)
 
 
 def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationResult:
@@ -390,7 +398,7 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationResu
     AllReplicationsFailedError
         If every replication was skipped.
     """
-    return _simulate([config], _integer("workers", workers, 1))[0]
+    return _simulate([config], workers)[0]
 
 
 def table_suite(
@@ -408,13 +416,9 @@ def table_suite(
     table order (the three correlation blocks of one table are adjacent).
     Configuration seeds are ``base_seed + index`` with index running in
     emission order; substream keying makes adjacent seeds independent.
-
-    ``workers`` > 1 maps the blocks of all 18 cells onto one pool, and a cell
-    whose replications all fail is raised once every block has run. On one
-    process each cell is one :func:`run_simulation` call, and such a cell
-    stops the suite.
+    The 18 cells run as one :func:`run_simulation` call would run them: a cell
+    whose replications all fail is raised, and on one process stops the suite.
     """
-    workers = _integer("workers", workers, 1)
     suite_config = partial(
         SimulationConfig, d_grid=tuple(d_grid), reps=reps, estimator_kinds=tuple(estimator_kinds),
         fit_options=fit_options if fit_options is not None else FitOptions(),
@@ -423,6 +427,4 @@ def table_suite(
         suite_config(n=n, p=p, rho=rho, seed=base_seed + index, restriction=default_restriction(p))
         for index, (p, n, rho) in enumerate(itertools.product((4, 8), (50, 100, 200), (0.9, 0.99, 0.999)))
     ]
-    if workers == 1:
-        return [run_simulation(config) for config in configs]
     return _simulate(configs, workers)

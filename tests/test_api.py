@@ -191,8 +191,9 @@ def test_no_library_module_builds_an_estimator_spec():
 
 def test_only_simulation_map_imports_the_process_pool():
     """One home for the process pool: ``run_simulation`` and ``table_suite``
-    map their blocks through ``simulation._map``, the only function of the
-    package that imports ``concurrent.futures``."""
+    map their blocks through ``simulation._map``, a context manager whose lazy
+    map runs on one process or on one pool, open until its block ends; it is
+    the only function of the package that imports ``concurrent.futures``."""
     homes = []
     for module_name in SUBMODULES:
         tree = ast.parse(inspect.getsource(importlib.import_module(f"shrinklogit.{module_name}")))

@@ -274,47 +274,77 @@ class TestRunSimulation:
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """Stand in for the process pool: each pool's ``max_workers`` is recorded
-    and its map runs in this process, so no worker process starts."""
-    sizes = []
+    """Stand in for the process pool: the log records each pool's
+    ``max_workers``, then "enter" and "exit" as the pool opens and closes, and
+    its map runs in this process, so no worker process starts."""
+    log = []
 
     class InProcessPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            log.append(max_workers)
 
         def __enter__(self):
+            log.append("enter")
             return self
 
         def __exit__(self, *exc_info):
+            log.append("exit")
             return False
 
         def map(self, task, *iterables):
             return map(task, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    return sizes
+    return log
+
+
+def spy(monkeypatch, name):
+    """Count the calls of ``simulation.<name>``, which still runs."""
+    calls = []
+    real = getattr(simulation, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, name, counted)
+    return calls
 
 
 class TestOnePool:
-    """Every pool is opened by ``simulation._map``: one per call, and never
-    larger than its list of tasks."""
+    """Every pool is opened by ``simulation._map``: one per call, never larger
+    than its list of tasks, and closed once before the call returns."""
 
     def test_a_pool_starts_no_more_processes_than_blocks(self, in_process_pool):
         config = small_config(reps=10)
         result = run_simulation(config, workers=64)
-        assert in_process_pool == [10]
+        assert in_process_pool == [10, "enter", "exit"]
         assert result.cells == run_simulation(config).cells
 
     def test_a_suite_pool_starts_no_more_processes_than_blocks(self, in_process_pool):
         results = table_suite(1707, reps=1, workers=64)  # one block per cell
-        assert in_process_pool == [18]
+        assert in_process_pool == [18, "enter", "exit"]
         assert [r.cells for r in results] == [r.cells for r in table_suite(1707, reps=1)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_suite_raises_its_first_failing_cell(self, in_process_pool, workers):
         with pytest.raises(AllReplicationsFailedError, match=r"^all 2 replications .*\(n=50, p=4, rho=0\.9\)$"):
             table_suite(1707, reps=2, workers=workers, fit_options=FitOptions(max_iter=1))
-        assert in_process_pool == [2] * (workers > 1)
+        assert in_process_pool == [2, "enter", "exit"] * (workers > 1)
+
+    def test_a_one_process_suite_is_one_map(self, monkeypatch):
+        maps = spy(monkeypatch, "_map")
+        assert len(table_suite(1707, reps=2, workers=1)) == 18
+        assert len(maps) == 1
+
+    def test_a_one_process_suite_stops_at_its_first_failing_cell(self, monkeypatch):
+        blocks = spy(monkeypatch, "_run_block")
+        with pytest.raises(AllReplicationsFailedError, match=r"^all 300 replications .*\(n=50, p=4, rho=0\.9\)$"):
+            table_suite(1707, reps=300, fit_options=FitOptions(max_iter=1))
+        # The first cell's blocks of 128, 128 and 44 replications, and no other.
+        assert [(config.seed, reps) for config, _, _, reps in blocks] == [
+            (1707, range(0, 128)), (1707, range(128, 256)), (1707, range(256, 300))
+        ]
 
     def test_a_suite_maps_the_blocks_of_all_its_cells_on_one_pool(self, monkeypatch):
         pools, blocks = [], []
