@@ -18,26 +18,44 @@ Randomness is organized in keyed substreams of a single 64-bit seed:
 
 * ``[seed, 0]``      the coefficient draw,
 * ``[seed, 1]``      the design draw when the design is held fixed,
-* ``[seed, 2 + r]``  replication r (design, then response, in that order).
+* ``[seed, 2 + r]``  replication r (design, then response, in that order),
+
+each the stream of ``np.random.default_rng([seed, key])``.
 
 Replications run in blocks of at most :data:`BLOCK_SIZE`. A block opens
-the substream of each of its replications, draws every replication's
-standard normal design block into one (R, n, p) stack, applies the
-design formula and the logistic probabilities to the whole stack at
-once, and then draws every replication's responses from its own
-substream, so each replication gets, bit for bit, what
-:func:`gen_design` and :func:`gen_response` draw for it alone. The block
-is then fitted by one batched Newton loop
+the substreams of its replications from one vectorised pass of NumPy's
+``SeedSequence`` hash over the keys (the seed's words are shared by the
+block), draws every replication's standard normal design block into one
+(R, n, p) stack, and applies the design formula and the logistic
+probabilities to the whole stack at once. It then draws each
+replication's responses as n doubles U from its own substream, and one
+comparison over the block gives y: for one trial NumPy's binomial
+sampler returns U > exp(log(1 - p')) with p' = min(p, 1 - p), flipped
+when p > 0.5. Two cases take another number of doubles, and are found
+before any draw: p = 0 exactly, which takes none, and a threshold at
+which the sampler could reject a double and draw again. A replication
+with either keeps ``binomial``. So each replication gets, bit for bit,
+what :func:`gen_design` and :func:`gen_response` draw for it alone.
+
+This leans on two NumPy contracts. NEP 19 keeps the output of
+``SeedSequence`` and the ``PCG64`` stream stable, and ``PCG64`` takes any
+``numpy.random.bit_generator.ISeedSequence`` as its seed. The one-trial
+binomial sampler (``random_binomial_inversion`` in ``distributions.c``)
+has no such promise; the test suite compares the block's responses and
+generator states with ``Generator.binomial`` on the installed NumPy.
+
+The block is then fitted by one batched Newton loop
 (:func:`~shrinklogit.logit.irls_stack`) and scored by one call of the
 shrinkage kernel. Every numerical step treats the rows of a block
 independently, so results are bit-identical whatever the blocks and the
 worker count. A call maps its blocks, those of all 18 cells for
 :func:`table_suite`, through one :func:`_map`: a pool when ``workers`` > 1.
 
-``concurrent.futures`` is imported only there, and ``scipy.special``
+``concurrent.futures`` is imported only there, ``scipy.special``
 (:func:`shrinklogit.logit._special`) when responses are drawn or just
-before the pool opens, so that its workers inherit it; either would add
-to the start-up time of every command.
+before the pool opens, so that its workers inherit it, and
+``numpy.random`` at the first draw; each would add to the start-up time
+of every command.
 """
 
 from __future__ import annotations
@@ -46,7 +64,7 @@ import itertools
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from numpy.typing import NDArray
@@ -180,15 +198,150 @@ def gen_beta(
 
 def gen_response(X: NDArray, beta: NDArray, rng: np.random.Generator) -> NDArray:
     """Bernoulli responses with logistic probabilities at X beta."""
-    return _responses(np.asarray(X)[None], beta, [rng])[0]
-
-
-def _responses(X: NDArray, beta: NDArray, rngs) -> NDArray:
-    """:func:`gen_response` for a stack of designs X (R, n, p), row i drawn
-    from ``rngs[i]``; the probabilities come from one stacked product."""
     expit, _ = _special()
-    pi = expit(X @ beta)
-    return np.array([rng.binomial(1, row) for rng, row in zip(rngs, pi)], dtype=float)
+    return _responses(expit(np.asarray(X) @ beta)[None], [rng])[0]
+
+
+def _responses(pi: NDArray, rngs) -> NDArray:
+    """Bernoulli draws at the probabilities pi (R, n), row i from ``rngs[i]``:
+    bit for bit what ``rngs[i].binomial(1, pi[i])`` draws.
+
+    A row that :func:`_inversion` finds exact draws its n doubles with one
+    ``random`` call, and one comparison over the block turns them into
+    responses; any other row keeps ``binomial``, which also raises its
+    ValueError for a NaN.
+    """
+    threshold, flip, exact = _inversion(pi)
+    u = np.zeros(pi.shape)
+    for rng, row, ok in zip(rngs, u, exact):
+        if ok:
+            rng.random(out=row)
+    y = ((u > threshold) != flip).astype(float)
+    for i in np.flatnonzero(~exact):
+        y[i] = rngs[i].binomial(1, pi[i])
+    return y
+
+
+def _inversion(pi: NDArray):
+    """NumPy's one-trial binomial sampler at the probabilities pi (R, n).
+
+    For one trial ``Generator.binomial`` (``random_binomial_inversion`` in
+    NumPy's ``distributions.c``) flips when p > 0.5 and works at p' = 1 - p
+    there, p' = p otherwise. With q = 1 - p' and the threshold exp(log(q))
+    it draws one double U and returns U > threshold, flipped. Returns the
+    thresholds and flips (R, n) and, per row (R,), whether every entry is
+    that one draw. Two cases are not, and both are decided before drawing:
+    p = 0 returns 0 without a draw, and the sampler rejects U and draws
+    again when U - threshold > p' threshold / q, which the largest double,
+    1 - 2**-53, must not reach; a NaN fails this test. q lies in [0.5, 1],
+    so no step warns.
+    """
+    flip = pi > 0.5
+    low = np.where(flip, 1.0 - pi, pi)
+    q = 1.0 - low
+    threshold = np.exp(np.log(q))
+    reach = np.multiply(low, threshold, out=low)  # p' threshold / q, formed in place of p'
+    reach /= q
+    once = (1.0 - 2.0**-53) - threshold <= reach
+    return threshold, flip, (once & (pi != 0.0)).all(axis=-1)
+
+
+#: NumPy's SeedSequence hash (``numpy/random/bit_generator.pyx``): the pool
+#: size, the running constants of the entropy hash (A) and of the state
+#: hash (B), and the two multipliers of ``mix``.
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_WORD = 2**32
+
+
+@cache
+def _hash_constants(init: int, mult: int, count: int) -> NDArray:
+    """init * mult**j mod 2**32 for j < count, as a (count, 1) uint32 array,
+    worked out in Python integers so that no NumPy scalar product overflows
+    and warns. The array is shared by every call, so it is read-only."""
+    constants = np.array([[init * pow(mult, j, _WORD) % _WORD] for j in range(count)], dtype=np.uint32)
+    constants.flags.writeable = False
+    return constants
+
+
+def _seed_states(seed: int, keys: NDArray) -> NDArray:
+    """``SeedSequence([seed, k]).generate_state(4, np.uint64)`` for each key
+    k < 2**32, as the C-contiguous rows of an (R, 4) array.
+
+    SeedSequence's hash in uint32 array arithmetic, with the keys along the
+    last axis. The entropy of a key is the seed's 32-bit words, low first,
+    then the key; the seed's words are the same for every key. Entropy
+    shorter than the pool is padded with zeros, which hashes as
+    SeedSequence's own fill, and longer entropy is mixed in word by word.
+    Each step of the hash updates pool words that do not read each other,
+    so a step is one array operation over them.
+    """
+    words = [seed >> shift & (_WORD - 1) for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((max(len(words) + 1, _POOL), len(keys)), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = keys
+    a = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy) + 1)  # one per hashmix call, in call order
+    pool = _hashmix(entropy[:_POOL], a[:_POOL], a[1 : _POOL + 1])
+    j = _POOL
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[j : j + _POOL - 1], a[j + 1 : j + _POOL]))
+        j += _POOL - 1
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hashmix(word, a[j : j + _POOL], a[j + 1 : j + _POOL + 1]))
+        j += _POOL
+    b = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL + 1)
+    state = _hashmix(np.concatenate([pool, pool]), b[:-1], b[1:]).astype(np.uint64)  # the pool, cycled
+    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+
+
+def _hashmix(value: NDArray, constant: NDArray, product: NDArray) -> NDArray:
+    """SeedSequence's ``hashmix`` of uint32 words at the running constant,
+    which each call then multiplies into ``product``."""
+    value = (value ^ constant) * product
+    return value ^ value >> 16
+
+
+def _mix(x: NDArray, y: NDArray) -> NDArray:
+    """SeedSequence's ``mix`` of uint32 words."""
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ value >> 16
+
+
+@cache
+def _pcg64():
+    """A function from one row of :func:`_seed_states` to the Generator that
+    ``default_rng`` seeds with it.
+
+    ``PCG64`` takes any ``ISeedSequence`` and asks it once for
+    ``generate_state(4, np.uint64)``; the one here answers with the row.
+    Defined on the first call: importing ``numpy.random`` with the package
+    would add to the start-up time of every command.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Seeded(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return lambda state: Generator(PCG64(Seeded(state)))
+
+
+def _generators(seed: int, keys) -> list[np.random.Generator]:
+    """``np.random.default_rng([seed, k])`` for each key, from one vectorised
+    seed hash. A key of 2**32 or more, two words of entropy, is a ValueError."""
+    if max(keys) >= _WORD:
+        raise ValueError(
+            f"replication key {max(keys)} is not below 2**32: "
+            f"a configuration runs at most {_WORD - _REPLICATION_STREAM_BASE} replications"
+        )
+    generator = _pcg64()
+    return [generator(state) for state in _seed_states(seed, np.asarray(keys))]
 
 
 @dataclass(frozen=True)
@@ -290,10 +443,13 @@ def _draw_block(config: SimulationConfig, beta: NDArray, fixed_x, reps: range):
 
     Each replication draws its design, then its response, from its own
     substream, exactly as :func:`gen_design` and :func:`gen_response` would
-    draw them one replication at a time; the correlation formula and the
-    probabilities are formed once for the whole block.
+    draw them one replication at a time. The block's generators come from
+    one seed hash (:func:`_generators`); the correlation formula, the
+    probabilities and the responses' comparison are formed once for the
+    whole block (:func:`_responses`).
     """
-    rngs = [np.random.default_rng([config.seed, _REPLICATION_STREAM_BASE + r]) for r in reps]
+    base = _REPLICATION_STREAM_BASE
+    rngs = _generators(config.seed, range(base + reps.start, base + reps.stop))
     if config.regenerate_design:
         X = np.empty((len(rngs), config.n, config.p))
         for rng, z in zip(rngs, X):
@@ -301,7 +457,8 @@ def _draw_block(config: SimulationConfig, beta: NDArray, fixed_x, reps: range):
         _correlate(X, np.sqrt(config.rho))
     else:
         X = np.broadcast_to(fixed_x, (len(rngs),) + fixed_x.shape)
-    return X, _responses(X, beta, rngs)
+    expit, _ = _special()
+    return X, _responses(expit(X @ beta), rngs)
 
 
 def _run_block(config: SimulationConfig, beta: NDArray, fixed_x, reps: range):

@@ -1,13 +1,14 @@
 """Which modules the package loads, and when.
 
 ``scipy.special`` (for the fit's link functions), ``concurrent.futures``
-(for a parallel simulation) and ``importlib.resources`` (for the bundled
-dataset's path) are imported where they are used, so that a command that
-does not need them starts without them, and a process pool's workers
-inherit what they need from the parent. Each check runs in a fresh
-``python -S`` interpreter: the ``site`` module can preload some of these
-modules through ``.pth`` files, which would hide a top-level import.
-``PYTHONPATH`` names the package source and NumPy's site-packages.
+(for a parallel simulation), ``numpy.random`` (for a simulation's draws)
+and ``importlib.resources`` (for the bundled dataset's path) are imported
+where they are used, so that a command that does not need them starts
+without them, and a process pool's workers inherit what they need from
+the parent. Each check runs in a fresh ``python -S`` interpreter: the
+``site`` module can preload some of these modules through ``.pth`` files,
+which would hide a top-level import. ``PYTHONPATH`` names the package
+source and NumPy's site-packages.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from shrinklogit import LinearRestriction, RiskScenario, bundled_dataset_path, s
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(shrinklogit.__file__)))
 SITE_PACKAGES = os.path.dirname(os.path.dirname(os.path.abspath(np.__file__)))
-DEFERRED = ("scipy.special", "concurrent.futures", "importlib.resources")
+DEFERRED = ("scipy.special", "concurrent.futures", "numpy.random", "importlib.resources")
 
 #: Prints, as one JSON line, which DEFERRED modules are loaded after
 #: ``import shrinklogit.cli`` and after each command line given in argv.

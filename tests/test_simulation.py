@@ -2,10 +2,13 @@
 
 import concurrent.futures
 import dataclasses
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from shrinklogit import (
@@ -131,34 +134,123 @@ class TestGenResponse:
         assert np.array_equal(a, b)
 
 
+#: The one-trial edge cases of NumPy's binomial sampler: an exact 0 (no draw),
+#: subnormal and tiny probabilities, the flip at 0.5, and 1 (a flipped p' = 0).
+EDGE_P = (0.0, 5e-324, 1e-300, 1e-16, 0.5 - 1e-10, 0.5, 0.5 + 1e-10, 1 - 1e-16, 1.0)
+
+
+def assert_draws_as_binomial(pi, seed):
+    """simulation._responses draws each row of pi as Generator.binomial(1, row)
+    would from the same generator: the same y and the same final state."""
+    keys = range(len(pi))
+    rngs = [np.random.default_rng([seed, k]) for k in keys]
+    y = simulation._responses(pi, rngs)
+    for k, row, drawn, rng in zip(keys, pi, y, rngs):
+        reference = np.random.default_rng([seed, k])
+        assert np.array_equal(drawn, reference.binomial(1, row).astype(float))
+        assert rng.bit_generator.state == reference.bit_generator.state
+    assert_thresholds_are_libms(pi)
+
+
+def assert_thresholds_are_libms(pi):
+    """Each threshold is the C library's exp(log(q)), as in NumPy's sampler. A
+    threshold one ulp off changes y with probability 2**-53 per draw, which no
+    comparison of draws finds."""
+    threshold, flip, _ = simulation._inversion(pi)
+    for p, t, f in zip(pi.ravel(), threshold.ravel(), flip.ravel()):
+        low = 1.0 - p if p > 0.5 else p
+        assert t == math.exp(math.log(1.0 - low)) and f == (p > 0.5)
+
+
+class TestResponseDraw:
+    """The inversion draw is NumPy's one-trial binomial sampler, checked on the
+    installed NumPy: a NumPy that changes its sampler fails here."""
+
+    @pytest.mark.parametrize("seed", [0, 1707, 2**40 + 1])
+    def test_each_edge_probability_draws_as_binomial(self, seed):
+        assert_draws_as_binomial(np.repeat(np.array(EDGE_P)[:, None], 60, axis=1), seed)
+
+    def test_rows_with_an_exact_zero_or_one_among_ordinary_ones(self):
+        pi = np.random.default_rng(8).random((4, 50))
+        pi[0, 7] = 0.0
+        pi[1, 3] = 1.0
+        pi[2, [5, 9]] = 0.0, 1.0
+        _, _, exact = simulation._inversion(pi)
+        assert exact.tolist() == [False, True, False, True]
+        for seed in range(20):
+            assert_draws_as_binomial(pi, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0) | st.sampled_from(EDGE_P), min_size=1, max_size=30),
+        st.integers(0, 2**64),
+    )
+    def test_drawn_probabilities_draw_as_binomial(self, probabilities, seed):
+        pi = np.array(probabilities)
+        assert_draws_as_binomial(np.stack([pi, pi[::-1]]), seed)
+
+    def test_thresholds_are_libms(self):
+        rng = np.random.default_rng(12)
+        assert_thresholds_are_libms(
+            np.concatenate([rng.random(20_000), np.exp(-700 * rng.random(5_000)), 1 - 1e-3 * rng.random(5_000)])
+        )
+
+    def test_a_nan_probability_raises_binomials_error(self):
+        x = np.ones((3, 2))
+        x[1, 0] = np.nan
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"^p < 0, p > 1 or p contains NaNs$"):
+            gen_response(x, np.array([0.5, -0.5]), rng)
+        assert rng.bit_generator.state == before
+
+
+class TestSeeding:
+    """A block's generators are default_rng([seed, key]), key by key."""
+
+    @pytest.mark.parametrize("seed", [0, 1707, 2**32 - 1, 2**32 + 7, 2**64 + 3, 3**90])
+    def test_each_generator_is_default_rngs(self, seed):
+        keys = [*range(2, 301), 2**31, 2**32 - 1]
+        for key, rng in zip(keys, simulation._generators(seed, keys), strict=True):
+            assert rng.bit_generator.state == np.random.default_rng([seed, key]).bit_generator.state
+
+    def test_a_key_of_two_words_is_refused(self):
+        with pytest.raises(ValueError, match=r"^replication key 4294967296 is not below 2\*\*32: "):
+            simulation._generators(1707, [2**32 - 1, 2**32])
+
+
 class TestBlockDraw:
-    """A block's designs and responses are, bit for bit, what gen_design and
-    gen_response draw one replication at a time from its substream."""
+    """A block's designs and responses are, bit for bit, what the textbook
+    draws one replication at a time from its substream: default_rng([seed, 2 + r]),
+    then the design's normals, then Generator.binomial at the probabilities."""
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, reps",
         [
-            dict(),
-            dict(regenerate_design=False),
-            dict(p=2, restriction=LinearRestriction([[1.0, -1.0]], [0.0])),
-            dict(n=5),
-            dict(seed=2**32 + 7),
-            dict(seed=2**64 + 3, regenerate_design=False, n=5),
+            (dict(), range(2, 9)),
+            (dict(regenerate_design=False), range(2, 9)),
+            (dict(p=2, restriction=LinearRestriction([[1.0, -1.0]], [0.0])), range(2, 9)),
+            (dict(n=5), range(2, 9)),
+            (dict(seed=2**32 + 7), range(2, 9)),
+            (dict(seed=2**64 + 3, regenerate_design=False, n=5), range(2, 9)),
+            (dict(n=200, p=8, restriction=default_restriction(8), reps=simulation.BLOCK_SIZE), range(simulation.BLOCK_SIZE)),
         ],
-        ids=["fresh", "fixed-design", "p2", "n-just-above-p", "seed-above-2**32", "fixed-n-just-above-p-big-seed"],
+        ids=[
+            "fresh", "fixed-design", "p2", "n-just-above-p", "seed-above-2**32",
+            "fixed-n-just-above-p-big-seed", "full-block-n200-p8",
+        ],
     )
-    def test_equals_per_replication_draws(self, overrides):
-        config = small_config(reps=9, **overrides)
+    def test_equals_per_replication_draws(self, overrides, reps):
+        config = small_config(**{"reps": 9, **overrides})
         beta = gen_beta(config.p, config.restriction, True, np.random.default_rng(3))
         fixed_x = gen_design(config.n, config.p, np.sqrt(config.rho), np.random.default_rng(4))
-        reps = range(2, 9)
         X, y = simulation._draw_block(config, beta, fixed_x, reps)
         assert X.shape == (len(reps), config.n, config.p) and y.shape == (len(reps), config.n)
         for i, r in enumerate(reps):
             rng = np.random.default_rng([config.seed, 2 + r])
             x = gen_design(config.n, config.p, np.sqrt(config.rho), rng) if config.regenerate_design else fixed_x
             assert np.array_equal(X[i], x)
-            assert np.array_equal(y[i], gen_response(x, beta, rng))
+            assert np.array_equal(y[i], rng.binomial(1, expit(x @ beta)))
 
     def test_generators_follow_the_module_formula(self):
         # the textbook formula, written out, so the shared block code cannot
