@@ -53,6 +53,52 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+#: Flag groups, each a tuple of (flag, add_argument keywords). The dataset
+#: group leaves out the CSV, whose nargs differs by command. Every flag a
+#: refusal list can name defaults to None, a store_true one too, so that
+#: _given can tell it was given; _load_and_fit and FitOptions supply the
+#: working defaults.
+_DATASET = (
+    ("--no-header", {"action": "store_true", "default": None, "help": "file has no header row"}),
+    ("--response", {"help": "response column index or (with a header) name; default first column"}),
+    ("--no-intercept", {"action": "store_true", "default": None,
+                        "help": "do not prepend a constant-1 column to the predictors"}),
+)
+_FIT = (
+    ("--max-iter", {"type": int, "help": "IRLS iteration cap"}),
+    ("--tol", {"type": float, "help": "IRLS stops when no coefficient moves more than this"}),
+    ("--prob-clip", {"type": float, "help": "fitted probabilities are clamped into [clip, 1 - clip]"}),
+)
+_RESTRICTION = (
+    ("--H", {"help": "restriction rows, ';' separated, e.g. '1,0,-2,1;1,-1,1,-1'"
+             " (columns must match the fitted coefficient count, intercept included;"
+             " an empty row or item is an error)"}),
+    ("--h", {"help": "restriction targets, comma separated (an empty item is an error); default zeros"}),
+    ("--restriction-file", {"help": "scenario-format file whose [H]/[h] sections supply the restriction"}),
+)
+_SHAPE = (
+    ("--n", {"type": int, "help": "sample size"}),
+    ("--p", {"type": int, "help": "number of predictors"}),
+    ("--rho", {"type": float, "help": "degree of correlation between distinct predictors, in [0, 1)"}),
+)
+_TRUTH = (
+    ("--no-project-beta", {"action": "store_true", "default": None,
+                           "help": "draw the truth without projecting it into the restriction set"}),
+    ("--fixed-design", {"action": "store_true", "default": None, "help": "hold one design fixed across replications"}),
+)
+_OUTPUT = (
+    ("--format", {"choices": ("text", "csv"), "default": "text"}),
+    ("--output", {"help": "write the table to this file instead of stdout"}),
+)
+
+#: What --scenario-file replaces: the file gives C, beta and (H, h) in
+#: place of reading, fitting and restricting a CSV.
+_SCENARIO_FILE_REPLACES = _DATASET + _FIT + _RESTRICTION
+#: What --table-suite fixes: its own grid, stock restrictions, projected
+#: truth and fresh designs.
+_TABLE_SUITE_FIXED = _SHAPE + _RESTRICTION + _TRUTH
+
+
 @dataclass
 class OutputTable:
     """Rectangular table with csv and aligned-text renderings.
@@ -123,19 +169,19 @@ def _parse_kinds(flag: str, text: str) -> list[str]:
 def _reject_unused_restriction(args, flag: str, kinds):
     """Refuse --H or --restriction-file when no kind of ``flag`` is restricted
     (--h alone is the error of :func:`_restriction_from_args`)."""
-    given = _given(args, ("--H", "--restriction-file"))
+    given = [name for name in _given(args, _RESTRICTION) if name != "--h"]
     if given and RESTRICTED_KINDS.isdisjoint(kinds):
         raise ShrinkLogitError(
             f"{', '.join(given)}: a restriction is only for the restricted estimators, "
-            f"and {flag} {getattr(args, flag[2:])!r} has none"
+            f"and {flag} {getattr(args, _dest(flag))!r} has none"
         )
 
 
 def _restriction_from_args(args) -> LinearRestriction | None:
     """Build (H, h) from --H/--h strings or a scenario-format file; the
     file takes neither flag, and --h needs --H."""
-    if getattr(args, "restriction_file", None):
-        _refuse("--restriction-file", _given(args, ("--H", "--h")))
+    if args.restriction_file:
+        _refuse("--restriction-file", _given(args, _RESTRICTION))
         restriction = load_restriction(args.restriction_file)
         if restriction is None:
             raise ShrinkLogitError(f"{args.restriction_file} has no [H]/[h] sections")
@@ -156,21 +202,26 @@ def _response_column(text: str):
         return text
 
 
-def _given(args, flags) -> list[str]:
-    """The flags among ``flags`` given on the command line (each defaults to None)."""
-    return [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+def _dest(flag: str) -> str:
+    """The attribute argparse stores ``flag`` in."""
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _given(args, group) -> list[str]:
+    """The flags of ``group`` given on the command line, in group order."""
+    return [flag for flag, _ in group if getattr(args, _dest(flag)) is not None]
 
 
 def _refuse(flag: str, given: list[str]):
-    """Refuse ``flag`` next to anything it replaces that was ``given``."""
-    if given:
-        raise ShrinkLogitError(f"{flag} does not take {', '.join(given)}")
+    """Refuse ``flag`` next to anything else it replaces that was ``given``."""
+    others = [other for other in given if other != flag]
+    if others:
+        raise ShrinkLogitError(f"{flag} does not take {', '.join(others)}")
 
 
 def _fit_options(args) -> FitOptions:
     """FitOptions from the fit flags given; the rest keep their defaults."""
-    values = {name: getattr(args, name) for name in ("max_iter", "tol", "prob_clip")}
-    return FitOptions(**{name: value for name, value in values.items() if value is not None})
+    return FitOptions(**{_dest(flag): getattr(args, _dest(flag)) for flag in _given(args, _FIT)})
 
 
 def _load_and_fit(args):
@@ -254,12 +305,6 @@ def _scenario_from_args(args):
     restriction = _restriction_from_args(args)
     _, fit, code = _load_and_fit(args)
     return RiskScenario(C=fit.C, beta_true=fit.beta_mle, restriction=restriction), code
-
-
-#: risk flags that --scenario-file would ignore: the file gives C, beta
-#: and (H, h) in place of reading, fitting and restricting a CSV.
-_SCENARIO_FILE_REPLACES = ("--no-header", "--response", "--no-intercept", "--max-iter", "--tol",
-                           "--prob-clip", "--H", "--h", "--restriction-file")
 
 
 def cmd_risk(args) -> int:
@@ -384,11 +429,6 @@ def _config_meta(config: SimulationConfig) -> dict:
     }
 
 
-#: simulate flags that --table-suite would ignore: it fixes its own grid,
-#: stock restrictions, projected truth and fresh designs.
-_TABLE_SUITE_FIXED = ("--n", "--p", "--rho", "--H", "--h", "--restriction-file", "--no-project-beta", "--fixed-design")
-
-
 def cmd_simulate(args) -> int:
     d_grid = tuple(_vector_flag("--d-grid", args.d_grid)) if args.d_grid is not None else TABLE_SUITE_D_GRID
     kinds = tuple(_parse_kinds("--kinds", args.kinds)) if args.kinds is not None else TABLE_SUITE_KINDS
@@ -449,49 +489,51 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-# Dataset and fit flags default to None, store_true ones too, so that a
-# command can tell them given (see _given); _load_and_fit and
-# _fit_options supply the defaults.
-def _add_dataset_args(parser, positional_required=True):
-    nargs = None if positional_required else "?"
-    parser.add_argument("csv", nargs=nargs, help="dataset CSV (response plus predictors)")
-    parser.add_argument("--no-header", action="store_true", default=None, help="file has no header row")
-    parser.add_argument(
-        "--response",
-        help="response column index or (with a header) name; default first column",
-    )
-    parser.add_argument(
-        "--no-intercept",
-        action="store_true",
-        default=None,
-        help="do not prepend a constant-1 column to the predictors",
-    )
-    _add_fit_args(parser)
+def _csv(nargs=None):
+    return ("csv", {"nargs": nargs, "help": "dataset CSV (response plus predictors)"})
 
 
-def _add_fit_args(parser):
-    parser.add_argument("--max-iter", type=int, help="IRLS iteration cap")
-    parser.add_argument("--tol", type=float, help="IRLS stops when no coefficient moves more than this")
-    parser.add_argument("--prob-clip", type=float, help="fitted probabilities are clamped into [clip, 1 - clip]")
-
-
-def _add_restriction_args(parser):
-    parser.add_argument(
-        "--H",
-        help="restriction rows, ';' separated, e.g. '1,0,-2,1;1,-1,1,-1'"
-        " (columns must match the fitted coefficient count, intercept included;"
-        " an empty row or item is an error)",
-    )
-    parser.add_argument("--h", help="restriction targets, comma separated (an empty item is an error); default zeros")
-    parser.add_argument(
-        "--restriction-file",
-        help="scenario-format file whose [H]/[h] sections supply the restriction",
-    )
-
-
-def _add_output_args(parser):
-    parser.add_argument("--format", choices=("text", "csv"), default="text")
-    parser.add_argument("--output", help="write the table to this file instead of stdout")
+#: Each command: the function that runs it, its add_parser keywords and
+#: its flags in --help order, the shared ones by group.
+_COMMANDS = {
+    "fit": (cmd_fit, {"help": "fit the logistic MLE and report diagnostics"}, (_csv(), *_DATASET, *_FIT, *_OUTPUT)),
+    "estimate": (cmd_estimate, {"help": "evaluate estimators on a fitted dataset"}, (
+        _csv(), *_DATASET, *_FIT, *_RESTRICTION,
+        ("--estimator", {"required": True, "help": f"comma separated estimator kinds from {', '.join(KINDS)}"}),
+        ("--d", {"help": "comma separated biasing parameters in [0, 1]; an empty item is an error"}),
+        *_OUTPUT,
+    )),
+    "risk": (cmd_risk, {
+        "help": "exact risk sweep over d, from a scenario file or a fitted dataset",
+        "description": "With a CSV the sweep runs in plug-in mode: the fitted "
+        "information matrix and coefficients stand in for the truth.",
+    }, (
+        _csv("?"), *_DATASET, *_FIT, *_RESTRICTION,
+        ("--scenario-file", {"help": "read C, beta (and H, h) from this file"}),
+        ("--d-grid", {"required": True, "help": "comma separated d values; an empty item is an error"}),
+        ("--estimators", {"default": "mle,rmle,aule,raule", "help": "comma separated estimator kinds to sweep"}),
+        ("--plot-data", {"help": "also write (d, mse) series pairs to this file"}),
+        *_OUTPUT,
+    )),
+    "dominance": (cmd_dominance, {"help": "run all dominance checks on a scenario"}, (
+        ("--scenario-file", {"required": True}),
+        ("--d", {"type": float, "help": "biasing parameter; overrides the file's d"}),
+        *_OUTPUT,
+    )),
+    "simulate": (cmd_simulate, {"help": "Monte Carlo MSE comparison"}, (
+        ("--seed", {"type": int, "required": True, "help": "simulation seed (required)"}),
+        ("--reps", {"type": int, "default": 2000}),
+        *_SHAPE,
+        ("--d-grid", {"help": "comma separated d values (an empty item is an error); default the stock grid"}),
+        ("--kinds", {"help": "comma separated estimator kinds; default mle,aule,rmle,raule"}),
+        ("--workers", {"type": int, "default": 1, "help": "process pool size"}),
+        *_TRUTH,
+        ("--table-suite", {"action": "store_true", "help": "run the full n x p x rho grid with stock restrictions"}),
+        *_FIT, *_RESTRICTION,
+        ("--meta-out", {"help": "write the replay metadata JSON here"}),
+        *_OUTPUT,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,75 +541,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="shrinklogit",
         description="Shrinkage estimators for multicollinear logistic regression",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = sub.add_parser("fit", help="fit the logistic MLE and report diagnostics")
-    _add_dataset_args(p_fit)
-    _add_output_args(p_fit)
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_est = sub.add_parser("estimate", help="evaluate estimators on a fitted dataset")
-    _add_dataset_args(p_est)
-    _add_restriction_args(p_est)
-    p_est.add_argument(
-        "--estimator",
-        required=True,
-        help=f"comma separated estimator kinds from {', '.join(KINDS)}",
-    )
-    p_est.add_argument("--d", help="comma separated biasing parameters in [0, 1]; an empty item is an error")
-    _add_output_args(p_est)
-    p_est.set_defaults(func=cmd_estimate)
-
-    p_risk = sub.add_parser(
-        "risk",
-        help="exact risk sweep over d, from a scenario file or a fitted dataset",
-        description="With a CSV the sweep runs in plug-in mode: the fitted "
-        "information matrix and coefficients stand in for the truth.",
-    )
-    _add_dataset_args(p_risk, positional_required=False)
-    _add_restriction_args(p_risk)
-    p_risk.add_argument("--scenario-file", help="read C, beta (and H, h) from this file")
-    p_risk.add_argument("--d-grid", required=True, help="comma separated d values; an empty item is an error")
-    p_risk.add_argument(
-        "--estimators",
-        default="mle,rmle,aule,raule",
-        help="comma separated estimator kinds to sweep",
-    )
-    p_risk.add_argument("--plot-data", help="also write (d, mse) series pairs to this file")
-    _add_output_args(p_risk)
-    p_risk.set_defaults(func=cmd_risk)
-
-    p_dom = sub.add_parser("dominance", help="run all dominance checks on a scenario")
-    p_dom.add_argument("--scenario-file", required=True)
-    p_dom.add_argument("--d", type=float, help="biasing parameter; overrides the file's d")
-    _add_output_args(p_dom)
-    p_dom.set_defaults(func=cmd_dominance)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo MSE comparison")
-    p_sim.add_argument("--seed", type=int, required=True, help="simulation seed (required)")
-    p_sim.add_argument("--reps", type=int, default=2000)
-    p_sim.add_argument("--n", type=int, help="sample size")
-    p_sim.add_argument("--p", type=int, help="number of predictors")
-    p_sim.add_argument(
-        "--rho", type=float,
-        help="degree of correlation between distinct predictors, in [0, 1)",
-    )
-    p_sim.add_argument("--d-grid", help="comma separated d values (an empty item is an error); default the stock grid")
-    p_sim.add_argument("--kinds", help="comma separated estimator kinds; default mle,aule,rmle,raule")
-    p_sim.add_argument("--workers", type=int, default=1, help="process pool size")
-    # store_true flags default to None so --table-suite can tell them given.
-    p_sim.add_argument("--no-project-beta", action="store_true", default=None,
-                       help="draw the truth without projecting it into the restriction set")
-    p_sim.add_argument("--fixed-design", action="store_true", default=None,
-                       help="hold one design fixed across replications")
-    p_sim.add_argument("--table-suite", action="store_true",
-                       help="run the full n x p x rho grid with stock restrictions")
-    _add_fit_args(p_sim)
-    _add_restriction_args(p_sim)
-    p_sim.add_argument("--meta-out", help="write the replay metadata JSON here")
-    _add_output_args(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
+    # prog as argparse would work out from the top usage line, which has no
+    # positional argument, without formatting that line on every call
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    for name, (_, keywords, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, **keywords)
+        for flag, flag_keywords in flags:
+            command.add_argument(flag, **flag_keywords)
     return parser
 
 
@@ -575,7 +555,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except MissingRestrictionError as err:
         if getattr(args, "scenario_file", None):
             hint = "add [H] and [h] sections to the scenario file"

@@ -358,9 +358,11 @@ class SimulationConfig:
     conditional studies.
 
     Rejected here, before any draw: a non-integer n, p, reps or seed, a
-    negative seed, a ``rho`` that is not a real number (it is kept as a
-    ``float``), no restriction, n at most p (no maximum likelihood
-    estimate exists), and with ``project_beta`` a restriction of p rows.
+    negative seed, more reps than the 2**32 - 2 replication stream keys
+    (replication r draws from the key 2 + r, one 32-bit word), a ``rho``
+    that is not a real number (it is kept as a ``float``), no restriction,
+    n at most p (no maximum likelihood estimate exists), and with
+    ``project_beta`` a restriction of p rows.
     """
 
     n: int
@@ -378,6 +380,9 @@ class SimulationConfig:
     def __post_init__(self):
         for name, low in (("reps", 1), ("seed", 0), ("p", 2), ("n", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), low))
+        limit = _WORD - _REPLICATION_STREAM_BASE  # the keys 2 + r below 2**32
+        if self.reps > limit:
+            raise ValueError(f"reps={self.reps} is too many: a configuration runs at most {limit} replications")
         if not isinstance(self.rho, numbers.Real):
             raise ValueError(f"rho must be a real number, got {self.rho!r}")
         object.__setattr__(self, "rho", float(self.rho))

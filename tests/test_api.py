@@ -214,3 +214,22 @@ def test_only_simulation_map_imports_the_process_pool():
             if any(name.split(".")[0] == "concurrent" for name in imported):
                 homes.append(f"{module_name}.{scope.get(node, '<module>')}")
     assert homes == ["simulation._map"]
+
+
+def test_cli_registers_flags_at_one_site():
+    """``cli.build_parser`` registers every command's flags from one table,
+    with the shared flags taken from their groups, so each refusal list,
+    built from the same groups, names every flag it should."""
+    tree = ast.parse(inspect.getsource(importlib.import_module("shrinklogit.cli")))
+    scope = {
+        child: function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for child in ast.walk(function)
+    }
+    sites = [
+        f"cli.{scope.get(node, '<module>')}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+    ]
+    assert sites == ["cli.build_parser"]

@@ -1,5 +1,6 @@
 """Command line surface: wiring, exit codes, and output stability."""
 
+import argparse
 import csv
 import io
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from shrinklogit import KINDS, RiskScenario, bundled_dataset_path, d_sweep, load_scenario, save_scenario
+from shrinklogit import cli
 from shrinklogit.cli import main
 from shrinklogit.logit import LinearRestriction
 from helpers import MALFORMED_SCENARIOS, NON_FINITE_SCENARIOS, random_scenario
@@ -310,6 +312,36 @@ class TestRisk:
         assert err.startswith("error: --scenario-file does not take ")
         for named in (arg for arg in extra if arg == BUNDLED or arg.startswith("--")):
             assert named in err
+
+    def test_scenario_file_names_what_it_replaces_in_group_order(self, capsys, tmp_path):
+        """Given in reverse, the refused flags are still named CSV first,
+        then dataset, fit and restriction flags, each in registration order."""
+        path = tmp_path / "scenario.txt"
+        save_scenario(path, random_scenario(np.random.default_rng(13), 3, 1))
+        extra = ["--restriction-file", "scenario.txt", "--h", "0", "--H", "1,0,0", "--prob-clip", "0.2",
+                 "--tol", "0.1", "--max-iter", "1", "--no-intercept", "--response", "0", "--no-header", BUNDLED]
+        code, out, err = run(capsys, ["risk"] + extra + ["--scenario-file", str(path), "--d-grid", "0.5"])
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: --scenario-file does not take the CSV {BUNDLED}, --no-header, --response, "
+            "--no-intercept, --max-iter, --tol, --prob-clip, --H, --h, --restriction-file\n"
+        )
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "command, refused",
+        [("risk", cli._SCENARIO_FILE_REPLACES), ("simulate", cli._TABLE_SUITE_FIXED)],
+        ids=["scenario-file", "table-suite"],
+    )
+    def test_each_refused_flag_is_registered_and_defaults_to_none(self, command, refused):
+        """A refusal tells a flag given by its value not being None."""
+        (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        registered = commands.choices[command]._option_string_actions
+        assert refused
+        for flag, _ in refused:
+            assert flag in registered
+            assert registered[flag].default is None
 
 
 class TestDominance:
@@ -672,6 +704,23 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert flag in err
+
+    def test_table_suite_names_what_it_fixes_in_group_order(self, capsys):
+        """Given in reverse, the refused flags are still named shape, then
+        restriction, then truth flags, each in registration order."""
+        extra = ["--fixed-design", "--no-project-beta", "--restriction-file", "scenario.txt", "--h", "0",
+                 "--H", "1,0,-2,1", "--rho", "0", "--p", "4", "--n", "50"]
+        code, out, err = run(capsys, ["simulate", "--table-suite", "--seed", "1", "--reps", "2"] + extra)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: --table-suite does not take --n, --p, --rho, --H, --h, --restriction-file, "
+            "--no-project-beta, --fixed-design\n"
+        )
+
+    def test_reps_beyond_the_stream_keys_exits_one_before_running(self, capsys):
+        code, out, err = run(capsys, SIMULATE[:3] + ["--reps", "4294967295"] + SIMULATE[5:])
+        assert_one_error_line(code, out, err)
+        assert err == "error: reps=4294967295 is too many: a configuration runs at most 4294967294 replications\n"
 
     SMALL = ["simulate", "--n", "80", "--p", "4", "--rho", "0.9", "--reps", "40", "--seed", "1234",
              "--d-grid", "0.5", "--format", "csv"]

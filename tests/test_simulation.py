@@ -567,6 +567,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             small_config(**{name: value})
 
+    def test_reps_is_at_most_the_replication_stream_keys(self):
+        """Replication r draws from the key 2 + r, and a key is one 32-bit word."""
+        limit = 2**32 - 2
+        assert small_config(reps=limit).reps == limit  # constructed only, never run
+        with pytest.raises(ValueError, match=f"^reps={limit + 1} is too many: a configuration runs at most {limit} replications$"):
+            small_config(reps=limit + 1)
+
     @pytest.mark.parametrize("value", ["0.9", None, 0.9j])
     def test_rho_must_be_a_real_number(self, value):
         with pytest.raises(ValueError, match=f"^rho must be a real number, got {re.escape(repr(value))}$"):
