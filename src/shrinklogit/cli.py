@@ -5,12 +5,19 @@ same library calls a user would make in Python, with no logic of its
 own. Exit codes: 0 on success, 1 for usage, I/O, or parse errors, 2 for
 numerical warnings (a fit that did not converge; the summary is still
 printed).
+
+Each call registers the flags of the command it runs and no other's,
+which for a short command is most of the parser's cost; every command is
+still registered by name, because the top usage line and the top-level
+errors list every name. A file to write whose directory does not exist
+is refused before any work.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -536,7 +543,15 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser that runs ``command``: every command is registered by
+    name, but only ``command``'s flags are (none if it is None or unknown).
+
+    A command's flags matter only once argparse hands it the rest of the
+    line, which happens at the first positional argument; :func:`main`
+    names that command. Every name stays, because the top usage line and
+    the top-level errors list them all.
+    """
     parser = _Parser(
         prog="shrinklogit",
         description="Shrinkage estimators for multicollinear logistic regression",
@@ -545,16 +560,33 @@ def build_parser() -> argparse.ArgumentParser:
     # positional argument, without formatting that line on every call
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, (_, keywords, flags) in _COMMANDS.items():
-        command = sub.add_parser(name, **keywords)
-        for flag, flag_keywords in flags:
-            command.add_argument(flag, **flag_keywords)
+        subparser = sub.add_parser(name, **keywords)
+        if name == command:
+            for flag, flag_keywords in flags:
+                subparser.add_argument(flag, **flag_keywords)
     return parser
 
 
+def _check_written_dirs(args):
+    """Refuse a file to write whose directory does not exist, before any
+    work is done (OUTPUT.meta.json goes beside --output)."""
+    for flag in ("--output", "--meta-out", "--plot-data"):
+        path = getattr(args, _dest(flag), None)
+        directory = os.path.dirname(path) if path else ""
+        if directory and not os.path.isdir(directory):
+            raise ShrinkLogitError(f"{flag} {path}: no directory {directory}")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The command is the first argument that is not an option, as argparse
+    # finds it: the top parser's only option, -h, takes no value. What
+    # argparse alone reads as positional ("-", "-1") is no command's name,
+    # so the parse stops there whichever flags are registered.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
+        _check_written_dirs(args)
         return _COMMANDS[args.command][0](args)
     except MissingRestrictionError as err:
         if getattr(args, "scenario_file", None):

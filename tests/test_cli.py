@@ -3,6 +3,9 @@
 import argparse
 import csv
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -328,6 +331,40 @@ class TestRisk:
         )
 
 
+def outcome(capsys, call):
+    """(exit code, stdout, stderr) of ``call``, whether it returns or exits."""
+    try:
+        code = call()
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def full_parser():
+    """Every command with all its flags: the reference that the parser
+    :func:`main` builds, with one command's flags, must match."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, (_, _, flags) in cli._COMMANDS.items():
+        for flag, keywords in flags:
+            commands.choices[name].add_argument(flag, **keywords)
+    return parser
+
+
+#: Command lines that end in argparse's help or a usage error, so their
+#: output comes from the parser alone.
+PARSER_ONLY = [
+    [], ["-h"], ["--help"], ["bogus"], ["-h", "fit"], ["--x", "fit", "a.csv"], ["fit", "a.csv", "extra", "more"],
+    ["fit"], ["estimate", "a.csv"], ["risk"], ["dominance"], ["simulate"],
+    ["fit", "a.csv", "--format", "xml"], ["dominance", "--scenario-file", "s", "--format", "xml"],
+    ["risk", "--d-grid"], ["simulate", "--seed", "x"], ["dominance", "--scenario-file", "s", "--bogus"],
+    *([name, "--help"] for name in cli._COMMANDS),
+    # arguments that start with "-" but that argparse may take as the command
+    ["-", "fit"], ["-1", "fit", "--help"], ["--", "fit", "--help"],
+]
+
+
 class TestParser:
     @pytest.mark.parametrize(
         "command, refused",
@@ -336,12 +373,65 @@ class TestParser:
     )
     def test_each_refused_flag_is_registered_and_defaults_to_none(self, command, refused):
         """A refusal tells a flag given by its value not being None."""
-        (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (commands,) = [a for a in cli.build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)]
         registered = commands.choices[command]._option_string_actions
         assert refused
         for flag, _ in refused:
             assert flag in registered
             assert registered[flag].default is None
+
+    def test_a_command_registers_only_its_own_flags(self, capsys, tmp_path, monkeypatch):
+        """Every command is registered by name, with its -h, but only the
+        command run gets its flags."""
+        path = tmp_path / "scenario.txt"
+        save_scenario(path, random_scenario(np.random.default_rng(12), 3, 1))
+        registered = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def counted(container, *args, **kwargs):
+            registered.append(args[0])
+            return add_argument(container, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+        code, _, _ = run(capsys, ["dominance", "--scenario-file", str(path), "--d", "0.5"])
+        assert code == 0
+        assert registered.count("-h") == 1 + len(cli._COMMANDS)
+        assert [flag for flag in registered if flag != "-h"] == [flag for flag, _ in cli._COMMANDS["dominance"][2]]
+
+    @pytest.mark.parametrize("columns", ["80", "200"])
+    @pytest.mark.parametrize("argv", PARSER_ONLY, ids=" ".join)
+    def test_help_and_usage_errors_match_the_full_parser(self, capsys, monkeypatch, argv, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        expected = outcome(capsys, lambda: full_parser().parse_args(argv))
+        assert type(expected[0]) is int
+        assert outcome(capsys, lambda: main(argv)) == expected
+
+
+class TestConsoleScript:
+    """``main()`` with no argv, as the console script and ``python -m`` call it."""
+
+    @pytest.fixture
+    def dominance(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        save_scenario(path, random_scenario(np.random.default_rng(12), 3, 1))
+        return ["dominance", "--scenario-file", str(path), "--d", "0.5"]
+
+    def test_reads_sys_argv(self, capsys, monkeypatch, dominance):
+        expected = run(capsys, dominance)
+        assert expected[0] == 0
+        monkeypatch.setattr(sys, "argv", ["shrinklogit", *dominance])
+        assert run(capsys, None) == expected
+
+    @pytest.mark.parametrize("which", ["help", "dominance"])
+    def test_module_run_prints_the_in_process_bytes(self, capsys, monkeypatch, dominance, which):
+        argv = ["--help"] if which == "help" else dominance
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = outcome(capsys, lambda: main(argv))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-m", "shrinklogit.cli", *argv],
+                                env=env, capture_output=True, timeout=120)
+        assert (result.returncode, result.stdout, result.stderr) == (code, out.encode(), err.encode())
 
 
 class TestDominance:
@@ -546,6 +636,46 @@ class TestInputErrors:
         code, out, err = run(capsys, [names.get(arg, arg) for arg in argv])
         assert_one_error_line(code, out, err)
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            pytest.param(["fit", BUNDLED, "--output", "MISSING/out.csv"], "--output", id="fit-output"),
+            pytest.param(["estimate", BUNDLED, "--estimator", "mle", "--output", "MISSING/out.csv"], "--output",
+                         id="estimate-output"),
+            pytest.param(["risk", BUNDLED, "--d-grid", "0.5", "--output", "MISSING/out.csv"], "--output",
+                         id="risk-output"),
+            pytest.param(["risk", BUNDLED, "--d-grid", "0.5", "--output", "OK/out.csv", "--plot-data",
+                          "MISSING/plot.csv"], "--plot-data", id="risk-plot-data"),
+            pytest.param(["dominance", "--scenario-file", "FILE", "--output", "MISSING/out.csv"], "--output",
+                         id="dominance-output"),
+            pytest.param(SIMULATE + ["--output", "MISSING/out.csv"], "--output", id="simulate-output"),
+            pytest.param(SIMULATE + ["--output", "OK/out.csv", "--meta-out", "MISSING/meta.json"], "--meta-out",
+                         id="simulate-meta-out"),
+            pytest.param(SIMULATE[:5] + ["--table-suite", "--output", "MISSING/out.csv"], "--output",
+                         id="table-suite-output"),
+            pytest.param(SIMULATE[:5] + ["--table-suite", "--meta-out", "MISSING/meta.json"], "--meta-out",
+                         id="table-suite-meta-out"),
+        ],
+    )
+    def test_missing_output_directory_exits_one_before_any_work(self, capsys, tmp_path, monkeypatch, argv, flag):
+        """A file to write in a directory that does not exist is refused
+        before any input is read or replication run, and nothing is written."""
+        scenario = tmp_path / "scenario.txt"
+        save_scenario(scenario, random_scenario(np.random.default_rng(12), 3, 1))
+        for name in ("load_csv", "load_scenario", "run_simulation", "table_suite"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("work began"))
+        names = {"MISSING": str(tmp_path / "missing"), "OK": str(tmp_path), "FILE": str(scenario)}
+
+        def placed(arg):
+            head, _, tail = arg.partition("/")
+            return os.path.join(names[head], tail) if head in names else arg
+
+        argv = [placed(arg) for arg in argv]
+        code, out, err = run(capsys, argv)
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {flag} {argv[argv.index(flag) + 1]}: no directory {names['MISSING']}\n"
+        assert list(tmp_path.iterdir()) == [scenario]
 
 
 class TestScenarioFileErrors:
