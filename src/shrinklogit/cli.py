@@ -568,13 +568,22 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _check_written_dirs(args):
-    """Refuse a file to write whose directory does not exist, before any
-    work is done (OUTPUT.meta.json goes beside --output)."""
+    """Refuse a file to write whose directory does not exist, or that is
+    itself a directory, before any work is done (simulate writes
+    OUTPUT.meta.json beside --output unless --meta-out is given)."""
     for flag in ("--output", "--meta-out", "--plot-data"):
         path = getattr(args, _dest(flag), None)
-        directory = os.path.dirname(path) if path else ""
+        if not path:
+            continue
+        directory = os.path.dirname(path)
         if directory and not os.path.isdir(directory):
             raise ShrinkLogitError(f"{flag} {path}: no directory {directory}")
+        if os.path.isdir(path):
+            raise ShrinkLogitError(f"{flag} {path}: is a directory")
+    if args.command == "simulate" and args.output and args.meta_out is None:
+        meta = args.output + ".meta.json"
+        if os.path.isdir(meta):
+            raise ShrinkLogitError(f"--output {args.output}: its metadata file {meta} is a directory")
 
 
 def main(argv=None) -> int:

@@ -22,12 +22,18 @@ Randomness is organized in keyed substreams of a single 64-bit seed:
 
 each the stream of ``np.random.default_rng([seed, key])``.
 
-Replications run in blocks of at most :data:`BLOCK_SIZE`. A block opens
-the substreams of its replications from one vectorised pass of NumPy's
-``SeedSequence`` hash over the keys (the seed's words are shared by the
-block), draws every replication's standard normal design block into one
-(R, n, p) stack, and applies the design formula and the logistic
-probabilities to the whole stack at once. It then draws each
+Replications run in blocks of at most :data:`BLOCK_SIZE` rows.
+Consecutive configurations of one shape (the same n, p, fit options,
+estimators, d grid and restriction object) share their blocks: their
+replications are taken in configuration order, then replication order,
+and cut into blocks, so one block may end one cell and begin the next.
+The replications of one configuration in a block are a *segment*, and
+each segment is drawn into its slice of the block's (R, n, p) stack. A
+segment opens the substreams of its replications from one vectorised
+pass of NumPy's ``SeedSequence`` hash over the keys (the seed's words are
+shared by the segment), draws every replication's standard normal design
+block into its slice, and applies the design formula and the logistic
+probabilities to the whole slice at once. The block then draws each
 replication's responses as n doubles U from its own substream, and one
 comparison over the block gives y: for one trial NumPy's binomial
 sampler returns U > exp(log(1 - p')) with p' = min(p, 1 - p), flipped
@@ -46,10 +52,11 @@ generator states with ``Generator.binomial`` on the installed NumPy.
 
 The block is then fitted by one batched Newton loop
 (:func:`~shrinklogit.logit.irls_stack`) and scored by one call of the
-shrinkage kernel. Every numerical step treats the rows of a block
-independently, so results are bit-identical whatever the blocks and the
-worker count. A call maps its blocks, those of all 18 cells for
-:func:`table_suite`, through one :func:`_map`: a pool when ``workers`` > 1.
+shrinkage kernel, each row against its own configuration's truth. Every
+numerical step treats the rows of a block independently, so results are
+bit-identical whatever the blocks, the packing and the worker count. A
+call maps its blocks, for :func:`table_suite` those of its 6 shapes of 3
+cells each, through one :func:`_map`: a pool when ``workers`` > 1.
 
 ``concurrent.futures`` is imported only there, ``scipy.special``
 (:func:`shrinklogit.logit._special`) when responses are drawn or just
@@ -96,8 +103,9 @@ TABLE_SUITE_D_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
 #: Estimator rows of the default table suite, in display order.
 TABLE_SUITE_KINDS = ("mle", "aule", "rmle", "raule")
 
-#: Most replications fitted and scored together. Results do not depend on
-#: it; on the paper grid 64 to 256 ran fastest.
+#: Most replications fitted and scored together, from one configuration or
+#: from consecutive ones of one shape. Results do not depend on it; on the
+#: paper grid 64 to 256 ran fastest.
 BLOCK_SIZE = 128
 
 _BETA_STREAM = 0
@@ -443,49 +451,67 @@ class SimulationResult:
         return self.cell(kind, d).mse
 
 
-def _draw_block(config: SimulationConfig, beta: NDArray, fixed_x, reps: range):
-    """Designs X (R, n, p) and responses y (R, n) of replications ``reps``.
+def _draw_block(block):
+    """Designs X (R, n, p) and responses y (R, n) of a block, a tuple of
+    segments (config, beta, fixed_x, reps) of one shape, rows in order.
 
     Each replication draws its design, then its response, from its own
     substream, exactly as :func:`gen_design` and :func:`gen_response` would
-    draw them one replication at a time. The block's generators come from
-    one seed hash (:func:`_generators`); the correlation formula, the
-    probabilities and the responses' comparison are formed once for the
-    whole block (:func:`_responses`).
+    draw them one replication at a time. A segment's generators come from
+    one seed hash (:func:`_generators`), and its correlation formula and
+    probabilities are formed once over its slice; the responses'
+    comparison is formed once for the whole block (:func:`_responses`).
     """
-    base = _REPLICATION_STREAM_BASE
-    rngs = _generators(config.seed, range(base + reps.start, base + reps.stop))
-    if config.regenerate_design:
-        X = np.empty((len(rngs), config.n, config.p))
-        for rng, z in zip(rngs, X):
-            rng.standard_normal(z.shape, out=z)
-        _correlate(X, np.sqrt(config.rho))
-    else:
-        X = np.broadcast_to(fixed_x, (len(rngs),) + fixed_x.shape)
+    shape = block[0][0]
+    X = np.empty((sum(len(reps) for *_, reps in block), shape.n, shape.p))
+    pi = np.empty(X.shape[:2])
+    rngs, start, base = [], 0, _REPLICATION_STREAM_BASE
+    for config, beta, fixed_x, reps in block:
+        segment = _generators(config.seed, range(base + reps.start, base + reps.stop))
+        x = X[start : start + len(segment)]
+        if config.regenerate_design:
+            for rng, z in zip(segment, x):
+                rng.standard_normal(z.shape, out=z)
+            _correlate(x, np.sqrt(config.rho))
+        else:
+            x[...] = fixed_x
+        np.matmul(x, beta, out=pi[start : start + len(segment)])
+        rngs += segment
+        start += len(segment)
     expit, _ = _special()
-    return X, _responses(expit(X @ beta), rngs)
+    return X, _responses(expit(pi, out=pi), rngs)
 
 
-def _run_block(config: SimulationConfig, beta: NDArray, fixed_x, reps: range):
-    """Fit and score replications ``reps`` as one stack.
+def _run_block(block):
+    """Fit and score a block of segments (config, beta, fixed_x, reps) of
+    one shape as one stack.
 
-    Returns the squared errors of the scored replications, shape
-    (kept, K, D) in replication order, and per replication its skip
+    Returns per segment the squared errors of its scored replications,
+    shape (kept, K, D) in replication order, and per replication its skip
     reason, or None if it was scored. One decomposition of the block's C
     picks the converged rows whose C passes the definiteness test and
-    scores them past the kernel's door (the configuration checked the
-    request); a converged row that fails it is ``singular_information``.
+    scores them past the kernel's door (the configurations checked the
+    request), each against its own segment's beta; a converged row that
+    fails the test is ``singular_information``.
     """
-    fit, errors = irls_stack(*_draw_block(config, beta, fixed_x, reps), config.fit_options)
+    shape = block[0][0]
+    fit, errors = irls_stack(*_draw_block(block), shape.fit_options)
     reasons = [None if e is None else _SKIP_REASONS[type(e)] for e in errors]
     decomp = _eigh(fit.C)
     scored = fit.converged & positive_definite(decomp.values)
     for row in np.flatnonzero(fit.converged & ~scored):
         reasons[row] = _SKIP_REASONS[SingularInformationError]
     rows = SpectralDecomp(decomp.values[scored], decomp.basis[scored])
-    request = (config.estimator_kinds, config.d_grid, config.restriction)
-    diff = _score(fit.C[scored], rows, fit.beta_mle[scored], *request) - beta
-    return np.sum(diff * diff, axis=-1), reasons
+    request = (shape.estimator_kinds, shape.d_grid, shape.restriction)
+    lengths = [len(reps) for *_, reps in block]
+    beta = np.repeat([truth for _, truth, _, _ in block], lengths, axis=0)  # each row's own truth
+    diff = _score(fit.C[scored], rows, fit.beta_mle[scored], *request) - beta[scored, None, None]
+    squared = np.sum(diff * diff, axis=-1)
+    bounds = list(itertools.accumulate(lengths, initial=0))
+    kept = np.concatenate([[0], np.cumsum(scored)])[bounds]  # scored rows before each bound
+    return [
+        (squared[kept[i] : kept[i + 1]], reasons[bounds[i] : bounds[i + 1]]) for i in range(len(block))
+    ]
 
 
 @contextmanager
@@ -495,21 +521,45 @@ def _map(task, items: list, workers: int):
     first failing item, in list order, is raised once the items before it finish;
     items not yet started are cancelled."""
     if workers == 1:
-        yield itertools.starmap(task, items)
+        yield map(task, items)
         return
     from concurrent.futures import ProcessPoolExecutor
 
     _special()  # imported once here: forked workers inherit it instead of each importing it
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        yield pool.map(task, *zip(*items))
+        yield pool.map(task, items)
+
+
+def _shape(config: SimulationConfig):
+    """What consecutive configurations that share blocks have in common."""
+    return (config.n, config.p, config.fit_options, config.estimator_kinds, config.d_grid, id(config.restriction))
+
+
+def _blocks(run: list, size: int) -> list[tuple]:
+    """The rows of ``run``, a list of (config, beta, fixed_x) of one shape, in
+    configuration order, then replication order, cut into blocks of at most
+    ``size`` rows; each block a tuple of segments (config, beta, fixed_x, reps)."""
+    starts = list(itertools.accumulate((config.reps for config, *_ in run), initial=0))
+    blocks = []
+    for a in range(0, starts[-1], size):
+        b = min(a + size, starts[-1])
+        blocks.append(tuple(
+            (config, beta, fixed_x, range(max(a, lo) - lo, min(b, hi) - lo))
+            for (config, beta, fixed_x), lo, hi in zip(run, starts, starts[1:])
+            if lo < b and a < hi
+        ))
+    return blocks
 
 
 def _simulate(configs: list[SimulationConfig], workers: int) -> list[SimulationResult]:
     """:func:`run_simulation` of each configuration, with the blocks of all of them
-    in one :func:`_map`. Each result is aggregated as its blocks arrive, so on one
-    process a configuration whose replications all fail stops the next ones."""
+    in one :func:`_map`. Each run of consecutive configurations of one
+    :func:`_shape` is cut into blocks as one, of at most ``BLOCK_SIZE`` rows and
+    at most its rows over ``workers``. Each result is aggregated once its last
+    segment arrives, so on one process a configuration whose replications all
+    fail stops the next ones, and no block after the one that ends it is run."""
     workers = _integer("workers", workers, 1)
-    cells, blocks = [], []
+    truths = []
     for config in configs:
         rng = np.random.default_rng([config.seed, _BETA_STREAM])
         beta = gen_beta(config.p, config.restriction, config.project_beta, rng)
@@ -517,12 +567,21 @@ def _simulate(configs: list[SimulationConfig], workers: int) -> list[SimulationR
         if not config.regenerate_design:
             rng = np.random.default_rng([config.seed, _FIXED_DESIGN_STREAM])
             fixed_x = gen_design(config.n, config.p, np.sqrt(config.rho), rng)
-        size = min(BLOCK_SIZE, -(-config.reps // workers))
-        starts = range(0, config.reps, size)
-        blocks += [(config, beta, fixed_x, range(a, min(a + size, config.reps))) for a in starts]
-        cells.append((config, beta, len(starts)))
+        truths.append((config, beta, fixed_x))
+    blocks = []
+    for _, run in itertools.groupby(truths, key=lambda truth: _shape(truth[0])):
+        run = list(run)
+        rows = sum(config.reps for config, *_ in run)
+        blocks += _blocks(run, min(BLOCK_SIZE, -(-rows // workers)))
+    results, parts = [], []
     with _map(_run_block, blocks, workers) as outcomes:
-        return [_result(config, beta, list(itertools.islice(outcomes, count))) for config, beta, count in cells]
+        for block, outcome in zip(blocks, outcomes):
+            for (config, beta, _, reps), part in zip(block, outcome):
+                parts.append(part)
+                if reps.stop == config.reps:
+                    results.append(_result(config, beta, parts))
+                    parts = []
+    return results
 
 
 def _result(config: SimulationConfig, beta: NDArray, outcomes: list) -> SimulationResult:
@@ -549,9 +608,10 @@ def _result(config: SimulationConfig, beta: NDArray, outcomes: list) -> Simulati
 def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationResult:
     """Run all replications of a configuration and aggregate the MSE.
 
-    Replications run in consecutive blocks of at most :data:`BLOCK_SIZE`,
-    which ``workers`` > 1 maps over one process pool; the result is
-    bit-identical to the sequential run (see the module notes).
+    Replications run in consecutive blocks of at most :data:`BLOCK_SIZE`
+    (one-configuration :func:`_simulate`), which ``workers`` > 1 maps over
+    one process pool; the result is bit-identical to the sequential run (see
+    the module notes).
 
     Raises
     ------
@@ -578,15 +638,18 @@ def table_suite(
     table order (the three correlation blocks of one table are adjacent).
     Configuration seeds are ``base_seed + index`` with index running in
     emission order; substream keying makes adjacent seeds independent.
-    The 18 cells run as one :func:`run_simulation` call would run them: a cell
-    whose replications all fail is raised, and on one process stops the suite.
+    The three cells of one (p, n) share one stock restriction, so they share
+    their blocks (see the module notes), and each result equals what
+    :func:`run_simulation` gives its cell alone. A cell whose replications
+    all fail is raised, and on one process stops the suite.
     """
+    restrictions = {p: default_restriction(p) for p in (4, 8)}
     suite_config = partial(
         SimulationConfig, d_grid=tuple(d_grid), reps=reps, estimator_kinds=tuple(estimator_kinds),
         fit_options=fit_options if fit_options is not None else FitOptions(),
     )
     configs = [
-        suite_config(n=n, p=p, rho=rho, seed=base_seed + index, restriction=default_restriction(p))
+        suite_config(n=n, p=p, rho=rho, seed=base_seed + index, restriction=restrictions[p])
         for index, (p, n, rho) in enumerate(itertools.product((4, 8), (50, 100, 200), (0.9, 0.99, 0.999)))
     ]
     return _simulate(configs, workers)

@@ -9,6 +9,7 @@ reasons, give bit-identical squared errors, and raise the same
 exception type, however the replications are split into blocks.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -34,6 +35,7 @@ from shrinklogit import (
     run_simulation,
     shrinkage_estimates,
     simulation,
+    table_suite,
     working_quantities,
 )
 from shrinklogit.linalg import definiteness_error, positive_definite
@@ -70,8 +72,9 @@ def engine(config, beta, fixed_x, cuts):
     """The same replications through the block engine, split at ``cuts``."""
     bounds = [0, *cuts, config.reps]
     outcomes = [
-        simulation._run_block(config, beta, fixed_x, range(a, b))
+        outcome
         for a, b in zip(bounds, bounds[1:])
+        for outcome in simulation._run_block(((config, beta, fixed_x, range(a, b)),))
     ]
     errors = np.concatenate([e for e, _ in outcomes])
     return errors, [reason for _, block in outcomes for reason in block]
@@ -195,6 +198,70 @@ def test_output_does_not_depend_on_workers_or_blocks(monkeypatch, workers, block
     assert result.skipped_by_reason == baseline.skipped_by_reason == {
         "not_converged": 2, "singular_information": 1,
     }
+
+
+def same_result(result, expected):
+    """Two results agree on every number, to the bit."""
+    assert result.config is expected.config
+    assert result.cells == expected.cells
+    assert [(cell.mse.hex(), cell.std_error.hex()) for cell in result.cells] == [
+        (cell.mse.hex(), cell.std_error.hex()) for cell in expected.cells
+    ]
+    assert np.array_equal(result.beta_true, expected.beta_true)
+    assert (result.completed, result.skipped_by_reason) == (expected.completed, expected.skipped_by_reason)
+
+
+class TestPacking:
+    """Consecutive configurations of one shape share blocks, and each result
+    is still what ``run_simulation`` gives its configuration alone."""
+
+    @pytest.mark.parametrize("block_size", [1, 7, 128])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_skip_prone_cells_packed_equal_each_alone(self, monkeypatch, workers, block_size):
+        # three cells of 60 replications of one shape, each with skips: at
+        # 128 rows a block and at 1 or 2 workers, skipped rows land in blocks
+        # that straddle two cells
+        base = skip_prone_config()
+        configs = [dataclasses.replace(base, seed=seed) for seed in (1, 2, 3)]
+        assert len({simulation._shape(config) for config in configs}) == 1
+        alone = [run_simulation(config) for config in configs]
+        assert all(result.skipped > 0 for result in alone)
+        monkeypatch.setattr(simulation, "BLOCK_SIZE", block_size)
+        for result, expected in zip(simulation._simulate(configs, workers), alone, strict=True):
+            same_result(result, expected)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_table_suite_equals_each_cell_alone(self, workers):
+        for result in table_suite(1707, reps=20, workers=workers):
+            same_result(result, run_simulation(result.config))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(fit_options=FitOptions(max_iter=30)),
+            dict(d_grid=(0.1, 0.5, 0.9)),
+            dict(restriction=default_restriction(4)),
+        ],
+        ids=["fit_options", "d_grid", "restriction-object"],
+    )
+    def test_cells_of_another_shape_are_not_packed(self, monkeypatch, change):
+        base = dataclasses.replace(skip_prone_config(), reps=5)
+        configs = [base, dataclasses.replace(base, seed=2, **change), dataclasses.replace(base, seed=3)]
+        alone = [run_simulation(config) for config in configs]
+        blocks = []
+        real = simulation._run_block
+
+        def spied(block):
+            blocks.append(block)
+            return real(block)
+
+        monkeypatch.setattr(simulation, "_run_block", spied)
+        results = simulation._simulate(configs, workers=1)
+        assert [[(config, reps) for config, _, _, reps in block] for block in blocks] == [
+            [(configs[0], range(0, 5))], [(configs[1], range(0, 5))], [(configs[2], range(0, 5))]
+        ]
+        for result, expected in zip(results, alone, strict=True):
+            same_result(result, expected)
 
 
 class TestStackedKernelErrors:

@@ -68,11 +68,12 @@ class TestFit:
         assert code == 1
         assert "error" in err
 
-    def test_output_to_a_directory_exits_one(self, capsys, tmp_path):
-        code, out, err = run(capsys, ["fit", str(write_dataset(tmp_path)), "--output", str(tmp_path)])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ") and str(tmp_path) in err
+    def test_output_to_a_directory_exits_one(self, capsys, tmp_path, monkeypatch):
+        path = write_dataset(tmp_path)
+        monkeypatch.setattr(cli, "load_csv", lambda *args, **kwargs: pytest.fail("the CSV was read"))
+        code, out, err = run(capsys, ["fit", str(path), "--output", str(tmp_path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: --output {tmp_path}: is a directory\n"
 
     @pytest.mark.parametrize("header", [True, False])
     def test_byte_order_mark_is_skipped(self, capsys, tmp_path, header):
@@ -638,44 +639,68 @@ class TestInputErrors:
         assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
-        "argv, flag",
+        "argv, flag, reason",
         [
-            pytest.param(["fit", BUNDLED, "--output", "MISSING/out.csv"], "--output", id="fit-output"),
+            pytest.param(["fit", BUNDLED, "--output", "MISSING/out.csv"], "--output", "no directory MISSING",
+                         id="fit-output"),
             pytest.param(["estimate", BUNDLED, "--estimator", "mle", "--output", "MISSING/out.csv"], "--output",
-                         id="estimate-output"),
+                         "no directory MISSING", id="estimate-output"),
             pytest.param(["risk", BUNDLED, "--d-grid", "0.5", "--output", "MISSING/out.csv"], "--output",
-                         id="risk-output"),
+                         "no directory MISSING", id="risk-output"),
             pytest.param(["risk", BUNDLED, "--d-grid", "0.5", "--output", "OK/out.csv", "--plot-data",
-                          "MISSING/plot.csv"], "--plot-data", id="risk-plot-data"),
+                          "MISSING/plot.csv"], "--plot-data", "no directory MISSING", id="risk-plot-data"),
             pytest.param(["dominance", "--scenario-file", "FILE", "--output", "MISSING/out.csv"], "--output",
-                         id="dominance-output"),
-            pytest.param(SIMULATE + ["--output", "MISSING/out.csv"], "--output", id="simulate-output"),
+                         "no directory MISSING", id="dominance-output"),
+            pytest.param(SIMULATE + ["--output", "MISSING/out.csv"], "--output", "no directory MISSING",
+                         id="simulate-output"),
             pytest.param(SIMULATE + ["--output", "OK/out.csv", "--meta-out", "MISSING/meta.json"], "--meta-out",
-                         id="simulate-meta-out"),
+                         "no directory MISSING", id="simulate-meta-out"),
             pytest.param(SIMULATE[:5] + ["--table-suite", "--output", "MISSING/out.csv"], "--output",
-                         id="table-suite-output"),
+                         "no directory MISSING", id="table-suite-output"),
             pytest.param(SIMULATE[:5] + ["--table-suite", "--meta-out", "MISSING/meta.json"], "--meta-out",
-                         id="table-suite-meta-out"),
+                         "no directory MISSING", id="table-suite-meta-out"),
+            pytest.param(["fit", BUNDLED, "--output", "DIR"], "--output", "is a directory", id="fit-output-dir"),
+            pytest.param(["estimate", BUNDLED, "--estimator", "mle", "--output", "DIR"], "--output",
+                         "is a directory", id="estimate-output-dir"),
+            pytest.param(["risk", BUNDLED, "--d-grid", "0.5", "--output", "OK/out.csv", "--plot-data", "DIR"],
+                         "--plot-data", "is a directory", id="risk-plot-data-dir"),
+            pytest.param(["dominance", "--scenario-file", "FILE", "--output", "DIR"], "--output",
+                         "is a directory", id="dominance-output-dir"),
+            pytest.param(SIMULATE + ["--output", "DIR"], "--output", "is a directory", id="simulate-output-dir"),
+            pytest.param(SIMULATE + ["--output", "OK/out.csv", "--meta-out", "DIR"], "--meta-out",
+                         "is a directory", id="simulate-meta-out-dir"),
+            pytest.param(SIMULATE + ["--output", "OK/taken.csv"], "--output",
+                         "its metadata file OK/taken.csv.meta.json is a directory", id="simulate-derived-meta-dir"),
+            pytest.param(SIMULATE[:5] + ["--table-suite", "--meta-out", "DIR"], "--meta-out", "is a directory",
+                         id="table-suite-meta-out-dir"),
         ],
     )
-    def test_missing_output_directory_exits_one_before_any_work(self, capsys, tmp_path, monkeypatch, argv, flag):
-        """A file to write in a directory that does not exist is refused
-        before any input is read or replication run, and nothing is written."""
+    def test_missing_output_directory_exits_one_before_any_work(self, capsys, tmp_path, monkeypatch, argv, flag,
+                                                                reason):
+        """A file to write in a directory that does not exist, or that is a
+        directory, is refused before any input is read or replication run,
+        and nothing is written."""
         scenario = tmp_path / "scenario.txt"
         save_scenario(scenario, random_scenario(np.random.default_rng(12), 3, 1))
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "taken.csv.meta.json").mkdir()
         for name in ("load_csv", "load_scenario", "run_simulation", "table_suite"):
             monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("work began"))
-        names = {"MISSING": str(tmp_path / "missing"), "OK": str(tmp_path), "FILE": str(scenario)}
+        names = {"MISSING": str(tmp_path / "missing"), "OK": str(tmp_path), "FILE": str(scenario),
+                 "DIR": str(tmp_path / "dir")}
 
         def placed(arg):
-            head, _, tail = arg.partition("/")
-            return os.path.join(names[head], tail) if head in names else arg
+            head, slash, tail = arg.partition("/")
+            if head not in names:
+                return arg
+            return os.path.join(names[head], tail) if slash else names[head]
 
         argv = [placed(arg) for arg in argv]
+        before = sorted(tmp_path.rglob("*"))
         code, out, err = run(capsys, argv)
         assert_one_error_line(code, out, err)
-        assert err == f"error: {flag} {argv[argv.index(flag) + 1]}: no directory {names['MISSING']}\n"
-        assert list(tmp_path.iterdir()) == [scenario]
+        assert err == f"error: {flag} {argv[argv.index(flag) + 1]}: {' '.join(map(placed, reason.split()))}\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestScenarioFileErrors:
@@ -777,10 +802,10 @@ class TestSimulate:
         assert meta["H"] == [[1.0, 0.0, -2.0, 1.0], [1.0, -1.0, 1.0, -1.0]]
 
     def test_meta_out_to_a_directory_exits_one(self, tmp_path, capsys):
-        code, _, err = run(capsys, ["simulate", "--n", "50", "--p", "4", "--rho", "0.9", "--reps", "2",
-                                    "--seed", "7", "--d-grid", "0.5", "--meta-out", str(tmp_path)])
-        assert code == 1
-        assert err.startswith("error: ") and str(tmp_path) in err
+        code, out, err = run(capsys, ["simulate", "--n", "50", "--p", "4", "--rho", "0.9", "--reps", "2",
+                                      "--seed", "7", "--d-grid", "0.5", "--meta-out", str(tmp_path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: --meta-out {tmp_path}: is a directory\n"
 
     @pytest.mark.parametrize("suite", [[], ["--table-suite"]])
     @pytest.mark.parametrize("workers", ["0", "-4"])

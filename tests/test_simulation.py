@@ -244,11 +244,30 @@ class TestBlockDraw:
         config = small_config(**{"reps": 9, **overrides})
         beta = gen_beta(config.p, config.restriction, True, np.random.default_rng(3))
         fixed_x = gen_design(config.n, config.p, np.sqrt(config.rho), np.random.default_rng(4))
-        X, y = simulation._draw_block(config, beta, fixed_x, reps)
+        X, y = simulation._draw_block(((config, beta, fixed_x, reps),))
         assert X.shape == (len(reps), config.n, config.p) and y.shape == (len(reps), config.n)
         for i, r in enumerate(reps):
             rng = np.random.default_rng([config.seed, 2 + r])
             x = gen_design(config.n, config.p, np.sqrt(config.rho), rng) if config.regenerate_design else fixed_x
+            assert np.array_equal(X[i], x)
+            assert np.array_equal(y[i], rng.binomial(1, expit(x @ beta)))
+
+    def test_a_block_of_two_cells_equals_per_replication_draws(self):
+        """A block that ends one configuration and begins another of the same
+        shape draws each segment into its slice from its own substreams: the
+        first a fresh design at rho 0.9, the second a fixed one at rho 0.99."""
+        first = small_config(reps=9, seed=5)
+        second = small_config(reps=9, seed=6, rho=0.99, regenerate_design=False, restriction=first.restriction)
+        rng = np.random.default_rng(3)
+        betas = [gen_beta(4, first.restriction, True, rng) for _ in range(2)]
+        fixed_x = gen_design(second.n, 4, np.sqrt(second.rho), rng)
+        block = ((first, betas[0], None, range(6, 9)), (second, betas[1], fixed_x, range(0, 4)))
+        X, y = simulation._draw_block(block)
+        assert X.shape == (7, first.n, 4) and y.shape == (7, first.n)
+        rows = [(first, betas[0], r) for r in range(6, 9)] + [(second, betas[1], r) for r in range(4)]
+        for i, (config, beta, r) in enumerate(rows):
+            rng = np.random.default_rng([config.seed, 2 + r])
+            x = gen_design(config.n, 4, np.sqrt(config.rho), rng) if config.regenerate_design else fixed_x
             assert np.array_equal(X[i], x)
             assert np.array_equal(y[i], rng.binomial(1, expit(x @ beta)))
 
@@ -433,9 +452,10 @@ class TestOnePool:
         blocks = spy(monkeypatch, "_run_block")
         with pytest.raises(AllReplicationsFailedError, match=r"^all 300 replications .*\(n=50, p=4, rho=0\.9\)$"):
             table_suite(1707, reps=300, fit_options=FitOptions(max_iter=1))
-        # The first cell's blocks of 128, 128 and 44 replications, and no other.
-        assert [(config.seed, reps) for config, _, _, reps in blocks] == [
-            (1707, range(0, 128)), (1707, range(128, 256)), (1707, range(256, 300))
+        # The first shape's 900 rows in blocks of 128: the first cell's 128,
+        # 128, then its last 44 with the second cell's first 84, and no other.
+        assert [[(config.seed, reps) for config, _, _, reps in block] for (block,) in blocks] == [
+            [(1707, range(0, 128))], [(1707, range(128, 256))], [(1707, range(256, 300)), (1708, range(0, 84))]
         ]
 
     def test_a_suite_maps_the_blocks_of_all_its_cells_on_one_pool(self, monkeypatch):
@@ -454,9 +474,19 @@ class TestOnePool:
         pooled = table_suite(1707, reps=4, workers=2)
         alone = table_suite(1707, reps=4)
         assert pools == [2]
-        # Each cell's 4 replications are split as at workers=2: two blocks of two.
-        assert [list(reps) for *_, reps in blocks] == [[0, 1], [2, 3]] * 18
-        configs = [config for config, *_ in blocks[::2]]
+        # Each shape's 3 cells of 4 replications, 12 rows, are split as at
+        # workers=2: two blocks of 6, the first cell and half the second, then
+        # the second's other half and the third.
+        segments = [segment for (block,) in blocks for segment in block]
+        assert [[(config.seed, list(reps)) for config, _, _, reps in block] for (block,) in blocks] == [
+            block
+            for seed in range(1707, 1707 + 18, 3)
+            for block in (
+                [(seed, [0, 1, 2, 3]), (seed + 1, [0, 1])],
+                [(seed + 1, [2, 3]), (seed + 2, [0, 1, 2, 3])],
+            )
+        ]
+        configs = [config for config, _, _, reps in segments if reps.start == 0]
         assert len(pooled) == 18
         for result, config, expected in zip(pooled, configs, alone):
             assert result.config is config
@@ -496,7 +526,7 @@ class TestSingularScoring:
         config = small_config(reps=6)
         beta = np.full(4, 0.5)
         fits = self.break_rows(monkeypatch, [2])
-        squared, reasons = simulation._run_block(config, beta, None, range(6))
+        ((squared, reasons),) = simulation._run_block(((config, beta, None, range(6)),))
         (fit,) = fits
         assert fit.converged.all()
         assert reasons == [None, None, "singular_information", None, None, None]
@@ -513,7 +543,7 @@ class TestSingularScoring:
         config = small_config(reps=6)
         beta = np.full(4, 0.5)
         fits = self.break_rows(monkeypatch, [1, 4], unconverged=[1])
-        squared, reasons = simulation._run_block(config, beta, None, range(6))
+        ((squared, reasons),) = simulation._run_block(((config, beta, None, range(6)),))
         (fit,) = fits
         assert reasons == [None, "not_converged", None, None, "singular_information", None]
         assert squared.shape == (4, 4, 3)
@@ -521,6 +551,30 @@ class TestSingularScoring:
             alone = dataclasses.replace(fit, beta_mle=fit.beta_mle[row], C=fit.C[row])
             estimates = shrinkage_estimates(alone, config.estimator_kinds, config.d_grid, config.restriction)
             assert np.array_equal(squared[out], np.sum((estimates - beta) ** 2, axis=-1))
+
+    def test_a_block_that_straddles_two_cells(self, monkeypatch):
+        """One block holds two cells of one shape, 5 replications each: the
+        crafted singular row 3 belongs to the first cell and the crafted
+        not-converged row 6 to the second. Each cell counts its own skip and
+        scores its other rows as it does alone."""
+        restriction = default_restriction(4)
+        first, second = (small_config(reps=5, seed=seed, restriction=restriction) for seed in (1234, 1235))
+        with monkeypatch.context() as patch:
+            fits = self.break_rows(patch, [3, 6], unconverged=[6])
+            packed = simulation._simulate([first, second], workers=1)
+        (fit,) = fits
+        assert fit.beta_mle.shape == (10, 4)
+        assert [(result.completed, result.skipped_by_reason) for result in packed] == [
+            (4, {"not_converged": 0, "singular_information": 1}),
+            (4, {"not_converged": 1, "singular_information": 0}),
+        ]
+        for result, config, row, unconverged in ((packed[0], first, 3, []), (packed[1], second, 1, [1])):
+            with monkeypatch.context() as patch:
+                self.break_rows(patch, [row], unconverged)
+                alone = run_simulation(config)
+            assert result.config is config
+            assert result.cells == alone.cells
+            assert (result.completed, result.skipped_by_reason) == (alone.completed, alone.skipped_by_reason)
 
     def test_run_counts_the_row_and_completes(self, monkeypatch):
         self.break_rows(monkeypatch, [0])
