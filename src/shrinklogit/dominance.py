@@ -12,7 +12,7 @@ so the two can be audited against each other. A failed comparison is a
 result, not an error: checks only raise for a d outside [0, 1] or a
 missing restriction, the same error and message from every check.
 
-The five checks, with the difference each one verifies directly:
+The six checks, with the difference each one verifies directly:
 
 =======  ==========================================  =====================
 id       claim                                       direct difference
@@ -31,17 +31,17 @@ b1 and LAL from the RAULE risk report (its bias and covariance), and
 T3.3 takes ACA from the RMLE report's covariance.
 
 Each theorem has one route, its ``check_*`` function, and
-:func:`check_all` runs the six by name. What they share is built once, on
-first use, and kept by the scenario in two lifetimes. What does not
-depend on d (ACA's pseudo-inverse and congruence, both from one
-decomposition of ACA, C^{1/2}, C^-1 - A, the scalar conditions' parts)
-is kept for the scenario's life.
-What does is built in one pass at a new d, whichever check asks first,
-and kept in one per-d slot for the last d asked: a new d (and the
-restriction) is checked before anything is built, and its pass then
-replaces the slot, so memory does not grow with the number of d. The
-pass forms L, and the RAULE and AULE reports from it, then makes two
-stacked decompositions:
+:func:`check_all` runs the six by name. The checks keep one record per
+scenario, in a module-level weak dictionary that drops it when reference
+counting frees the scenario. The record holds what does not depend on d
+(ACA's pseudo-inverse and congruence, both from one decomposition of ACA,
+C^{1/2}, C^-1 - A, the scalar conditions' parts), built at the scenario's
+first check, and the six verdicts at the last d asked. A new d (and the
+restriction) is checked before anything is built; one pass then builds
+all six verdicts, whichever check asks first, and they replace the kept
+ones, so memory does not grow with the number of d. The pass forms L,
+and the RAULE and AULE reports from it, then makes two stacked
+decompositions:
 
 * one ``eigh`` of (D1, D3) = (ACA - LAL, C^-1 - LAL), which gives both
   pseudo-inverses of the lemma tests;
@@ -49,12 +49,11 @@ stacked decompositions:
   C^{1/2}' LAL C^{1/2}), which gives every PSD witness and T3.5's
   lambda_max(LAL C).
 
-Only T3.3's congruence core, (m - q) wide, has its own ``eigvalsh``. The
-check functions then read the slot and assemble their verdicts. NumPy
-decomposes each member of a stack as it decomposes it alone, and D1, D3,
-Delta1 and Delta3 are exactly symmetric as formed, so every verdict is
-bit for bit what the public primitives give one matrix at a time
-(``is_psd``, ``moore_penrose``, ``in_range``, ``lambda_max_ratio``).
+Only T3.3's congruence core, (m - q) wide, has its own ``eigvalsh``.
+NumPy decomposes each member of a stack as it decomposes it alone, and
+D1, D3, Delta1 and Delta3 are exactly symmetric as formed, so every
+verdict is bit for bit what the public primitives give one matrix at a
+time (``is_psd``, ``moore_penrose``, ``in_range``, ``lambda_max_ratio``).
 Every kept array is read-only and nothing kept refers back to the scenario.
 
 The scalar conditions of T3.4/T3.6 compare
@@ -74,6 +73,7 @@ and leaves the judgement to the caller.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -81,7 +81,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .estimators import _check_request, _check_restriction, _smoothers
-from .linalg import PSD_SLACK, PsdResult, _eigh, _read_only, in_range_with_pinv
+from .linalg import PSD_SLACK, _eigh, _read_only, in_range_with_pinv
 from .linalg import _congruence, _kept, _pinv, _psd, _ratio, _sym
 from .risk import RiskReport, RiskScenario, _reports, spectral_risk_terms
 
@@ -112,6 +112,10 @@ class DominanceVerdict:
     is the independent check of the MSE difference itself (matrix PSD
     test, or scalar nonnegativity for the trace-based checks).
     ``witnesses`` carries the named scalars behind those booleans.
+
+    The checks keep the six verdicts of a scenario's last d, so repeated
+    calls at one d may return the same verdict object: a caller must not
+    mutate its ``witnesses``.
     """
 
     theorem: str
@@ -136,125 +140,117 @@ class DominanceVerdict:
         return record
 
 
-def _part(scenario: RiskScenario, build):
-    """``build(scenario)``, kept by the scenario from its first use on."""
-    if build not in scenario._parts:
-        scenario._parts[build] = build(scenario)
-    return scenario._parts[build]
+class _Fixed(NamedTuple):
+    """What the checks read that does not depend on d."""
+
+    aca_pinv: NDArray  # (ACA)^+
+    congruence: NDArray  # lambda_max_ratio's S for ACA
+    c_half: NDArray  # C^{1/2}
+    c_inv_minus_a: NDArray  # C^-1 - A
+    lam1: float  # the largest eigenvalue of C
+    min_positive_a: float  # over the a_ii that ``_kept`` keeps, inf when there are none
+    max_alpha_sq: float
+    rhs: float  # of the scalar conditions, max_alpha_sq / min_positive_a
 
 
-def _aca_parts(scenario: RiskScenario):
-    """ACA's Moore-Penrose inverse and lambda_max_ratio congruence, from one ``_eigh``."""
-    dec = _eigh(scenario._rmle.cov)
-    return _read_only(_pinv(dec)), _read_only(_congruence(dec))
+#: scenario -> (its ``_Fixed`` parts, the last d checked, the six verdicts there)
+_records: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _c_half(scenario: RiskScenario) -> NDArray:
-    return _read_only(scenario.decomp.basis * np.sqrt(np.maximum(scenario.decomp.values, 0.0)))
-
-
-def _c_inv_minus_a(scenario: RiskScenario) -> NDArray:
-    return _read_only(scenario.c_inv - scenario.A)
-
-
-def _scalar_parts(scenario: RiskScenario):
-    """lam_1, min_i a_ii over the a_ii that ``_kept`` keeps (inf when there are
-    none), max_i alpha_i^2 and the right side of the scalar conditions."""
+def _fixed(scenario: RiskScenario) -> _Fixed:
+    """The d-independent parts, with ACA's two from one ``_eigh``."""
+    aca = _eigh(scenario._rmle.cov)
+    decomp = scenario.decomp
     terms = spectral_risk_terms(scenario)
-    positive = _kept(terms.a_diag)
-    min_positive_a = float(np.min(terms.a_diag[positive], initial=np.inf))
+    min_positive_a = float(np.min(terms.a_diag[_kept(terms.a_diag)], initial=np.inf))
     max_alpha_sq = float(np.max(terms.alpha**2))
-    return float(terms.eigenvalues[0]), min_positive_a, max_alpha_sq, max_alpha_sq / min_positive_a
+    return _Fixed(
+        aca_pinv=_read_only(_pinv(aca)),
+        congruence=_read_only(_congruence(aca)),
+        c_half=_read_only(decomp.basis * np.sqrt(np.maximum(decomp.values, 0.0))),
+        c_inv_minus_a=_read_only(scenario.c_inv - scenario.A),
+        lam1=float(terms.eigenvalues[0]),
+        min_positive_a=min_positive_a,
+        max_alpha_sq=max_alpha_sq,
+        rhs=max_alpha_sq / min_positive_a,
+    )
 
 
-class _Lemma(NamedTuple):
-    """The T3.3/T3.5 lemma test for D = dispersion - LAL: whether b1 lies in
-    range(D), b1' D^+ b1, and the PSD test of Delta = D - b1 b1'."""
-
-    bias_in_range: bool
-    quadratic_form: float
-    delta: PsdResult
-
-
-class _PerD(NamedTuple):
-    """What the six checks read at one d."""
-
-    raule: RiskReport
-    aule: RiskReport
-    bias_norm: float  # |b1|
-    ratio: float  # T3.3: lambda_max(LAL (ACA)^+)
-    range_inclusion: bool  # T3.3: range(LAL) in range(ACA)
-    product: float  # T3.5: lambda_max(LAL C)
-    t33: _Lemma  # on D1 = ACA - LAL
-    t35: _Lemma  # on D3 = C^-1 - LAL
-    delta5: PsdResult  # T3.7
-
-
-def _at(scenario: RiskScenario, d: float) -> _PerD:
-    """The per-d pass at d, kept in the scenario's one per-d slot. A d other
-    than the slot's is checked first, with the restriction, and its pass
-    replaces the slot."""
-    kept_d, per_d = scenario._parts.get(_at, (None, None))
+def _at(scenario: RiskScenario, d: float) -> tuple[DominanceVerdict, ...]:
+    """The six verdicts at d, in ``check_all`` order, kept in the scenario's
+    record. A d other than the record's is checked first, with the
+    restriction, and its verdicts replace the record's."""
+    fixed, kept_d, verdicts = _records.get(scenario, (None, None, None))
     if d != kept_d:
         kinds, (d,) = _check_request(["raule", "aule"], [d])
         _check_restriction(kinds, scenario.restriction, scenario.m)
-        per_d = _pass(scenario, d)
-        scenario._parts[_at] = (d, per_d)
-    return per_d
+        fixed = fixed or _fixed(scenario)
+        verdicts = _verdicts(scenario, fixed, d)
+        _records[scenario] = (fixed, d, verdicts)
+    return verdicts
 
 
-def _pass(scenario: RiskScenario, d: float) -> _PerD:
-    """Everything the checks read at d, in the one pass the module
-    docstring describes. Delta5 and the T3.5 core are symmetrized; the other
-    members of the stacks are exactly symmetric as formed."""
+def _verdicts(scenario: RiskScenario, fixed: _Fixed, d: float) -> tuple[DominanceVerdict, ...]:
+    """The six verdicts at d, from the one pass the module docstring
+    describes. Delta5 and the T3.5 core are symmetrized; the other members
+    of the stacks are exactly symmetric as formed."""
     L = _smoothers(scenario.decomp, "raule", [d])
     (raule,) = _reports(scenario, "raule", [d], L)
     (aule,) = _reports(scenario, "aule", [d], L)
-    lal, b1 = raule.cov, raule.bias
-    aca_pinv, congruence = _part(scenario, _aca_parts)
-    c_half = _part(scenario, _c_half)
-    differences = np.subtract((scenario._rmle.cov, scenario.c_inv), lal)
-    delta5 = L[0] @ _part(scenario, _c_inv_minus_a) @ L[0]
-    core = c_half.T @ lal @ c_half
+    lal, b1, aca = raule.cov, raule.bias, scenario._rmle.cov
+    differences = np.subtract((aca, scenario.c_inv), lal)
+    delta5 = L[0] @ fixed.c_inv_minus_a @ L[0]
+    core = fixed.c_half.T @ lal @ fixed.c_half
     spectra = np.linalg.eigvalsh(np.concatenate([differences - np.outer(b1, b1), _sym(np.stack([delta5, core]))]))
-    delta1_psd, delta3_psd, delta5_psd = map(_psd, spectra[:3, 0].tolist())
+    psd1, psd3, psd5 = map(_psd, spectra[:3, 0].tolist())
     pinvs = _pinv(_eigh(differences))
-    t33, t35 = (
-        _Lemma(in_range_with_pinv(b1, difference, pinv), float(b1 @ pinv @ b1), psd)
-        for difference, pinv, psd in zip(differences, pinvs, (delta1_psd, delta3_psd))
-    )
-    return _PerD(
-        raule=raule,
-        aule=aule,
-        bias_norm=float(np.linalg.norm(b1)),
-        ratio=_ratio(lal, congruence),
-        range_inclusion=in_range_with_pinv(lal, scenario._rmle.cov, aca_pinv),
-        product=float(max(spectra[3, -1], 0.0)),
-        t33=t33,
-        t35=t35,
-        delta5=delta5_psd,
-    )
+    bias_norm = float(np.linalg.norm(b1))
 
-
-def _matrix_verdict(theorem, d, at: _PerD, lemma: _Lemma, applicable, side) -> DominanceVerdict:
-    """A T3.3/T3.5 verdict from its lemma test; ``side`` holds the
-    applicability witnesses."""
-    qform = lemma.quadratic_form
-    return DominanceVerdict(
-        theorem=theorem,
-        applicable=applicable,
-        condition_holds=lemma.bias_in_range and qform <= 1.0 + PSD_SLACK,
-        delta_psd=lemma.delta.ok,
-        lhs=qform,
-        rhs=1.0,
-        witnesses={
-            "d": float(d),
+    def lemma(theorem, i, psd, applicable, side):
+        """A T3.3/T3.5 verdict from the lemma test on D = differences[i]:
+        b1 in range(D), b1' D^+ b1 <= 1, and Delta = D - b1 b1' PSD."""
+        bias_in_range = in_range_with_pinv(b1, differences[i], pinvs[i])
+        qform = float(b1 @ pinvs[i] @ b1)
+        witnesses = {
+            "d": d,
             **side,
-            "bias_in_range": float(lemma.bias_in_range),
+            "bias_in_range": float(bias_in_range),
             "quadratic_form": qform,
-            "bias_norm": at.bias_norm,
-            "delta_min_eigenvalue": lemma.delta.min_eigenvalue,
-        },
+            "bias_norm": bias_norm,
+            "delta_min_eigenvalue": psd.min_eigenvalue,
+        }
+        holds = bias_in_range and qform <= 1.0 + PSD_SLACK
+        return DominanceVerdict(theorem, applicable, holds, psd.ok, qform, 1.0, witnesses)
+
+    lhs = np.inf if d == 1.0 else (fixed.lam1 + d) * (fixed.lam1 + 2.0 - d) / (1.0 - d) ** 2
+
+    def scalar(theorem, baseline: RiskReport):
+        """A T3.4/T3.6 verdict against the RMLE or MLE report."""
+        delta = baseline.mse - raule.mse
+        witnesses = {
+            "d": d,
+            "lambda_1": fixed.lam1,
+            "min_positive_a": fixed.min_positive_a,
+            "max_alpha_sq": fixed.max_alpha_sq,
+            "delta_mse": float(delta),
+        }
+        holds = bool(lhs < fixed.rhs)
+        return DominanceVerdict(theorem, True, holds, bool(delta >= -PSD_SLACK), lhs, fixed.rhs, witnesses)
+
+    ratio = _ratio(lal, fixed.congruence)
+    range_inclusion = in_range_with_pinv(lal, aca, fixed.aca_pinv)
+    product = float(max(spectra[3, -1], 0.0))
+    c31 = aule.mse - raule.mse
+    return (
+        lemma(
+            "T3.3", 0, psd1, bool(ratio <= 1.0 + PSD_SLACK and range_inclusion),
+            {"lambda_max_ratio": ratio, "range_inclusion": float(range_inclusion)},
+        ),
+        scalar("T3.4", scenario._rmle),
+        lemma("T3.5", 1, psd3, bool(product <= 1.0 + PSD_SLACK), {"lambda_max_product": product}),
+        scalar("T3.6", scenario._mle),
+        DominanceVerdict("T3.7", True, True, psd5.ok, witnesses={"d": d, "delta_min_eigenvalue": psd5.min_eigenvalue}),
+        DominanceVerdict("C3.1", True, True, bool(c31 >= -PSD_SLACK), witnesses={"d": d, "delta_mse": float(c31)}),
     )
 
 
@@ -273,33 +269,7 @@ def check_t33(scenario: RiskScenario, d: float) -> DominanceVerdict:
     tested, so rounding at a C near the rank cut (where
     ``lambda_max_ratio`` raises NotPSDError) leaves a verdict, not an error.
     """
-    at = _at(scenario, d)
-    applicable = bool(at.ratio <= 1.0 + PSD_SLACK and at.range_inclusion)
-    side = {"lambda_max_ratio": at.ratio, "range_inclusion": float(at.range_inclusion)}
-    return _matrix_verdict("T3.3", d, at, at.t33, applicable, side)
-
-
-def _scalar_verdict(theorem, scenario, d, at: _PerD, baseline: RiskReport) -> DominanceVerdict:
-    """A T3.4/T3.6 verdict against ``baseline``, the RMLE or MLE report,
-    which the caller reads only after ``_at`` has checked the restriction."""
-    lam1, min_a, max_alpha_sq, rhs = _part(scenario, _scalar_parts)
-    lhs = np.inf if d == 1.0 else (lam1 + d) * (lam1 + 2.0 - d) / (1.0 - d) ** 2
-    delta = baseline.mse - at.raule.mse
-    return DominanceVerdict(
-        theorem=theorem,
-        applicable=True,
-        condition_holds=bool(lhs < rhs),
-        delta_psd=bool(delta >= -PSD_SLACK),
-        lhs=float(lhs),
-        rhs=float(rhs),
-        witnesses={
-            "d": float(d),
-            "lambda_1": lam1,
-            "min_positive_a": min_a,
-            "max_alpha_sq": max_alpha_sq,
-            "delta_mse": float(delta),
-        },
-    )
+    return _at(scenario, d)[0]
 
 
 def check_t34(scenario: RiskScenario, d: float) -> DominanceVerdict:
@@ -309,7 +279,7 @@ def check_t34(scenario: RiskScenario, d: float) -> DominanceVerdict:
     Under a full restriction (q = m) A = 0, so no a_ii is positive: the
     bound's right side is 0 and ``condition_holds`` is false.
     """
-    return _scalar_verdict("T3.4", scenario, d, _at(scenario, d), scenario._rmle)
+    return _at(scenario, d)[1]
 
 
 def check_t35(scenario: RiskScenario, d: float) -> DominanceVerdict:
@@ -321,14 +291,12 @@ def check_t35(scenario: RiskScenario, d: float) -> DominanceVerdict:
     stack with Delta3. Then the criterion b1'(C^-1 - LAL)^+ b1 <= 1 is
     equivalent to Delta3 = C^-1 - LAL - b1 b1' being nonnegative definite.
     """
-    at = _at(scenario, d)
-    applicable = bool(at.product <= 1.0 + PSD_SLACK)
-    return _matrix_verdict("T3.5", d, at, at.t35, applicable, {"lambda_max_product": at.product})
+    return _at(scenario, d)[2]
 
 
 def check_t36(scenario: RiskScenario, d: float) -> DominanceVerdict:
     """RAULE vs MLE in scalar MSE: same bound as T3.4, direct difference vs MLE."""
-    return _scalar_verdict("T3.6", scenario, d, _at(scenario, d), scenario._mle)
+    return _at(scenario, d)[3]
 
 
 def check_t37(scenario: RiskScenario, d: float) -> DominanceVerdict:
@@ -339,27 +307,12 @@ def check_t37(scenario: RiskScenario, d: float) -> DominanceVerdict:
     false (beyond the slack) signals a numerical integrity failure, not
     a counterexample.
     """
-    psd = _at(scenario, d).delta5
-    return DominanceVerdict(
-        theorem="T3.7",
-        applicable=True,
-        condition_holds=True,
-        delta_psd=psd.ok,
-        witnesses={"d": float(d), "delta_min_eigenvalue": psd.min_eigenvalue},
-    )
+    return _at(scenario, d)[4]
 
 
 def check_c31(scenario: RiskScenario, d: float) -> DominanceVerdict:
     """RAULE vs AULE in scalar MSE, the trace consequence of the matrix order."""
-    at = _at(scenario, d)
-    delta = at.aule.mse - at.raule.mse
-    return DominanceVerdict(
-        theorem="C3.1",
-        applicable=True,
-        condition_holds=True,
-        delta_psd=bool(delta >= -PSD_SLACK),
-        witnesses={"d": float(d), "delta_mse": float(delta)},
-    )
+    return _at(scenario, d)[5]
 
 
 def check_all(scenario: RiskScenario, d: float) -> list[DominanceVerdict]:

@@ -29,6 +29,7 @@ projection, and each estimate V (factors * V' base).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,7 +63,12 @@ def _check_request(kinds: Sequence[str], d_grid: Sequence[float] | None = None):
     """The one check of an estimator request, in pure Python so that an
     EstimatorSpec stays cheap: (kinds lowercased, d values as floats).
     ValueError unless there is at least one kind, each in KINDS, and
-    (unless ``d_grid`` is None) at least one d, each in [0, 1]."""
+    (unless ``d_grid`` is None) at least one d, each in [0, 1]; a bare
+    string or number in place of either sequence is a ValueError too."""
+    if isinstance(kinds, (str, numbers.Number)):
+        raise ValueError(f"estimator kinds must be a sequence of names, got {kinds!r}")
+    if isinstance(d_grid, (str, numbers.Number)):
+        raise ValueError(f"d values must be a sequence of numbers, got {d_grid!r}")
     kinds = list(map(str.lower, kinds))
     if not kinds:
         raise ValueError(f"need at least one estimator kind from {KINDS}")
@@ -153,7 +159,11 @@ def liu_matrix(C, d: float) -> NDArray:
 
 
 def _check_width(restriction: LinearRestriction, m: int):
-    """The package's one width check: DimensionMismatchError unless H has ``m`` columns."""
+    """The package's one width check, which every door reaches before it
+    reads a restriction: ValueError unless it is a LinearRestriction, then
+    DimensionMismatchError unless H has ``m`` columns."""
+    if not isinstance(restriction, LinearRestriction):
+        raise ValueError(f"restriction must be a LinearRestriction, got {type(restriction).__name__}")
     if restriction.width != m:
         raise DimensionMismatchError(
             f"restriction width {restriction.width} does not match coefficient count {m}"

@@ -28,10 +28,10 @@ MSE formed once from them; its matrix MSE is formed when read.
 
 What does not depend on d (C^-1, the eigenbasis of C, A, the MLE and
 RMLE reports and the spectral terms) is built once per scenario and
-shared by every caller, so all of it is read-only; the dominance checks
-keep their d-independent parts on it too. A shrunken kind is scored over
-a d grid as one (D, m, m) stack of smoothers; :func:`risk` is one cell
-of :func:`d_sweep`, and a stack's members are bit for bit what it gives.
+shared by every caller, so all of it is read-only. A shrunken kind is
+scored over a d grid as one (D, m, m) stack of smoothers; :func:`risk`
+is one cell of :func:`d_sweep`, and a stack's members are bit for bit
+what it gives.
 
 The restricted shrinkage rows use the bias form that assumes the
 restriction holds at the truth. When it does not, the report carries
@@ -118,10 +118,6 @@ class RiskScenario:
     restriction the kernel A, the RMLE report and the
     :class:`SpectralRiskTerms`. C and beta_true are copied from the
     caller and every array held is read-only, so none of it goes stale.
-    ``_parts`` keeps what the dominance checks derive from these: the
-    d-independent parts for the scenario's life, and one slot of per-d
-    parts for the last d asked. None of it refers back to the scenario,
-    which reference counting alone frees.
 
     Raises
     ------
@@ -149,7 +145,6 @@ class RiskScenario:
         object.__setattr__(self, "C", _read_only(C))
         object.__setattr__(self, "beta_true", _read_only(beta))
         object.__setattr__(self, "_decomp", decomp)
-        object.__setattr__(self, "_parts", {})
         c_inv = symmetrize(np.linalg.inv(C))
         object.__setattr__(self, "_mle", RiskReport(c_inv, np.zeros(self.m)))
         if self.restriction is not None:

@@ -368,8 +368,9 @@ class SimulationConfig:
     Rejected here, before any draw: a non-integer n, p, reps or seed, a
     negative seed, more reps than the 2**32 - 2 replication stream keys
     (replication r draws from the key 2 + r, one 32-bit word), a ``rho``
-    that is not a real number (it is kept as a ``float``), no restriction,
-    n at most p (no maximum likelihood estimate exists), and with
+    that is not a real number (it is kept as a ``float``), n at most p (no
+    maximum likelihood estimate exists), ``fit_options`` that are not a
+    :class:`FitOptions`, a bad estimator request, no restriction, and with
     ``project_beta`` a restriction of p rows.
     """
 
@@ -401,6 +402,8 @@ class SimulationConfig:
                 f"n={self.n} is not above p={self.p}: some X beta separates n <= p responses "
                 "exactly, so no maximum likelihood estimate exists"
             )
+        if not isinstance(self.fit_options, FitOptions):
+            raise ValueError(f"fit_options must be a FitOptions, got {self.fit_options!r}")
         kinds, d_grid = _check_request(self.estimator_kinds, self.d_grid)
         who = "the simulation (it draws its truth in the restriction's null space)"
         _check_restriction(kinds, self.restriction, self.p, who)
@@ -561,12 +564,11 @@ def _simulate(configs: list[SimulationConfig], workers: int) -> list[SimulationR
     workers = _integer("workers", workers, 1)
     truths = []
     for config in configs:
-        rng = np.random.default_rng([config.seed, _BETA_STREAM])
-        beta = gen_beta(config.p, config.restriction, config.project_beta, rng)
+        beta_rng, design_rng = _generators(config.seed, [_BETA_STREAM, _FIXED_DESIGN_STREAM])
+        beta = gen_beta(config.p, config.restriction, config.project_beta, beta_rng)
         fixed_x = None
         if not config.regenerate_design:
-            rng = np.random.default_rng([config.seed, _FIXED_DESIGN_STREAM])
-            fixed_x = gen_design(config.n, config.p, np.sqrt(config.rho), rng)
+            fixed_x = gen_design(config.n, config.p, np.sqrt(config.rho), design_rng)
         truths.append((config, beta, fixed_x))
     blocks = []
     for _, run in itertools.groupby(truths, key=lambda truth: _shape(truth[0])):
@@ -645,7 +647,7 @@ def table_suite(
     """
     restrictions = {p: default_restriction(p) for p in (4, 8)}
     suite_config = partial(
-        SimulationConfig, d_grid=tuple(d_grid), reps=reps, estimator_kinds=tuple(estimator_kinds),
+        SimulationConfig, d_grid=d_grid, reps=reps, estimator_kinds=estimator_kinds,
         fit_options=fit_options if fit_options is not None else FitOptions(),
     )
     configs = [

@@ -169,6 +169,9 @@ def _names(module_name):
         ("require_positive_definite", {"linalg", "estimators"}),
         # only lambda_max_ratio raises NotPSDError; no dominance check does
         ("_require_psd", {"linalg"}),
+        # the dominance checks keep their state in dominance, not on the scenario
+        ("_records", {"dominance"}),
+        ("_parts", set()),
     ],
 )
 def test_each_rule_is_named_only_in_its_home(name, homes):

@@ -14,7 +14,6 @@ from shrinklogit import (
     EstimatorSpec,
     LinearRestriction,
     MissingRestrictionError,
-    RiskReport,
     RiskScenario,
     check_all,
     check_c31,
@@ -432,81 +431,91 @@ class TestOneRoute:
     def test_invalid_d_is_rejected_before_anything_is_built(self, check, d):
         scenario = diag_scenario([3.0, 1.0, 0.5], [1.0, -1.0, 0.5], [[1.0, 1.0, 0.0]])
         check_all(scenario, 0.5)
+        kept = dominance._records[scenario]
         with pytest.raises(ValueError, match=r"^d must be in \[0, 1\], got "):
             check(scenario, d)
-        assert scenario._parts[dominance._at][0] == 0.5
+        assert dominance._records[scenario] is kept and kept[1] == 0.5
+
+    @pytest.mark.parametrize("check", CHECKS + (check_all,))
+    def test_invalid_d_at_a_fresh_scenario_builds_no_record(self, check):
+        scenario = diag_scenario([3.0, 1.0, 0.5], [1.0, -1.0, 0.5], [[1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^d must be in \[0, 1\], got 1.5$"):
+            check(scenario, 1.5)
+        assert scenario not in dominance._records
 
 
 class TestKeptParts:
-    """What the scenario keeps for the checks is read-only, holds no
-    reference back to the scenario, and does not change later verdicts.
-    The d-independent parts are kept for the scenario's life, the per-d
-    pass in one slot for the last d asked."""
+    """What the checks keep is one record per scenario in ``dominance``:
+    the d-independent parts for the scenario's life and the six verdicts of
+    the last d asked. It is read-only, holds no reference back to the
+    scenario, leaves the scenario itself as it was, and changes no verdict."""
 
     @staticmethod
     def scenario():
         return random_scenario(np.random.default_rng(15), 4, 2)
 
-    @staticmethod
-    def kept(scenario):
-        """The d-independent parts, and the per-d slot's d and pass."""
-        parts = dict(scenario._parts)
-        d, per_d = parts.pop(dominance._at)
-        return parts, d, per_d
-
-    @classmethod
-    def arrays(cls, part):
-        """Every array that a kept part holds, through reports and tuples."""
-        if isinstance(part, np.ndarray):
-            yield part
-        elif isinstance(part, RiskReport):
-            yield from (part.cov, part.bias)
-        elif isinstance(part, tuple):
-            for item in part:
-                yield from cls.arrays(item)
-
     def test_kept_parts_are_read_only(self):
         scenario = self.scenario()
         check_all(scenario, 0.5)
-        parts, d, per_d = self.kept(scenario)
-        assert (len(parts), d, type(per_d)) == (4, 0.5, dominance._PerD)
-        kept = list(self.arrays(tuple(parts.values())))
-        per_d_arrays = list(self.arrays(per_d))
-        # ACA's pinv and congruence, C^-1 - A, C^{1/2}; LAL, b1 and the AULE's cov and bias
-        assert (len(kept), len(per_d_arrays)) == (4, 4)
-        for array in kept + per_d_arrays:
+        fixed, d, verdicts = dominance._records[scenario]
+        assert (d, [v.theorem for v in verdicts]) == (0.5, [v.theorem for v in check_all(scenario, 0.5)])
+        arrays = [part for part in fixed if isinstance(part, np.ndarray)]
+        # ACA's pinv and congruence, C^{1/2}, C^-1 - A; the verdicts hold no array
+        assert len(arrays) == 4
+        for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 9.0
+        assert all(type(value) is float for v in verdicts for value in v.witnesses.values())
 
     @pytest.mark.parametrize("d", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("index", range(len(CHECKS)))
     def test_a_lone_check_gives_its_check_all_verdict(self, index, d):
-        """A lone check at a fresh scenario builds the whole per-d pass, with
-        the d-independent parts it reads, and gives the verdict check_all gives."""
+        """A lone check at a fresh scenario builds the whole record, and gives
+        the verdict check_all gives."""
         scenario = self.scenario()
         alone = CHECKS[index](scenario, d)
-        parts, kept_d, per_d = self.kept(scenario)
-        assert (kept_d, type(per_d)) == (d, dominance._PerD)
-        assert {dominance._aca_parts, dominance._c_half, dominance._c_inv_minus_a} <= set(parts)
+        fixed, kept_d, verdicts = dominance._records[scenario]
+        assert (kept_d, len(verdicts), verdicts[index]) == (d, len(CHECKS), alone)
         assert alone.as_record() == check_all(self.scenario(), d)[index].as_record()
 
-    def test_one_per_d_slot_whatever_the_number_of_d(self):
-        scenario = self.scenario()
+    def test_one_slot_per_scenario_whatever_the_number_of_d(self):
+        scenario, other = self.scenario(), self.scenario()
+        check_all(other, 0.5)
+        check_all(scenario, 0.0)
+        fixed = dominance._records[scenario][0]
         for d in np.linspace(0.0, 1.0, 20):
-            check_all(scenario, d)
-        parts, d, per_d = self.kept(scenario)
-        assert (len(scenario._parts), len(parts), d, type(per_d)) == (5, 4, 1.0, dominance._PerD)
+            verdicts = check_all(scenario, d)
+        kept_fixed, kept_d, kept = dominance._records[scenario]
+        assert kept_fixed is fixed  # built once, at the first check
+        assert (kept_d, list(kept)) == (1.0, verdicts)
+        assert dominance._records[other][1] == 0.5
+
+    def test_repeated_calls_at_one_d_share_the_kept_verdicts(self):
+        scenario = self.scenario()
+        first = check_all(scenario, 0.5)
+        assert all(a is b for a, b in zip(check_all(scenario, 0.5), first))
+
+    def test_checks_leave_the_scenario_as_it_was(self):
+        scenario = self.scenario()
+        before = dict(vars(scenario))
+        check_all(scenario, 0.5)
+        check_t33(scenario, 0.7)
+        after = vars(scenario)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
 
     def test_scenario_is_freed_by_reference_counting(self):
         scenario = self.scenario()
         d_sweep(scenario, KINDS, [0.5])
         check_all(scenario, 0.5)
         ref = weakref.ref(scenario)
+        before = len(dominance._records)
         enabled = gc.isenabled()
         gc.disable()
         try:
             del scenario
             assert ref() is None
+            assert len(dominance._records) == before - 1
         finally:
             if enabled:
                 gc.enable()

@@ -18,8 +18,10 @@ from shrinklogit import (
     InvalidMatrixError,
     LinearRestriction,
     RiskScenario,
+    SimulationConfig,
     SingularInformationError,
     a_matrix,
+    default_restriction,
     estimate,
     restricted_mle,
     shrinkage_estimates,
@@ -131,6 +133,23 @@ def test_the_stack_reports_its_first_failing_row():
     C = np.stack([GOOD_C, np.diag([3.0, 2.0, 1.0, -1.0]), SINGULAR_C])
     with pytest.raises(SingularInformationError, match=r"range \[-1\.000e\+00, 3\.000e\+00\]"):
         shrinkage_estimates(fit_of(C, np.stack([GOOD_BETA] * 3)), ["mle"], [0.5])
+
+
+@pytest.mark.parametrize("door", DOORS)
+def test_every_door_refuses_a_restriction_that_is_not_a_linear_restriction(door):
+    call, _, _ = DOORS[door]
+    with pytest.raises(ValueError) as caught:
+        call(GOOD_C, GOOD_BETA, (RESTRICTION.H, RESTRICTION.h))
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "restriction must be a LinearRestriction, got tuple"
+
+
+def test_the_simulation_refuses_a_restriction_that_is_not_a_linear_restriction():
+    stock = default_restriction(4)
+    with pytest.raises(ValueError) as caught:
+        SimulationConfig(n=50, p=4, rho=0.9, d_grid=(0.5,), reps=1, seed=1, restriction=(stock.H, stock.h))
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "restriction must be a LinearRestriction, got tuple"
 
 
 def test_every_door_takes_a_good_input():

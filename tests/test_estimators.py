@@ -57,6 +57,10 @@ class TestOneRequestCheck:
             pytest.param(["aule"], [-0.0, -0.5], "d must be in [0, 1], got -0.5", id="d-below-zero"),
             pytest.param([], [0.5], f"need at least one estimator kind from {KINDS}", id="no-kinds"),
             pytest.param(["aule"], [], "need at least one biasing parameter d in [0, 1]", id="no-d"),
+            pytest.param("mle", [0.5], "estimator kinds must be a sequence of names, got 'mle'", id="bare-kind"),
+            pytest.param(3, [0.5], "estimator kinds must be a sequence of names, got 3", id="number-kinds"),
+            pytest.param(["aule"], 0.5, "d values must be a sequence of numbers, got 0.5", id="bare-d"),
+            pytest.param(["aule"], "0.5", "d values must be a sequence of numbers, got '0.5'", id="string-d"),
         ],
     )
     def test_one_message_per_rule(self, kinds, d_grid, message):
@@ -70,7 +74,7 @@ class TestOneRequestCheck:
                 restriction=default_restriction(4), estimator_kinds=kinds,
             ),
         ]
-        if len(kinds) == len(d_grid) == 1:
+        if isinstance(kinds, list) and isinstance(d_grid, list) and len(kinds) == len(d_grid) == 1:
             doors.append(lambda: EstimatorSpec(kinds[0], d_grid[0]))
         for door in doors:
             with pytest.raises(ValueError) as excinfo:

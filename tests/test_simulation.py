@@ -603,6 +603,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(restriction=default_restriction(8))
 
+    @pytest.mark.parametrize("value", [None, {"max_iter": 5}])
+    def test_fit_options_must_be_fit_options(self, value):
+        with pytest.raises(ValueError, match=f"^fit_options must be a FitOptions, got {re.escape(repr(value))}$"):
+            small_config(fit_options=value)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"estimator_kinds": "mle"}, "estimator kinds must be a sequence of names, got 'mle'"),
+            ({"d_grid": 0.5}, "d values must be a sequence of numbers, got 0.5"),
+        ],
+    )
+    def test_a_bare_request_is_refused_at_every_simulation_door(self, overrides, message):
+        """The suite hands its kinds and d grid to the configuration as given."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**overrides)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            table_suite(1, reps=2, **overrides)
+
     @pytest.mark.parametrize("kinds", [("mle", "aule", "rmle", "raule"), ("mle", "aule")])
     def test_no_restriction_is_a_missing_restriction(self, kinds):
         with pytest.raises(MissingRestrictionError, match=r"^the simulation \(it draws its truth in the restriction's null space\)"):
