@@ -8,14 +8,20 @@ column) number.
 
 A well-formed file (unquoted numbers of one width under a header line,
 quoted or not, that ``csv.reader`` reads on its own; responses in
-{0, 1}) is read in one vectorised ``np.loadtxt`` pass that streams the
-lines from the open file. Every other file, and so every error, goes
-through a field-by-field ``csv.reader`` loop, which converts each row as
-it reads it and so reports the first problem in file order. Both hand
-:func:`load_csv` the parsed table, which it splits once, writing the
-intercept in place, and :func:`save_csv` converts a block of rows at a
-time: reading or writing a large dataset needs little more memory than
-its arrays.
+{0, 1}; no line longer than ``csv.field_size_limit()``) is read in one
+vectorised pass: ``np.loadtxt`` is given the file's name and reads and
+tokenizes it in chunks in C. The line-length rule is checked first by one
+chunked scan of the bytes, skipped for a file no longer than the limit.
+Every other file, and so every error, goes through a field-by-field
+``csv.reader`` loop, which converts each row as it reads it and so
+reports the first problem in file order. Both hand :func:`load_csv` the
+parsed table, which it splits once, writing the intercept in place, and
+:func:`save_csv` converts a block of rows at a time: reading or writing
+a large dataset needs little more memory than its arrays.
+
+Both passes may open a file, so a stream (a pipe, a FIFO, ``/dev/stdin``)
+is first copied once to a temporary plain file, which both read; the
+messages still name the caller's path.
 
 ``importlib.resources`` is imported in :func:`bundled_dataset_path`, the
 one function that uses it, so that loading the package does not load it.
@@ -24,9 +30,13 @@ one function that uses it, so that loading the package does not load it.
 from __future__ import annotations
 
 import csv
+import os
+import shutil
+import stat
+import tempfile
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -90,13 +100,18 @@ def load_csv(
     A well-formed file is read in one vectorised pass: every line after
     the header is unquoted numbers of one width, the header line is not
     blank, is one ``csv.reader`` row on its own (quoted or not) and is as
-    wide as the body, and every response is 0 or 1. Any other file goes
-    through the field-by-field loop, the one source of the errors below,
-    which reads the same values and converts each row as it reads it, so
-    the first problem in file order is reported. y is copied out of the
-    parsed table; with ``intercept`` X is the table itself, the columns
-    before the response moved right by one and the ones written into
-    column 0. Memory is a small multiple of the arrays returned.
+    wide as the body, no line is longer than ``csv.field_size_limit()``
+    bytes, and every response is 0 or 1. That pass hands ``np.loadtxt`` the
+    file's name, so a name ending in a suffix that ``np.loadtxt``
+    decompresses (``.gz``, ``.bz2``, ``.xz``, ``.lzma``) is not read there.
+    Any other file goes through the field-by-field loop, the one source of
+    the errors below, which reads the same values and converts each row as
+    it reads it, so the first problem in file order is reported. A stream
+    (a pipe, a FIFO, ``/dev/stdin``) is read once, into a temporary plain
+    file that both passes read. y is copied out of the parsed table; with
+    ``intercept`` X is the table itself, the columns before the response
+    moved right by one and the ones written into column 0. Memory is a
+    small multiple of the arrays returned.
 
     Raises
     ------
@@ -111,7 +126,10 @@ def load_csv(
         If ``response_column`` is neither an integer (a bool is not one)
         nor a string.
     """
-    table, index = _read_vectorised(path, header, response_column) or _read_checked(path, header, response_column)
+    with _plain_file(path) as source:
+        table, index = _read_vectorised(source, header, response_column) or _read_checked(
+            source, header, response_column, path
+        )
     y = table[:, index].copy()
     if not intercept:
         return Dataset(X=np.delete(table, index, axis=1), y=y)
@@ -136,14 +154,49 @@ def _read_lines(path) -> list[str]:
         raise _not_utf8(path, err) from None
 
 
-def _short_lines(lines, limit):
-    """``lines`` passed through, raising ValueError at the first one longer
-    than ``limit`` (not counting its line end): ``csv.reader`` refuses such
-    a field, so only the loop may read the file."""
-    for line in lines:
-        if len(line) - line.endswith("\n") > limit:
-            raise ValueError("line longer than csv.field_size_limit()")
-        yield line
+@contextmanager
+def _plain_file(path):
+    """The name of a regular file holding the bytes at ``path``: ``path``
+    itself, or for a stream (a pipe, a FIFO, ``/dev/stdin``), which can be
+    read only once, a temporary copy made in one read and removed on exit."""
+    if stat.S_ISREG(os.stat(path).st_mode):
+        yield path
+        return
+    with tempfile.TemporaryDirectory() as folder:
+        copy = os.path.join(folder, "stream.csv")
+        with open(path, "rb") as stream, open(copy, "wb") as out:
+            shutil.copyfileobj(stream, out)
+        yield copy
+
+
+#: Bytes that :func:`_lines_within` reads at a time: small, so that the scan
+#: adds little to the peak memory of a read.
+SCAN_CHUNK_BYTES = 1 << 16
+
+#: Suffixes on which ``np.loadtxt`` decompresses the file it is named.
+_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _lines_within(path, limit) -> bool:
+    """Whether no line of the file is longer than ``limit`` bytes, its end
+    (LF, CRLF or CR) not counted: ``csv.reader`` refuses a field longer
+    than ``limit`` characters, and a line has no fewer bytes than
+    characters. One pass over the bytes, :data:`SCAN_CHUNK_BYTES` at a
+    time, each search looking at most ``limit + 1`` bytes ahead."""
+    with open(path, "rb") as handle:
+        rest = b""
+        while chunk := handle.read(SCAN_CHUNK_BYTES):
+            buffer, start = rest + chunk, 0
+            while True:  # jump to the last line end within limit + 1 bytes
+                ahead = start + limit + 1
+                end = max(buffer.rfind(b"\n", start, ahead), buffer.rfind(b"\r", start, ahead))
+                if end < 0:
+                    break
+                start = end + 1
+            rest = buffer[start:]
+            if len(rest) > limit:
+                return False
+    return True
 
 
 def _read_vectorised(path, header, response_column):
@@ -152,12 +205,20 @@ def _read_vectorised(path, header, response_column):
 
     The header is split by a strict ``csv.reader`` and the body lines as
     ``csv.reader`` splits unquoted text, so a file read here gives what
-    :func:`_read_checked` would give. The body lines go from the file
-    handle straight into ``np.loadtxt``, one at a time.
+    :func:`_read_checked` would give. ``np.loadtxt`` is given the file's
+    name, skips the header line and reads and tokenizes the rest in
+    chunks in C. A file longer than ``csv.field_size_limit()`` bytes is
+    first scanned for a line longer than that by :func:`_lines_within`.
     """
+    name = os.fsdecode(path)
+    if not os.path.isabs(name):
+        name = os.path.join(os.curdir, name)  # np.loadtxt opens a name like "http://..." as a URL
+    if name.endswith(_DECOMPRESSED):
+        return None  # np.loadtxt would decompress what the loop reads as text
     names = None
+    limit = csv.field_size_limit()
     try:
-        with open(path, encoding="utf-8-sig") as handle:
+        with open(name, encoding="utf-8-sig") as handle:
             if header:
                 head = handle.readline()
                 if head in ("", "\n"):
@@ -166,11 +227,14 @@ def _read_vectorised(path, header, response_column):
                 names = [field.strip() for field in next(csv.reader([head], strict=True))]
             # np.loadtxt skips blank lines but warns when no line is left;
             # a body of blank lines is the loop's error to name.
-            first = next((line for line in handle if line != "\n"), None)
-            if first is None:
+            if all(line == "\n" for line in handle):
                 return None
-            lines = _short_lines(chain([first], handle), csv.field_size_limit())
-            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            size = os.fstat(handle.fileno()).st_size
+        if size > limit and not _lines_within(name, limit):
+            return None
+        table = np.loadtxt(
+            name, delimiter=",", comments=None, ndmin=2, skiprows=int(header), encoding="utf-8-sig"
+        )
     except (ValueError, csv.Error):  # a UnicodeDecodeError too: the loop then names the file
         return None
     ncols = table.shape[1]
@@ -185,10 +249,12 @@ def _read_vectorised(path, header, response_column):
     return table, index
 
 
-def _read_checked(path, header, response_column):
+def _read_checked(path, header, response_column, name=None):
     """(table, response index) parsed field by field in one pass, each row
     converted as ``csv.reader`` yields it, raising the first problem in
-    file order with its row and column."""
+    file order with its row and column. A message that names the file
+    names it ``name``, by default ``path``."""
+    name = path if name is None else name
     names = ncols = index = None
     values, lineno = array("d"), 0
     with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -202,7 +268,7 @@ def _read_checked(path, header, response_column):
                 if ncols is None:
                     ncols = len(row)
                     if ncols < 2:
-                        raise CsvParseError(f"{path}: need a response and at least one predictor column")
+                        raise CsvParseError(f"{name}: need a response and at least one predictor column")
                     index = _resolve_response(response_column, names, ncols, header)
                 if len(row) != ncols:
                     raise CsvParseError(f"row {lineno}: expected {ncols} fields, got {len(row)}", row=lineno)
@@ -223,10 +289,10 @@ def _read_checked(path, header, response_column):
         except csv.Error as err:  # such as a field longer than csv.field_size_limit()
             raise CsvParseError(f"row {lineno + 1}: {err}", row=lineno + 1) from None
         except UnicodeDecodeError as err:
-            raise _not_utf8(path, err) from None
+            raise _not_utf8(name, err) from None
     if ncols is None:
         what = "no" if names is None else "a header but no"
-        raise CsvParseError(f"{path}: file contains {what} data rows")
+        raise CsvParseError(f"{name}: file contains {what} data rows")
     return np.frombuffer(values).reshape(-1, ncols), index
 
 

@@ -179,9 +179,10 @@ def _fixed(scenario: RiskScenario) -> _Fixed:
 def _at(scenario: RiskScenario, d: float) -> tuple[DominanceVerdict, ...]:
     """The six verdicts at d, in ``check_all`` order, kept in the scenario's
     record. A d other than the record's is checked first, with the
-    restriction, and its verdicts replace the record's."""
+    restriction, and its verdicts replace the record's; so is any d when
+    there is no record yet, None among them."""
     fixed, kept_d, verdicts = _records.get(scenario, (None, None, None))
-    if d != kept_d:
+    if verdicts is None or d != kept_d:
         kinds, (d,) = _check_request(["raule", "aule"], [d])
         _check_restriction(kinds, scenario.restriction, scenario.m)
         fixed = fixed or _fixed(scenario)

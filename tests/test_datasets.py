@@ -2,6 +2,9 @@
 
 import csv
 import io
+import os
+import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -207,13 +210,34 @@ class TestVectorisedPass:
         def refuse(*args):
             raise AssertionError("the field-by-field loop ran")
 
+        scans = []
+        scan = datasets._lines_within
         monkeypatch.setattr(datasets, "_read_checked", refuse)
+        monkeypatch.setattr(datasets, "_lines_within", lambda *args: scans.append(args) or scan(*args))
         bundled = load_csv(bundled_dataset_path())
         path = tmp_path / "copy.csv"
         save_csv(bundled, path)
         back = load_csv(path)
         assert_same_array(back.X, bundled.X)
         assert_same_array(back.y, bundled.y)
+        assert scans == []  # no file here is longer than the limit
+
+        large = random_dataset(2000, 7)  # about 300 kB, so the byte scan runs
+        save_csv(large, path)
+        assert path.stat().st_size > csv.field_size_limit()
+        back = load_csv(path, intercept=False)
+        assert len(scans) == 1
+        assert_same_array(back.X, large.X)
+        assert_same_array(back.y, large.y)
+
+    def test_a_relative_name_that_looks_like_a_url_is_read_as_a_file(self, tmp_path, monkeypatch):
+        # np.loadtxt opens a name with a scheme and a host as a URL
+        (tmp_path / "http:" / "localhost").mkdir(parents=True)
+        write(tmp_path / "http:" / "localhost", "y,x\n1,0.5\n0,-0.5\n", "a.csv")
+        monkeypatch.chdir(tmp_path)
+        fast = datasets._read_vectorised("http://localhost/a.csv", True, 0)
+        assert fast is not None
+        assert_same_array(fast[0], [[1, 0.5], [0, -0.5]])
 
 
 def random_dataset(n, width, seed=0):
@@ -231,7 +255,7 @@ def traced_peak(call):
 
 
 class TestStreamingRead:
-    """The vectorised pass reads the file line by line, with the loop's
+    """The vectorised pass reads the file in chunks, with the loop's
     outcome on every file, however far into it a problem lies."""
 
     @pytest.mark.parametrize(
@@ -318,6 +342,172 @@ class TestStreamingRead:
             load_csv(path)
         assert str(excinfo.value) == "row 2, column 2: cannot parse 'oops' as a number"
         assert (excinfo.value.row, excinfo.value.column) == (2, 2)
+
+
+#: A field-size limit small enough that a line of it fits many times into
+#: one chunk of the byte scan.
+SMALL_LIMIT = 1000
+
+
+@pytest.fixture
+def small_field_limit():
+    """``csv.field_size_limit()`` lowered to SMALL_LIMIT for the test."""
+    old = csv.field_size_limit(SMALL_LIMIT)
+    yield SMALL_LIMIT
+    csv.field_size_limit(old)
+
+
+def around_the_boundary(line, end, shift, bom):
+    """A headed file whose ``line`` starts ``shift`` bytes from the end of the
+    byte scan's first chunk, between short rows, every line ended by ``end``."""
+    head = ("\ufeff" if bom else "") + "y,x" + end
+    row = "1,0.5" + end
+    start = datasets.SCAN_CHUNK_BYTES - shift
+    rows, pad = divmod(start - len(encode(head)), len(row))
+    before = head + "1,0.5" + "0" * pad + end + row * (rows - 1)
+    assert len(encode(before)) == start
+    return before + line + end + "0,1.5" + end
+
+
+def longest_line(data):
+    return max(map(len, re.split(rb"\r\n|\r|\n", data)))
+
+
+class TestByteScan:
+    """The field-size rule, checked on the bytes: a line of exactly the limit
+    is read by the vectorised pass, one byte more sends the file to the loop,
+    wherever the line falls against the scan's chunks."""
+
+    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "shift",
+        [SMALL_LIMIT // 2, SMALL_LIMIT, SMALL_LIMIT + 1, SMALL_LIMIT + 2, 1],
+        ids=["straddles", "ends-at-the-boundary", "end-is-last-byte", "end-two-before", "one-byte-left"],
+    )
+    @pytest.mark.parametrize("extra", [0, 1], ids=["limit", "limit+1"])
+    def test_a_line_at_the_limit_and_one_over(self, tmp_path, small_field_limit, bom, end, shift, extra):
+        line = "1,0." + "5" * (small_field_limit - 4 + extra)
+        assert len(line) == small_field_limit + extra
+        path = write(tmp_path, around_the_boundary(line, end, shift, bom))
+        assert longest_line(path.read_bytes()) == small_field_limit + extra
+        assert datasets._lines_within(path, small_field_limit) is (extra == 0)
+        fast = datasets._read_vectorised(path, True, 0)
+        expected = datasets._read_checked(path, True, 0)
+        assert (fast is None) is (extra == 1)
+        if fast is not None:
+            assert_same_read(fast, expected)
+        data = load_csv(path, intercept=False)
+        assert_same_array(data.X, expected[0][:, 1:])
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("shift", [SMALL_LIMIT // 2, SMALL_LIMIT + 1], ids=["straddles", "end-is-last-byte"])
+    def test_a_field_over_the_limit_is_the_loop_error(self, tmp_path, small_field_limit, end, shift):
+        path = write(tmp_path, around_the_boundary("1,0." + "5" * (small_field_limit - 1), end, shift, True))
+        with pytest.raises(CsvParseError) as caught:
+            datasets._read_checked(path, True, 0)
+        with pytest.raises(CsvParseError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == str(caught.value)
+        assert str(excinfo.value).endswith(f"field larger than field limit ({small_field_limit})")
+        assert excinfo.value.row == caught.value.row
+
+    def test_many_long_lines_in_one_chunk(self, tmp_path, small_field_limit):
+        lines = ["1,0." + "5" * (small_field_limit - 4 - k % 3) for k in range(200)]
+        path = write(tmp_path, "y,x\n" + "\n".join(lines) + "\n")
+        assert datasets._lines_within(path, small_field_limit)
+        path = write(tmp_path, "y,x\n" + "\n".join(lines[:150] + [lines[0] + "5"] + lines[150:]) + "\n")
+        assert not datasets._lines_within(path, small_field_limit)
+
+    @pytest.mark.parametrize("text", ["1,0.5", "1,0.5\n", "", "\r\n"], ids=["no-end", "lf", "empty", "crlf"])
+    def test_short_files(self, tmp_path, text):
+        assert datasets._lines_within(write(tmp_path, text), 5)
+        assert not datasets._lines_within(write(tmp_path, text + "0,1.25"), 5)
+
+    def test_a_file_no_longer_than_the_limit_is_not_scanned(self, tmp_path, small_field_limit, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the byte scan ran")
+
+        monkeypatch.setattr(datasets, "_lines_within", refuse)
+        path = write(tmp_path, "y,x\n" + "1,0.5\n" * 166)
+        assert path.stat().st_size == 1000
+        assert datasets._read_vectorised(path, True, 0) is not None
+
+
+def read_through_fifo(tmp_path, text, **kwargs):
+    """load_csv of a FIFO that another thread fills with ``text``: (the
+    dataset or the error raised, the FIFO's path). Fails, rather than hangs,
+    if the read does not end."""
+    path = tmp_path / "stream.csv"
+    os.mkfifo(path)
+    outcome = []
+
+    def feed():
+        with open(path, "wb") as out:
+            out.write(encode(text))
+
+    def read():
+        try:
+            outcome.append(load_csv(path, **kwargs))
+        except Exception as err:  # handed to the test thread
+            outcome.append(err)
+
+    threads = [threading.Thread(target=feed, daemon=True), threading.Thread(target=read, daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    if any(thread.is_alive() for thread in threads):
+        os.close(os.open(path, os.O_RDWR | os.O_NONBLOCK))  # lets a blocked open return
+        pytest.fail("load_csv of a FIFO did not end: it opened the FIFO more than once")
+    return outcome[0], path
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+class TestStreams:
+    """A stream is read once, into a copy that both passes read."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("y,x\n1,0.5\n0,1\n1,2\n", id="well-formed"),
+            pytest.param('y,x\n"1",0.5\n0,1\n1,2\n', id="quoted"),
+            pytest.param("y,x\r\n" + "1,0.5\r\n0,-0.25\r\n" * 20000, id="larger-than-the-field-limit"),
+        ],
+    )
+    def test_a_fifo_gives_the_regular_files_table(self, tmp_path, text):
+        data, _ = read_through_fifo(tmp_path, text)
+        plain = load_csv(write(tmp_path, text, "plain.csv"))
+        assert_same_array(data.X, plain.X)
+        assert_same_array(data.y, plain.y)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("y,x\n\n", "{path}: file contains a header but no data rows", id="header-only"),
+            pytest.param("y,x\n1,0.5\n0,\udcff\n", "{path}: not UTF-8 text (invalid start byte)", id="non-utf8-byte"),
+        ],
+    )
+    def test_a_message_names_the_fifo(self, tmp_path, text, message):
+        error, path = read_through_fifo(tmp_path, text)
+        assert type(error) is CsvParseError
+        assert str(error) == message.format(path=path)
+
+
+class TestCompressedNames:
+    """np.loadtxt decompresses a file named *.gz, *.bz2, *.xz or *.lzma; the
+    vectorised pass steps aside for such a name, and the loop reads the
+    file as the text it is."""
+
+    @pytest.mark.parametrize("name", ["data.csv.gz", "data.bz2", "data.xz", "data.csv.lzma"])
+    def test_a_plain_text_file_loads_as_text(self, tmp_path, name):
+        text = 'y,x\n1,0.5\n0,-0.5\n'
+        path = write(tmp_path, text, name)
+        assert datasets._read_vectorised(path, True, 0) is None
+        data = load_csv(path)
+        plain = load_csv(write(tmp_path, text))
+        assert_same_array(data.X, plain.X)
+        assert_same_array(data.y, plain.y)
 
 
 def reference_split(table, index, intercept):

@@ -5,6 +5,10 @@ type and message from each door for each bad input.
 A door's messages name its own beta argument (``beta_mle`` or
 ``beta_true``) and give its own shapes: a single fit's are (m,) and
 (m, m), a stack's carry its row axis in front.
+
+Every door that takes estimator kinds or d values checks them through
+``estimators._check_request``: an item of the wrong type is one
+ValueError naming it at each door.
 """
 
 import numpy as np
@@ -21,10 +25,16 @@ from shrinklogit import (
     SimulationConfig,
     SingularInformationError,
     a_matrix,
+    check_all,
+    check_t33,
+    d_sweep,
     default_restriction,
     estimate,
+    ld_matrix,
+    liu_matrix,
     restricted_mle,
     shrinkage_estimates,
+    table_suite,
 )
 
 GOOD_C = np.diag([3.0, 2.0, 1.0, 0.5])
@@ -169,3 +179,80 @@ def test_the_restricted_doors_take_a_stack_row_by_row():
     for i in range(3):
         assert np.array_equal(projected[i], restricted_mle(Cs[i], betas[i], RESTRICTION))
         assert np.array_equal(kernels[i], a_matrix(Cs[i], RESTRICTION))
+
+
+#: door name -> call(kinds, d_grid): each door that takes kinds, d values or both.
+REQUEST_DOORS = {
+    "EstimatorSpec": lambda kinds, ds: EstimatorSpec(kinds[0], ds[0]),
+    "shrinkage_estimates": lambda kinds, ds: shrinkage_estimates(fit_of(GOOD_C, GOOD_BETA), kinds, ds),
+    "d_sweep": lambda kinds, ds: d_sweep(RiskScenario(GOOD_C, GOOD_BETA), kinds, ds),
+    "SimulationConfig": lambda kinds, ds: SimulationConfig(
+        n=50, p=4, rho=0.9, d_grid=ds, reps=1, seed=1, restriction=default_restriction(4), estimator_kinds=kinds
+    ),
+    "table_suite": lambda kinds, ds: table_suite(1, reps=2, d_grid=ds, estimator_kinds=kinds),
+    "ld_matrix": lambda kinds, ds: ld_matrix(GOOD_C, ds[0]),
+    "liu_matrix": lambda kinds, ds: liu_matrix(GOOD_C, ds[0]),
+    "check_all": lambda kinds, ds: check_all(RiskScenario(GOOD_C, GOOD_BETA, RESTRICTION), ds[0]),
+    "check_t33": lambda kinds, ds: check_t33(RiskScenario(GOOD_C, GOOD_BETA, RESTRICTION), ds[0]),
+}
+
+#: Doors that take a d but no kinds.
+D_ONLY = {"ld_matrix", "liu_matrix", "check_all", "check_t33"}
+
+#: name -> (kinds, d values, message); the bad item is first wherever a door
+#: reads only the first, and a later rule (unknown kind, d out of range) is
+#: broken too, so that the type rule must come first.
+BAD_ITEMS = {
+    "int-kind": ([3, "ridge"], [0.5], "estimator kind must be a string, got 3"),
+    "none-kind": ([None], [0.5], "estimator kind must be a string, got None"),
+    "late-int-kind": (["mle", 3], [0.5], "estimator kind must be a string, got 3"),
+    "none-d": (["aule"], [None, 1.5], "d must be a real number, got None"),
+    "bool-d": (["aule"], [True], "d must be a real number, got True"),
+    "string-d": (["aule"], ["0.5"], "d must be a real number, got '0.5'"),
+    "complex-d": (["aule"], [0.5j], "d must be a real number, got 0.5j"),
+    "late-none-d": (["aule", "le"], [0.5, None], "d must be a real number, got None"),
+}
+
+
+def request_case_applies(door, case):
+    """A d-only door sees no kinds; EstimatorSpec and the d-only doors see
+    only the first item, and EstimatorSpec reads a d of None as no d."""
+    if door in D_ONLY:
+        return case.endswith("-d") and not case.startswith("late")
+    if door == "EstimatorSpec":
+        return not case.startswith("late") and case != "none-d"
+    return True
+
+
+@pytest.mark.parametrize(
+    "door, case",
+    [(door, case) for door in REQUEST_DOORS for case in BAD_ITEMS if request_case_applies(door, case)],
+)
+def test_every_request_door_names_an_item_of_the_wrong_type(door, case):
+    kinds, ds, message = BAD_ITEMS[case]
+    with pytest.raises(ValueError) as caught:
+        REQUEST_DOORS[door](kinds, ds)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
+
+
+def test_estimator_spec_reads_a_d_of_none_as_no_d():
+    with pytest.raises(ValueError) as caught:
+        EstimatorSpec("aule", None)
+    assert str(caught.value) == "estimator 'aule' needs a biasing parameter d"
+
+
+def test_a_scenario_checked_first_at_a_d_of_none_is_refused():
+    """Its record is empty, so no kept d can match None and skip the check."""
+    scenario = RiskScenario(GOOD_C, GOOD_BETA, RESTRICTION)
+    with pytest.raises(ValueError, match="^d must be a real number, got None$"):
+        check_t33(scenario, None)
+    check_t33(scenario, 0.5)
+    with pytest.raises(ValueError, match="^d must be a real number, got None$"):
+        check_all(scenario, None)
+
+
+@pytest.mark.parametrize("door", [door for door in REQUEST_DOORS if door != "table_suite"])
+def test_every_request_door_takes_real_numbers_of_any_type(door):
+    for d in (0.5, np.float64(0.5), np.float32(0.5), 1, np.int64(0)):
+        REQUEST_DOORS[door](["aule"], [d])
