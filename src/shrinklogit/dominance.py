@@ -9,8 +9,9 @@ returns a :class:`DominanceVerdict` holding, side by side,
   claims to characterize (``delta_psd``),
 
 so the two can be audited against each other. A failed comparison is a
-result, not an error: checks only raise for a d outside [0, 1] or a
-missing restriction, the same error and message from every check.
+result, not an error: checks only raise for a scenario that is not a
+:class:`RiskScenario`, a d outside [0, 1] or a missing restriction, the
+same error and message from every check.
 
 The six checks, with the difference each one verifies directly:
 
@@ -26,9 +27,9 @@ C3.1     RAULE beats AULE in scalar MSE (always)     mse(AULE) - mse(RAULE)
 =======  ==========================================  =====================
 
 where L is the shrinkage operator, A the restricted dispersion kernel,
-and b1 = (L - I) beta the shared shrinkage bias. The matrix checks take
-b1 and LAL from the RAULE risk report (its bias and covariance), and
-T3.3 takes ACA from the RMLE report's covariance.
+and b1 = (L - I) beta the shrinkage bias that the RAULE and the AULE
+share. LAL and L C^-1 L are the RAULE's and the AULE's covariances, and
+ACA is the RMLE's, read from the scenario's RMLE report.
 
 Each theorem has one route, its ``check_*`` function, and
 :func:`check_all` runs the six by name. The checks keep one record per
@@ -39,9 +40,16 @@ C^{1/2}, C^-1 - A, the scalar conditions' parts), built at the scenario's
 first check, and the six verdicts at the last d asked. A new d (and the
 restriction) is checked before anything is built; one pass then builds
 all six verdicts, whichever check asks first, and they replace the kept
-ones, so memory does not grow with the number of d. The pass forms L,
-and the RAULE and AULE reports from it, then makes two stacked
-decompositions:
+ones, so memory does not grow with the number of d. The pass builds L
+once, through ``_smoothers``, and then:
+
+* forms LAL and L C^-1 L with one product of L with the stack (A, C^-1)
+  and one ``_sym``, each member as :func:`d_sweep` forms it alone;
+* forms b1 = L beta - beta once;
+* takes the RAULE's and the AULE's mse as trace(cov) + b1'b1, as a
+  ``RiskReport`` sets its mse, without building a report;
+
+and makes two stacked decompositions:
 
 * one ``eigh`` of (D1, D3) = (ACA - LAL, C^-1 - LAL), which gives both
   pseudo-inverses of the lemma tests;
@@ -83,7 +91,7 @@ from numpy.typing import NDArray
 from .estimators import _check_request, _check_restriction, _smoothers
 from .linalg import PSD_SLACK, _eigh, _read_only, in_range_with_pinv
 from .linalg import _congruence, _kept, _pinv, _psd, _ratio, _sym
-from .risk import RiskReport, RiskScenario, _reports, spectral_risk_terms
+from .risk import RiskScenario, _check_scenario, spectral_risk_terms
 
 # No longer called here, but kept bound: perfbench's traced run rebinds
 # them by name (ROADMAP item 1), and tests/test_perfbench_names.py checks
@@ -180,7 +188,9 @@ def _at(scenario: RiskScenario, d: float) -> tuple[DominanceVerdict, ...]:
     """The six verdicts at d, in ``check_all`` order, kept in the scenario's
     record. A d other than the record's is checked first, with the
     restriction, and its verdicts replace the record's; so is any d when
-    there is no record yet, None among them."""
+    there is no record yet, None among them. A scenario that is not a
+    :class:`RiskScenario` is refused before its record is looked up."""
+    _check_scenario(scenario)
     fixed, kept_d, verdicts = _records.get(scenario, (None, None, None))
     if verdicts is None or d != kept_d:
         kinds, (d,) = _check_request(["raule", "aule"], [d])
@@ -196,9 +206,10 @@ def _verdicts(scenario: RiskScenario, fixed: _Fixed, d: float) -> tuple[Dominanc
     describes. Delta5 and the T3.5 core are symmetrized; the other members
     of the stacks are exactly symmetric as formed."""
     L = _smoothers(scenario.decomp, "raule", [d])
-    (raule,) = _reports(scenario, "raule", [d], L)
-    (aule,) = _reports(scenario, "aule", [d], L)
-    lal, b1, aca = raule.cov, raule.bias, scenario._rmle.cov
+    beta, aca = scenario.beta_true, scenario._rmle.cov
+    lal, lcl = _sym(L @ np.stack((scenario.A, scenario.c_inv)) @ L)  # RAULE's and AULE's covariances
+    (b1,) = L @ beta - beta
+    raule_mse = float(np.trace(lal) + b1 @ b1)
     differences = np.subtract((aca, scenario.c_inv), lal)
     delta5 = L[0] @ fixed.c_inv_minus_a @ L[0]
     core = fixed.c_half.T @ lal @ fixed.c_half
@@ -225,9 +236,9 @@ def _verdicts(scenario: RiskScenario, fixed: _Fixed, d: float) -> tuple[Dominanc
 
     lhs = np.inf if d == 1.0 else (fixed.lam1 + d) * (fixed.lam1 + 2.0 - d) / (1.0 - d) ** 2
 
-    def scalar(theorem, baseline: RiskReport):
-        """A T3.4/T3.6 verdict against the RMLE or MLE report."""
-        delta = baseline.mse - raule.mse
+    def scalar(theorem, baseline_mse: float):
+        """A T3.4/T3.6 verdict against the RMLE or MLE mse."""
+        delta = baseline_mse - raule_mse
         witnesses = {
             "d": d,
             "lambda_1": fixed.lam1,
@@ -241,15 +252,15 @@ def _verdicts(scenario: RiskScenario, fixed: _Fixed, d: float) -> tuple[Dominanc
     ratio = _ratio(lal, fixed.congruence)
     range_inclusion = in_range_with_pinv(lal, aca, fixed.aca_pinv)
     product = float(max(spectra[3, -1], 0.0))
-    c31 = aule.mse - raule.mse
+    c31 = float(np.trace(lcl) + b1 @ b1) - raule_mse
     return (
         lemma(
             "T3.3", 0, psd1, bool(ratio <= 1.0 + PSD_SLACK and range_inclusion),
             {"lambda_max_ratio": ratio, "range_inclusion": float(range_inclusion)},
         ),
-        scalar("T3.4", scenario._rmle),
+        scalar("T3.4", scenario._rmle.mse),
         lemma("T3.5", 1, psd3, bool(product <= 1.0 + PSD_SLACK), {"lambda_max_product": product}),
-        scalar("T3.6", scenario._mle),
+        scalar("T3.6", scenario._mle.mse),
         DominanceVerdict("T3.7", True, True, psd5.ok, witnesses={"d": d, "delta_min_eigenvalue": psd5.min_eigenvalue}),
         DominanceVerdict("C3.1", True, True, bool(c31 >= -PSD_SLACK), witnesses={"d": d, "delta_mse": float(c31)}),
     )

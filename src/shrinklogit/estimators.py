@@ -55,7 +55,10 @@ __all__ = [
 ]
 
 KINDS = ("mle", "rmle", "le", "rle", "aule", "raule")
-SHRINKAGE_KINDS = frozenset({"le", "rle", "aule", "raule"})
+#: The smoother of each shrunken kind, named by its unrestricted kind: LE
+#: and RLE apply F_d, AULE and RAULE apply L_d; every other kind applies I.
+_SMOOTHER = {"le": "le", "rle": "le", "aule": "aule", "raule": "aule"}
+SHRINKAGE_KINDS = frozenset(_SMOOTHER)
 RESTRICTED_KINDS = frozenset({"rmle", "rle", "raule"})
 
 
@@ -139,9 +142,10 @@ def smoother_factors(kind: str, eigenvalues, d_grid) -> NDArray:
     (D, m), or (..., D, m) for a stack of eigenvalue rows (..., m)."""
     lam = np.asarray(eigenvalues, dtype=float)[..., None, :]
     d = np.asarray(d_grid, dtype=float).reshape(-1, 1)
-    if kind in ("le", "rle"):
+    smoother = _SMOOTHER.get(kind)
+    if smoother == "le":
         return (lam + d) / (lam + 1.0)
-    if kind in ("aule", "raule"):
+    if smoother == "aule":
         return ld_factors(lam, d)
     return np.ones(lam.shape[:-2] + (d.shape[0], lam.shape[-1]))
 
@@ -223,7 +227,7 @@ def _project(C: NDArray, beta: NDArray, restriction: LinearRestriction) -> NDArr
     N, beta0 = restriction.null_basis, restriction.particular
     cn = C @ N
     rhs = cn.swapaxes(-1, -2) @ (beta - beta0)[..., None]
-    return beta0 + (N @ np.linalg.solve(symmetrize(N.T @ cn), rhs))[..., 0]
+    return beta0 + (N @ np.linalg.solve(_sym(N.T @ cn), rhs))[..., 0]
 
 
 def restricted_mle(C, beta_mle, restriction: LinearRestriction) -> NDArray:

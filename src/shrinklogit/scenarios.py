@@ -43,30 +43,33 @@ import numpy as np
 from .datasets import _read_lines
 from .errors import CsvParseError
 from .logit import LinearRestriction
-from .risk import RiskScenario
+from .risk import RiskScenario, _check_scenario
 
 __all__ = ["load_scenario", "save_scenario"]
 
 
 def save_scenario(path, scenario: RiskScenario, d: float | None = None):
-    """Write a scenario (and optionally a biasing parameter) to a file."""
-    lines = ["[meta]"]
-    lines.append(f"m = {scenario.m}")
+    """Write a scenario (and optionally a biasing parameter) to a file.
+
+    Every number is written as the ``repr`` of its Python float, which
+    reads back exactly; ValueError for a scenario that is not a
+    :class:`RiskScenario`, before the file is opened.
+    """
+    _check_scenario(scenario)
+    lines = ["[meta]", f"m = {scenario.m}"]
     if d is not None:
         lines.append(f"d = {float(d)!r}")
-    lines.append("[C]")
-    lines.extend(",".join(repr(float(v)) for v in row) for row in scenario.C)
-    lines.append("[beta]")
-    lines.append(",".join(repr(float(v)) for v in scenario.beta_true))
+    lines += ["[C]", *map(_row, scenario.C.tolist()), "[beta]", _row(scenario.beta_true.tolist())]
     if scenario.restriction is not None:
-        lines.append("[H]")
-        lines.extend(
-            ",".join(repr(float(v)) for v in row) for row in scenario.restriction.H
-        )
-        lines.append("[h]")
-        lines.append(",".join(repr(float(v)) for v in scenario.restriction.h))
+        H, h = scenario.restriction.H, scenario.restriction.h
+        lines += ["[H]", *map(_row, H.tolist()), "[h]", _row(h.tolist())]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
+
+
+def _row(values: list[float]) -> str:
+    """One block row: the values' reprs, comma separated."""
+    return ",".join(map(repr, values))
 
 
 def _parse_blocks(path):

@@ -8,7 +8,8 @@ A door's messages name its own beta argument (``beta_mle`` or
 
 Every door that takes estimator kinds or d values checks them through
 ``estimators._check_request``: an item of the wrong type is one
-ValueError naming it at each door.
+ValueError naming it at each door. Every door that takes a scenario
+checks it first, through ``risk._check_scenario``.
 """
 
 import numpy as np
@@ -26,14 +27,22 @@ from shrinklogit import (
     SingularInformationError,
     a_matrix,
     check_all,
+    check_c31,
     check_t33,
+    check_t34,
+    check_t35,
+    check_t36,
+    check_t37,
     d_sweep,
     default_restriction,
     estimate,
     ld_matrix,
     liu_matrix,
     restricted_mle,
+    risk,
+    save_scenario,
     shrinkage_estimates,
+    spectral_risk_terms,
     table_suite,
 )
 
@@ -256,3 +265,35 @@ def test_a_scenario_checked_first_at_a_d_of_none_is_refused():
 def test_every_request_door_takes_real_numbers_of_any_type(door):
     for d in (0.5, np.float64(0.5), np.float32(0.5), 1, np.int64(0)):
         REQUEST_DOORS[door](["aule"], [d])
+
+
+#: door name -> call(scenario, path): each door that takes a RiskScenario.
+SCENARIO_DOORS = {
+    "d_sweep": lambda sc, path: d_sweep(sc, ["mle"], [0.5]),
+    "risk": lambda sc, path: risk(sc, EstimatorSpec("mle")),
+    "spectral_risk_terms": lambda sc, path: spectral_risk_terms(sc),
+    "save_scenario": lambda sc, path: save_scenario(path, sc),
+    **{
+        check.__name__: (lambda sc, path, check=check: check(sc, 0.5))
+        for check in (check_all, check_t33, check_t34, check_t35, check_t36, check_t37, check_c31)
+    },
+}
+
+
+@pytest.mark.parametrize("door", SCENARIO_DOORS)
+@pytest.mark.parametrize(
+    "value, name", [("x", "str"), (None, "NoneType"), ((GOOD_C, GOOD_BETA, RESTRICTION), "tuple")]
+)
+def test_every_scenario_door_refuses_what_is_not_a_scenario(door, value, name, tmp_path):
+    path = tmp_path / "scenario.txt"
+    with pytest.raises(ValueError) as caught:
+        SCENARIO_DOORS[door](value, path)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == f"scenario must be a RiskScenario, got {name}"
+    assert not path.exists()
+
+
+def test_every_scenario_door_takes_a_scenario(tmp_path):
+    scenario = RiskScenario(GOOD_C, GOOD_BETA, RESTRICTION)
+    for call in SCENARIO_DOORS.values():
+        call(scenario, tmp_path / "scenario.txt")

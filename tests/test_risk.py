@@ -1,5 +1,7 @@
 """Risk formulas against hand arithmetic, spectral forms, and a sampling oracle."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -73,6 +75,18 @@ class TestRiskScenario:
     def test_non_finite_c_is_refused_by_name(self, value):
         with pytest.raises(InvalidMatrixError, match="^C has non-finite entries$"):
             RiskScenario(C=np.array([[2.0, 0.0], [0.0, value]]), beta_true=np.array([1.0, -1.0]))
+
+
+    def test_an_inverse_that_overflows_is_refused(self):
+        """C is positive definite at RANK_CUT, but its smallest eigenvalue is
+        subnormal, so C^-1 and A overflow: both are checked where formed."""
+        C, beta = np.diag([1e-300, 1e-309]), np.array([1.0, 1.0])
+        restriction = LinearRestriction([[1.0, 0.0]], [0.0])
+        for build in (lambda: RiskScenario(C, beta), lambda: RiskScenario(C, beta, restriction)):
+            with pytest.raises(InvalidMatrixError, match="^matrix has non-finite entries$"):
+                build()
+        with pytest.raises(InvalidMatrixError, match="^matrix has non-finite entries$"), np.errstate(all="ignore"):
+            a_matrix(C, restriction)
 
 
 class TestRiskReports:
@@ -260,6 +274,28 @@ class TestDSweep:
         scenario = random_scenario(rng, 3, 1)
         with pytest.raises(ValueError):
             d_sweep(scenario, ["aule"], [0.5, 1.5])
+
+    def test_builds_one_smoother_stack_per_family(self, monkeypatch):
+        """LE and RLE share F_d and AULE and RAULE share L_d: six kinds need two stacks."""
+        module = importlib.import_module("shrinklogit.risk")
+        calls = []
+        original = module._smoothers
+
+        def counted(decomp, kind, d_grid):
+            calls.append((kind, list(d_grid)))
+            return original(decomp, kind, d_grid)
+
+        monkeypatch.setattr(module, "_smoothers", counted)
+        scenario = random_scenario(np.random.default_rng(15), 4, 2)
+        for kinds, expected in [
+            (KINDS, [("le", [0.2, 0.5]), ("aule", [0.2, 0.5])]),
+            (["RAULE", "mle", "aule"], [("aule", [0.2, 0.5])]),
+            (["rle"], [("le", [0.2, 0.5])]),
+            (["mle", "rmle"], []),
+        ]:
+            calls.clear()
+            d_sweep(scenario, kinds, [0.2, 0.5])
+            assert calls == expected
 
     def test_kinds_are_case_insensitive(self):
         scenario = random_scenario(np.random.default_rng(11), 3, 1)
