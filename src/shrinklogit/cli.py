@@ -6,16 +6,16 @@ own. Exit codes: 0 on success, 1 for usage, I/O, or parse errors, 2 for
 numerical warnings (a fit that did not converge; the summary is still
 printed).
 
-Each call registers the flags of the command it runs and no other's,
-which for a short command is most of the parser's cost; every command is
-still registered by name, because the top usage line and the top-level
-errors list every name. A file to write whose directory does not exist
-is refused before any work.
+One parser holds every command and every flag. It is built on the first
+call of :func:`main` and kept for the life of the process, so a process
+that runs many commands builds it once; parsing leaves it as it was. A
+file to write whose directory does not exist is refused before any work.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -543,27 +543,23 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser that runs ``command``: every command is registered by
-    name, but only ``command``'s flags are (none if it is None or unknown).
-
-    A command's flags matter only once argparse hands it the rest of the
-    line, which happens at the first positional argument; :func:`main`
-    names that command. Every name stays, because the top usage line and
-    the top-level errors list them all.
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command with all its flags, built on first use
+    and then shared by every call in the process. Parsing does not change
+    it, and its help reads COLUMNS when it is printed, not when it is built.
     """
     parser = _Parser(
         prog="shrinklogit",
         description="Shrinkage estimators for multicollinear logistic regression",
     )
     # prog as argparse would work out from the top usage line, which has no
-    # positional argument, without formatting that line on every call
+    # positional argument, without formatting that line
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, (_, keywords, flags) in _COMMANDS.items():
         subparser = sub.add_parser(name, **keywords)
-        if name == command:
-            for flag, flag_keywords in flags:
-                subparser.add_argument(flag, **flag_keywords)
+        for flag, flag_keywords in flags:
+            subparser.add_argument(flag, **flag_keywords)
     return parser
 
 
@@ -587,13 +583,7 @@ def _check_written_dirs(args):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # The command is the first argument that is not an option, as argparse
-    # finds it: the top parser's only option, -h, takes no value. What
-    # argparse alone reads as positional ("-", "-1") is no command's name,
-    # so the parse stops there whichever flags are registered.
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
         _check_written_dirs(args)
         return _COMMANDS[args.command][0](args)

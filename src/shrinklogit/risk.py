@@ -91,23 +91,27 @@ def a_matrix(C, restriction: LinearRestriction) -> NDArray:
     Raises
     ------
     InvalidMatrixError
-        If C is not square or has non-finite entries.
+        If C is not square or has non-finite entries, or if A overflows
+        (C's smallest eigenvalue is subnormal).
     DimensionMismatchError
         If the restriction's width is not C's dimension.
     SingularInformationError
         If C is not positive definite at ``RANK_CUT``.
     """
     C, _ = _information(C, restriction=restriction)
-    return _dispersion(C, restriction)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name
+        return _dispersion(C, restriction)
 
 
 def _dispersion(C: NDArray, restriction: LinearRestriction) -> NDArray:
     """:func:`a_matrix` without its checks: C must be positive definite
     and the restriction as wide as C. The kernel is still checked: like
-    C^-1 it overflows when C's smallest eigenvalue is subnormal."""
+    C^-1 it overflows when C's smallest eigenvalue is subnormal. A's norm is
+    at most C^-1's, so where C^-1 was formed and checked first A does not
+    overflow and its product raises no floating point warning."""
     null_basis = restriction.null_basis
     core = _sym(null_basis.T @ C @ null_basis)
-    return symmetrize(null_basis @ np.linalg.solve(core, null_basis.T))
+    return symmetrize(null_basis @ np.linalg.solve(core, null_basis.T), "the kernel A")
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +129,8 @@ class RiskScenario:
     Raises
     ------
     InvalidMatrixError
-        If C is not one square matrix or has non-finite entries.
+        If C is not one square matrix or has non-finite entries, or if
+        C^-1 overflows (C's smallest eigenvalue is subnormal).
     DimensionMismatchError
         If ``beta_true`` or the restriction is not as wide as C.
     ValueError
@@ -148,7 +153,7 @@ class RiskScenario:
         object.__setattr__(self, "C", _read_only(C))
         object.__setattr__(self, "beta_true", _read_only(beta))
         object.__setattr__(self, "_decomp", decomp)
-        c_inv = symmetrize(np.linalg.inv(C))  # checked: it overflows when C's smallest eigenvalue is subnormal
+        c_inv = symmetrize(np.linalg.inv(C), "C^-1")  # checked: it overflows when C's smallest eigenvalue is subnormal
         object.__setattr__(self, "_mle", RiskReport(c_inv, np.zeros(self.m)))
         if self.restriction is not None:
             A = _dispersion(C, self.restriction)

@@ -18,10 +18,11 @@ labeled blocks of comma separated numeric rows:
 Blocks C and beta are required; H and h come together and are optional.
 The matrices C and H have rows of one length, and C is square; the
 vectors beta and h are each one row or one column of numbers; [meta]
-holds at most m (C's size) and d, once each. Any other section or key,
-a section or key given twice, a non-numeric value, a non-finite entry
-(inf or nan) of a block, or a malformed or empty block raises
-CsvParseError naming the file and section.
+holds at most m (C's size) and d (in [0, 1]), once each. Any other
+section or key, a section or key given twice, a non-numeric value, a d
+that is not in [0, 1] (nan included), a non-finite entry (inf or nan) of
+a block, or a malformed or empty block raises CsvParseError naming the
+file and section.
 Lines starting with '#' are comments. Numbers are written with full
 round-trip precision so write-then-read is exact.
 
@@ -42,6 +43,7 @@ import numpy as np
 
 from .datasets import _read_lines
 from .errors import CsvParseError
+from .estimators import KINDS, _check_request
 from .logit import LinearRestriction
 from .risk import RiskScenario, _check_scenario
 
@@ -52,13 +54,15 @@ def save_scenario(path, scenario: RiskScenario, d: float | None = None):
     """Write a scenario (and optionally a biasing parameter) to a file.
 
     Every number is written as the ``repr`` of its Python float, which
-    reads back exactly; ValueError for a scenario that is not a
-    :class:`RiskScenario`, before the file is opened.
+    reads back exactly. ValueError, before the file is opened, for a
+    scenario that is not a :class:`RiskScenario` and for a d that no
+    estimator takes: a bool, not a real number, or not in [0, 1].
     """
     _check_scenario(scenario)
     lines = ["[meta]", f"m = {scenario.m}"]
     if d is not None:
-        lines.append(f"d = {float(d)!r}")
+        (d,) = _check_request(KINDS[:1], [d])[1]  # the check of every d an estimator takes
+        lines.append(f"d = {d!r}")
     lines += ["[C]", *map(_row, scenario.C.tolist()), "[beta]", _row(scenario.beta_true.tolist())]
     if scenario.restriction is not None:
         H, h = scenario.restriction.H, scenario.restriction.h
@@ -102,9 +106,12 @@ def _parse_blocks(path):
                 problem = f"gives key {key!r} twice" if key in meta else f"has unknown key {key!r}"
                 raise CsvParseError(f"{where} {problem}", row=lineno)
             try:
-                meta[key] = (float(value), lineno)
+                number = float(value)
             except ValueError:
                 raise CsvParseError(f"{where} has non-numeric {key} = {value!r}", row=lineno) from None
+            if key == "d" and not 0.0 <= number <= 1.0:
+                raise CsvParseError(f"{where} has d = {number!r}, not in [0, 1]", row=lineno)
+            meta[key] = (number, lineno)
             continue
         row = parse_row(text, f"{path}:{lineno}", row=lineno)
         if not all(map(math.isfinite, row)):

@@ -41,6 +41,7 @@ MALFORMED_SCENARIOS = [
     pytest.param("meta", "[meta]\nD = 0.5\n" + _C_BETA, id="unknown-meta-key"),
     pytest.param("meta", "[meta]\nd = 0.2\nd = 0.9\n" + _C_BETA, id="meta-key-given-twice"),
     pytest.param("meta", "[meta]\nm = 3\n" + _C_BETA, id="m-not-the-size-of-C"),
+    *[pytest.param("meta", f"[meta]\nd = {value}\n" + _C_BETA, id=f"d-{value}") for value in ("2.0", "-0.5", "inf", "nan")],
     pytest.param("h", _C_BETA + "[h]\n1.0\n", id="h-without-H"),
     pytest.param("Hh", _C_BETA + "[Hh]\n1.0,0.0\n", id="unknown-section"),
     pytest.param("H", _C_BETA + "[H]\n[h]\n1.0\n", id="H-without-rows"),

@@ -343,14 +343,9 @@ def outcome(capsys, call):
 
 
 def full_parser():
-    """Every command with all its flags: the reference that the parser
-    :func:`main` builds, with one command's flags, must match."""
-    parser = cli.build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    for name, (_, _, flags) in cli._COMMANDS.items():
-        for flag, keywords in flags:
-            commands.choices[name].add_argument(flag, **keywords)
-    return parser
+    """A parser built afresh: the reference that the parser :func:`main`
+    keeps for the process must match."""
+    return cli.build_parser.__wrapped__()
 
 
 #: Command lines that end in argparse's help or a usage error, so their
@@ -374,16 +369,16 @@ class TestParser:
     )
     def test_each_refused_flag_is_registered_and_defaults_to_none(self, command, refused):
         """A refusal tells a flag given by its value not being None."""
-        (commands,) = [a for a in cli.build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)]
+        (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         registered = commands.choices[command]._option_string_actions
         assert refused
         for flag, _ in refused:
             assert flag in registered
             assert registered[flag].default is None
 
-    def test_a_command_registers_only_its_own_flags(self, capsys, tmp_path, monkeypatch):
-        """Every command is registered by name, with its -h, but only the
-        command run gets its flags."""
+    def test_a_process_registers_every_flag_once(self, capsys, tmp_path, monkeypatch):
+        """The first call builds the parser with every command and all its
+        flags; a later call registers nothing."""
         path = tmp_path / "scenario.txt"
         save_scenario(path, random_scenario(np.random.default_rng(12), 3, 1))
         registered = []
@@ -394,10 +389,39 @@ class TestParser:
             return add_argument(container, *args, **kwargs)
 
         monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
-        code, _, _ = run(capsys, ["dominance", "--scenario-file", str(path), "--d", "0.5"])
-        assert code == 0
-        assert registered.count("-h") == 1 + len(cli._COMMANDS)
-        assert [flag for flag in registered if flag != "-h"] == [flag for flag, _ in cli._COMMANDS["dominance"][2]]
+        cli.build_parser.cache_clear()
+        assert run(capsys, ["dominance", "--scenario-file", str(path), "--d", "0.5"])[0] == 0
+        assert registered == ["-h"] + [
+            flag for _, _, flags in cli._COMMANDS.values() for flag in ("-h", *(flag for flag, _ in flags))
+        ]
+        registered.clear()
+        assert run(capsys, ["fit", BUNDLED])[0] == 0
+        assert registered == []
+
+    def test_a_kept_parser_answers_as_a_fresh_one(self, capsys, tmp_path, monkeypatch):
+        """Usage errors, --help exits and commands that run, interleaved on
+        the one parser of the process, each give the exit code and bytes of
+        a call with a parser built for it alone."""
+        monkeypatch.setenv("COLUMNS", "80")
+        path = tmp_path / "scenario.txt"
+        save_scenario(path, random_scenario(np.random.default_rng(12), 3, 1), d=0.25)
+        calls = [
+            ["dominance", "--scenario-file", str(path)], ["fit", "--help"], ["fit", BUNDLED, "--format", "xml"],
+            ["risk", "--scenario-file", str(path), "--d-grid", "0,1", "--format", "csv"], ["--help"],
+            ["dominance", "--scenario-file", str(path), "--d", "0.5"], ["dominance"],
+            ["fit", BUNDLED, "--max-iter", "1"], ["bogus"], ["fit", BUNDLED], ["risk", "--help"],
+            ["dominance", "--scenario-file", str(path)],
+        ]
+        expected = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            expected.append(outcome(capsys, lambda: main(argv)))
+        assert {type(code) for code, _, _ in expected} == {int} and {0, 1, 2} <= {code for code, _, _ in expected}
+        cli.build_parser.cache_clear()
+        parser = cli.build_parser()
+        for argv, fresh in zip(calls + calls, expected + expected):
+            assert outcome(capsys, lambda: main(argv)) == fresh, argv
+        assert cli.build_parser() is parser
 
     @pytest.mark.parametrize("columns", ["80", "200"])
     @pytest.mark.parametrize("argv", PARSER_ONLY, ids=" ".join)
@@ -425,8 +449,13 @@ class TestConsoleScript:
 
     @pytest.mark.parametrize("which", ["help", "dominance"])
     def test_module_run_prints_the_in_process_bytes(self, capsys, monkeypatch, dominance, which):
+        """The in-process call runs on a parser that has already served a
+        usage error, a --help and another command; a fresh process builds
+        its own."""
         argv = ["--help"] if which == "help" else dominance
         monkeypatch.setenv("COLUMNS", "80")
+        for served in (["dominance"], ["risk", "--help"], ["fit", BUNDLED]):
+            outcome(capsys, lambda: main(served))
         code, out, err = outcome(capsys, lambda: main(argv))
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -79,13 +79,14 @@ class TestRiskScenario:
 
     def test_an_inverse_that_overflows_is_refused(self):
         """C is positive definite at RANK_CUT, but its smallest eigenvalue is
-        subnormal, so C^-1 and A overflow: both are checked where formed."""
+        subnormal, so C^-1 and A overflow: both are checked where formed,
+        named, and with no floating point warning first."""
         C, beta = np.diag([1e-300, 1e-309]), np.array([1.0, 1.0])
         restriction = LinearRestriction([[1.0, 0.0]], [0.0])
         for build in (lambda: RiskScenario(C, beta), lambda: RiskScenario(C, beta, restriction)):
-            with pytest.raises(InvalidMatrixError, match="^matrix has non-finite entries$"):
+            with pytest.raises(InvalidMatrixError, match=r"^C\^-1 has non-finite entries$"):
                 build()
-        with pytest.raises(InvalidMatrixError, match="^matrix has non-finite entries$"), np.errstate(all="ignore"):
+        with pytest.raises(InvalidMatrixError, match="^the kernel A has non-finite entries$"):
             a_matrix(C, restriction)
 
 

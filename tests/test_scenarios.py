@@ -36,6 +36,28 @@ class TestScenarioRoundTrip:
         assert back.restriction is None
         assert np.array_equal(back.C, bare.C)
 
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            (True, "d must be a real number, got True"),
+            ("0.5", "d must be a real number, got '0.5'"),
+            (2.0, "d must be in [0, 1], got 2.0"),
+            (-0.25, "d must be in [0, 1], got -0.25"),
+            (float("nan"), "d must be in [0, 1], got nan"),
+        ],
+    )
+    def test_a_d_no_estimator_takes_is_refused_before_the_file_is_opened(self, tmp_path, d, message):
+        path = tmp_path / "s.txt"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_scenario(path, random_scenario(np.random.default_rng(3), 3, 1), d=d)
+        assert not path.exists()
+
+    def test_every_d_an_estimator_takes_round_trips(self, tmp_path):
+        path, scenario = tmp_path / "s.txt", random_scenario(np.random.default_rng(3), 3, 1)
+        for d in (0, 1, 0.0, 1.0, np.float64(0.3), 5e-324):
+            save_scenario(path, scenario, d=d)
+            assert load_scenario(path)[1] == d
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text(
@@ -118,6 +140,9 @@ class TestScenarioErrors:
             ("m = 2.5", 2, "m = 2.5 for a 2 x 2 [C]"),
             ("m = two", 2, "non-numeric m = 'two'"),
             ("d = half", 2, "non-numeric d = 'half'"),
+            ("d = 2", 2, "d = 2.0, not in [0, 1]"),
+            ("m = 2\nd = -inf", 3, "d = -inf, not in [0, 1]"),
+            ("d = NaN", 2, "d = nan, not in [0, 1]"),
         ],
     )
     def test_meta_error_names_line_and_key(self, tmp_path, meta, line, named):
