@@ -6,22 +6,20 @@ decimal separator and an optional header row. Missing values are a
 hard error; every parse failure is reported with its 1-based row (and
 column) number.
 
-A well-formed file (unquoted numbers of one width under a header line,
-quoted or not, that ``csv.reader`` reads on its own; responses in
-{0, 1}; no line longer than ``csv.field_size_limit()``) is read in one
-vectorised pass: ``np.loadtxt`` is given the file's name and reads and
-tokenizes it in chunks in C. The line-length rule is checked first by one
-chunked scan of the bytes, skipped for a file no longer than the limit.
-Every other file, and so every error, goes through a field-by-field
-``csv.reader`` loop, which converts each row as it reads it and so
-reports the first problem in file order. Both hand :func:`load_csv` the
-parsed table, which it splits once, writing the intercept in place, and
-:func:`save_csv` converts a block of rows at a time: reading or writing
-a large dataset needs little more memory than its arrays.
-
-Both passes may open a file, so a stream (a pipe, a FIFO, ``/dev/stdin``)
-is first copied once to a temporary plain file, which both read; the
-messages still name the caller's path.
+A well-formed regular file (unquoted numbers of one width under a
+header line, quoted or not, that ``csv.reader`` reads on its own;
+responses in {0, 1}; no line longer than ``csv.field_size_limit()``) is
+read in one vectorised pass: ``np.loadtxt`` is given the file's name and
+reads and tokenizes it in chunks in C. The line-length rule is checked
+first by one chunked scan of the bytes, skipped for a file no longer than
+the limit. Every other file, and so every error, goes through a
+field-by-field ``csv.reader`` loop, which converts each row as it reads
+it and so reports the first problem in file order. A stream (a pipe, a
+FIFO, ``/dev/stdin``) can be read only once, so it goes to the loop
+alone. Both passes hand :func:`load_csv` the parsed table, which it
+splits once, writing the intercept in place, and :func:`save_csv`
+converts a block of rows at a time: reading or writing a large dataset
+needs little more memory than its arrays.
 
 ``importlib.resources`` is imported in :func:`bundled_dataset_path`, the
 one function that uses it, so that loading the package does not load it.
@@ -31,11 +29,8 @@ from __future__ import annotations
 
 import csv
 import os
-import shutil
 import stat
-import tempfile
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,18 +92,18 @@ def load_csv(
     column name. With ``intercept`` a constant-1 column is prepended to
     the predictors.
 
-    A well-formed file is read in one vectorised pass: every line after
-    the header is unquoted numbers of one width, the header line is not
-    blank, is one ``csv.reader`` row on its own (quoted or not) and is as
-    wide as the body, no line is longer than ``csv.field_size_limit()``
+    A well-formed regular file is read in one vectorised pass: every line
+    after the header is unquoted numbers of one width, the header line is
+    not blank, is one ``csv.reader`` row on its own (quoted or not) and is
+    as wide as the body, no line is longer than ``csv.field_size_limit()``
     bytes, and every response is 0 or 1. That pass hands ``np.loadtxt`` the
     file's name, so a name ending in a suffix that ``np.loadtxt``
     decompresses (``.gz``, ``.bz2``, ``.xz``, ``.lzma``) is not read there.
     Any other file goes through the field-by-field loop, the one source of
     the errors below, which reads the same values and converts each row as
     it reads it, so the first problem in file order is reported. A stream
-    (a pipe, a FIFO, ``/dev/stdin``) is read once, into a temporary plain
-    file that both passes read. y is copied out of the parsed table; with
+    (a pipe, a FIFO, ``/dev/stdin``), which can be read only once, is read
+    by the loop alone. y is copied out of the parsed table; with
     ``intercept`` X is the table itself, the columns before the response
     moved right by one and the ones written into column 0. Memory is a
     small multiple of the arrays returned.
@@ -126,10 +121,8 @@ def load_csv(
         If ``response_column`` is neither an integer (a bool is not one)
         nor a string.
     """
-    with _plain_file(path) as source:
-        table, index = _read_vectorised(source, header, response_column) or _read_checked(
-            source, header, response_column, path
-        )
+    vectorised = stat.S_ISREG(os.stat(path).st_mode) and _read_vectorised(path, header, response_column)
+    table, index = vectorised or _read_checked(path, header, response_column)
     y = table[:, index].copy()
     if not intercept:
         return Dataset(X=np.delete(table, index, axis=1), y=y)
@@ -152,21 +145,6 @@ def _read_lines(path) -> list[str]:
             return handle.read().split("\n")
     except UnicodeDecodeError as err:
         raise _not_utf8(path, err) from None
-
-
-@contextmanager
-def _plain_file(path):
-    """The name of a regular file holding the bytes at ``path``: ``path``
-    itself, or for a stream (a pipe, a FIFO, ``/dev/stdin``), which can be
-    read only once, a temporary copy made in one read and removed on exit."""
-    if stat.S_ISREG(os.stat(path).st_mode):
-        yield path
-        return
-    with tempfile.TemporaryDirectory() as folder:
-        copy = os.path.join(folder, "stream.csv")
-        with open(path, "rb") as stream, open(copy, "wb") as out:
-            shutil.copyfileobj(stream, out)
-        yield copy
 
 
 #: Bytes that :func:`_lines_within` reads at a time: small, so that the scan
@@ -249,12 +227,10 @@ def _read_vectorised(path, header, response_column):
     return table, index
 
 
-def _read_checked(path, header, response_column, name=None):
+def _read_checked(path, header, response_column):
     """(table, response index) parsed field by field in one pass, each row
     converted as ``csv.reader`` yields it, raising the first problem in
-    file order with its row and column. A message that names the file
-    names it ``name``, by default ``path``."""
-    name = path if name is None else name
+    file order with its row and column."""
     names = ncols = index = None
     values, lineno = array("d"), 0
     with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -268,7 +244,7 @@ def _read_checked(path, header, response_column, name=None):
                 if ncols is None:
                     ncols = len(row)
                     if ncols < 2:
-                        raise CsvParseError(f"{name}: need a response and at least one predictor column")
+                        raise CsvParseError(f"{path}: need a response and at least one predictor column")
                     index = _resolve_response(response_column, names, ncols, header)
                 if len(row) != ncols:
                     raise CsvParseError(f"row {lineno}: expected {ncols} fields, got {len(row)}", row=lineno)
@@ -289,10 +265,10 @@ def _read_checked(path, header, response_column, name=None):
         except csv.Error as err:  # such as a field longer than csv.field_size_limit()
             raise CsvParseError(f"row {lineno + 1}: {err}", row=lineno + 1) from None
         except UnicodeDecodeError as err:
-            raise _not_utf8(name, err) from None
+            raise _not_utf8(path, err) from None
     if ncols is None:
         what = "no" if names is None else "a header but no"
-        raise CsvParseError(f"{name}: file contains {what} data rows")
+        raise CsvParseError(f"{path}: file contains {what} data rows")
     return np.frombuffer(values).reshape(-1, ncols), index
 
 

@@ -29,7 +29,6 @@ projection, and each estimate V (factors * V' base).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,7 +37,7 @@ from numpy.typing import NDArray
 
 from .errors import DimensionMismatchError, MissingRestrictionError
 from .linalg import SpectralDecomp, _eigh, _sym, require_positive_definite, sym_eigen, symmetrize
-from .logit import FittedLogit, LinearRestriction
+from .logit import FittedLogit, LinearRestriction, _real
 
 __all__ = [
     "KINDS",
@@ -62,25 +61,40 @@ SHRINKAGE_KINDS = frozenset(_SMOOTHER)
 RESTRICTED_KINDS = frozenset({"rmle", "rle", "raule"})
 
 
-def _check_request(kinds: Sequence[str], d_grid: Sequence[float] | None = None):
+#: The ``d_grid`` of a request that takes no d.
+_NO_D = object()
+
+
+def _items(values, what: str) -> list:
+    """The items of ``values`` as a list, or ValueError(``what``, got
+    ``values``) if it is a string or cannot be iterated: a number, None, a
+    0-d array."""
+    if not isinstance(values, str):
+        try:
+            items = iter(values)
+        except TypeError:
+            pass
+        else:
+            return list(items)
+    raise ValueError(f"{what}, got {values!r}")
+
+
+def _check_request(kinds: Sequence[str], d_grid: Sequence[float] = _NO_D):
     """The one check of an estimator request, in pure Python so that an
-    EstimatorSpec stays cheap: (kinds lowercased, d values as floats).
-    ValueError unless there is at least one kind, each in KINDS, and
-    (unless ``d_grid`` is None) at least one d, each in [0, 1]. The types
-    are checked first: a bare string or number in place of either
-    sequence, a kind that is not a string and a d that is not a real
+    EstimatorSpec stays cheap: (kinds lowercased, d values as floats, or
+    None when no ``d_grid`` is given). ValueError unless there is at least
+    one kind, each in KINDS, and (if ``d_grid`` is given) at least one d,
+    each in [0, 1]. The types are checked first: a string or anything
+    that cannot be iterated (None, a number, a 0-d array) in place of
+    either sequence, a kind that is not a string and a d that is not a real
     number (a bool is not one) are each a ValueError too."""
-    if isinstance(kinds, (str, numbers.Number)):
-        raise ValueError(f"estimator kinds must be a sequence of names, got {kinds!r}")
-    if isinstance(d_grid, (str, numbers.Number)):
-        raise ValueError(f"d values must be a sequence of numbers, got {d_grid!r}")
-    kinds, d_values = list(kinds), None if d_grid is None else list(d_grid)
+    kinds = _items(kinds, "estimator kinds must be a sequence of names")
+    d_values = None if d_grid is _NO_D else _items(d_grid, "d values must be a sequence of numbers")
     for kind in kinds:
         if not isinstance(kind, str):
             raise ValueError(f"estimator kind must be a string, got {kind!r}")
-    for d in d_values or ():  # float and int first: the ABC check alone takes about 0.7 us
-        if isinstance(d, bool) or not isinstance(d, (float, int, numbers.Real)):
-            raise ValueError(f"d must be a real number, got {d!r}")
+    if d_values is not None:
+        d_values = [_real("d", d) for d in d_values]
     kinds = [kind.lower() for kind in kinds]
     if not kinds:
         raise ValueError(f"need at least one estimator kind from {KINDS}")
@@ -90,7 +104,6 @@ def _check_request(kinds: Sequence[str], d_grid: Sequence[float] | None = None):
     if d_values == []:
         raise ValueError("need at least one biasing parameter d in [0, 1]")
     if d_values is not None:
-        d_values = list(map(float, d_values))
         for d in d_values:
             if not 0.0 <= d <= 1.0:
                 raise ValueError(f"d must be in [0, 1], got {d}")
@@ -110,7 +123,8 @@ class EstimatorSpec:
     d: float | None = None
 
     def __post_init__(self):
-        (kind,), d = _check_request([self.kind], None if self.d is None else [self.d])
+        request = ([self.kind],) if self.d is None else ([self.kind], [self.d])
+        (kind,), d = _check_request(*request)
         if kind in SHRINKAGE_KINDS and d is None:
             raise ValueError(f"estimator {kind!r} needs a biasing parameter d")
         if kind not in SHRINKAGE_KINDS and d is not None:
@@ -138,16 +152,14 @@ def ld_factors(eigenvalues: NDArray, d) -> NDArray:
 
 
 def smoother_factors(kind: str, eigenvalues, d_grid) -> NDArray:
-    """Eigenvalues of ``kind``'s smoother for each d in ``d_grid``: shape
-    (D, m), or (..., D, m) for a stack of eigenvalue rows (..., m)."""
+    """Eigenvalues of the smoother of ``kind``, a shrinkage kind or family,
+    for each d in ``d_grid``: shape (D, m), or (..., D, m) for a stack of
+    eigenvalue rows (..., m)."""
     lam = np.asarray(eigenvalues, dtype=float)[..., None, :]
     d = np.asarray(d_grid, dtype=float).reshape(-1, 1)
-    smoother = _SMOOTHER.get(kind)
-    if smoother == "le":
+    if _SMOOTHER[kind] == "le":
         return (lam + d) / (lam + 1.0)
-    if smoother == "aule":
-        return ld_factors(lam, d)
-    return np.ones(lam.shape[:-2] + (d.shape[0], lam.shape[-1]))
+    return ld_factors(lam, d)
 
 
 def _smoothers(decomp: SpectralDecomp, kind: str, d_grid) -> NDArray:

@@ -68,7 +68,6 @@ of every command.
 from __future__ import annotations
 
 import itertools
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -81,7 +80,7 @@ from .errors import AllReplicationsFailedError, NotConvergedError, SingularInfor
 # rebinds them by name.
 from .estimators import _check_request, _check_restriction, _check_width, _score, estimate  # noqa: F401
 from .linalg import SpectralDecomp, _eigh, positive_definite
-from .logit import FitOptions, LinearRestriction, _integer, _special, irls_fit, irls_stack  # noqa: F401
+from .logit import FitOptions, LinearRestriction, _integer, _real, _special, irls_fit, irls_stack  # noqa: F401
 
 __all__ = [
     "SimulationConfig",
@@ -368,10 +367,11 @@ class SimulationConfig:
     Rejected here, before any draw: a non-integer n, p, reps or seed, a
     negative seed, more reps than the 2**32 - 2 replication stream keys
     (replication r draws from the key 2 + r, one 32-bit word), a ``rho``
-    that is not a real number (it is kept as a ``float``), n at most p (no
-    maximum likelihood estimate exists), ``fit_options`` that are not a
-    :class:`FitOptions`, a bad estimator request, no restriction, and with
-    ``project_beta`` a restriction of p rows.
+    that is not a real number (a bool is not one; it is kept as a
+    ``float``), n at most p (no maximum likelihood estimate exists),
+    ``fit_options`` that are not a :class:`FitOptions`, a bad estimator
+    request, no restriction, and with ``project_beta`` a restriction of p
+    rows.
     """
 
     n: int
@@ -392,9 +392,7 @@ class SimulationConfig:
         limit = _WORD - _REPLICATION_STREAM_BASE  # the keys 2 + r below 2**32
         if self.reps > limit:
             raise ValueError(f"reps={self.reps} is too many: a configuration runs at most {limit} replications")
-        if not isinstance(self.rho, numbers.Real):
-            raise ValueError(f"rho must be a real number, got {self.rho!r}")
-        object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "rho", _real("rho", self.rho))
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")
         if self.n <= self.p:

@@ -773,6 +773,13 @@ class TestScenarioFileErrors:
         assert_one_error_line(code, out, err)
         assert f"section [{section}] has non-finite entries" in err
 
+    def test_a_restriction_file_without_h_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "r.txt"
+        save_scenario(path, RiskScenario(np.diag([3.0, 1.0]), np.array([1.0, -1.0])))
+        code, out, err = run(capsys, ["estimate", BUNDLED, "--estimator", "rmle", "--restriction-file", str(path)])
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {path} has no [H]/[h] sections\n"
+
     @pytest.mark.parametrize(
         "command", [["risk", "--d-grid", "0.5", "--estimators", "raule"], ["dominance", "--d", "0.5"]]
     )
@@ -829,6 +836,21 @@ class TestSimulate:
         assert meta["seed"] == 7
         assert meta["n"] == 50
         assert meta["H"] == [[1.0, 0.0, -2.0, 1.0], [1.0, -1.0, 1.0, -1.0]]
+
+    @pytest.mark.parametrize("flag", ["--n", "--p", "--rho"])
+    def test_a_single_run_needs_n_p_and_rho(self, capsys, flag):
+        argv = SIMULATE[:SIMULATE.index(flag)] + SIMULATE[SIMULATE.index(flag) + 2:]
+        code, out, err = run(capsys, argv)
+        assert_one_error_line(code, out, err)
+        assert err == "error: --n, --p and --rho are required without --table-suite\n"
+
+    def test_meta_out_writes_the_default_sidecars_bytes(self, tmp_path, capsys):
+        base = SIMULATE + ["--d-grid", "0.5", "--format", "csv"]
+        assert main(base + ["--output", str(tmp_path / "default.csv")]) == 0
+        assert main(base + ["--output", str(tmp_path / "named.csv"), "--meta-out", str(tmp_path / "meta.json")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "meta.json").read_bytes() == (tmp_path / "default.csv.meta.json").read_bytes()
+        assert not (tmp_path / "named.csv.meta.json").exists()
 
     def test_meta_out_to_a_directory_exits_one(self, tmp_path, capsys):
         code, out, err = run(capsys, ["simulate", "--n", "50", "--p", "4", "--rho", "0.9", "--reps", "2",

@@ -4,6 +4,7 @@ import csv
 import io
 import os
 import re
+import tempfile
 import threading
 import tracemalloc
 
@@ -465,7 +466,7 @@ def read_through_fifo(tmp_path, text, **kwargs):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 class TestStreams:
-    """A stream is read once, into a copy that both passes read."""
+    """A stream is read once, by the field loop."""
 
     @pytest.mark.parametrize(
         "text",
@@ -492,6 +493,23 @@ class TestStreams:
         error, path = read_through_fifo(tmp_path, text)
         assert type(error) is CsvParseError
         assert str(error) == message.format(path=path)
+
+    def test_a_fifo_is_read_without_a_temporary_file(self, tmp_path, monkeypatch):
+        folder = tmp_path / "tmp"
+        folder.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(folder))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_csv made a temporary file")
+
+        for name in ("TemporaryDirectory", "NamedTemporaryFile", "TemporaryFile", "mkdtemp", "mkstemp"):
+            monkeypatch.setattr(tempfile, name, refuse)
+        text = "y,x\n1,0.5\n0,1\n1,2\n"
+        data, _ = read_through_fifo(tmp_path, text)
+        plain = load_csv(write(tmp_path, text, "plain.csv"))
+        assert_same_array(data.X, plain.X)
+        assert_same_array(data.y, plain.y)
+        assert list(folder.iterdir()) == []
 
 
 class TestCompressedNames:
@@ -726,6 +744,21 @@ class TestDiagnostics:
         data = Dataset(x, (rng.random(40) < 0.5).astype(float), has_intercept=True)
         report = diagnostics(data)
         assert report.correlation.shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            pytest.param(Dataset(np.ones((3, 1)), np.array([0.0, 1.0, 0.0]), has_intercept=True),
+                         "no predictor columns to diagnose", id="intercept-only"),
+            pytest.param(Dataset(np.array([[0.5]]), np.array([1.0])), "need at least two rows for correlations",
+                         id="one-row"),
+        ],
+    )
+    def test_what_has_no_correlations_is_refused(self, data, message):
+        with pytest.raises(ValueError) as caught:
+            diagnostics(data)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == message
 
     def test_constant_column(self):
         rng = np.random.default_rng(4)

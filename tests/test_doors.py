@@ -261,6 +261,26 @@ def test_a_scenario_checked_first_at_a_d_of_none_is_refused():
         check_all(scenario, None)
 
 
+#: Doors that take the kinds and the d values as sequences.
+SEQUENCE_DOORS = [door for door in REQUEST_DOORS if door != "EstimatorSpec" and door not in D_ONLY]
+
+
+@pytest.mark.parametrize("door", SEQUENCE_DOORS)
+@pytest.mark.parametrize("value", [None, object(), np.array(0.5)], ids=["none", "object", "0-d-array"])
+@pytest.mark.parametrize(
+    "argument, message",
+    [("kinds", "estimator kinds must be a sequence of names"), ("d", "d values must be a sequence of numbers")],
+)
+def test_every_request_door_refuses_what_cannot_be_iterated(door, value, argument, message):
+    """None, an object or a 0-d array in place of either sequence escaped as
+    a bare TypeError from len() or iter()."""
+    kinds, ds = (value, [0.5]) if argument == "kinds" else (["aule"], value)
+    with pytest.raises(ValueError) as caught:
+        REQUEST_DOORS[door](kinds, ds)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == f"{message}, got {value!r}"
+
+
 @pytest.mark.parametrize("door", [door for door in REQUEST_DOORS if door != "table_suite"])
 def test_every_request_door_takes_real_numbers_of_any_type(door):
     for d in (0.5, np.float64(0.5), np.float32(0.5), 1, np.int64(0)):

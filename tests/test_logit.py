@@ -1,5 +1,7 @@
 """IRLS fitting against closed forms and an independent Newton oracle."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -58,6 +60,20 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(x, np.array([0.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "X, y, message",
+        [
+            pytest.param(np.ones(3), np.ones(3), "X must be 2-dimensional, got shape (3,)", id="1-d-X"),
+            pytest.param(np.ones((3, 1, 1)), np.ones(3), "X must be 2-dimensional, got shape (3, 1, 1)", id="3-d-X"),
+            pytest.param(np.ones((3, 1)), np.ones(2), "y has shape (2,), expected (3,)", id="short-y"),
+            pytest.param(np.ones((3, 1)), np.ones((3, 1)), "y has shape (3, 1), expected (3,)", id="column-y"),
+        ],
+    )
+    def test_rejects_a_design_or_response_of_the_wrong_shape(self, X, y, message):
+        with pytest.raises(ValueError) as caught:
+            Dataset(X, y)
+        assert str(caught.value) == message
+
     def test_rejects_bad_intercept_flag(self):
         with pytest.raises(ValueError):
             Dataset(np.arange(6.0).reshape(3, 2), np.array([0.0, 1.0, 0.0]), has_intercept=True)
@@ -81,6 +97,21 @@ class TestFitOptions:
         # max_iter < 1 is false for 2.5 and NaN, and the fit then raised TypeError
         with pytest.raises(ValueError, match="^max_iter must be an integer, got "):
             FitOptions(max_iter=max_iter)
+
+    @pytest.mark.parametrize("name", ["tol", "prob_clip"])
+    @pytest.mark.parametrize("value", [True, False, "x", None, 0.5j, np.array(0.1)], ids=repr)
+    def test_rejects_a_tolerance_or_clip_that_is_not_a_real_number(self, name, value):
+        # tol=True was kept as the bool, and "x" or None raised TypeError from the range check
+        with pytest.raises(ValueError) as caught:
+            FitOptions(**{name: value})
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"{name} must be a real number, got {value!r}"
+
+    @pytest.mark.parametrize("value", [np.float32(0.25), np.float64(0.25), Fraction(1, 4)], ids=repr)
+    def test_keeps_a_tolerance_and_clip_of_any_real_type_as_a_float(self, value):
+        opts = FitOptions(tol=value, prob_clip=value)
+        assert type(opts.tol) is float and opts.tol == 0.25
+        assert type(opts.prob_clip) is float and opts.prob_clip == 0.25
 
     @pytest.mark.parametrize("max_iter", [np.int64(7), np.uint8(7), 7])
     def test_accepts_any_integer_type_as_an_int(self, max_iter):
@@ -221,6 +252,18 @@ class TestLinearRestriction:
             LinearRestriction(np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros(2))  # rank deficient
         with pytest.raises(ValueError):
             LinearRestriction(np.eye(2), np.zeros(3))  # h length
+
+    @pytest.mark.parametrize(
+        "H, h",
+        [
+            pytest.param([[1.0, np.inf]], [0.0], id="inf-H"),
+            pytest.param([[1.0, 0.0]], [np.nan], id="nan-h"),
+        ],
+    )
+    def test_rejects_non_finite_entries(self, H, h):
+        with pytest.raises(ValueError) as caught:
+            LinearRestriction(H, h)
+        assert str(caught.value) == "restriction has non-finite entries"
 
     def test_properties(self):
         r = LinearRestriction(np.array([[1.0, 0.0, -2.0]]), np.array([0.5]))

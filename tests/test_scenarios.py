@@ -151,6 +151,14 @@ class TestScenarioErrors:
         with pytest.raises(CsvParseError, match=f"^{re.escape(f'{path}:{line}: section [meta] ')}.*{re.escape(named)}"):
             load_scenario(path)
 
+    def test_a_meta_line_without_an_equals_sign_is_refused(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("[meta]\nm = 2\nd 0.5\n[C]\n3.0,0.0\n0.0,1.0\n[beta]\n1.0,-1.0\n", encoding="utf-8")
+        with pytest.raises(CsvParseError) as caught:
+            load_scenario(path)
+        assert str(caught.value) == f"{path}:3: expected 'key = value'"
+        assert caught.value.row == 3
+
 
 class TestScenarioVectors:
     """[beta] and [h] are one row or one column; any other block is refused."""

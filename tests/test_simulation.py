@@ -647,7 +647,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^reps={limit + 1} is too many: a configuration runs at most {limit} replications$"):
             small_config(reps=limit + 1)
 
-    @pytest.mark.parametrize("value", ["0.9", None, 0.9j])
+    @pytest.mark.parametrize("value", ["0.9", None, 0.9j, False, True, np.array(0.9)], ids=repr)
     def test_rho_must_be_a_real_number(self, value):
         with pytest.raises(ValueError, match=f"^rho must be a real number, got {re.escape(repr(value))}$"):
             small_config(rho=value)
