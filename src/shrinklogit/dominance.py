@@ -9,9 +9,9 @@ returns a :class:`DominanceVerdict` holding, side by side,
   claims to characterize (``delta_psd``),
 
 so the two can be audited against each other. A failed comparison is a
-result, not an error: checks only raise for a scenario that is not a
-:class:`RiskScenario`, a d outside [0, 1] or a missing restriction, the
-same error and message from every check.
+result, not an error: checks only raise for what the scenario door,
+``risk._check_scenario``, refuses (not a :class:`RiskScenario`, a d that
+is not a real number in [0, 1], no restriction), the same from every check.
 
 The six checks, with the difference each one verifies directly:
 
@@ -37,8 +37,8 @@ scenario, in a module-level weak dictionary that drops it when reference
 counting frees the scenario. The record holds what does not depend on d
 (ACA's pseudo-inverse and congruence, both from one decomposition of ACA,
 C^{1/2}, C^-1 - A, the scalar conditions' parts), built at the scenario's
-first check, and the six verdicts at the last d asked. A new d (and the
-restriction) is checked before anything is built; one pass then builds
+first check, and the six verdicts at the last d asked. A new d passes
+the scenario door before the record is read; one pass then builds
 all six verdicts, whichever check asks first, and they replace the kept
 ones, so memory does not grow with the number of d. The pass builds L
 once, through ``_smoothers``, and then:
@@ -88,10 +88,10 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .estimators import _check_request, _check_restriction, _smoothers
+from .estimators import _smoothers
 from .linalg import PSD_SLACK, _eigh, _read_only, in_range_with_pinv
 from .linalg import _congruence, _kept, _pinv, _psd, _ratio, _sym
-from .risk import RiskScenario, _check_scenario, spectral_risk_terms
+from .risk import RiskScenario, _check_scenario
 
 # No longer called here, but kept bound: perfbench's traced run rebinds
 # them by name (ROADMAP item 1), and tests/test_perfbench_names.py checks
@@ -169,7 +169,7 @@ def _fixed(scenario: RiskScenario) -> _Fixed:
     """The d-independent parts, with ACA's two from one ``_eigh``."""
     aca = _eigh(scenario._rmle.cov)
     decomp = scenario.decomp
-    terms = spectral_risk_terms(scenario)
+    terms = scenario._terms
     min_positive_a = float(np.min(terms.a_diag[_kept(terms.a_diag)], initial=np.inf))
     max_alpha_sq = float(np.max(terms.alpha**2))
     return _Fixed(
@@ -186,19 +186,24 @@ def _fixed(scenario: RiskScenario) -> _Fixed:
 
 def _at(scenario: RiskScenario, d: float) -> tuple[DominanceVerdict, ...]:
     """The six verdicts at d, in ``check_all`` order, kept in the scenario's
-    record. A d other than the record's is checked first, with the
-    restriction, and its verdicts replace the record's; so is any d when
-    there is no record yet, None among them. A scenario that is not a
-    :class:`RiskScenario` is refused before its record is looked up."""
-    _check_scenario(scenario)
-    fixed, kept_d, verdicts = _records.get(scenario, (None, None, None))
-    if verdicts is None or d != kept_d:
-        kinds, (d,) = _check_request(["raule", "aule"], [d])
-        _check_restriction(kinds, scenario.restriction, scenario.m)
-        fixed = fixed or _fixed(scenario)
-        verdicts = _verdicts(scenario, fixed, d)
-        _records[scenario] = (fixed, d, verdicts)
-    return verdicts
+    record. Only a scenario that passed the scenario door has one, and its
+    kept d is a ``float`` that the door made, so an equal ``float`` reuses
+    the kept verdicts unchecked. Any other d passes ``_check_scenario``
+    before the record is read, and its verdicts replace the kept ones
+    unless the checked d equals the kept one (a NumPy float, say)."""
+    record = None
+    if type(d) is float:
+        try:
+            record = _records.get(scenario)
+        except TypeError:  # no weak reference or no hash: never a key
+            pass
+    if record is None or d != record[1]:
+        _, (d,) = _check_scenario(scenario, ["raule", "aule"], [d])
+        record = _records.get(scenario, (None, None, None))
+        if d != record[1]:
+            fixed = record[0] or _fixed(scenario)
+            record = _records[scenario] = (fixed, d, _verdicts(scenario, fixed, d))
+    return record[2]
 
 
 def _verdicts(scenario: RiskScenario, fixed: _Fixed, d: float) -> tuple[DominanceVerdict, ...]:

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionMismatchError, MissingRestrictionError
-from .linalg import SpectralDecomp, _eigh, _sym, require_positive_definite, sym_eigen, symmetrize
+from .linalg import SpectralDecomp, _eigh, _real_array, _sym, require_positive_definite, sym_eigen, symmetrize
 from .logit import FittedLogit, LinearRestriction, _real
 
 __all__ = [
@@ -196,38 +196,41 @@ def _check_width(restriction: LinearRestriction, m: int):
         )
 
 
-def _check_restriction(kinds, restriction: LinearRestriction | None, m: int, who: str | None = None):
+def _check_restriction(kinds, restriction: LinearRestriction | None, m: int):
     """The restriction half of a request, checked before any test of C: a
     given restriction must be ``m`` wide, used or not; a missing one is the
-    package's one MissingRestrictionError, naming ``who`` needs it (a caller
-    that needs it whatever the kinds) or else the first restricted kind.
-    Returns the restriction if it is needed, else None."""
-    if who is None:
-        who = next((f"estimator {kind!r}" for kind in kinds if kind in RESTRICTED_KINDS), None)
+    package's one MissingRestrictionError, naming the first restricted kind."""
+    needs = next((kind for kind in kinds if kind in RESTRICTED_KINDS), None)
     if restriction is not None:
         _check_width(restriction, m)
-    elif who is not None:
-        raise MissingRestrictionError(f"{who} needs a linear restriction (H, h)")
-    return None if who is None else restriction
+    elif needs is not None:
+        raise MissingRestrictionError(f"estimator {needs!r} needs a linear restriction (H, h)")
 
 
-def _information(C, beta=None, what: str = "beta", restriction: LinearRestriction | None = None):
+def _information(C, beta=None, what=None, restriction=None, kinds=None, restricted=False):
     """The one door for a caller's C (or stack of C), beta and restriction,
-    checked in this order: C is read through :func:`symmetrize`; beta must
-    have shape ``C.shape[:-1]`` and be finite (errors naming ``what``); the
-    restriction must be as wide as C. Only then is C decomposed, once, and
-    tested. Returns (C, its decomposition)."""
+    and the one place where beta is converted. In this order: beta, if
+    ``what`` names it, must be an array of real numbers; a request's
+    ``kinds`` take its restriction half at beta's width; C is read through
+    :func:`symmetrize`; beta must have shape ``C.shape[:-1]`` and be finite
+    (errors naming ``what``); a ``restricted`` door's restriction, None too,
+    must be as wide as C. Only then is C decomposed, once, and tested.
+    Returns (C, beta, C's decomposition)."""
+    if what is not None:
+        beta = _real_array(beta, what)
+    if kinds is not None:
+        _check_restriction(kinds, restriction, beta.shape[-1] if beta.ndim else 0)
     C = symmetrize(C, "C")
-    if beta is not None:
-        if np.shape(beta) != C.shape[:-1]:
-            raise DimensionMismatchError(f"{what} has shape {np.shape(beta)}, expected {C.shape[:-1]}")
+    if what is not None:
+        if beta.shape != C.shape[:-1]:
+            raise DimensionMismatchError(f"{what} has shape {beta.shape}, expected {C.shape[:-1]}")
         if not np.all(np.isfinite(beta)):
             raise ValueError(f"{what} has non-finite entries")
-    if restriction is not None:
+    if restricted:
         _check_width(restriction, C.shape[-1])
     decomp = _eigh(C)
     require_positive_definite(decomp.values, "C")
-    return C, decomp
+    return C, beta, decomp
 
 
 def _project(C: NDArray, beta: NDArray, restriction: LinearRestriction) -> NDArray:
@@ -258,16 +261,16 @@ def restricted_mle(C, beta_mle, restriction: LinearRestriction) -> NDArray:
     Raises
     ------
     InvalidMatrixError
-        If C is not square or has non-finite entries.
+        If C is not a square array of finite real numbers.
     DimensionMismatchError
         If ``beta_mle`` or the restriction is not as wide as C.
     ValueError
-        If ``beta_mle`` has non-finite entries.
+        If ``beta_mle`` is not an array of finite real numbers, or the
+        restriction is not a LinearRestriction (None too).
     SingularInformationError
         If C is not positive definite at ``RANK_CUT``.
     """
-    beta = np.asarray(beta_mle, dtype=float)
-    C, _ = _information(C, beta, "beta_mle", restriction)
+    C, beta, _ = _information(C, beta_mle, "beta_mle", restriction, restricted=True)
     return _project(C, beta, restriction)
 
 
@@ -290,28 +293,26 @@ def shrinkage_estimates(
     Kinds are case-insensitive, as in :class:`EstimatorSpec`.
 
     The request (kinds, d, the restriction) is checked before C, then C,
-    beta and C's definiteness at :func:`_information`; a single fit's
-    errors give its own (m,) and (m, m) shapes.
+    beta and C's definiteness, the restriction too at :func:`_information`;
+    a single fit's errors give its own (m,) and (m, m) shapes.
 
     Raises
     ------
     ValueError
         If ``kinds`` or ``d_grid`` is empty, a kind is unknown or a d lies
-        outside [0, 1], or ``beta_mle`` has non-finite entries.
+        outside [0, 1], or ``beta_mle`` is not an array of finite real numbers.
     MissingRestrictionError
         If a kind is restricted and ``restriction`` is None.
     DimensionMismatchError
         If ``restriction`` is not as wide as ``beta_mle``, or ``beta_mle``
         is not as wide as C.
     InvalidMatrixError
-        If C is not square or has non-finite entries.
+        If C is not a square array of finite real numbers.
     SingularInformationError
         For the first row whose C is not positive definite.
     """
     kinds, d = _check_request(kinds, d_grid)
-    beta = np.asarray(fit.beta_mle, dtype=float)
-    restriction = _check_restriction(kinds, restriction, beta.shape[-1] if beta.ndim else 0)
-    C, decomp = _information(fit.C, beta, "beta_mle")
+    C, beta, decomp = _information(fit.C, fit.beta_mle, "beta_mle", restriction, kinds)
     return _score(C, decomp, beta, kinds, d, restriction)
 
 

@@ -60,20 +60,34 @@ def _read_only(array) -> NDArray:
     return view
 
 
+def _real_array(values, what: str, error: type[Exception] = ValueError) -> NDArray:
+    """``values`` as ``np.asarray(values, dtype=float)`` reads a real array
+    of any type, else ``error`` naming ``what``: for a complex array (NumPy
+    would drop its imaginary part with only a warning), an entry that is no
+    number, a ragged nest, or an iterator, dict or other object."""
+    try:
+        array = np.asarray(values)
+        if array.dtype.kind != "c":
+            return array.astype(float, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise error(f"{what} is not an array of real numbers")
+
+
 def symmetrize(matrix, what: str = "matrix") -> NDArray:
     """Return the symmetric part (M + M') / 2 as a float64 array.
 
     Floating point products such as X'WX drift slightly from exact
     symmetry, so constructors symmetrize instead of rejecting. A stack
     of square matrices (..., k, k) is symmetrized matrix by matrix.
-    ``what`` names the input in the non-finite error.
+    ``what`` names the input in the errors of its entries.
 
     Raises
     ------
     InvalidMatrixError
-        If the input is not square or has non-finite entries.
+        If the input is not a square array of finite real numbers.
     """
-    m = np.asarray(matrix, dtype=float)
+    m = _real_array(matrix, what, InvalidMatrixError)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidMatrixError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):

@@ -33,7 +33,7 @@ scored over a d grid as one (D, m, m) stack of smoothers, built once
 per sweep for the kinds that apply it (F_d for LE and RLE, L_d for AULE
 and RAULE); :func:`risk` is one cell of :func:`d_sweep`, and a stack's
 members are bit for bit what it gives. Every door that takes a scenario
-first checks that it is a :class:`RiskScenario`.
+makes one call, ``_check_scenario``, before it reads it.
 
 The restricted shrinkage rows use the bias form that assumes the
 restriction holds at the truth. When it does not, the report carries
@@ -52,7 +52,7 @@ from numpy.typing import NDArray
 
 from .errors import InvalidMatrixError
 from .estimators import RESTRICTED_KINDS, SHRINKAGE_KINDS, EstimatorSpec
-from .estimators import _SMOOTHER, _check_request, _check_restriction, _information, _project, _smoothers
+from .estimators import _NO_D, _SMOOTHER, _check_request, _check_restriction, _information, _project, _smoothers
 from .linalg import SpectralDecomp, _read_only, _sym, symmetrize
 from .logit import LinearRestriction
 
@@ -91,14 +91,16 @@ def a_matrix(C, restriction: LinearRestriction) -> NDArray:
     Raises
     ------
     InvalidMatrixError
-        If C is not square or has non-finite entries, or if A overflows
-        (C's smallest eigenvalue is subnormal).
+        If C is not a square array of finite real numbers, or if A
+        overflows (C's smallest eigenvalue is subnormal).
+    ValueError
+        If the restriction is not a LinearRestriction (None too).
     DimensionMismatchError
         If the restriction's width is not C's dimension.
     SingularInformationError
         If C is not positive definite at ``RANK_CUT``.
     """
-    C, _ = _information(C, restriction=restriction)
+    C, _, _ = _information(C, restriction=restriction, restricted=True)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name
         return _dispersion(C, restriction)
 
@@ -129,12 +131,13 @@ class RiskScenario:
     Raises
     ------
     InvalidMatrixError
-        If C is not one square matrix or has non-finite entries, or if
-        C^-1 overflows (C's smallest eigenvalue is subnormal).
+        If C is not one square array of finite real numbers, or if C^-1
+        overflows (C's smallest eigenvalue is subnormal).
     DimensionMismatchError
         If ``beta_true`` or the restriction is not as wide as C.
     ValueError
-        If ``beta_true`` has non-finite entries.
+        If ``beta_true`` is not an array of finite real numbers, or a given
+        restriction is not a LinearRestriction.
     SingularInformationError
         If C is not positive definite at ``RANK_CUT``.
     """
@@ -145,10 +148,11 @@ class RiskScenario:
     A: NDArray | None = field(init=False, default=None)
 
     def __post_init__(self):
-        if np.ndim(self.C) != 2:  # the door also reads a stack of C
-            raise InvalidMatrixError(f"expected a square matrix, got shape {np.shape(self.C)}")
-        beta = np.array(self.beta_true, dtype=float)
-        C, decomp = _information(self.C, beta, "beta_true", self.restriction)
+        restricted = self.restriction is not None
+        C, beta, decomp = _information(self.C, self.beta_true, "beta_true", self.restriction, restricted=restricted)
+        if C.ndim != 2:  # the door also reads a stack of C
+            raise InvalidMatrixError(f"expected a square matrix, got shape {C.shape}")
+        beta = beta.copy()  # the door may hand back the caller's own array
         decomp = SpectralDecomp(_read_only(decomp.values), _read_only(decomp.basis))
         object.__setattr__(self, "C", _read_only(C))
         object.__setattr__(self, "beta_true", _read_only(beta))
@@ -185,7 +189,7 @@ class RiskScenario:
 
     def rmle_bias(self) -> NDArray:
         """Exact RMLE bias -C^-1 H'(H C^-1 H')^-1 (H beta_true - h), as R(b) - b."""
-        _check_restriction(["rmle"], self.restriction, self.m)
+        _check_scenario(self, ["rmle"])
         return self._rmle.bias
 
 
@@ -194,11 +198,16 @@ class RiskScenario:
 _RiskScenario = RiskScenario
 
 
-def _check_scenario(scenario) -> None:
-    """The one check of a scenario argument, made first at every door that
-    takes one: ValueError unless it is a :class:`RiskScenario`."""
+def _check_scenario(scenario, kinds, d_grid=_NO_D):
+    """The one door of a scenario and its request: ValueError unless it is a
+    :class:`RiskScenario`, then ``_check_request`` (with ``d_grid`` if given)
+    and the restriction half on the scenario's restriction. Returns the
+    checked request, as ``_check_request`` does."""
     if not isinstance(scenario, _RiskScenario):
         raise ValueError(f"scenario must be a RiskScenario, got {type(scenario).__name__}")
+    kinds, d_values = _check_request(kinds, d_grid)
+    _check_restriction(kinds, scenario.restriction, scenario.m)
+    return kinds, d_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,8 +287,7 @@ class SpectralRiskTerms(NamedTuple):
 def spectral_risk_terms(scenario: RiskScenario) -> SpectralRiskTerms:
     """Eigenvalues of C with the matching diagonal of T'AT and T'beta,
     as the scenario built them: the ingredients of the RAULE's scalar risk."""
-    _check_scenario(scenario)
-    _check_restriction(["raule"], scenario.restriction, scenario.m)
+    _check_scenario(scenario, ["raule"])
     return scenario._terms
 
 
@@ -322,9 +330,7 @@ def d_sweep(
     kinds, no d, an unknown kind or a d outside [0, 1], and
     MissingRestrictionError for a restricted kind with no restriction.
     """
-    _check_scenario(scenario)
-    kinds, d_grid = _check_request(kinds, d_grid)
-    _check_restriction(kinds, scenario.restriction, scenario.m)
+    kinds, d_grid = _check_scenario(scenario, kinds, d_grid)
     families = dict.fromkeys(_SMOOTHER[kind] for kind in kinds if kind in _SMOOTHER)
     stacks = {family: _smoothers(scenario.decomp, family, d_grid) for family in families}
     columns = [_reports(scenario, kind, d_grid, stacks.get(_SMOOTHER.get(kind))) for kind in kinds]

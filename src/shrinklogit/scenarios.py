@@ -43,7 +43,7 @@ import numpy as np
 
 from .datasets import _read_lines
 from .errors import CsvParseError
-from .estimators import KINDS, _check_request
+from .estimators import KINDS, _NO_D
 from .logit import LinearRestriction
 from .risk import RiskScenario, _check_scenario
 
@@ -58,11 +58,11 @@ def save_scenario(path, scenario: RiskScenario, d: float | None = None):
     scenario that is not a :class:`RiskScenario` and for a d that no
     estimator takes: a bool, not a real number, or not in [0, 1].
     """
-    _check_scenario(scenario)
+    # the scenario door, with the MLE's request: the check of every d an estimator takes
+    _, d_values = _check_scenario(scenario, KINDS[:1], _NO_D if d is None else [d])
     lines = ["[meta]", f"m = {scenario.m}"]
-    if d is not None:
-        (d,) = _check_request(KINDS[:1], [d])[1]  # the check of every d an estimator takes
-        lines.append(f"d = {d!r}")
+    if d_values is not None:
+        lines.append(f"d = {d_values[0]!r}")
     lines += ["[C]", *map(_row, scenario.C.tolist()), "[beta]", _row(scenario.beta_true.tolist())]
     if scenario.restriction is not None:
         H, h = scenario.restriction.H, scenario.restriction.h
@@ -101,7 +101,7 @@ def _parse_blocks(path):
             key, equals, value = (part.strip() for part in text.partition("="))
             where = f"{path}:{lineno}: section [meta]"
             if not equals:
-                raise CsvParseError(f"{path}:{lineno}: expected 'key = value'", row=lineno)
+                raise CsvParseError(f"{where} expected 'key = value'", row=lineno)
             if key not in ("m", "d") or key in meta:
                 problem = f"gives key {key!r} twice" if key in meta else f"has unknown key {key!r}"
                 raise CsvParseError(f"{where} {problem}", row=lineno)

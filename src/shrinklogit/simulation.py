@@ -75,10 +75,10 @@ from functools import cache, partial
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import AllReplicationsFailedError, NotConvergedError, SingularInformationError
+from .errors import AllReplicationsFailedError, MissingRestrictionError, NotConvergedError, SingularInformationError
 # ``estimate`` and ``irls_fit`` stay bound here: perfbench's traced run
 # rebinds them by name.
-from .estimators import _check_request, _check_restriction, _check_width, _score, estimate  # noqa: F401
+from .estimators import _check_request, _check_width, _score, estimate  # noqa: F401
 from .linalg import SpectralDecomp, _eigh, positive_definite
 from .logit import FitOptions, LinearRestriction, _integer, _real, _special, irls_fit, irls_stack  # noqa: F401
 
@@ -403,8 +403,10 @@ class SimulationConfig:
         if not isinstance(self.fit_options, FitOptions):
             raise ValueError(f"fit_options must be a FitOptions, got {self.fit_options!r}")
         kinds, d_grid = _check_request(self.estimator_kinds, self.d_grid)
-        who = "the simulation (it draws its truth in the restriction's null space)"
-        _check_restriction(kinds, self.restriction, self.p, who)
+        if self.restriction is None:
+            raise MissingRestrictionError(
+                "the simulation (it draws its truth in the restriction's null space) needs a linear restriction (H, h)"
+            )
         _check_projection(self.restriction, self.p, self.project_beta)
         object.__setattr__(self, "d_grid", tuple(d_grid))
         object.__setattr__(self, "estimator_kinds", tuple(kinds))

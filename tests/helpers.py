@@ -40,6 +40,7 @@ MALFORMED_SCENARIOS = [
     pytest.param("meta", "[meta]\nd = half\n" + _C_BETA, id="non-numeric-d"),
     pytest.param("meta", "[meta]\nD = 0.5\n" + _C_BETA, id="unknown-meta-key"),
     pytest.param("meta", "[meta]\nd = 0.2\nd = 0.9\n" + _C_BETA, id="meta-key-given-twice"),
+    pytest.param("meta", "[meta]\nd 0.5\n" + _C_BETA, id="meta-line-without-equals"),
     pytest.param("meta", "[meta]\nm = 3\n" + _C_BETA, id="m-not-the-size-of-C"),
     *[pytest.param("meta", f"[meta]\nd = {value}\n" + _C_BETA, id=f"d-{value}") for value in ("2.0", "-0.5", "inf", "nan")],
     pytest.param("h", _C_BETA + "[h]\n1.0\n", id="h-without-H"),

@@ -171,6 +171,12 @@ def _names(module_name):
         ("_require_psd", {"linalg"}),
         # the dominance checks keep their state in dominance, not on the scenario
         ("_records", {"dominance"}),
+        # a request's restriction half is checked at the array doors' one door,
+        # estimators._information, and at the scenario door, risk._check_scenario
+        ("_check_restriction", {"estimators", "risk"}),
+        # dominance and scenarios check their requests through the scenario door
+        ("_check_request", {"cli", "estimators", "risk", "simulation"}),
+        ("_check_scenario", {"dominance", "risk", "scenarios"}),
         ("_parts", set()),
     ],
 )

@@ -495,6 +495,31 @@ class TestKeptParts:
         first = check_all(scenario, 0.5)
         assert all(a is b for a, b in zip(check_all(scenario, 0.5), first))
 
+    @pytest.mark.parametrize("kept", [1.0, 0.5])
+    @pytest.mark.parametrize(
+        "check, d",
+        [(check_all, True), (check_t33, np.array(0.5)), (check_c31, 0.5 + 0j)],
+        ids=["bool", "0-d-array", "complex"],
+    )
+    def test_a_kept_d_lets_no_value_past_the_door(self, kept, check, d):
+        """True == 1.0, np.array(0.5) == 0.5 and 0.5 + 0j == 0.5, so each of
+        these was answered from the record of a scenario checked at an equal
+        d. Each is refused as on a fresh scenario, and the record stays."""
+        with pytest.raises(ValueError) as fresh:
+            check(self.scenario(), d)
+        scenario = self.scenario()
+        verdicts = check_all(scenario, kept)
+        with pytest.raises(ValueError) as caught:
+            check(scenario, d)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == str(fresh.value) == f"d must be a real number, got {d!r}"
+        assert dominance._records[scenario][1:] == (kept, tuple(verdicts))
+
+    def test_a_numpy_float_equal_to_the_kept_d_shares_the_kept_verdicts(self):
+        scenario = self.scenario()
+        first = check_all(scenario, 0.5)
+        assert all(a is b for a, b in zip(check_all(scenario, np.float64(0.5)), first))
+
     def test_checks_leave_the_scenario_as_it_was(self):
         scenario = self.scenario()
         before = dict(vars(scenario))

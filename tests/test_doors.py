@@ -1,6 +1,8 @@
 """Every public door that takes a caller's C, beta and restriction checks
 them the same way, through ``estimators._information``: the same error
-type and message from each door for each bad input.
+type and message from each door for each bad input. That door is also
+the one place where beta is converted, and ``linalg.symmetrize`` the one
+where C is: anything but an array of real numbers is refused there.
 
 A door's messages name its own beta argument (``beta_mle`` or
 ``beta_true``) and give its own shapes: a single fit's are (m,) and
@@ -174,6 +176,69 @@ def test_the_simulation_refuses_a_restriction_that_is_not_a_linear_restriction()
 def test_every_door_takes_a_good_input():
     for door, (call, _, _) in DOORS.items():
         call(GOOD_C, GOOD_BETA, None)
+
+
+#: name -> (make C, make beta, error type: InvalidMatrixError naming C or
+#: ValueError naming the door's beta).
+#: Each is built fresh, since an iterator is spent once read. NumPy would
+#: read a complex C or beta with only a warning, dropping its imaginary part.
+NOT_REAL = {
+    "complex-C": (lambda: GOOD_C + 1j * np.eye(4), lambda: GOOD_BETA, InvalidMatrixError),
+    "complex-C-with-zero-imaginary-part": (lambda: GOOD_C + 0j, lambda: GOOD_BETA, InvalidMatrixError),
+    "iterator-C": (lambda: iter(GOOD_C), lambda: GOOD_BETA, InvalidMatrixError),
+    "dict-C": (lambda: {0: GOOD_C}, lambda: GOOD_BETA, InvalidMatrixError),
+    "object-C": (object, lambda: GOOD_BETA, InvalidMatrixError),
+    "ragged-C": (lambda: [[3.0, 0.0], [0.0]], lambda: GOOD_BETA, InvalidMatrixError),
+    "complex-beta": (lambda: GOOD_C, lambda: 1j * GOOD_BETA, ValueError),
+    "iterator-beta": (lambda: GOOD_C, lambda: iter(GOOD_BETA), ValueError),
+    "dict-beta": (lambda: GOOD_C, lambda: {0: 1.0}, ValueError),
+    "object-beta": (lambda: GOOD_C, object, ValueError),
+}
+
+#: The doors for one C; a stack is read by the same conversion.
+SINGLE_DOORS = [door for door in DOORS if "stack" not in door]
+
+
+@pytest.mark.parametrize(
+    "door, case", [(door, case) for door in SINGLE_DOORS for case in NOT_REAL if applies(door, case)]
+)
+def test_every_door_refuses_what_is_not_real_where_it_converts(door, case):
+    """C is converted at ``symmetrize`` and beta at ``_information``, the one
+    place each is read; both refuse anything but an array of real numbers."""
+    call, beta_name, _ = DOORS[door]
+    make_C, make_beta, error = NOT_REAL[case]
+    with pytest.raises(error) as caught:
+        call(make_C(), make_beta(), None)
+    assert type(caught.value) is error
+    named = "C" if error is InvalidMatrixError else beta_name
+    assert str(caught.value) == f"{named} is not an array of real numbers"
+
+
+@pytest.mark.parametrize(
+    "call", [lambda: restricted_mle(GOOD_C, GOOD_BETA, None), lambda: a_matrix(GOOD_C, None)],
+    ids=["restricted_mle", "a_matrix"],
+)
+def test_the_restricted_doors_refuse_a_missing_restriction_by_name(call):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "restriction must be a LinearRestriction, got NoneType"
+
+
+def _values(result):
+    if isinstance(result, RiskScenario):
+        return [result.C, result.beta_true, result.c_inv]
+    return [getattr(result, "beta", result)]
+
+
+@pytest.mark.parametrize("door", SINGLE_DOORS)
+def test_every_door_reads_integer_arrays_and_lists_as_floats(door):
+    call = DOORS[door][0]
+    C, beta = 2 * GOOD_C, 4 * GOOD_BETA  # integral values
+    expected = _values(call(C, beta, None))
+    for as_given in (lambda a: a.astype(int), lambda a: a.tolist(), lambda a: a.astype(np.float32)):
+        actual = _values(call(as_given(C), as_given(beta), None))
+        assert all(a.dtype == float and np.array_equal(a, b) for a, b in zip(actual, expected))
 
 
 def test_risk_scenario_takes_one_c_not_a_stack():

@@ -156,7 +156,7 @@ class TestScenarioErrors:
         path.write_text("[meta]\nm = 2\nd 0.5\n[C]\n3.0,0.0\n0.0,1.0\n[beta]\n1.0,-1.0\n", encoding="utf-8")
         with pytest.raises(CsvParseError) as caught:
             load_scenario(path)
-        assert str(caught.value) == f"{path}:3: expected 'key = value'"
+        assert str(caught.value) == f"{path}:3: section [meta] expected 'key = value'"
         assert caught.value.row == 3
 
 
