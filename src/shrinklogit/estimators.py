@@ -197,37 +197,37 @@ def _check_width(restriction: LinearRestriction, m: int):
 
 
 def _check_restriction(kinds, restriction: LinearRestriction | None, m: int):
-    """The restriction half of a request, checked before any test of C: a
+    """The restriction half of a request, checked before C's definiteness: a
     given restriction must be ``m`` wide, used or not; a missing one is the
-    package's one MissingRestrictionError, naming the first restricted kind."""
-    needs = next((kind for kind in kinds if kind in RESTRICTED_KINDS), None)
-    if restriction is not None:
+    package's one MissingRestrictionError, naming the first restricted kind.
+    ``kinds`` None stands for a door that always reads the restriction, so
+    that a missing one is refused as not a LinearRestriction."""
+    needs = next((kind for kind in kinds or () if kind in RESTRICTED_KINDS), None)
+    if restriction is not None or kinds is None:
         _check_width(restriction, m)
     elif needs is not None:
         raise MissingRestrictionError(f"estimator {needs!r} needs a linear restriction (H, h)")
 
 
-def _information(C, beta=None, what=None, restriction=None, kinds=None, restricted=False):
+def _information(C, beta=None, what=None, restriction=None, kinds=None):
     """The one door for a caller's C (or stack of C), beta and restriction,
-    and the one place where beta is converted. In this order: beta, if
-    ``what`` names it, must be an array of real numbers; a request's
-    ``kinds`` take its restriction half at beta's width; C is read through
-    :func:`symmetrize`; beta must have shape ``C.shape[:-1]`` and be finite
-    (errors naming ``what``); a ``restricted`` door's restriction, None too,
-    must be as wide as C. Only then is C decomposed, once, and tested.
+    and the one place where beta is converted. In this order, one step
+    each: beta, if ``what`` names it, must be an array of real numbers; C
+    is read through :func:`symmetrize`; beta must have shape
+    ``C.shape[:-1]`` and be finite (errors naming ``what``); the
+    restriction must pass :func:`_check_restriction` for ``kinds`` at C's
+    width (``kinds`` None: a door that always reads it, None refused too).
+    Only then is C decomposed, once, and tested.
     Returns (C, beta, C's decomposition)."""
     if what is not None:
         beta = _real_array(beta, what)
-    if kinds is not None:
-        _check_restriction(kinds, restriction, beta.shape[-1] if beta.ndim else 0)
     C = symmetrize(C, "C")
     if what is not None:
         if beta.shape != C.shape[:-1]:
             raise DimensionMismatchError(f"{what} has shape {beta.shape}, expected {C.shape[:-1]}")
         if not np.all(np.isfinite(beta)):
             raise ValueError(f"{what} has non-finite entries")
-    if restricted:
-        _check_width(restriction, C.shape[-1])
+    _check_restriction(kinds, restriction, C.shape[-1])
     decomp = _eigh(C)
     require_positive_definite(decomp.values, "C")
     return C, beta, decomp
@@ -270,7 +270,7 @@ def restricted_mle(C, beta_mle, restriction: LinearRestriction) -> NDArray:
     SingularInformationError
         If C is not positive definite at ``RANK_CUT``.
     """
-    C, beta, _ = _information(C, beta_mle, "beta_mle", restriction, restricted=True)
+    C, beta, _ = _information(C, beta_mle, "beta_mle", restriction)
     return _project(C, beta, restriction)
 
 
@@ -292,25 +292,29 @@ def shrinkage_estimates(
 
     Kinds are case-insensitive, as in :class:`EstimatorSpec`.
 
-    The request (kinds, d, the restriction) is checked before C, then C,
-    beta and C's definiteness, the restriction too at :func:`_information`;
-    a single fit's errors give its own (m,) and (m, m) shapes.
+    ``fit`` is checked first, then the request (kinds and d), then at
+    :func:`_information` beta, C, beta's shape, the restriction and C's
+    definiteness, one step each; a single fit's errors give its own (m,)
+    and (m, m) shapes.
 
     Raises
     ------
     ValueError
-        If ``kinds`` or ``d_grid`` is empty, a kind is unknown or a d lies
-        outside [0, 1], or ``beta_mle`` is not an array of finite real numbers.
+        If ``fit`` is not a FittedLogit, ``kinds`` or ``d_grid`` is empty, a
+        kind is unknown or a d lies outside [0, 1], ``beta_mle`` is not an
+        array of finite real numbers (a complex array, an iterator or a
+        dict too), or a given ``restriction`` is not a LinearRestriction.
     MissingRestrictionError
         If a kind is restricted and ``restriction`` is None.
     DimensionMismatchError
-        If ``restriction`` is not as wide as ``beta_mle``, or ``beta_mle``
-        is not as wide as C.
+        If ``beta_mle`` or ``restriction`` is not as wide as C.
     InvalidMatrixError
         If C is not a square array of finite real numbers.
     SingularInformationError
         For the first row whose C is not positive definite.
     """
+    if not isinstance(fit, FittedLogit):
+        raise ValueError(f"fit must be a FittedLogit, got {type(fit).__name__}")
     kinds, d = _check_request(kinds, d_grid)
     C, beta, decomp = _information(fit.C, fit.beta_mle, "beta_mle", restriction, kinds)
     return _score(C, decomp, beta, kinds, d, restriction)
@@ -333,19 +337,37 @@ def _score(C, decomp: SpectralDecomp, beta, kinds, d, restriction) -> NDArray:
     return out
 
 
+def _check_spec(spec: EstimatorSpec):
+    """ValueError unless ``spec`` is an EstimatorSpec, before any field is read."""
+    if not isinstance(spec, EstimatorSpec):
+        raise ValueError(f"spec must be an EstimatorSpec, got {type(spec).__name__}")
+
+
 def estimate(
     fit: FittedLogit,
     spec: EstimatorSpec,
     restriction: LinearRestriction | None = None,
 ) -> Estimate:
-    """Evaluate one estimator: one cell of :func:`shrinkage_estimates`, same errors."""
+    """Evaluate one estimator: one cell of :func:`shrinkage_estimates`, same
+    errors, after a ValueError if ``spec`` is not an EstimatorSpec."""
+    _check_spec(spec)
     d = 1.0 if spec.d is None else spec.d  # the unshrunken kinds ignore d
     beta = shrinkage_estimates(fit, [spec.kind], [d], restriction)[0, 0]
     return Estimate(spec, beta)
 
 
 def residual(restriction: LinearRestriction, est: Estimate) -> NDArray:
-    """Restriction residual H beta - h for an estimate."""
-    beta = np.asarray(est.beta, dtype=float)
+    """Restriction residual H beta - h for an estimate.
+
+    Raises
+    ------
+    ValueError
+        If ``est.beta`` is not an array of real numbers (a complex array,
+        an iterator or a dict too), or the restriction is not a
+        LinearRestriction.
+    DimensionMismatchError
+        If the restriction is not as wide as ``est.beta``.
+    """
+    beta = _real_array(est.beta, "est.beta")
     _check_width(restriction, beta.shape[0])
     return restriction.H @ beta - restriction.h

@@ -7,6 +7,9 @@ matrices: spectral decomposition, Moore-Penrose inversion, positive
 ratio. They live here so that their two thresholds, :data:`RANK_CUT`
 and :data:`PSD_SLACK`, are defined in one place, and every zero test
 (C definite, H of full rank, a kept eigenvalue, a positive a_ii) is :func:`_kept`.
+Beside them, :func:`_real_array` is the one reading of an array that a
+caller hands the library (C, beta, H and h, X and y, a vector to test), so
+that every door refuses the same inputs a real array cannot hold.
 """
 
 from __future__ import annotations
@@ -63,11 +66,14 @@ def _read_only(array) -> NDArray:
 def _real_array(values, what: str, error: type[Exception] = ValueError) -> NDArray:
     """``values`` as ``np.asarray(values, dtype=float)`` reads a real array
     of any type, else ``error`` naming ``what``: for a complex array (NumPy
-    would drop its imaginary part with only a warning), an entry that is no
-    number, a ragged nest, or an iterator, dict or other object."""
+    would drop its imaginary part with only a warning), an object array
+    holding a complex number (``astype`` would take the real part of a
+    NumPy complex scalar), an entry that is no number, a ragged nest, or an
+    iterator, dict or other object."""
     try:
         array = np.asarray(values)
-        if array.dtype.kind != "c":
+        kind = array.dtype.kind
+        if kind != "c" and not (kind == "O" and any(map(np.iscomplexobj, array.flat))):
             return array.astype(float, copy=False)
     except (TypeError, ValueError):
         pass
@@ -236,8 +242,15 @@ def in_range(vector, matrix) -> bool:
     column space of ``matrix``.
 
     Forms M^+ once; the criterion is :func:`in_range_with_pinv`.
+
+    Raises
+    ------
+    InvalidMatrixError
+        If ``vector`` is not an array of real numbers (a complex array, an
+        iterator or a dict too) with one entry per row of the matrix, or the
+        matrix is not a square array of finite real numbers.
     """
-    v = np.asarray(vector, dtype=float)
+    v = _real_array(vector, "vector", InvalidMatrixError)
     m = symmetrize(matrix)
     if v.ndim not in (1, 2) or v.shape[0] != m.shape[0]:
         raise InvalidMatrixError(

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import NotConvergedError
-from .linalg import _certify_positive_definite, _kept, _read_only, definiteness_error, symmetrize
+from .linalg import _certify_positive_definite, _kept, _read_only, _real_array, definiteness_error, symmetrize
 
 __all__ = [
     "Dataset",
@@ -46,6 +46,14 @@ class Dataset:
     so diagnostics and display code can skip it. Construction validates
     that the response is exactly 0/1 and that the design has at least as
     many rows as columns.
+
+    Raises
+    ------
+    ValueError
+        If X or y is not an array of real numbers (a complex array, an
+        iterator or a dict too), X is not a finite n x m design with
+        n >= m >= 1, y is not n entries of exactly 0 or 1, or
+        ``has_intercept`` is set and column 0 is not constant 1.
     """
 
     X: NDArray
@@ -53,8 +61,8 @@ class Dataset:
     has_intercept: bool = False
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        X = _real_array(self.X, "X")
+        y = _real_array(self.y, "y")
         if X.ndim != 2:
             raise ValueError(f"X must be 2-dimensional, got shape {X.shape}")
         if y.shape != (X.shape[0],):
@@ -112,10 +120,11 @@ def _real(name: str, value) -> float:
 class FitOptions:
     """IRLS controls.
 
-    ``tol`` bounds the max-norm coefficient change between iterations;
-    ``prob_clip`` clamps fitted probabilities into
-    [prob_clip, 1 - prob_clip] before weights and working responses are
-    formed, which keeps separated data from producing infinite values.
+    ``tol`` bounds the max-norm coefficient change between iterations,
+    and must be positive and finite (at an infinite tol the first step
+    would count as converged); ``prob_clip`` clamps fitted probabilities
+    into [prob_clip, 1 - prob_clip] before weights and working responses
+    are formed, which keeps separated data from producing infinite values.
     ``max_iter`` may be any integer type (a NumPy integer too) and is kept
     as an ``int``; ``tol`` and ``prob_clip`` may be any real type but a
     bool, and are kept as ``float``s.
@@ -131,6 +140,8 @@ class FitOptions:
         object.__setattr__(self, "prob_clip", _real("prob_clip", self.prob_clip))
         if not self.tol > 0.0:  # NaN too
             raise ValueError("tol must be positive")
+        if self.tol == np.inf:  # every step would count as converged
+            raise ValueError(f"tol must be finite, got {self.tol}")
         if not 0.0 < self.prob_clip < 0.5:
             raise ValueError("prob_clip must be in (0, 0.5)")
 
@@ -165,6 +176,13 @@ class LinearRestriction:
     the minimum-norm solution H^+ h of H beta = h. H and h are copied
     from the caller, and all four arrays are read-only, so the cached
     null basis always describes the H it was built from.
+
+    Raises
+    ------
+    ValueError
+        If H or h is not an array of real numbers (a complex array, an
+        iterator or a dict too), their shapes do not match, an entry is not
+        finite, or H is rank deficient.
     """
 
     H: NDArray
@@ -173,8 +191,8 @@ class LinearRestriction:
     particular: NDArray = field(init=False, repr=False)
 
     def __post_init__(self):
-        H = np.atleast_2d(np.array(self.H, dtype=float))
-        h = np.atleast_1d(np.array(self.h, dtype=float))
+        H = np.atleast_2d(np.array(_real_array(self.H, "H")))
+        h = np.atleast_1d(np.array(_real_array(self.h, "h")))
         q, width = H.shape
         if not 1 <= q <= width:
             raise ValueError(f"need 1 <= q <= m restriction rows, got H shape {H.shape}")
@@ -217,8 +235,14 @@ def working_quantities(data: Dataset, beta, opts: FitOptions = FitOptions()):
     Probabilities are clamped by ``prob_clip`` before W and Z are formed.
     The working response is logit(pi) + (y - pi) / (pi (1 - pi)).
     Returns the triple (W, Z, C) with C symmetrized.
+
+    Raises
+    ------
+    ValueError
+        If ``beta`` is not an array of real numbers (a complex array, an
+        iterator or a dict too).
     """
-    return _working(data.X, data.y, np.asarray(beta, dtype=float), opts)
+    return _working(data.X, data.y, _real_array(beta, "beta"), opts)
 
 
 def _working(X, y, beta, opts: FitOptions):

@@ -52,7 +52,7 @@ from numpy.typing import NDArray
 
 from .errors import InvalidMatrixError
 from .estimators import RESTRICTED_KINDS, SHRINKAGE_KINDS, EstimatorSpec
-from .estimators import _NO_D, _SMOOTHER, _check_request, _check_restriction, _information, _project, _smoothers
+from .estimators import _NO_D, _SMOOTHER, _check_request, _check_restriction, _check_spec, _information, _project, _smoothers
 from .linalg import SpectralDecomp, _read_only, _sym, symmetrize
 from .logit import LinearRestriction
 
@@ -100,7 +100,7 @@ def a_matrix(C, restriction: LinearRestriction) -> NDArray:
     SingularInformationError
         If C is not positive definite at ``RANK_CUT``.
     """
-    C, _, _ = _information(C, restriction=restriction, restricted=True)
+    C, _, _ = _information(C, restriction=restriction)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name
         return _dispersion(C, restriction)
 
@@ -148,8 +148,7 @@ class RiskScenario:
     A: NDArray | None = field(init=False, default=None)
 
     def __post_init__(self):
-        restricted = self.restriction is not None
-        C, beta, decomp = _information(self.C, self.beta_true, "beta_true", self.restriction, restricted=restricted)
+        C, beta, decomp = _information(self.C, self.beta_true, "beta_true", self.restriction, kinds=())
         if C.ndim != 2:  # the door also reads a stack of C
             raise InvalidMatrixError(f"expected a square matrix, got shape {C.shape}")
         beta = beta.copy()  # the door may hand back the caller's own array
@@ -246,10 +245,12 @@ def risk(scenario: RiskScenario, spec: EstimatorSpec) -> RiskReport:
     Raises
     ------
     ValueError
-        If ``scenario`` is not a :class:`RiskScenario`.
+        If ``spec`` is not an EstimatorSpec, or ``scenario`` is not a
+        :class:`RiskScenario`.
     MissingRestrictionError
         If ``spec`` is a restricted kind and the scenario has no restriction.
     """
+    _check_spec(spec)
     return d_sweep(scenario, [spec.kind], [1.0 if spec.d is None else spec.d])[0].report
 
 

@@ -79,7 +79,7 @@ from .errors import AllReplicationsFailedError, MissingRestrictionError, NotConv
 # ``estimate`` and ``irls_fit`` stay bound here: perfbench's traced run
 # rebinds them by name.
 from .estimators import _check_request, _check_width, _score, estimate  # noqa: F401
-from .linalg import SpectralDecomp, _eigh, positive_definite
+from .linalg import SpectralDecomp, _eigh, _real_array, positive_definite
 from .logit import FitOptions, LinearRestriction, _integer, _real, _special, irls_fit, irls_stack  # noqa: F401
 
 __all__ = [
@@ -204,9 +204,16 @@ def gen_beta(
 
 
 def gen_response(X: NDArray, beta: NDArray, rng: np.random.Generator) -> NDArray:
-    """Bernoulli responses with logistic probabilities at X beta."""
+    """Bernoulli responses with logistic probabilities at X beta.
+
+    Raises
+    ------
+    ValueError
+        If X or ``beta`` is not an array of real numbers (a complex array,
+        an iterator or a dict too).
+    """
     expit, _ = _special()
-    return _responses(expit(np.asarray(X) @ beta)[None], [rng])[0]
+    return _responses(expit(_real_array(X, "X") @ _real_array(beta, "beta"))[None], [rng])[0]
 
 
 def _responses(pi: NDArray, rngs) -> NDArray:

@@ -184,6 +184,41 @@ def test_each_rule_is_named_only_in_its_home(name, homes):
     assert {module for module in SUBMODULES if name in set(_names(module))} == homes
 
 
+def _float_reads(module_name):
+    """The innermost function that holds each ``np.asarray`` or ``np.array``
+    call with ``dtype=float`` in a module."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"shrinklogit.{module_name}")))
+    # ast.walk is breadth first, so a nested function's nodes end up mapped to it
+    scope = {
+        child: function.name
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for child in ast.walk(function)
+    }
+    return [
+        f"{module_name}.{scope.get(node, '<module>')}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("asarray", "array")
+        and any(
+            keyword.arg == "dtype" and isinstance(keyword.value, ast.Name) and keyword.value.id == "float"
+            for keyword in node.keywords
+        )
+    ]
+
+
+def test_a_callers_array_is_read_only_by_linalg_real_array():
+    """Every array a caller hands the library is read by
+    ``linalg._real_array``, which refuses what NumPy's own rule would read
+    with a warning or end in a bare TypeError. The two reads left outside
+    ``linalg`` take only arrays that the library made: the eigenvalues and
+    checked d grid of ``smoother_factors``, and ``irls_stack``'s stacks
+    from the simulation blocks and ``irls_fit``'s Dataset."""
+    reads = {read for name in SUBMODULES if name != "linalg" for read in _float_reads(name)}
+    assert sorted(reads) == ["estimators.smoother_factors", "logit.irls_stack"]
+
+
 def test_no_library_module_builds_an_estimator_spec():
     """An EstimatorSpec is built only by callers of the ``risk`` and
     ``estimate`` doors: the library checks a request with ``_check_request``

@@ -63,6 +63,12 @@ class TestFit:
         assert "warning" in err
         assert "intercept" in out
 
+    @pytest.mark.parametrize("tol", ["inf", "1e400"])
+    def test_an_infinite_tolerance_exits_one(self, capsys, tol):
+        # it was taken: the fit stopped after one step and reported converged
+        code, out, err = run(capsys, ["fit", BUNDLED, "--tol", tol])
+        assert (code, out, err) == (1, "", "error: tol must be finite, got inf\n")
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, ["fit", "no-such-file.csv"])
         assert code == 1

@@ -1,8 +1,14 @@
 """Every public door that takes a caller's C, beta and restriction checks
-them the same way, through ``estimators._information``: the same error
-type and message from each door for each bad input. That door is also
-the one place where beta is converted, and ``linalg.symmetrize`` the one
-where C is: anything but an array of real numbers is refused there.
+them the same way, through ``estimators._information``: C, then beta, then
+the restriction at C's width, then C's definiteness, one step each, so each
+door gives the same error type and message for each bad input. That door
+is also the one place where beta is converted, and ``linalg.symmetrize``
+the one where C is.
+
+Every array a caller hands the library, there and at the other array doors
+(X and y, H and h, an estimate's beta, a vector to test), is read by one
+conversion, ``linalg._real_array``: anything but an array of real numbers
+is refused with an error that names the argument.
 
 A door's messages name its own beta argument (``beta_mle`` or
 ``beta_true``) and give its own shapes: a single fit's are (m,) and
@@ -14,12 +20,16 @@ ValueError naming it at each door. Every door that takes a scenario
 checks it first, through ``risk._check_scenario``.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from shrinklogit import (
     KINDS,
+    Dataset,
     DimensionMismatchError,
+    Estimate,
     EstimatorSpec,
     FittedLogit,
     InvalidMatrixError,
@@ -38,14 +48,18 @@ from shrinklogit import (
     d_sweep,
     default_restriction,
     estimate,
+    gen_response,
+    in_range,
     ld_matrix,
     liu_matrix,
+    residual,
     restricted_mle,
     risk,
     save_scenario,
     shrinkage_estimates,
     spectral_risk_terms,
     table_suite,
+    working_quantities,
 )
 
 GOOD_C = np.diag([3.0, 2.0, 1.0, 0.5])
@@ -85,6 +99,11 @@ CASES = {
     ),
     "short-beta-restriction-as-wide-as-beta": (
         GOOD_C, GOOD_BETA[:3], LinearRestriction([[1.0, 1.0, 0.0]], [0.0]), DimensionMismatchError,
+        lambda beta, lead: f"{beta} has shape {lead + (3,)}, expected {lead + (4,)}",
+    ),
+    # beta is checked against C before the restriction, at every door
+    "short-beta-restriction-as-wide-as-C": (
+        GOOD_C, GOOD_BETA[:3], RESTRICTION, DimensionMismatchError,
         lambda beta, lead: f"{beta} has shape {lead + (3,)}, expected {lead + (4,)}",
     ),
     "singular-C-wide-restriction": (
@@ -382,3 +401,130 @@ def test_every_scenario_door_takes_a_scenario(tmp_path):
     scenario = RiskScenario(GOOD_C, GOOD_BETA, RESTRICTION)
     for call in SCENARIO_DOORS.values():
         call(scenario, tmp_path / "scenario.txt")
+
+
+X_DESIGN = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+Y_RESPONSE = np.array([0.0, 1.0, 0.0, 1.0])
+BETA_2 = np.array([1.0, -1.0])
+
+#: (door, argument) -> (call with that argument, every other one valid; a
+#: valid value with integral entries; the error type; the name its message
+#: gives): every door that reads a caller's array, C and beta included.
+ARRAY_DOORS = {
+    ("Dataset", "X"): (lambda X: Dataset(X, Y_RESPONSE), X_DESIGN, ValueError, "X"),
+    ("Dataset", "y"): (lambda y: Dataset(X_DESIGN, y), Y_RESPONSE, ValueError, "y"),
+    ("LinearRestriction", "H"): (lambda H: LinearRestriction(H, [1.0]), RESTRICTION.H, ValueError, "H"),
+    ("LinearRestriction", "h"): (lambda h: LinearRestriction(RESTRICTION.H, h), np.array([2.0]), ValueError, "h"),
+    ("residual", "est"): (
+        lambda beta: residual(RESTRICTION, Estimate(EstimatorSpec("mle"), beta)), 4 * GOOD_BETA, ValueError, "est.beta",
+    ),
+    ("working_quantities", "beta"): (
+        lambda beta: working_quantities(Dataset(X_DESIGN, Y_RESPONSE), beta), BETA_2, ValueError, "beta",
+    ),
+    ("gen_response", "X"): (
+        lambda X: gen_response(X, BETA_2, np.random.default_rng(1)), X_DESIGN, ValueError, "X",
+    ),
+    ("gen_response", "beta"): (
+        lambda beta: gen_response(X_DESIGN, beta, np.random.default_rng(1)), BETA_2, ValueError, "beta",
+    ),
+    ("in_range", "vector"): (lambda v: in_range(v, GOOD_C), 4 * GOOD_BETA, InvalidMatrixError, "vector"),
+    ("restricted_mle", "C"): (lambda C: restricted_mle(C, GOOD_BETA, RESTRICTION), 2 * GOOD_C, InvalidMatrixError, "C"),
+    ("restricted_mle", "beta_mle"): (
+        lambda beta: restricted_mle(GOOD_C, beta, RESTRICTION), 4 * GOOD_BETA, ValueError, "beta_mle",
+    ),
+    ("a_matrix", "C"): (lambda C: a_matrix(C, RESTRICTION), 2 * GOOD_C, InvalidMatrixError, "C"),
+    ("shrinkage_estimates", "C"): (
+        lambda C: shrinkage_estimates(fit_of(C, GOOD_BETA), KINDS, [0.5], RESTRICTION), 2 * GOOD_C,
+        InvalidMatrixError, "C",
+    ),
+    ("shrinkage_estimates", "beta_mle"): (
+        lambda beta: shrinkage_estimates(fit_of(GOOD_C, beta), KINDS, [0.5], RESTRICTION), 4 * GOOD_BETA,
+        ValueError, "beta_mle",
+    ),
+    ("RiskScenario", "C"): (lambda C: RiskScenario(C, GOOD_BETA, RESTRICTION), 2 * GOOD_C, InvalidMatrixError, "C"),
+    ("RiskScenario", "beta_true"): (
+        lambda beta: RiskScenario(GOOD_C, beta, RESTRICTION), 4 * GOOD_BETA, ValueError, "beta_true",
+    ),
+}
+
+
+def _holding_a_complex_scalar(valid):
+    """An object array of ``valid``'s entries with a NumPy complex scalar first,
+    whose real part ``astype(float)`` would take with only a warning."""
+    array = valid.astype(object)
+    array.flat[0] = np.complex128(1j)
+    return array
+
+
+#: name -> make(valid value): what no array door may read as real.
+NOT_REAL_ARRAYS = {
+    "complex": lambda valid: valid * (1.0 + 1.0j),
+    "complex-with-zero-imaginary-part": lambda valid: valid + 0j,
+    "object-array-holding-a-complex-scalar": _holding_a_complex_scalar,
+    "iterator": iter,
+    "dict": lambda valid: dict(enumerate(valid)),
+    "object": lambda valid: object(),
+    "ragged": lambda valid: [[1.0, 2.0], [3.0]],
+}
+
+
+@pytest.mark.parametrize("case", NOT_REAL_ARRAYS)
+@pytest.mark.parametrize("door", ARRAY_DOORS, ids="-".join)
+def test_every_array_door_refuses_what_is_not_real_by_name(door, case):
+    """Each was read by NumPy's own rule: a complex H, X or vector lost its
+    imaginary part with only a warning, and an iterator or dict ended in a
+    bare TypeError."""
+    call, valid, error, named = ARRAY_DOORS[door]
+    with pytest.raises(error) as caught:
+        call(NOT_REAL_ARRAYS[case](valid))
+    assert type(caught.value) is error
+    assert str(caught.value) == f"{named} is not an array of real numbers"
+
+
+def _outputs(result):
+    """The arrays (or the bool) a door returns or keeps."""
+    if isinstance(result, Dataset):
+        return [result.X, result.y]
+    if isinstance(result, LinearRestriction):
+        return [result.H, result.h, result.null_basis, result.particular]
+    if isinstance(result, RiskScenario):
+        return [result.C, result.beta_true, result.c_inv, result.A]
+    return [np.asarray(part) for part in (result if isinstance(result, tuple) else (result,))]
+
+
+def _fractions(valid):
+    return np.array([Fraction(value) for value in valid.ravel().tolist()], dtype=object).reshape(valid.shape)
+
+
+@pytest.mark.parametrize(
+    "as_given",
+    [lambda a: a.astype(int), lambda a: a.astype(np.float32), lambda a: a.tolist(), _fractions],
+    ids=["int", "float32", "list", "Fraction"],
+)
+@pytest.mark.parametrize("door", ARRAY_DOORS, ids="-".join)
+def test_every_array_door_reads_real_arrays_of_any_type_as_floats(door, as_given):
+    call, valid, _, _ = ARRAY_DOORS[door]
+    expected = _outputs(call(valid))
+    for a, b in zip(_outputs(call(as_given(valid))), expected, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: risk(RiskScenario(GOOD_C, GOOD_BETA), None), "spec must be an EstimatorSpec, got NoneType"),
+        (lambda: risk(RiskScenario(GOOD_C, GOOD_BETA), "mle"), "spec must be an EstimatorSpec, got str"),
+        (lambda: estimate(fit_of(GOOD_C, GOOD_BETA), None), "spec must be an EstimatorSpec, got NoneType"),
+        (lambda: estimate(None, EstimatorSpec("mle")), "fit must be a FittedLogit, got NoneType"),
+        (lambda: shrinkage_estimates(None, ["mle"], [0.5]), "fit must be a FittedLogit, got NoneType"),
+        # before the request, which is bad too
+        (lambda: shrinkage_estimates((GOOD_C, GOOD_BETA), [], []), "fit must be a FittedLogit, got tuple"),
+    ],
+    ids=["risk-none", "risk-str", "estimate-spec", "estimate-fit", "shrinkage_estimates", "shrinkage_estimates-tuple"],
+)
+def test_a_fit_or_spec_of_another_type_is_refused_by_name(call, message):
+    """Each read a field of it first and ended in a bare AttributeError."""
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message

@@ -8,9 +8,11 @@ or NumPy error, and never a result from an input the maths cannot take,
 such as a complex array whose imaginary part NumPy would drop with only a
 warning (the suite turns every warning into an error).
 
-A DimensionMismatchError relates two arguments that disagree, so it may
-name either of them: a beta of the wrong width, say, is reported by the
-request doors against the restriction, which they check first.
+A DimensionMismatchError names the malformed argument too: every array
+door checks C, beta, the restriction and C's definiteness in that order,
+so with the other arguments valid a beta or restriction of the wrong width
+is reported by its own name, and a C of the wrong shape by the size it
+gives the others (``expected (2, 2)``, ``coefficient count 2``).
 """
 
 import os
@@ -33,6 +35,7 @@ from shrinklogit import (
     a_matrix,
     check_all,
     d_sweep,
+    estimate,
     restricted_mle,
     risk,
     save_scenario,
@@ -44,6 +47,8 @@ GOOD_C = np.diag([3.0, 2.0, 1.0, 0.5])
 GOOD_BETA = np.array([1.0, -1.0, 0.5, 0.25])
 RESTRICTION = LinearRestriction([[1.0, 1.0, 0.0, 0.0]], [0.0])
 SCENARIO = RiskScenario(GOOD_C, GOOD_BETA, RESTRICTION)
+FIT = FittedLogit(beta_mle=GOOD_BETA, C=GOOD_C, iterations=1, converged=True, final_step=0.0)
+SPEC = EstimatorSpec("raule", 0.5)
 
 
 def estimates(C, beta_mle, kinds, d_grid, restriction):
@@ -83,10 +88,15 @@ TABLE = [
     (estimates, "kinds", KINDS),
     (estimates, "d_grid", [0.0, 0.5]),
     (estimates, "restriction", RESTRICTION),
+    (estimate, "fit", FIT),
+    (estimate, "spec", SPEC),
+    (estimate, "restriction", RESTRICTION),
     (d_sweep, "scenario", SCENARIO),
     (d_sweep, "kinds", KINDS),
     (d_sweep, "d_grid", [0.0, 0.5]),
     (risk_of, "scenario", SCENARIO),
+    (risk, "scenario", SCENARIO),
+    (risk, "spec", SPEC),
     (check_all, "scenario", SCENARIO),
     (check_all, "d", 0.5),
     (check_all_after_a_valid_d, "scenario", SCENARIO),
@@ -166,8 +176,10 @@ def test_every_door_returns_or_names_the_argument(row, value):
     try:
         door(**arguments)
     except (ValueError, ShrinkLogitError) as error:
-        named = [argument] if not isinstance(error, DimensionMismatchError) else list(arguments)
-        pattern = "|".join(NAMED_AS.get(name, re.escape(name)) for name in named)
+        pattern = NAMED_AS.get(argument, re.escape(argument))
+        if argument == "C" and isinstance(error, DimensionMismatchError):
+            shape = np.shape(value)  # the size a C of this shape gives beta or the restriction
+            pattern = rf"expected {re.escape(str(shape[:-1]))}$|coefficient count {shape[-1]}$"
         assert re.search(pattern, str(error)), f"{type(error).__name__}: {error}"
 
 

@@ -92,6 +92,22 @@ class TestFitOptions:
         with pytest.raises(ValueError, match="^tol must be positive$"):
             FitOptions(tol=float("nan"))
 
+    @pytest.mark.parametrize("tol", [float("inf"), 1e400, np.inf, np.float32("inf")], ids=repr)
+    def test_rejects_an_infinite_tolerance(self, tol):
+        # every step is at most inf, so the first one counted as converged
+        with pytest.raises(ValueError) as caught:
+            FitOptions(tol=tol)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "tol must be finite, got inf"
+
+    @pytest.mark.parametrize("tol", [-float("inf"), -1.0], ids=repr)
+    def test_a_tolerance_that_is_not_positive_keeps_its_message(self, tol):
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            FitOptions(tol=tol)
+
+    def test_takes_the_largest_finite_tolerance(self):
+        assert FitOptions(tol=np.finfo(float).max).tol == np.finfo(float).max
+
     @pytest.mark.parametrize("max_iter", [2.5, float("nan"), 3.0, "3", True, False], ids=repr)
     def test_rejects_a_max_iter_that_is_not_an_integer(self, max_iter):
         # max_iter < 1 is false for 2.5 and NaN, and the fit then raised TypeError
