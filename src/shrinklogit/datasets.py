@@ -9,8 +9,9 @@ column) number.
 A well-formed regular file (unquoted numbers of one width under a
 header line, quoted or not, that ``csv.reader`` reads on its own;
 responses in {0, 1}; no line longer than ``csv.field_size_limit()``) is
-read in one vectorised pass: ``np.loadtxt`` is given the file's name and
-reads and tokenizes it in chunks in C. The line-length rule is checked
+read in one vectorised pass: ``np.loadtxt`` is handed the open handle,
+past the header line, and tokenizes the rest in C, so the file is read
+as the text it is, whatever its name. The line-length rule is checked
 first by one chunked scan of the bytes, skipped for a file no longer than
 the limit. Every other file, and so every error, goes through a
 field-by-field ``csv.reader`` loop, which converts each row as it reads
@@ -97,16 +98,15 @@ def load_csv(
     not blank, is one ``csv.reader`` row on its own (quoted or not) and is
     as wide as the body, no line is longer than ``csv.field_size_limit()``
     bytes, and every response is 0 or 1. That pass hands ``np.loadtxt`` the
-    file's name, so a name ending in a suffix that ``np.loadtxt``
-    decompresses (``.gz``, ``.bz2``, ``.xz``, ``.lzma``) is not read there.
-    Any other file goes through the field-by-field loop, the one source of
-    the errors below, which reads the same values and converts each row as
-    it reads it, so the first problem in file order is reported. A stream
-    (a pipe, a FIFO, ``/dev/stdin``), which can be read only once, is read
-    by the loop alone. y is copied out of the parsed table; with
-    ``intercept`` X is the table itself, the columns before the response
-    moved right by one and the ones written into column 0. Memory is a
-    small multiple of the arrays returned.
+    handle that read the header, so the file is read as the text it is,
+    whatever its name. Any other file goes through the field-by-field
+    loop, the one source of the errors below, which reads the same values
+    and converts each row as it reads it, so the first problem in file
+    order is reported. A stream (a pipe, a FIFO, ``/dev/stdin``), which
+    can be read only once, is read by the loop alone. y is copied out of
+    the parsed table; with ``intercept`` X is the table itself, the
+    columns before the response moved right by one and the ones written
+    into column 0. Memory is a small multiple of the arrays returned.
 
     Raises
     ------
@@ -151,9 +151,6 @@ def _read_lines(path) -> list[str]:
 #: adds little to the peak memory of a read.
 SCAN_CHUNK_BYTES = 1 << 16
 
-#: Suffixes on which ``np.loadtxt`` decompresses the file it is named.
-_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-
 
 def _lines_within(path, limit) -> bool:
     """Whether no line of the file is longer than ``limit`` bytes, its end
@@ -183,20 +180,16 @@ def _read_vectorised(path, header, response_column):
 
     The header is split by a strict ``csv.reader`` and the body lines as
     ``csv.reader`` splits unquoted text, so a file read here gives what
-    :func:`_read_checked` would give. ``np.loadtxt`` is given the file's
-    name, skips the header line and reads and tokenizes the rest in
-    chunks in C. A file longer than ``csv.field_size_limit()`` bytes is
-    first scanned for a line longer than that by :func:`_lines_within`.
+    :func:`_read_checked` would give. The file is opened as text once: the
+    header line is read from the handle, and ``np.loadtxt`` is handed the
+    same handle, at the first body line, and tokenizes the rest in C. A file
+    longer than ``csv.field_size_limit()`` bytes is first scanned for a
+    line longer than that by :func:`_lines_within`.
     """
-    name = os.fsdecode(path)
-    if not os.path.isabs(name):
-        name = os.path.join(os.curdir, name)  # np.loadtxt opens a name like "http://..." as a URL
-    if name.endswith(_DECOMPRESSED):
-        return None  # np.loadtxt would decompress what the loop reads as text
     names = None
     limit = csv.field_size_limit()
     try:
-        with open(name, encoding="utf-8-sig") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             if header:
                 head = handle.readline()
                 if head in ("", "\n"):
@@ -204,15 +197,15 @@ def _read_vectorised(path, header, response_column):
                 # strict: a quoted field left open at the line end is an error
                 names = [field.strip() for field in next(csv.reader([head], strict=True))]
             # np.loadtxt skips blank lines but warns when no line is left;
-            # a body of blank lines is the loop's error to name.
-            if all(line == "\n" for line in handle):
+            # a body of blank lines is the loop's error to name. readline,
+            # not iteration, so that tell() and seek() still work.
+            body = handle.tell()
+            if all(line == "\n" for line in iter(handle.readline, "")):
                 return None
-            size = os.fstat(handle.fileno()).st_size
-        if size > limit and not _lines_within(name, limit):
-            return None
-        table = np.loadtxt(
-            name, delimiter=",", comments=None, ndmin=2, skiprows=int(header), encoding="utf-8-sig"
-        )
+            if os.fstat(handle.fileno()).st_size > limit and not _lines_within(path, limit):
+                return None
+            handle.seek(body)
+            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
     except (ValueError, csv.Error):  # a UnicodeDecodeError too: the loop then names the file
         return None
     ncols = table.shape[1]

@@ -91,7 +91,7 @@ from numpy.typing import NDArray
 from .estimators import _smoothers
 from .linalg import PSD_SLACK, _eigh, _read_only, in_range_with_pinv
 from .linalg import _congruence, _kept, _pinv, _psd, _ratio, _sym
-from .risk import RiskScenario, _check_scenario
+from .risk import RiskScenario, _RiskScenario, _check_scenario
 
 # No longer called here, but kept bound: perfbench's traced run rebinds
 # them by name (ROADMAP item 1), and tests/test_perfbench_names.py checks
@@ -188,15 +188,14 @@ def _at(scenario: RiskScenario, d: float) -> tuple[DominanceVerdict, ...]:
     """The six verdicts at d, in ``check_all`` order, kept in the scenario's
     record. Only a scenario that passed the scenario door has one, and its
     kept d is a ``float`` that the door made, so an equal ``float`` reuses
-    the kept verdicts unchecked. Any other d passes ``_check_scenario``
-    before the record is read, and its verdicts replace the kept ones
-    unless the checked d equals the kept one (a NumPy float, say)."""
+    the kept verdicts unchecked; only a :class:`RiskScenario`, which the
+    weak dictionary always takes, is looked up. Any other d or scenario
+    passes ``_check_scenario`` before the record is read, and its verdicts
+    replace the kept ones unless the checked d equals the kept one (a
+    NumPy float, say)."""
     record = None
-    if type(d) is float:
-        try:
-            record = _records.get(scenario)
-        except TypeError:  # no weak reference or no hash: never a key
-            pass
+    if type(d) is float and isinstance(scenario, _RiskScenario):
+        record = _records.get(scenario)
     if record is None or d != record[1]:
         _, (d,) = _check_scenario(scenario, ["raule", "aule"], [d])
         record = _records.get(scenario, (None, None, None))

@@ -184,16 +184,14 @@ def liu_matrix(C, d: float) -> NDArray:
     return _smoothers(sym_eigen(C), "le", d_grid)[0]
 
 
-def _check_width(restriction: LinearRestriction, m: int):
+def _check_width(restriction: LinearRestriction, m: int, what: str = "coefficient count"):
     """The package's one width check, which every door reaches before it
     reads a restriction: ValueError unless it is a LinearRestriction, then
-    DimensionMismatchError unless H has ``m`` columns."""
+    DimensionMismatchError unless H has ``m`` columns, ``m`` named by ``what``."""
     if not isinstance(restriction, LinearRestriction):
         raise ValueError(f"restriction must be a LinearRestriction, got {type(restriction).__name__}")
     if restriction.width != m:
-        raise DimensionMismatchError(
-            f"restriction width {restriction.width} does not match coefficient count {m}"
-        )
+        raise DimensionMismatchError(f"restriction width {restriction.width} does not match {what} {m}")
 
 
 def _check_restriction(kinds, restriction: LinearRestriction | None, m: int):
@@ -362,12 +360,17 @@ def residual(restriction: LinearRestriction, est: Estimate) -> NDArray:
     Raises
     ------
     ValueError
-        If ``est.beta`` is not an array of real numbers (a complex array,
-        an iterator or a dict too), or the restriction is not a
-        LinearRestriction.
+        If ``est`` is not an Estimate, ``est.beta`` is not an array of real
+        numbers (a complex array, an iterator or a dict too), or the
+        restriction is not a LinearRestriction.
     DimensionMismatchError
-        If the restriction is not as wide as ``est.beta``.
+        If ``est.beta`` is not a vector, or the restriction is not as wide
+        as it.
     """
+    if not isinstance(est, Estimate):
+        raise ValueError(f"est must be an Estimate, got {type(est).__name__}")
     beta = _real_array(est.beta, "est.beta")
-    _check_width(restriction, beta.shape[0])
+    if beta.ndim != 1:
+        raise DimensionMismatchError(f"est.beta has shape {beta.shape}, expected a vector")
+    _check_width(restriction, beta.shape[0], "est.beta length")
     return restriction.H @ beta - restriction.h

@@ -63,19 +63,29 @@ def _read_only(array) -> NDArray:
     return view
 
 
+def _not_real(entry) -> bool:
+    """Whether an object array's entry is one that ``astype(float)`` would
+    read although it is no real number: a complex number (``astype`` would
+    take the real part of a NumPy complex scalar), or a str or bytes
+    (``astype`` would parse "2.5")."""
+    return np.iscomplexobj(entry) or isinstance(entry, (str, bytes))
+
+
 def _real_array(values, what: str, error: type[Exception] = ValueError) -> NDArray:
     """``values`` as ``np.asarray(values, dtype=float)`` reads a real array
-    of any type, else ``error`` naming ``what``: for a complex array (NumPy
-    would drop its imaginary part with only a warning), an object array
-    holding a complex number (``astype`` would take the real part of a
-    NumPy complex scalar), an entry that is no number, a ragged nest, or an
-    iterator, dict or other object."""
+    of any type, else ``error`` naming ``what``. Only a bool, integer, float
+    or object array is read: a complex array (NumPy would drop its imaginary
+    part with only a warning), a string or bytes array (NumPy would parse
+    "2.5", which the scalar rule refuses) and a date, time-delta or record
+    array are refused, as are an object array holding a complex number or a
+    string, an entry that is no number or too large for a float, a ragged
+    nest, and an iterator, dict or other object."""
     try:
         array = np.asarray(values)
         kind = array.dtype.kind
-        if kind != "c" and not (kind == "O" and any(map(np.iscomplexobj, array.flat))):
+        if kind in "biuf" or (kind == "O" and not any(map(_not_real, array.flat))):
             return array.astype(float, copy=False)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise error(f"{what} is not an array of real numbers")
 

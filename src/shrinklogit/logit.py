@@ -109,11 +109,15 @@ def _integer(name: str, value, low: int) -> int:
 
 
 def _real(name: str, value) -> float:
-    """``value`` as a ``float``; True, 0.5j, None or "0.5" is a ValueError."""
+    """``value`` as a ``float``; True, 0.5j, None or "0.5" is a ValueError,
+    and so is an int or Fraction too large for a float."""
     # float and int first: the ABC check alone takes about 0.7 us
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """CSV ingestion, serialization round-trips, and collinearity diagnostics."""
 
 import csv
+import gzip
 import io
 import os
 import re
@@ -22,7 +23,7 @@ from shrinklogit import (
     load_csv,
     save_csv,
 )
-from shrinklogit import datasets
+from shrinklogit import cli, datasets
 from shrinklogit.logit import Dataset
 
 
@@ -256,8 +257,8 @@ def traced_peak(call):
 
 
 class TestStreamingRead:
-    """The vectorised pass reads the file in chunks, with the loop's
-    outcome on every file, however far into it a problem lies."""
+    """The vectorised pass reads the file through its open handle, with the
+    loop's outcome on every file, however far into it a problem lies."""
 
     @pytest.mark.parametrize(
         "text, header",
@@ -513,19 +514,36 @@ class TestStreams:
 
 
 class TestCompressedNames:
-    """np.loadtxt decompresses a file named *.gz, *.bz2, *.xz or *.lzma; the
-    vectorised pass steps aside for such a name, and the loop reads the
-    file as the text it is."""
+    """A file is read as the text it is, whatever its name: a name that
+    ``np.loadtxt`` would decompress if it were given the name (*.gz, *.bz2,
+    *.xz, *.lzma) is read through the handle like any other."""
 
     @pytest.mark.parametrize("name", ["data.csv.gz", "data.bz2", "data.xz", "data.csv.lzma"])
     def test_a_plain_text_file_loads_as_text(self, tmp_path, name):
         text = 'y,x\n1,0.5\n0,-0.5\n'
         path = write(tmp_path, text, name)
-        assert datasets._read_vectorised(path, True, 0) is None
+        fast = datasets._read_vectorised(path, True, 0)
+        assert fast is not None
+        assert_same_read(fast, datasets._read_checked(path, True, 0))
         data = load_csv(path)
         plain = load_csv(write(tmp_path, text))
         assert_same_array(data.X, plain.X)
         assert_same_array(data.y, plain.y)
+
+    def test_a_gzip_file_is_not_utf8_text(self, tmp_path):
+        path = tmp_path / "data.csv.gz"
+        path.write_bytes(gzip.compress(b"y,x\n1,0.5\n0,-0.5\n"))
+        with pytest.raises(CsvParseError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+    def test_fit_on_a_gzip_file_exits_one_with_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "data.csv.gz"
+        path.write_bytes(gzip.compress(b"y,x\n1,0.5\n0,-0.5\n"))
+        code = cli.main(["fit", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
 
 
 def reference_split(table, index, intercept):

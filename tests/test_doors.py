@@ -304,6 +304,8 @@ BAD_ITEMS = {
     "string-d": (["aule"], ["0.5"], "d must be a real number, got '0.5'"),
     "complex-d": (["aule"], [0.5j], "d must be a real number, got 0.5j"),
     "late-none-d": (["aule", "le"], [0.5, None], "d must be a real number, got None"),
+    "huge-int-d": (["aule"], [10**400], "d is too large for a float"),
+    "huge-fraction-d": (["aule"], [Fraction(10**400)], "d is too large for a float"),
 }
 
 
@@ -448,19 +450,32 @@ ARRAY_DOORS = {
 }
 
 
-def _holding_a_complex_scalar(valid):
-    """An object array of ``valid``'s entries with a NumPy complex scalar first,
-    whose real part ``astype(float)`` would take with only a warning."""
-    array = valid.astype(object)
-    array.flat[0] = np.complex128(1j)
-    return array
+def _holding(entry):
+    """make(valid): an object array of ``valid``'s entries with ``entry`` first."""
+
+    def make(valid):
+        array = valid.astype(object)
+        array.flat[0] = entry
+        return array
+
+    return make
 
 
 #: name -> make(valid value): what no array door may read as real.
 NOT_REAL_ARRAYS = {
     "complex": lambda valid: valid * (1.0 + 1.0j),
     "complex-with-zero-imaginary-part": lambda valid: valid + 0j,
-    "object-array-holding-a-complex-scalar": _holding_a_complex_scalar,
+    "object-array-holding-a-complex-scalar": _holding(np.complex128(1j)),
+    "numeric-strings": lambda valid: valid.astype(str),
+    "numeric-bytes": lambda valid: valid.astype(bytes),
+    "dates": lambda valid: valid.astype(np.int64).astype("M8[D]"),
+    "time-deltas": lambda valid: valid.astype(np.int64).astype("m8[s]"),
+    "records": lambda valid: valid.astype([("value", float)]),
+    "list-of-numeric-strings": lambda valid: valid.astype(str).tolist(),
+    "object-array-holding-a-numeric-string": _holding("2.5"),
+    "object-array-holding-numeric-bytes": _holding(b"2.5"),
+    "object-array-holding-an-int-too-large-for-a-float": _holding(10**400),
+    "list-holding-an-int-too-large-for-a-float": lambda valid: _holding(10**400)(valid).tolist(),
     "iterator": iter,
     "dict": lambda valid: dict(enumerate(valid)),
     "object": lambda valid: object(),
@@ -472,8 +487,10 @@ NOT_REAL_ARRAYS = {
 @pytest.mark.parametrize("door", ARRAY_DOORS, ids="-".join)
 def test_every_array_door_refuses_what_is_not_real_by_name(door, case):
     """Each was read by NumPy's own rule: a complex H, X or vector lost its
-    imaginary part with only a warning, and an iterator or dict ended in a
-    bare TypeError."""
+    imaginary part with only a warning, an iterator or dict ended in a
+    bare TypeError, numeric strings were parsed as numbers, dates, time
+    deltas and records were read as their numbers, and an int too large
+    for a float ended in a bare OverflowError."""
     call, valid, error, named = ARRAY_DOORS[door]
     with pytest.raises(error) as caught:
         call(NOT_REAL_ARRAYS[case](valid))
@@ -517,10 +534,15 @@ def test_every_array_door_reads_real_arrays_of_any_type_as_floats(door, as_given
         (lambda: estimate(fit_of(GOOD_C, GOOD_BETA), None), "spec must be an EstimatorSpec, got NoneType"),
         (lambda: estimate(None, EstimatorSpec("mle")), "fit must be a FittedLogit, got NoneType"),
         (lambda: shrinkage_estimates(None, ["mle"], [0.5]), "fit must be a FittedLogit, got NoneType"),
+        (lambda: residual(RESTRICTION, None), "est must be an Estimate, got NoneType"),
+        (lambda: residual(RESTRICTION, 4 * GOOD_BETA), "est must be an Estimate, got ndarray"),
         # before the request, which is bad too
         (lambda: shrinkage_estimates((GOOD_C, GOOD_BETA), [], []), "fit must be a FittedLogit, got tuple"),
     ],
-    ids=["risk-none", "risk-str", "estimate-spec", "estimate-fit", "shrinkage_estimates", "shrinkage_estimates-tuple"],
+    ids=[
+        "risk-none", "risk-str", "estimate-spec", "estimate-fit", "shrinkage_estimates", "residual-none",
+        "residual-array", "shrinkage_estimates-tuple",
+    ],
 )
 def test_a_fit_or_spec_of_another_type_is_refused_by_name(call, message):
     """Each read a field of it first and ended in a bare AttributeError."""
@@ -528,3 +550,11 @@ def test_a_fit_or_spec_of_another_type_is_refused_by_name(call, message):
         call()
     assert type(caught.value) is ValueError
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("beta", [1.0, np.array(1.0), np.ones((4, 4))], ids=["float", "0-d", "matrix"])
+def test_residual_refuses_an_estimate_that_is_not_a_vector_by_name(beta):
+    """A 0-d beta ended in a bare IndexError from its shape."""
+    with pytest.raises(DimensionMismatchError) as caught:
+        residual(RESTRICTION, Estimate(EstimatorSpec("mle"), beta))
+    assert str(caught.value) == f"est.beta has shape {np.shape(beta)}, expected a vector"

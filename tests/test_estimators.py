@@ -263,7 +263,7 @@ class TestResidual:
     def test_dimension_mismatch(self):
         restriction = LinearRestriction(np.array([[1.0, 0.0]]), np.array([0.0]))
         est = Estimate(EstimatorSpec("mle"), np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match=r"^restriction width 2 does not match est\.beta length 3$"):
             residual(restriction, est)
 
 

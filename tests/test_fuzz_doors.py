@@ -17,6 +17,7 @@ gives the others (``expected (2, 2)``, ``coefficient count 2``).
 
 import os
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from shrinklogit import (
     KINDS,
     DimensionMismatchError,
+    Estimate,
     EstimatorSpec,
     FitOptions,
     FittedLogit,
@@ -36,6 +38,7 @@ from shrinklogit import (
     check_all,
     d_sweep,
     estimate,
+    residual,
     restricted_mle,
     risk,
     save_scenario,
@@ -63,6 +66,11 @@ def risk_of(scenario):
 
 def save(scenario, d):
     return save_scenario(os.devnull, scenario, d)
+
+
+def residual_of_beta(restriction, beta):
+    """residual with the estimate's beta as its own argument."""
+    return residual(restriction, Estimate(SPEC, beta))
 
 
 def check_all_after_a_valid_d(scenario, d):
@@ -104,6 +112,10 @@ TABLE = [
     (spectral_risk_terms, "scenario", SCENARIO),
     (save, "scenario", SCENARIO),
     (save, "d", 0.5),
+    (residual, "restriction", RESTRICTION),
+    (residual, "est", Estimate(SPEC, GOOD_BETA)),
+    (residual_of_beta, "restriction", RESTRICTION),
+    (residual_of_beta, "beta", GOOD_BETA),
     (FitOptions, "max_iter", 50),
     (FitOptions, "tol", 1e-8),
     (FitOptions, "prob_clip", 1e-6),
@@ -116,6 +128,7 @@ NAMED_AS = {
     "kinds": r"\bkinds?\b",
     "d_grid": r"\bd\b",
     "d": r"\bd\b",
+    "beta": r"\best\.beta\b",
 }
 
 #: The ROADMAP door probe's malformed values and the valid arrays made
@@ -140,6 +153,13 @@ PROBE = [
     GOOD_C * (1.0 + 1.0j),
     GOOD_BETA * 1j,
     np.array([0.5 + 0j]),
+    10**400,
+    Fraction(-(10**400)),
+    [10**400, 1.0, 0.5, 0.25],
+    ["1", "2.5"],
+    np.array(["1", "2.5"]),
+    np.array([b"1", b"2.5"]),
+    np.array([1.0, "2.5"], dtype=object),
 ]
 #: The probe values, a fresh iterator or object, and constant complex
 #: arrays of every rank up to 3.

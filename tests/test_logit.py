@@ -123,6 +123,15 @@ class TestFitOptions:
         assert type(caught.value) is ValueError
         assert str(caught.value) == f"{name} must be a real number, got {value!r}"
 
+    @pytest.mark.parametrize("name", ["tol", "prob_clip"])
+    @pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400)], ids=["int", "negative-int", "Fraction"])
+    def test_rejects_a_tolerance_or_clip_too_large_for_a_float_by_name(self, name, value):
+        # float() raised a bare OverflowError
+        with pytest.raises(ValueError) as caught:
+            FitOptions(**{name: value})
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"{name} is too large for a float"
+
     @pytest.mark.parametrize("value", [np.float32(0.25), np.float64(0.25), Fraction(1, 4)], ids=repr)
     def test_keeps_a_tolerance_and_clip_of_any_real_type_as_a_float(self, value):
         opts = FitOptions(tol=value, prob_clip=value)
